@@ -22,11 +22,13 @@ test:
 
 # Race-detector pass over the packages that spawn goroutines (the virtual
 # MPI scheduler, the network simulator, the mapping service's pool/
-# cache/snapshot-store, the core mapper's parallel order search, and the
-# re-gauging control loop), plus the analysis loader's concurrent
-# type-check waves.
+# cache/snapshot-store, the core mapper's parallel order search, the
+# re-gauging control loop and the multilevel refiner) or are read by them
+# concurrently (the comm graph's freeze-once adjacency), plus the analysis
+# loader's concurrent type-check waves. CI runs this target, so the
+# package list lives here only.
 race:
-	$(GO) test -race ./internal/mpi/... ./internal/netsim/... ./internal/service/... ./internal/core/... ./internal/regauge/... ./internal/multilevel/...
+	$(GO) test -race ./internal/comm/... ./internal/mpi/... ./internal/netsim/... ./internal/service/... ./internal/core/... ./internal/regauge/... ./internal/multilevel/...
 	$(GO) test -race -run TestLoadParallelDeterministic ./internal/analysis
 
 # Fault-injection smoke: replay LU through the FlakyWAN preset and run the

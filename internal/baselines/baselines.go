@@ -260,7 +260,7 @@ func (m *MPIPP) bestSwapPass(p *core.Problem, pl core.Placement, cost *units.Cos
 			if !p.AllowedOn(a, pl[b]) || !p.AllowedOn(b, pl[a]) {
 				continue
 			}
-			delta := swapDelta(p, pl, a, b)
+			delta := p.SwapDelta(pl, a, b)
 			if delta < units.Cost(-1e-12) {
 				pl[a], pl[b] = pl[b], pl[a]
 				*cost += delta
@@ -269,50 +269,6 @@ func (m *MPIPP) bestSwapPass(p *core.Problem, pl core.Placement, cost *units.Cos
 		}
 	}
 	return improved
-}
-
-// swapDelta returns the cost change of exchanging the sites of processes a
-// and b. Only edges incident to a or b change cost, so the delta is
-// computed locally in O(deg(a)+deg(b)).
-func swapDelta(p *core.Problem, pl core.Placement, a, b int) units.Cost {
-	sa, sb := pl[a], pl[b]
-	var delta units.Cost
-	site := func(j int) int {
-		// Site of j after the hypothetical swap.
-		switch j {
-		case a:
-			return sb
-		case b:
-			return sa
-		default:
-			return pl[j]
-		}
-	}
-	edge := func(i, j int, vol, msgs float64) {
-		oldSi, oldSj := pl[i], pl[j]
-		newSi, newSj := site(i), site(j)
-		delta -= (p.Latency(oldSi, oldSj).Scale(msgs) + units.Bytes(vol).Over(p.Bandwidth(oldSi, oldSj))).AsCost()
-		delta += (p.Latency(newSi, newSj).Scale(msgs) + units.Bytes(vol).Over(p.Bandwidth(newSi, newSj))).AsCost()
-	}
-	for _, e := range p.Comm.Outgoing(a) {
-		edge(a, e.Peer, e.Volume, e.Msgs)
-	}
-	for _, e := range p.Comm.Incoming(a) {
-		edge(e.Peer, a, e.Volume, e.Msgs)
-	}
-	for _, e := range p.Comm.Outgoing(b) {
-		if e.Peer == a {
-			continue // already counted from a's side
-		}
-		edge(b, e.Peer, e.Volume, e.Msgs)
-	}
-	for _, e := range p.Comm.Incoming(b) {
-		if e.Peer == a {
-			continue
-		}
-		edge(e.Peer, b, e.Volume, e.Msgs)
-	}
-	return delta
 }
 
 // MonteCarlo samples K random feasible placements and keeps the best. Its

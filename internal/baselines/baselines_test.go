@@ -201,8 +201,8 @@ func TestSwapDeltaMatchesFullRecomputation(t *testing.T) {
 				sw[a], sw[b] = sw[b], sw[a]
 				return (p.Cost(sw) - p.Cost(pl)).Float()
 			}()
-			if got := swapDelta(p, pl, a, b); math.Abs(got.Float()-want) > 1e-9 {
-				t.Fatalf("swapDelta(%d,%d) = %v, full recomputation %v", a, b, got, want)
+			if got := p.SwapDelta(pl, a, b); math.Abs(got.Float()-want) > 1e-9 {
+				t.Fatalf("SwapDelta(%d,%d) = %v, full recomputation %v", a, b, got, want)
 			}
 		}
 	}

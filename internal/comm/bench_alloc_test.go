@@ -3,7 +3,7 @@ package comm
 import "testing"
 
 // The BenchmarkAlloc* family gates the allocation discipline of the
-// //geolint:allocfree adjacency views: once Prewarm has built the caches,
+// //geolint:allocfree adjacency views: once Prewarm has frozen the graph,
 // reads must measure 0 allocs/op. scripts/bench_alloc.sh runs them with
 // -benchmem and fails on any nonzero allocs/op.
 

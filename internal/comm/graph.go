@@ -5,13 +5,23 @@
 // messages exchanged (Table 4). The evaluation scales to 8192 processes
 // where the patterns are sparse (NPB kernels talk to a handful of
 // neighbors), so this package stores both matrices together as a directed
-// weighted graph with adjacency lists, and converts to dense matrices on
-// demand for small problems and for rendering Figure 3.
+// weighted graph, and converts to dense matrices on demand for small
+// problems and for rendering Figure 3.
+//
+// A Graph has two phases. While it is built, AddTraffic appends each call
+// to its source's entry list. The first read freezes it, exactly once and
+// safely under concurrent readers, into a CSR adjacency: peer-sorted out
+// and in rows over flat Edge arrays, with repeated (src, dst) pairs summed
+// in call order. The frozen graph is immutable, so the core mapper, the
+// baselines and the multilevel solver all share one adjacency without
+// copies, caches or locks.
 package comm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"geoprocmap/internal/mat"
 )
@@ -23,37 +33,34 @@ type Edge struct {
 	Msgs   float64 // total number of messages (AG entry)
 }
 
+// CSR is a frozen directed adjacency in compressed sparse row form:
+// Out[OutIdx[i]:OutIdx[i+1]] are the edges i sends on, ascending by
+// destination, and In[InIdx[i]:InIdx[i+1]] the edges i receives on,
+// ascending by sender (Edge.Peer is the sender there). Both arrays hold
+// the same traffic. A CSR obtained from a Graph is shared and read-only.
+type CSR struct {
+	OutIdx []int
+	Out    []Edge
+	InIdx  []int
+	In     []Edge
+}
+
 // Graph holds the combined CG/AG communication pattern of an N-process
 // application. Traffic is directed; AddTraffic(i, j, …) and
 // AddTraffic(j, i, …) accumulate separately, matching the paper's
 // asymmetric matrices.
 type Graph struct {
-	n   int
-	out []map[int]*Edge // out[i][j] = traffic i→j
-	in  []map[int]*Edge // in[j][i] = traffic i→j (mirror for fast column access)
+	n int
+
+	// pending[i] lists i's AddTraffic calls in call order, repeats
+	// included; the freeze sums them and drops the lists.
+	pending [][]Edge
+
+	once sync.Once
+	csr  CSR // valid once frozen; OutIdx != nil marks the freeze
 
 	totalVolume float64
 	totalMsgs   float64
-
-	// neighborCache holds, per process, the combined-direction neighbor
-	// list in ascending peer order. Iterating Go maps is randomized, and
-	// the mapping heuristics accumulate floating-point affinities over
-	// neighbors — a nondeterministic order would make placements differ
-	// run to run through last-ulp tie-breaks. The cache is rebuilt lazily
-	// after mutations.
-	//
-	// outCache and inCache are the analogous per-direction views behind
-	// Outgoing and Incoming. Before they existed every Cost evaluation
-	// and every refinement exchange delta rebuilt and sorted fresh edge
-	// slices from the adjacency maps — the dominant allocation source of
-	// the κ! order search, which evaluates Cost once per order.
-	neighborCache [][]Edge
-	cacheVersion  int
-	outCache      [][]Edge
-	outVersion    int
-	inCache       [][]Edge
-	inVersion     int
-	mutVersion    int
 }
 
 // NewGraph returns an empty pattern over n processes.
@@ -62,15 +69,20 @@ func NewGraph(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("comm: negative process count %d", n)) //geolint:ignore libpanic negative count is a programmer error, like make() with negative len
 	}
-	g := &Graph{
-		n:   n,
-		out: make([]map[int]*Edge, n),
-		in:  make([]map[int]*Edge, n),
+	return &Graph{n: n, pending: make([][]Edge, n)}
+}
+
+// FromCSR returns the frozen graph over len(outIdx)-1 processes whose
+// outgoing adjacency is (outIdx, out), building the incoming rows by
+// transposition. Every row must be strictly ascending by peer and free of
+// self-traffic; the graph takes ownership of both slices.
+func FromCSR(outIdx []int, out []Edge) *Graph {
+	g := &Graph{n: len(outIdx) - 1}
+	for _, e := range out {
+		g.totalVolume += e.Volume
+		g.totalMsgs += e.Msgs
 	}
-	for i := 0; i < n; i++ {
-		g.out[i] = make(map[int]*Edge)
-		g.in[i] = make(map[int]*Edge)
-	}
+	g.once.Do(func() { g.csr = transpose(outIdx, out) })
 	return g
 }
 
@@ -79,30 +91,23 @@ func (g *Graph) N() int { return g.n }
 
 // AddTraffic accumulates volume bytes over msgs messages sent from src to
 // dst. Self-traffic (src == dst) is ignored, as in the paper's model where
-// the diagonal carries no cost. Negative volume or msgs panic.
+// the diagonal carries no cost. Negative volume or msgs panic, and so does
+// a call after the graph was frozen by its first read.
 func (g *Graph) AddTraffic(src, dst int, volume, msgs float64) {
 	g.checkProc(src)
 	g.checkProc(dst)
 	if volume < 0 || msgs < 0 {
 		panic(fmt.Sprintf("comm: negative traffic (%g bytes, %g msgs)", volume, msgs)) //geolint:ignore libpanic trace.Recorder validates sizes; negative traffic is a profiler bug
 	}
+	if g.csr.OutIdx != nil {
+		panic("comm: AddTraffic on a frozen graph") //geolint:ignore libpanic writing after the first read is a programmer error; readers may share the frozen rows
+	}
 	if src == dst || (volume == 0 && msgs == 0) {
 		return
 	}
-	e := g.out[src][dst]
-	if e == nil {
-		e = &Edge{Peer: dst}
-		g.out[src][dst] = e
-		g.in[dst][src] = &Edge{Peer: src}
-	}
-	e.Volume += volume
-	e.Msgs += msgs
-	me := g.in[dst][src]
-	me.Volume += volume
-	me.Msgs += msgs
+	g.pending[src] = append(g.pending[src], Edge{Peer: dst, Volume: volume, Msgs: msgs})
 	g.totalVolume += volume
 	g.totalMsgs += msgs
-	g.mutVersion++
 }
 
 func (g *Graph) checkProc(i int) {
@@ -112,151 +117,134 @@ func (g *Graph) checkProc(i int) {
 	}
 }
 
-// Volume returns CG(i, j): the bytes sent from i to j.
-func (g *Graph) Volume(i, j int) float64 {
-	g.checkProc(i)
-	g.checkProc(j)
-	if e := g.out[i][j]; e != nil {
-		return e.Volume
-	}
-	return 0
+// Prewarm freezes the graph now rather than at its first read. Reads
+// freeze it anyway, exactly once and safely under concurrent readers.
+func (g *Graph) Prewarm() { g.CSR() }
+
+// CSR freezes the graph if needed and returns its adjacency, for callers
+// that walk the rows in a hot loop without per-row calls.
+func (g *Graph) CSR() *CSR {
+	g.once.Do(g.freeze)
+	return &g.csr
 }
 
-// Msgs returns AG(i, j): the number of messages sent from i to j.
-func (g *Graph) Msgs(i, j int) float64 {
-	g.checkProc(i)
-	g.checkProc(j)
-	if e := g.out[i][j]; e != nil {
-		return e.Msgs
+// freeze sums each source's pending entries per destination in call order
+// (matching the running sum the calls describe), sorts the row by peer,
+// and builds the incoming rows by transposition.
+//
+//geolint:allocsite cold path: runs once per graph, before any hot-loop read
+func (g *Graph) freeze() {
+	at := make([]int, g.n) // position of a peer's edge in out
+	for i := range at {
+		at[i] = -1
 	}
-	return 0
+	outIdx := make([]int, g.n+1)
+	var out []Edge
+	for i, row := range g.pending {
+		start := len(out)
+		for _, e := range row {
+			k := at[e.Peer]
+			if k < start { // no edge to this peer in row i yet
+				k = len(out)
+				at[e.Peer] = k
+				out = append(out, Edge{Peer: e.Peer})
+			}
+			out[k].Volume += e.Volume
+			out[k].Msgs += e.Msgs
+		}
+		slices.SortFunc(out[start:], func(a, b Edge) int { return cmp.Compare(a.Peer, b.Peer) })
+		outIdx[i+1] = len(out)
+	}
+	g.pending = nil
+	g.csr = transpose(outIdx, out)
+}
+
+// transpose completes an out-CSR with its incoming rows. Walking sources
+// in ascending order leaves every in row sorted by sender.
+func transpose(outIdx []int, out []Edge) CSR {
+	n := len(outIdx) - 1
+	inIdx := make([]int, n+1)
+	for _, e := range out {
+		inIdx[e.Peer+1]++
+	}
+	for i := 0; i < n; i++ {
+		inIdx[i+1] += inIdx[i]
+	}
+	in := make([]Edge, len(out))
+	cursor := append([]int(nil), inIdx[:n]...)
+	for i := 0; i < n; i++ {
+		for _, e := range out[outIdx[i]:outIdx[i+1]] {
+			in[cursor[e.Peer]] = Edge{Peer: i, Volume: e.Volume, Msgs: e.Msgs}
+			cursor[e.Peer]++
+		}
+	}
+	return CSR{OutIdx: outIdx, Out: out, InIdx: inIdx, In: in}
+}
+
+// Volume returns CG(i, j): the bytes sent from i to j.
+func (g *Graph) Volume(i, j int) float64 { return g.edge(i, j).Volume }
+
+// Msgs returns AG(i, j): the number of messages sent from i to j.
+func (g *Graph) Msgs(i, j int) float64 { return g.edge(i, j).Msgs }
+
+// edge returns the i→j edge, or a zero Edge when i sends nothing to j.
+func (g *Graph) edge(i, j int) Edge {
+	g.checkProc(j)
+	row := g.Outgoing(i)
+	if k, ok := slices.BinarySearchFunc(row, j, func(e Edge, j int) int { return cmp.Compare(e.Peer, j) }); ok {
+		return row[k]
+	}
+	return Edge{}
 }
 
 // Outgoing returns the outgoing edges of process i sorted by peer. The
-// slice is owned by the graph's adjacency cache: callers must not modify
-// it, and it stays valid only until the next AddTraffic.
+// slice is a row of the frozen graph: callers must not modify it.
 //
 //geolint:allocfree
 func (g *Graph) Outgoing(i int) []Edge {
 	g.checkProc(i)
-	if g.outCache == nil || g.outVersion != g.mutVersion || g.outCache[i] == nil {
-		g.buildOutgoing(i)
-	}
-	return g.outCache[i]
+	c := g.CSR()
+	lo, hi := c.OutIdx[i], c.OutIdx[i+1]
+	return c.Out[lo:hi:hi]
 }
 
 // Incoming returns the incoming edges of process i sorted by peer. Each
-// edge's Peer field is the *sender*. The slice is owned by the graph's
-// adjacency cache: callers must not modify it, and it stays valid only
-// until the next AddTraffic.
+// edge's Peer field is the *sender*. The slice is a row of the frozen
+// graph: callers must not modify it.
 //
 //geolint:allocfree
 func (g *Graph) Incoming(i int) []Edge {
 	g.checkProc(i)
-	if g.inCache == nil || g.inVersion != g.mutVersion || g.inCache[i] == nil {
-		g.buildIncoming(i)
-	}
-	return g.inCache[i]
-}
-
-// buildOutgoing (re)builds the outgoing-adjacency cache entry of process
-// i after a mutation invalidated it.
-//
-//geolint:allocsite cold path: cache rebuild after mutation, amortized over the hot-loop reads
-func (g *Graph) buildOutgoing(i int) {
-	if g.outCache == nil || g.outVersion != g.mutVersion {
-		g.outCache = make([][]Edge, g.n)
-		g.outVersion = g.mutVersion
-	}
-	g.outCache[i] = sortEdges(g.out[i]) // non-nil even when empty: marks the entry as built
-}
-
-// buildIncoming (re)builds the incoming-adjacency cache entry of process
-// i after a mutation invalidated it.
-//
-//geolint:allocsite cold path: cache rebuild after mutation, amortized over the hot-loop reads
-func (g *Graph) buildIncoming(i int) {
-	if g.inCache == nil || g.inVersion != g.mutVersion {
-		g.inCache = make([][]Edge, g.n)
-		g.inVersion = g.mutVersion
-	}
-	g.inCache[i] = sortEdges(g.in[i]) // non-nil even when empty: marks the entry as built
-}
-
-func sortEdges(m map[int]*Edge) []Edge {
-	out := make([]Edge, 0, len(m))
-	for _, e := range m {
-		out = append(out, *e)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Peer < out[b].Peer })
-	return out
+	c := g.CSR()
+	lo, hi := c.InIdx[i], c.InIdx[i+1]
+	return c.In[lo:hi:hi]
 }
 
 // Neighbors calls fn for every process j that exchanges traffic with i in
 // either direction, with the combined volume CG(i,j)+CG(j,i) and message
-// count AG(i,j)+AG(j,i), in ascending peer order (deterministic).
+// count AG(i,j)+AG(j,i), in ascending peer order (deterministic). The
+// heuristics accumulate floating-point affinities over neighbors, so the
+// order is part of the placement's bit-exact reproducibility.
 //
 //geolint:allocfree
 func (g *Graph) Neighbors(i int, fn func(j int, volume, msgs float64)) {
 	g.checkProc(i)
-	for _, e := range g.neighbors(i) {
+	c := g.CSR()
+	in := c.In[c.InIdx[i]:c.InIdx[i+1]]
+	k := 0
+	for _, e := range c.Out[c.OutIdx[i]:c.OutIdx[i+1]] {
+		for ; k < len(in) && in[k].Peer < e.Peer; k++ {
+			fn(in[k].Peer, in[k].Volume, in[k].Msgs)
+		}
+		if k < len(in) && in[k].Peer == e.Peer { // out+in, as CG(i,j)+CG(j,i)
+			e.Volume += in[k].Volume
+			e.Msgs += in[k].Msgs
+			k++
+		}
 		fn(e.Peer, e.Volume, e.Msgs)
 	}
-}
-
-// neighbors returns i's cached combined-direction adjacency, rebuilding
-// the cache if the graph changed since the last build.
-func (g *Graph) neighbors(i int) []Edge {
-	if g.neighborCache == nil || g.cacheVersion != g.mutVersion || g.neighborCache[i] == nil {
-		g.buildNeighbors(i)
-	}
-	return g.neighborCache[i]
-}
-
-// buildNeighbors (re)builds the combined-direction adjacency cache entry
-// of process i after a mutation invalidated it.
-//
-//geolint:allocsite cold path: cache rebuild after mutation, amortized over the hot-loop reads
-func (g *Graph) buildNeighbors(i int) {
-	if g.neighborCache == nil || g.cacheVersion != g.mutVersion {
-		g.neighborCache = make([][]Edge, g.n)
-		g.cacheVersion = g.mutVersion
-	}
-	combined := make(map[int]*Edge, len(g.out[i])+len(g.in[i]))
-	for j, e := range g.out[i] {
-		combined[j] = &Edge{Peer: j, Volume: e.Volume, Msgs: e.Msgs}
-	}
-	for j, e := range g.in[i] {
-		if c := combined[j]; c != nil {
-			c.Volume += e.Volume
-			c.Msgs += e.Msgs
-			continue
-		}
-		combined[j] = &Edge{Peer: j, Volume: e.Volume, Msgs: e.Msgs}
-	}
-	list := make([]Edge, 0, len(combined))
-	for _, e := range combined {
-		list = append(list, *e)
-	}
-	sort.Slice(list, func(a, b int) bool { return list[a].Peer < list[b].Peer })
-	if len(list) == 0 {
-		list = []Edge{} // non-nil marks the entry as built
-	}
-	g.neighborCache[i] = list
-}
-
-// Prewarm builds every adjacency cache (combined-direction, outgoing,
-// incoming) for every process so that subsequent Neighbors, Quantity,
-// Outgoing, and Incoming calls are read-only. The lazy rebuilds are not
-// synchronized; callers that share a graph across goroutines (the
-// parallel κ! order search, the serving path's memoized workload graphs)
-// must prewarm it first and refrain from AddTraffic while readers are
-// live.
-func (g *Graph) Prewarm() {
-	for i := 0; i < g.n; i++ {
-		g.neighbors(i)
-		g.Outgoing(i)
-		g.Incoming(i)
+	for _, e := range in[k:] {
+		fn(e.Peer, e.Volume, e.Msgs)
 	}
 }
 
@@ -266,11 +254,8 @@ func (g *Graph) Prewarm() {
 //
 //geolint:allocfree
 func (g *Graph) Quantity(i int) float64 {
-	g.checkProc(i)
 	var q float64
-	for _, e := range g.neighbors(i) { // deterministic accumulation order
-		q += e.Volume
-	}
+	g.Neighbors(i, func(_ int, vol, _ float64) { q += vol }) // deterministic accumulation order
 	return q
 }
 
@@ -281,28 +266,17 @@ func (g *Graph) TotalVolume() float64 { return g.totalVolume }
 func (g *Graph) TotalMsgs() float64 { return g.totalMsgs }
 
 // EdgeCount returns the number of directed (i, j) pairs with traffic.
-func (g *Graph) EdgeCount() int {
-	n := 0
-	for _, m := range g.out {
-		n += len(m)
-	}
-	return n
-}
+func (g *Graph) EdgeCount() int { return len(g.CSR().Out) }
 
 // MaxDegree returns the largest number of distinct peers (union of in and
 // out) over all processes.
 func (g *Graph) MaxDegree() int {
 	max := 0
 	for i := 0; i < g.n; i++ {
-		seen := make(map[int]struct{}, len(g.out[i])+len(g.in[i]))
-		for j := range g.out[i] {
-			seen[j] = struct{}{}
-		}
-		for j := range g.in[i] {
-			seen[j] = struct{}{}
-		}
-		if len(seen) > max {
-			max = len(seen)
+		d := 0
+		g.Neighbors(i, func(int, float64, float64) { d++ })
+		if d > max {
+			max = d
 		}
 	}
 	return max
@@ -310,21 +284,19 @@ func (g *Graph) MaxDegree() int {
 
 // DenseCG materializes the N×N communication-volume matrix.
 func (g *Graph) DenseCG() *mat.Matrix {
-	m := mat.NewSquare(g.n)
-	for i, edges := range g.out {
-		for j, e := range edges {
-			m.Set(i, j, e.Volume)
-		}
-	}
-	return m
+	return g.dense(func(e Edge) float64 { return e.Volume })
 }
 
 // DenseAG materializes the N×N message-count matrix.
 func (g *Graph) DenseAG() *mat.Matrix {
+	return g.dense(func(e Edge) float64 { return e.Msgs })
+}
+
+func (g *Graph) dense(field func(Edge) float64) *mat.Matrix {
 	m := mat.NewSquare(g.n)
-	for i, edges := range g.out {
-		for j, e := range edges {
-			m.Set(i, j, e.Msgs)
+	for i := 0; i < g.n; i++ {
+		for _, e := range g.Outgoing(i) {
+			m.Set(i, e.Peer, field(e))
 		}
 	}
 	return m

@@ -2,6 +2,9 @@ package comm
 
 import (
 	"math"
+	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -242,11 +245,164 @@ func TestNeighborsDeterministicOrder(t *testing.T) {
 			t.Fatalf("order = %v, want ascending %v", order, want)
 		}
 	}
-	// Mutation invalidates the cache.
-	g.AddTraffic(2, 0, 50, 1)
-	order = order[:0]
-	g.Neighbors(0, func(j int, _, _ float64) { order = append(order, j) })
-	if len(order) != 6 || order[1] != 2 {
-		t.Fatalf("after mutation order = %v, want peer 2 included in place", order)
+}
+
+// A read freezes the graph; later AddTraffic must fail loudly instead of
+// silently changing rows that concurrent readers may already share.
+func TestAddTrafficAfterReadPanics(t *testing.T) {
+	reads := map[string]func(g *Graph){
+		"Outgoing":  func(g *Graph) { g.Outgoing(0) },
+		"Neighbors": func(g *Graph) { g.Neighbors(0, func(int, float64, float64) {}) },
+		"Volume":    func(g *Graph) { g.Volume(0, 1) },
+		"Prewarm":   func(g *Graph) { g.Prewarm() },
+	}
+	for name, read := range reads {
+		g := NewGraph(3)
+		g.AddTraffic(0, 1, 100, 1)
+		read(g)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddTraffic after %s did not panic", name)
+				}
+			}()
+			g.AddTraffic(2, 0, 50, 1)
+		}()
+		if g.TotalVolume() != 100 || g.Volume(2, 0) != 0 {
+			t.Errorf("rejected AddTraffic after %s changed the graph", name)
+		}
+	}
+}
+
+// Concurrent first reads of a graph nobody froze must be race-free (go
+// test -race) and see identical rows: the freeze runs exactly once.
+func TestConcurrentFirstReads(t *testing.T) {
+	const n, readers = 40, 4
+	g := NewGraph(n)
+	for i := 0; i < n; i++ {
+		for d := 1; d <= 3; d++ {
+			g.AddTraffic(i, (i*d+7)%n, float64(100*d+i), float64(d))
+		}
+	}
+	type row struct {
+		out, in, nbr []Edge
+		qty          float64
+	}
+	views := make([][]row, readers)
+	var wg sync.WaitGroup
+	wg.Add(readers)
+	for r := 0; r < readers; r++ {
+		go func(r int) {
+			defer wg.Done()
+			rows := make([]row, n)
+			for k := 0; k < n; k++ {
+				i := (k + r*n/readers) % n // readers start on different rows
+				var nbr []Edge
+				g.Neighbors(i, func(j int, vol, msgs float64) { nbr = append(nbr, Edge{j, vol, msgs}) })
+				rows[i] = row{g.Outgoing(i), g.Incoming(i), nbr, g.Quantity(i)}
+			}
+			views[r] = rows
+		}(r)
+	}
+	wg.Wait()
+	for r := 1; r < readers; r++ {
+		for i := 0; i < n; i++ {
+			a, b := views[0][i], views[r][i]
+			if !equalEdges(a.out, b.out) || !equalEdges(a.in, b.in) || !equalEdges(a.nbr, b.nbr) ||
+				math.Float64bits(a.qty) != math.Float64bits(b.qty) {
+				t.Fatalf("reader %d saw a different row %d than reader 0", r, i)
+			}
+		}
+	}
+}
+
+func equalEdges(a, b []Edge) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k].Peer != b[k].Peer || math.Float64bits(a[k].Volume) != math.Float64bits(b[k].Volume) ||
+			math.Float64bits(a[k].Msgs) != math.Float64bits(b[k].Msgs) {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: in random insertion orders with repeated (src, dst) pairs,
+// every view equals, bit for bit, a naive reference that accumulates each
+// pair with a running sum in call order. The magnitudes span fifteen
+// decades so that any reordering of a sum would change its last bits.
+func TestViewsBitExactAgainstCallOrder(t *testing.T) {
+	for trial := int64(0); trial < 200; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		n := 1 + rng.Intn(9)
+		g := NewGraph(n)
+		type pair struct{ src, dst int }
+		ref := map[pair]*Edge{}
+		var totalVol, totalMsgs float64
+		for c := rng.Intn(60); c > 0; c-- {
+			src, dst := rng.Intn(n), rng.Intn(n)
+			vol := rng.Float64() * math.Pow(10, float64(rng.Intn(16)-3))
+			msgs := float64(rng.Intn(4)) * rng.Float64()
+			if rng.Intn(8) == 0 {
+				vol = 0
+			}
+			g.AddTraffic(src, dst, vol, msgs)
+			if src == dst || (vol == 0 && msgs == 0) {
+				continue
+			}
+			e := ref[pair{src, dst}]
+			if e == nil {
+				e = &Edge{Peer: dst}
+				ref[pair{src, dst}] = e
+			}
+			e.Volume += vol
+			e.Msgs += msgs
+			totalVol += vol
+			totalMsgs += msgs
+		}
+		edges := func(keep func(p pair) (int, bool)) []Edge {
+			var es []Edge
+			for p, e := range ref {
+				if peer, ok := keep(p); ok {
+					es = append(es, Edge{peer, e.Volume, e.Msgs})
+				}
+			}
+			sort.Slice(es, func(a, b int) bool { return es[a].Peer < es[b].Peer })
+			return es
+		}
+		if math.Float64bits(g.TotalVolume()) != math.Float64bits(totalVol) ||
+			math.Float64bits(g.TotalMsgs()) != math.Float64bits(totalMsgs) {
+			t.Fatalf("trial %d: totals %v/%v, want %v/%v", trial, g.TotalVolume(), g.TotalMsgs(), totalVol, totalMsgs)
+		}
+		for i := 0; i < n; i++ {
+			out := edges(func(p pair) (int, bool) { return p.dst, p.src == i })
+			in := edges(func(p pair) (int, bool) { return p.src, p.dst == i })
+			if !equalEdges(g.Outgoing(i), out) || !equalEdges(g.Incoming(i), in) {
+				t.Fatalf("trial %d: process %d rows differ from the call-order reference", trial, i)
+			}
+			var nbr []Edge
+			var qty float64
+			for j := 0; j < n; j++ {
+				a, b := ref[pair{i, j}], ref[pair{j, i}]
+				switch {
+				case a != nil && b != nil:
+					nbr = append(nbr, Edge{j, a.Volume + b.Volume, a.Msgs + b.Msgs})
+				case a != nil:
+					nbr = append(nbr, Edge{j, a.Volume, a.Msgs})
+				case b != nil:
+					nbr = append(nbr, Edge{j, b.Volume, b.Msgs})
+				default:
+					continue
+				}
+				qty += nbr[len(nbr)-1].Volume
+			}
+			var got []Edge
+			g.Neighbors(i, func(j int, vol, msgs float64) { got = append(got, Edge{j, vol, msgs}) })
+			if !equalEdges(got, nbr) || math.Float64bits(g.Quantity(i)) != math.Float64bits(qty) {
+				t.Fatalf("trial %d: process %d neighbors/quantity differ from the call-order reference", trial, i)
+			}
+		}
 	}
 }

@@ -17,8 +17,9 @@ var (
 	benchBool  bool
 )
 
-// benchAllocProblem returns a prewarmed clustered problem and a valid
-// placement, so the measured loops hit only cached adjacency views.
+// benchAllocProblem returns a clustered problem with its comm graph
+// frozen and a valid placement, so the measured loops only read the CSR
+// rows.
 func benchAllocProblem(b *testing.B) (*Problem, Placement) {
 	b.Helper()
 	p := clusteredProblem(64, 4, 11)
@@ -55,7 +56,7 @@ func BenchmarkAllocExchangeDelta(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchCost = exchangeDelta(p, pl, i%p.N(), (i+7)%p.N())
+		benchCost = p.SwapDelta(pl, i%p.N(), (i+7)%p.N())
 	}
 }
 

@@ -163,10 +163,8 @@ func (g *GeoMapper) searchOrders(p *Problem, groups [][]int) (Placement, units.C
 
 	// Split [0, κ!) into contiguous rank ranges, one per worker. Each
 	// worker owns a private heuristicState (the fill buffers are per-state,
-	// so nothing is shared beyond the read-only problem and groups). The
-	// comm graph's adjacency cache builds lazily on first use — force it
-	// now so the workers' Neighbors traversals are pure reads.
-	p.Comm.Prewarm()
+	// so nothing is shared beyond the read-only problem and groups; the
+	// comm graph freezes once, whichever worker reads it first).
 	results := make([]rangeResult, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -345,7 +343,7 @@ func refinePass(p *Problem, pl Placement, cost *units.Cost) bool {
 			if !p.AllowedOn(a, pl[b]) || !p.AllowedOn(b, pl[a]) {
 				continue
 			}
-			delta := exchangeDelta(p, pl, a, b)
+			delta := p.SwapDelta(pl, a, b)
 			if delta < -refineTol(*cost) {
 				pl[a], pl[b] = pl[b], pl[a]
 				*cost += delta
@@ -370,13 +368,13 @@ func refineTol(c units.Cost) units.Cost {
 	return units.Cost(m).Scale(1e-12)
 }
 
-// exchangeDelta is the cost change of swapping the sites of processes a
-// and b, computed locally over their incident edges. It runs O(N²) times
-// per refinement sweep; the site/edge closures below are called directly
-// and never escape, so they stay on the stack.
+// SwapDelta is the cost change of swapping the sites of processes a and
+// b, computed locally over their incident edges in O(deg(a)+deg(b)). It
+// runs O(N²) times per refinement sweep; the site/edge closures below are
+// called directly and never escape, so they stay on the stack.
 //
 //geolint:allocfree
-func exchangeDelta(p *Problem, pl Placement, a, b int) units.Cost {
+func (p *Problem) SwapDelta(pl Placement, a, b int) units.Cost {
 	sa, sb := pl[a], pl[b]
 	site := func(j int) int {
 		switch j {

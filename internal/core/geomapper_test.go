@@ -329,8 +329,8 @@ func TestExchangeDeltaMatchesRecomputation(t *testing.T) {
 			sw := pl.Clone()
 			sw[a], sw[b] = sw[b], sw[a]
 			want := p.Cost(sw) - p.Cost(pl)
-			if got := exchangeDelta(p, pl, a, b); math.Abs((got - want).Float()) > 1e-9 {
-				t.Fatalf("exchangeDelta(%d,%d) = %v, want %v", a, b, got, want)
+			if got := p.SwapDelta(pl, a, b); math.Abs((got - want).Float()) > 1e-9 {
+				t.Fatalf("SwapDelta(%d,%d) = %v, want %v", a, b, got, want)
 			}
 		}
 	}

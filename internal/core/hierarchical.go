@@ -266,15 +266,14 @@ func submatrix(m *mat.Matrix, idx []int) *mat.Matrix {
 }
 
 // projectGraph keeps only traffic among the chosen processes.
-func projectGraph(p *Problem, procs []int, localProc map[int]int) *commGraphAlias {
-	g := newCommGraph(len(procs))
+func projectGraph(p *Problem, procs []int, localProc map[int]int) *comm.Graph {
+	g := comm.NewGraph(len(procs))
 	for li, pi := range procs {
 		for _, e := range p.Comm.Outgoing(pi) {
 			if lj, ok := localProc[e.Peer]; ok {
 				g.AddTraffic(li, lj, e.Volume, e.Msgs)
 			}
 		}
-		_ = li
 	}
 	return g
 }
@@ -285,8 +284,3 @@ func min(a, b int) int {
 	}
 	return b
 }
-
-// commGraphAlias keeps the comm import local to this file's helpers.
-type commGraphAlias = comm.Graph
-
-func newCommGraph(n int) *commGraphAlias { return comm.NewGraph(n) }

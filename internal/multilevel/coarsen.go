@@ -3,6 +3,7 @@ package multilevel
 import (
 	"sort"
 
+	"geoprocmap/internal/comm"
 	"geoprocmap/internal/units"
 )
 
@@ -125,19 +126,13 @@ func (m *matcher) match(lv *level) ([]int, int) {
 		// Accumulate both directions into a per-candidate score. The
 		// touched list makes the reset O(degree) instead of O(n).
 		m.touched = m.touched[:0]
-		for e := g.outIdx[u]; e < g.outIdx[u+1]; e++ {
-			v := g.outPeer[e]
-			if score[v] == 0 {
-				m.touched = append(m.touched, v)
+		for _, row := range [2][]comm.Edge{g.out(u), g.in(u)} {
+			for _, e := range row {
+				if score[e.Peer] == 0 {
+					m.touched = append(m.touched, e.Peer)
+				}
+				score[e.Peer] += m.scalar(e.Volume, e.Msgs)
 			}
-			score[v] += m.scalar(g.outVol[e], g.outMsgs[e])
-		}
-		for e := g.inIdx[u]; e < g.inIdx[u+1]; e++ {
-			v := g.inPeer[e]
-			if score[v] == 0 {
-				m.touched = append(m.touched, v)
-			}
-			score[v] += m.scalar(g.inVol[e], g.inMsgs[e])
 		}
 		best, bestScore := -1, units.Cost(0)
 		for _, v := range m.touched {
@@ -239,8 +234,6 @@ func contract(lv *level, match []int) *level {
 	cg := &Graph{
 		n:        nc,
 		weight:   make([]int, nc),
-		outIdx:   make([]int, nc+1),
-		inIdx:    make([]int, nc+1),
 		selfVol:  make([]float64, nc),
 		selfMsgs: make([]float64, nc),
 	}
@@ -268,39 +261,37 @@ func contract(lv *level, match []int) *level {
 	accVol := make([]float64, nc)
 	accMsgs := make([]float64, nc)
 	var touched []int
-	var outPeer []int
-	var outVol, outMsgs []float64
+	outIdx := make([]int, nc+1)
+	var out []comm.Edge
 	for c := 0; c < nc; c++ {
-		cg.outIdx[c] = len(outPeer)
 		touched = touched[:0]
 		for mi := memberIdx[c]; mi < memberIdx[c+1]; mi++ {
 			u := members[mi]
 			cg.weight[c] += g.weight[u]
 			cg.selfVol[c] += g.selfVol[u]
 			cg.selfMsgs[c] += g.selfMsgs[u]
-			for e := g.outIdx[u]; e < g.outIdx[u+1]; e++ {
-				cv := toCoarse[g.outPeer[e]]
+			for _, e := range g.out(u) {
+				cv := toCoarse[e.Peer]
 				if cv == c {
 					// Edge absorbed by the contraction.
-					cg.selfVol[c] += g.outVol[e]
-					cg.selfMsgs[c] += g.outMsgs[e]
+					cg.selfVol[c] += e.Volume
+					cg.selfMsgs[c] += e.Msgs
 					continue
 				}
 				if accVol[cv] == 0 && accMsgs[cv] == 0 {
 					touched = append(touched, cv)
 				}
-				accVol[cv] += g.outVol[e]
-				accMsgs[cv] += g.outMsgs[e]
+				accVol[cv] += e.Volume
+				accMsgs[cv] += e.Msgs
 			}
 		}
 		sort.Ints(touched)
 		for _, cv := range touched {
-			outPeer = append(outPeer, cv)
-			outVol = append(outVol, accVol[cv])
-			outMsgs = append(outMsgs, accMsgs[cv])
+			out = append(out, comm.Edge{Peer: cv, Volume: accVol[cv], Msgs: accMsgs[cv]})
 			accVol[cv] = 0
 			accMsgs[cv] = 0
 		}
+		outIdx[c+1] = len(out)
 
 		// Constraint state: compatibility guarantees identical pins and a
 		// usable allowed intersection.
@@ -312,35 +303,7 @@ func contract(lv *level, match []int) *level {
 		}
 		allowed[c] = set
 	}
-	cg.outIdx[nc] = len(outPeer)
-	cg.outPeer = outPeer
-	cg.outVol = outVol
-	cg.outMsgs = outMsgs
-
-	// Transpose the out-CSR into the in-CSR; iterating sources in
-	// ascending order leaves each in-list sorted by sender.
-	edges := len(outPeer)
-	cg.inPeer = make([]int, edges)
-	cg.inVol = make([]float64, edges)
-	cg.inMsgs = make([]float64, edges)
-	for e := 0; e < edges; e++ {
-		cg.inIdx[outPeer[e]+1]++
-	}
-	for c := 0; c < nc; c++ {
-		cg.inIdx[c+1] += cg.inIdx[c]
-	}
-	inCursor := append([]int(nil), cg.inIdx[:nc]...)
-	for c := 0; c < nc; c++ {
-		for e := cg.outIdx[c]; e < cg.outIdx[c+1]; e++ {
-			cv := outPeer[e]
-			pos := inCursor[cv]
-			cg.inPeer[pos] = c
-			cg.inVol[pos] = outVol[e]
-			cg.inMsgs[pos] = outMsgs[e]
-			inCursor[cv]++
-		}
-	}
-
+	cg.adj = comm.FromCSR(outIdx, out).CSR()
 	return &level{g: cg, pin: pin, allowed: allowed}
 }
 

@@ -15,7 +15,11 @@
 // The package deliberately does not import internal/core: core exposes the
 // solver as core.MultilevelGeoMapper, so the dependency points the other
 // way. All structures here speak plain slices plus the shared comm/mat/
-// units/stats vocabulary.
+// units/stats vocabulary. Every level's adjacency is a frozen comm.CSR:
+// level 0 reads the application's comm.Graph rows in place, and each
+// coarser level is built by comm.FromCSR from the rows contraction emits,
+// so the package keeps only per-vertex weights and self-traffic of its
+// own.
 package multilevel
 
 import (
@@ -24,29 +28,20 @@ import (
 	"geoprocmap/internal/units"
 )
 
-// Graph is a directed communication graph in CSR (compressed sparse row)
-// form, flattened for cache-friendly O(degree) traversal in the refinement
-// hot path. Each vertex is a super-vertex standing for Weight[v] original
-// processes; traffic between processes merged into the same super-vertex
-// is accumulated in the self arrays so every level charges the exact
-// intra-site α–β cost of its projected placement — total communication
-// volume is conserved level to level, which TestCoarsenConservesVolume
-// asserts.
+// Graph is one level of the multilevel hierarchy: a directed
+// communication graph over super-vertices, each standing for Weight[v]
+// original processes. Its adjacency is a frozen comm CSR — at level 0 the
+// application's own comm.Graph rows, at coarser levels the rows contract
+// builds — so the refinement hot path walks flat peer-sorted []comm.Edge
+// rows in O(degree). Traffic between processes merged into the same
+// super-vertex is accumulated in the self arrays so every level charges
+// the exact intra-site α–β cost of its projected placement — total
+// communication volume is conserved level to level, which
+// TestCoarsenConservesVolume asserts.
 type Graph struct {
 	n      int
 	weight []int // processes merged into each vertex (level 0: all 1)
-
-	// Directed adjacency, both orientations. outPeer[outIdx[v]:outIdx[v+1]]
-	// are the destinations of v's outgoing traffic in ascending order;
-	// the in arrays mirror it for fast column access (peer = sender).
-	outIdx  []int
-	outPeer []int
-	outVol  []float64
-	outMsgs []float64
-	inIdx   []int
-	inPeer  []int
-	inVol   []float64
-	inMsgs  []float64
+	adj    *comm.CSR
 
 	// Intra-vertex traffic absorbed by contraction: the (volume, msgs)
 	// totals of all edges between processes merged into v. Charged at the
@@ -54,6 +49,12 @@ type Graph struct {
 	selfVol  []float64
 	selfMsgs []float64
 }
+
+// out returns v's outgoing edges, ascending by destination.
+func (g *Graph) out(v int) []comm.Edge { return g.adj.Out[g.adj.OutIdx[v]:g.adj.OutIdx[v+1]] }
+
+// in returns v's incoming edges, ascending by sender (Peer is the sender).
+func (g *Graph) in(v int) []comm.Edge { return g.adj.In[g.adj.InIdx[v]:g.adj.InIdx[v+1]] }
 
 // N returns the number of (super-)vertices.
 func (g *Graph) N() int { return g.n }
@@ -66,8 +67,8 @@ func (g *Graph) Weight(v int) int { return g.weight[v] }
 // traffic. Contraction preserves it exactly.
 func (g *Graph) TotalVolume() float64 {
 	var t float64
-	for _, v := range g.outVol {
-		t += v
+	for _, e := range g.adj.Out {
+		t += e.Volume
 	}
 	for _, v := range g.selfVol {
 		t += v
@@ -78,8 +79,8 @@ func (g *Graph) TotalVolume() float64 {
 // TotalMsgs is TotalVolume for message counts.
 func (g *Graph) TotalMsgs() float64 {
 	var t float64
-	for _, v := range g.outMsgs {
-		t += v
+	for _, e := range g.adj.Out {
+		t += e.Msgs
 	}
 	for _, v := range g.selfMsgs {
 		t += v
@@ -96,51 +97,20 @@ func (g *Graph) TotalWeight() int {
 	return t
 }
 
-// FromComm flattens a comm.Graph into level-0 CSR form (unit weights, no
-// self traffic). The adjacency caches are prewarmed as a side effect, so a
-// graph shared with concurrent readers is safe afterwards.
+// FromComm returns the level-0 graph of cg: unit weights, no self traffic,
+// and cg's own frozen rows as the adjacency (cg is frozen if it was not).
 func FromComm(cg *comm.Graph) *Graph {
 	n := cg.N()
-	cg.Prewarm()
 	g := &Graph{
 		n:        n,
 		weight:   make([]int, n),
-		outIdx:   make([]int, n+1),
-		inIdx:    make([]int, n+1),
+		adj:      cg.CSR(),
 		selfVol:  make([]float64, n),
 		selfMsgs: make([]float64, n),
 	}
-	outEdges, inEdges := 0, 0
-	for v := 0; v < n; v++ {
+	for v := range g.weight {
 		g.weight[v] = 1
-		outEdges += len(cg.Outgoing(v))
-		inEdges += len(cg.Incoming(v))
 	}
-	g.outPeer = make([]int, outEdges)
-	g.outVol = make([]float64, outEdges)
-	g.outMsgs = make([]float64, outEdges)
-	g.inPeer = make([]int, inEdges)
-	g.inVol = make([]float64, inEdges)
-	g.inMsgs = make([]float64, inEdges)
-	oi, ii := 0, 0
-	for v := 0; v < n; v++ {
-		g.outIdx[v] = oi
-		for _, e := range cg.Outgoing(v) {
-			g.outPeer[oi] = e.Peer
-			g.outVol[oi] = e.Volume
-			g.outMsgs[oi] = e.Msgs
-			oi++
-		}
-		g.inIdx[v] = ii
-		for _, e := range cg.Incoming(v) {
-			g.inPeer[ii] = e.Peer
-			g.inVol[ii] = e.Volume
-			g.inMsgs[ii] = e.Msgs
-			ii++
-		}
-	}
-	g.outIdx[n] = oi
-	g.inIdx[n] = ii
 	return g
 }
 
@@ -180,8 +150,8 @@ func (in *Instance) cost(g *Graph, pl []int) units.Cost {
 	var c units.Cost
 	for v := 0; v < g.n; v++ {
 		sv := pl[v]
-		for e := g.outIdx[v]; e < g.outIdx[v+1]; e++ {
-			c += in.linkCost(sv, pl[g.outPeer[e]], g.outVol[e], g.outMsgs[e])
+		for _, e := range g.out(v) {
+			c += in.linkCost(sv, pl[e.Peer], e.Volume, e.Msgs)
 		}
 		if g.selfVol[v] != 0 || g.selfMsgs[v] != 0 {
 			c += in.linkCost(sv, sv, g.selfVol[v], g.selfMsgs[v])

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"geoprocmap/internal/comm"
 	"geoprocmap/internal/units"
 )
 
@@ -119,7 +120,7 @@ func (r *refiner) propose(pl []int, tol units.Cost) {
 // proposeRange is the refinement inner loop: for every unpinned vertex in
 // [lo, hi) it evaluates all admissible site moves and neighbor swaps
 // against the snapshot and records the best one if it clears the
-// tolerance. All evaluation is O(degree) arithmetic over the CSR arrays;
+// tolerance. All evaluation is O(degree) arithmetic over the CSR rows;
 // the buffer is reset to [:0] by the caller each pass, so steady-state
 // passes do not allocate — BenchmarkRefineMove* and the bench-alloc gate
 // measure exactly this path.
@@ -166,20 +167,14 @@ func (r *refiner) bestStep(pl []int, v int, tol units.Cost) (proposal, bool) {
 			found = true
 		}
 	}
-	for e := g.outIdx[v]; e < g.outIdx[v+1]; e++ {
-		if d, ok := r.trySwap(pl, v, g.outPeer[e], best.delta); ok {
-			best.delta = d
-			best.peer = g.outPeer[e]
-			best.site = -1
-			found = true
-		}
-	}
-	for e := g.inIdx[v]; e < g.inIdx[v+1]; e++ {
-		if d, ok := r.trySwap(pl, v, g.inPeer[e], best.delta); ok {
-			best.delta = d
-			best.peer = g.inPeer[e]
-			best.site = -1
-			found = true
+	for _, row := range [2][]comm.Edge{g.out(v), g.in(v)} {
+		for _, e := range row {
+			if d, ok := r.trySwap(pl, v, e.Peer, best.delta); ok {
+				best.delta = d
+				best.peer = e.Peer
+				best.site = -1
+				found = true
+			}
 		}
 	}
 	return best, found
@@ -220,13 +215,13 @@ func (r *refiner) moveDelta(pl []int, v, s int) units.Cost {
 	g := r.g
 	sv := pl[v]
 	var d units.Cost
-	for e := g.outIdx[v]; e < g.outIdx[v+1]; e++ {
-		su := pl[g.outPeer[e]]
-		d += r.in.linkCost(s, su, g.outVol[e], g.outMsgs[e]) - r.in.linkCost(sv, su, g.outVol[e], g.outMsgs[e])
+	for _, e := range g.out(v) {
+		su := pl[e.Peer]
+		d += r.in.linkCost(s, su, e.Volume, e.Msgs) - r.in.linkCost(sv, su, e.Volume, e.Msgs)
 	}
-	for e := g.inIdx[v]; e < g.inIdx[v+1]; e++ {
-		su := pl[g.inPeer[e]]
-		d += r.in.linkCost(su, s, g.inVol[e], g.inMsgs[e]) - r.in.linkCost(su, sv, g.inVol[e], g.inMsgs[e])
+	for _, e := range g.in(v) {
+		su := pl[e.Peer]
+		d += r.in.linkCost(su, s, e.Volume, e.Msgs) - r.in.linkCost(su, sv, e.Volume, e.Msgs)
 	}
 	if g.selfVol[v] != 0 || g.selfMsgs[v] != 0 {
 		d += r.in.linkCost(s, s, g.selfVol[v], g.selfMsgs[v]) - r.in.linkCost(sv, sv, g.selfVol[v], g.selfMsgs[v])
@@ -249,7 +244,7 @@ func swapSite(pl []int, j, v, u, sv, su int) int {
 }
 
 // swapDelta is the objective change of exchanging the sites of v and u,
-// computed over their incident edges exactly like core.exchangeDelta: v's
+// computed over their incident edges exactly like core.Problem.SwapDelta: v's
 // edges fully, u's edges excluding the shared (u, v) pair already counted.
 //
 //geolint:allocfree
@@ -257,31 +252,31 @@ func (r *refiner) swapDelta(pl []int, v, u int) units.Cost {
 	g := r.g
 	sv, su := pl[v], pl[u]
 	var d units.Cost
-	for e := g.outIdx[v]; e < g.outIdx[v+1]; e++ {
-		j := g.outPeer[e]
-		d += r.in.linkCost(su, swapSite(pl, j, v, u, sv, su), g.outVol[e], g.outMsgs[e]) -
-			r.in.linkCost(sv, pl[j], g.outVol[e], g.outMsgs[e])
+	for _, e := range g.out(v) {
+		j := e.Peer
+		d += r.in.linkCost(su, swapSite(pl, j, v, u, sv, su), e.Volume, e.Msgs) -
+			r.in.linkCost(sv, pl[j], e.Volume, e.Msgs)
 	}
-	for e := g.inIdx[v]; e < g.inIdx[v+1]; e++ {
-		j := g.inPeer[e]
-		d += r.in.linkCost(swapSite(pl, j, v, u, sv, su), su, g.inVol[e], g.inMsgs[e]) -
-			r.in.linkCost(pl[j], sv, g.inVol[e], g.inMsgs[e])
+	for _, e := range g.in(v) {
+		j := e.Peer
+		d += r.in.linkCost(swapSite(pl, j, v, u, sv, su), su, e.Volume, e.Msgs) -
+			r.in.linkCost(pl[j], sv, e.Volume, e.Msgs)
 	}
-	for e := g.outIdx[u]; e < g.outIdx[u+1]; e++ {
-		j := g.outPeer[e]
+	for _, e := range g.out(u) {
+		j := e.Peer
 		if j == v {
 			continue
 		}
-		d += r.in.linkCost(sv, swapSite(pl, j, v, u, sv, su), g.outVol[e], g.outMsgs[e]) -
-			r.in.linkCost(su, pl[j], g.outVol[e], g.outMsgs[e])
+		d += r.in.linkCost(sv, swapSite(pl, j, v, u, sv, su), e.Volume, e.Msgs) -
+			r.in.linkCost(su, pl[j], e.Volume, e.Msgs)
 	}
-	for e := g.inIdx[u]; e < g.inIdx[u+1]; e++ {
-		j := g.inPeer[e]
+	for _, e := range g.in(u) {
+		j := e.Peer
 		if j == v {
 			continue
 		}
-		d += r.in.linkCost(swapSite(pl, j, v, u, sv, su), sv, g.inVol[e], g.inMsgs[e]) -
-			r.in.linkCost(pl[j], su, g.inVol[e], g.inMsgs[e])
+		d += r.in.linkCost(swapSite(pl, j, v, u, sv, su), sv, e.Volume, e.Msgs) -
+			r.in.linkCost(pl[j], su, e.Volume, e.Msgs)
 	}
 	if g.selfVol[v] != 0 || g.selfMsgs[v] != 0 {
 		d += r.in.linkCost(su, su, g.selfVol[v], g.selfMsgs[v]) - r.in.linkCost(sv, sv, g.selfVol[v], g.selfMsgs[v])

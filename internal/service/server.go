@@ -466,10 +466,6 @@ func (s *Server) graphFor(workload string, procs, iters int) (*comm.Graph, error
 	if err != nil {
 		return nil, err
 	}
-	// Build the adjacency caches before publishing: the memoized graph is
-	// shared by concurrent solves, whose reads must not trigger the
-	// unsynchronized lazy rebuilds.
-	g.Prewarm()
 	s.graphMu.Lock()
 	s.graphs[key] = g
 	s.graphMu.Unlock()
