@@ -11,10 +11,12 @@ vet:
 	$(GO) vet ./...
 
 # Repo-specific static analysis (internal/analysis via cmd/geolint), with
-# go vet alongside. Exits non-zero on any finding not suppressed by a
-# justified //geolint:ignore directive; -staleignores also fails on
-# directives that no longer suppress anything.
+# go vet and a gofmt check alongside. Exits non-zero on any unformatted
+# file, and on any finding not suppressed by a justified //geolint:ignore
+# directive; -staleignores also fails on directives that no longer
+# suppress anything.
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/geolint -staleignores ./...
 
 test:

@@ -11,7 +11,7 @@ import (
 // comment:
 //
 //	//geolint:allocfree
-//	func (h *heuristicState) fill(order []int)
+//	func (f *Fill) Run(orderedGroups [][]int) []int
 //
 // declares an alloc-free root: the function must not transitively reach
 // an allocation site over the module call graph — the static contract
@@ -24,7 +24,7 @@ import (
 // cold cache-rebuild path). The same directive on or above an individual
 // statement excuses just that line's site:
 //
-//	h.members[s] = append(h.members[s], i) //geolint:allocsite amortized high-water growth
+//	f.members[s] = append(f.members[s], v) //geolint:allocsite amortized high-water growth
 //
 // Both forms require a justification; a stale line-level excuse is
 // reported so audited crossings cannot rot.

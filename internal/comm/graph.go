@@ -229,7 +229,15 @@ func (g *Graph) Incoming(i int) []Edge {
 //geolint:allocfree
 func (g *Graph) Neighbors(i int, fn func(j int, volume, msgs float64)) {
 	g.checkProc(i)
-	c := g.CSR()
+	g.CSR().Neighbors(i, fn)
+}
+
+// Neighbors merges vertex i's out and in rows: fn sees every peer that
+// exchanges traffic with i in either direction once, in ascending peer
+// order, with a peer's out and in entries summed as out+in.
+//
+//geolint:allocfree
+func (c *CSR) Neighbors(i int, fn func(j int, volume, msgs float64)) {
 	in := c.In[c.InIdx[i]:c.InIdx[i+1]]
 	k := 0
 	for _, e := range c.Out[c.OutIdx[i]:c.OutIdx[i+1]] {

@@ -398,9 +398,10 @@ func TestViewsBitExactAgainstCallOrder(t *testing.T) {
 				}
 				qty += nbr[len(nbr)-1].Volume
 			}
-			var got []Edge
+			var got, gotCSR []Edge
 			g.Neighbors(i, func(j int, vol, msgs float64) { got = append(got, Edge{j, vol, msgs}) })
-			if !equalEdges(got, nbr) || math.Float64bits(g.Quantity(i)) != math.Float64bits(qty) {
+			g.CSR().Neighbors(i, func(j int, vol, msgs float64) { gotCSR = append(gotCSR, Edge{j, vol, msgs}) })
+			if !equalEdges(got, nbr) || !equalEdges(gotCSR, nbr) || math.Float64bits(g.Quantity(i)) != math.Float64bits(qty) {
 				t.Fatalf("trial %d: process %d neighbors/quantity differ from the call-order reference", trial, i)
 			}
 		}

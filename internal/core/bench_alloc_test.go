@@ -12,9 +12,8 @@ import (
 // with -benchmem and fails on any nonzero allocs/op.
 
 var (
-	benchCost  units.Cost
-	benchPlace Placement
-	benchBool  bool
+	benchCost units.Cost
+	benchBool bool
 )
 
 // benchAllocProblem returns a clustered problem with its comm graph
@@ -71,17 +70,5 @@ func BenchmarkAllocRefinePass(b *testing.B) {
 		copy(scratch, base)
 		cost := baseCost
 		benchBool = refinePass(p, scratch, &cost)
-	}
-}
-
-func BenchmarkAllocFill(b *testing.B) {
-	p, _ := benchAllocProblem(b)
-	h := newHeuristicState(p)
-	ordered := [][]int{{0}, {1}, {2}, {3}}
-	benchPlace = h.fill(ordered) // warm members to their high-water mark
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchPlace = h.fill(ordered)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"runtime"
 	"sync"
 
-	"geoprocmap/internal/mat"
+	"geoprocmap/internal/multilevel"
 	"geoprocmap/internal/stats"
 	"geoprocmap/internal/units"
 )
@@ -24,6 +24,9 @@ import (
 //     processes already in the site;
 //  3. keep the order whose placement has the minimum cost (Formula 4).
 //
+// The greedy fill of step 2 is multilevel.Fill at unit weight, over a
+// no-copy level-0 view of the problem's communication graph; the order
+// search, the site-set repair and the objective are this type's own.
 // The complexity is O(κ!·N²); the grouping step keeps κ small (the paper
 // recommends κ ≤ 5) so the order search stays tractable for large M.
 type GeoMapper struct {
@@ -51,8 +54,8 @@ type GeoMapper struct {
 	// BenchmarkAblationRefinement.
 	RefinePasses int
 	// Workers is the number of goroutines evaluating group orders. The κ!
-	// orders are embarrassingly parallel (each evaluation owns its own
-	// heuristicState) and the reduction — minimum cost, ties broken by
+	// orders are embarrassingly parallel (each worker owns its own
+	// multilevel.Fill) and the reduction — minimum cost, ties broken by
 	// lowest lexicographic permutation rank — is deterministic, so the
 	// result is byte-identical for every worker count. Zero selects
 	// GOMAXPROCS; 1 runs the search serially on the calling goroutine.
@@ -162,7 +165,7 @@ func (g *GeoMapper) searchOrders(p *Problem, groups [][]int) (Placement, units.C
 	}
 
 	// Split [0, κ!) into contiguous rank ranges, one per worker. Each
-	// worker owns a private heuristicState (the fill buffers are per-state,
+	// worker owns a private multilevel.Fill (the fill buffers are per-fill,
 	// so nothing is shared beyond the read-only problem and groups; the
 	// comm graph freezes once, whichever worker reads it first).
 	results := make([]rangeResult, workers)
@@ -260,12 +263,12 @@ type rangeResult struct {
 }
 
 // orderSearch evaluates group orders on one goroutine with a private
-// heuristicState.
+// fill: the multilevel package's weighted Algorithm 1 body at unit weight.
 type orderSearch struct {
 	p       *Problem
 	groups  [][]int
 	cap     int // MaxOrders budget of feasible orders; 0 = unbounded
-	h       *heuristicState
+	fill    *multilevel.Fill
 	ordered [][]int
 	res     rangeResult
 }
@@ -275,7 +278,7 @@ func newOrderSearch(p *Problem, groups [][]int, maxOrders int) *orderSearch {
 		p:       p,
 		groups:  groups,
 		cap:     maxOrders,
-		h:       newHeuristicState(p),
+		fill:    multilevel.NewFill(p.instance(nil)),
 		ordered: make([][]int, len(groups)),
 		res:     rangeResult{bestCost: units.Cost(math.Inf(1)), bestRank: -1},
 	}
@@ -303,7 +306,7 @@ func (s *orderSearch) tryOrder(rank int, perm []int) bool {
 	for i, gi := range perm {
 		s.ordered[i] = s.groups[gi]
 	}
-	pl := s.h.fill(s.ordered)
+	pl := Placement(s.fill.Run(s.ordered))
 	if s.p.HasSiteSets() {
 		// Multi-site restrictions can strand processes the greedy
 		// packing could not fit; relocate via augmenting paths.
@@ -410,185 +413,4 @@ func (p *Problem) SwapDelta(pl Placement, a, b int) units.Cost {
 		}
 	}
 	return delta
-}
-
-// heuristicState carries the reusable buffers of the per-order greedy fill,
-// so the κ! order evaluations do not reallocate.
-type heuristicState struct {
-	p        *Problem
-	quantity []units.Cost // static per-process communication quantity
-	refLat   units.Seconds
-	refBW    units.BytesPerSec
-
-	selected  []bool
-	affinity  []units.Cost
-	avail     mat.IntVec
-	members   [][]int // processes currently placed per site
-	pl        Placement
-	groupDone []bool // scratch for fill's site-selection loop, len M
-}
-
-func newHeuristicState(p *Problem) *heuristicState {
-	n := p.N()
-	refLat, refBW := p.referenceWeights()
-	h := &heuristicState{
-		p:        p,
-		quantity: make([]units.Cost, n),
-		refLat:   refLat,
-		refBW:    refBW,
-		selected:  make([]bool, n),
-		affinity:  make([]units.Cost, n),
-		avail:     make(mat.IntVec, p.M()),
-		members:   make([][]int, p.M()),
-		pl:        make(Placement, n),
-		groupDone: make([]bool, p.M()),
-	}
-	for i := 0; i < n; i++ {
-		var q units.Cost
-		p.Comm.Neighbors(i, func(_ int, vol, msgs float64) {
-			q += h.weight(vol, msgs)
-		})
-		h.quantity[i] = q
-	}
-	return h
-}
-
-// weight converts a (volume, msgs) pair into a scalar commensurate with
-// the α–β cost on an average inter-site link, so "heaviest communication
-// quantity" accounts for both the bandwidth and the latency term.
-func (h *heuristicState) weight(vol, msgs float64) units.Cost {
-	return (h.refLat.Scale(msgs) + units.Bytes(vol).Over(h.refBW)).AsCost()
-}
-
-// fill runs the greedy body of Algorithm 1 (lines 3–15) for one ordered
-// group sequence and returns the resulting placement. The returned slice is
-// reused by subsequent calls; callers must clone it to retain it. Every
-// buffer fill touches lives on the state, so the thousands of per-order
-// evaluations a worker runs do not allocate.
-//
-//geolint:allocfree
-func (h *heuristicState) fill(orderedGroups [][]int) Placement {
-	p := h.p
-	n := p.N()
-	for i := range h.selected {
-		h.selected[i] = false
-		h.pl[i] = Unconstrained
-	}
-	copy(h.avail, p.Capacity)
-	for j := range h.members {
-		h.members[j] = h.members[j][:0]
-	}
-	remaining := n
-
-	// Lines 4–6: pin constrained processes and reduce availability.
-	for i, c := range p.Constraint {
-		if c == Unconstrained {
-			continue
-		}
-		h.pl[i] = c
-		h.selected[i] = true
-		h.avail[c]--
-		h.members[c] = append(h.members[c], i)
-		remaining--
-	}
-
-	// Lines 7–15: walk groups in order, filling sites one at a time.
-	for _, group := range orderedGroups {
-		if remaining == 0 {
-			break
-		}
-		// Each iteration picks the unselected site in the group with the
-		// most available nodes (line 10). The scratch buffer lives on the
-		// state: each worker runs thousands of orders through fill, which
-		// must not allocate per order.
-		groupDone := h.groupDone[:len(group)]
-		for i := range groupDone {
-			groupDone[i] = false
-		}
-		for j := 0; j < len(group); j++ {
-			site, bestAvail, bestIdx := -1, -1, -1
-			for idx, s := range group {
-				if !groupDone[idx] && h.avail[s] > bestAvail {
-					site, bestAvail, bestIdx = s, h.avail[s], idx
-				}
-			}
-			if site == -1 {
-				break
-			}
-			groupDone[bestIdx] = true
-			if h.avail[site] == 0 {
-				continue
-			}
-			if remaining == 0 {
-				break
-			}
-
-			// Line 9: seed with the globally heaviest unselected process
-			// admissible on this site.
-			seed := -1
-			bestQ := units.Cost(math.Inf(-1))
-			for i := 0; i < n; i++ {
-				if !h.selected[i] && h.quantity[i] > bestQ && p.AllowedOn(i, site) {
-					seed, bestQ = i, h.quantity[i]
-				}
-			}
-			if seed == -1 {
-				continue // no admissible process for this site
-			}
-			h.place(seed, site)
-			remaining--
-
-			// Lines 12–14: fill the rest of the site with the processes
-			// most attached to what is already there.
-			h.rebuildAffinity(site)
-			for h.avail[site] > 0 && remaining > 0 {
-				next := -1
-				bestA := units.Cost(math.Inf(-1))
-				for i := 0; i < n; i++ {
-					if h.selected[i] || !p.AllowedOn(i, site) {
-						continue
-					}
-					a := h.affinity[i]
-					if a > bestA || (a == bestA && next >= 0 && h.quantity[i] > h.quantity[next]) { //geolint:ignore floatcmp exact tie-break: equal affinities are identical sums (commonly both 0); an epsilon would perturb the mapping
-						next, bestA = i, a
-					}
-				}
-				if next == -1 {
-					break // remaining processes are inadmissible here
-				}
-				h.place(next, site)
-				remaining--
-				h.addAffinity(next)
-			}
-		}
-	}
-	return h.pl
-}
-
-// place assigns process i to site and updates capacity bookkeeping.
-func (h *heuristicState) place(i, site int) {
-	h.pl[i] = site
-	h.selected[i] = true
-	h.avail[site]--
-	//geolint:allocsite amortized: members is reset to [:0] per fill, so growth converges to the per-site high-water mark
-	h.members[site] = append(h.members[site], i)
-}
-
-// rebuildAffinity recomputes, for every process, its total communication
-// weight with the processes already placed at site.
-func (h *heuristicState) rebuildAffinity(site int) {
-	for i := range h.affinity {
-		h.affinity[i] = 0
-	}
-	for _, s := range h.members[site] {
-		h.addAffinity(s)
-	}
-}
-
-// addAffinity adds process s's traffic into the affinity array after s has
-// been placed at the site currently being filled.
-func (h *heuristicState) addAffinity(s int) {
-	h.p.Comm.Neighbors(s, func(j int, vol, msgs float64) {
-		h.affinity[j] += h.weight(vol, msgs)
-	})
 }

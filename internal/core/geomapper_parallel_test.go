@@ -170,26 +170,6 @@ func TestGeoMapperWorkersInvalidAndDefault(t *testing.T) {
 	}
 }
 
-// TestFillDoesNotAllocatePerOrder locks in heuristicState's
-// no-reallocation contract across the κ! loop (the groupDone scratch used
-// to be allocated inside fill on every order).
-func TestFillDoesNotAllocatePerOrder(t *testing.T) {
-	p := clusteredProblem(32, 4, 9)
-	groups, err := GroupSites(p.PC, 4, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := newHeuristicState(p)
-	ordered := make([][]int, len(groups))
-	for i := range groups {
-		ordered[i] = groups[i]
-	}
-	h.fill(ordered) // warm up: members slices grow to their high-water mark
-	if allocs := testing.AllocsPerRun(50, func() { h.fill(ordered) }); allocs != 0 {
-		t.Errorf("fill allocates %.0f objects per order, want 0", allocs)
-	}
-}
-
 // TestRefinementCostResync is the cost-drift regression: the cost the
 // refinement loop carries must match the true objective of the returned
 // placement (the incremental deltas alone drift across passes).

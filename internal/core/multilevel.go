@@ -65,15 +65,7 @@ func (m *MultilevelGeoMapper) Map(p *Problem) (Placement, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst := &multilevel.Instance{
-		G:        multilevel.FromComm(p.Comm),
-		LT:       p.LT,
-		BT:       p.BT,
-		Capacity: p.Capacity,
-		Pin:      p.Constraint,
-		Allowed:  p.Allowed,
-		Groups:   groups,
-	}
+	inst := p.instance(groups)
 	opt := multilevel.Options{
 		Workers:          m.Workers,
 		RefinePasses:     m.RefinePasses,
@@ -115,4 +107,18 @@ func (m *MultilevelGeoMapper) repairFallback(p *Problem, inst *multilevel.Instan
 		return nil, err
 	}
 	return pl, nil
+}
+
+// instance phrases p as a multilevel instance over its level-0 graph, a
+// no-copy view of p.Comm's frozen rows.
+func (p *Problem) instance(groups [][]int) *multilevel.Instance {
+	return &multilevel.Instance{
+		G:        multilevel.FromComm(p.Comm),
+		LT:       p.LT,
+		BT:       p.BT,
+		Capacity: p.Capacity,
+		Pin:      p.Constraint,
+		Allowed:  p.Allowed,
+		Groups:   groups,
+	}
 }

@@ -200,27 +200,3 @@ func (p *Problem) CostParts(pl Placement) (latency, bandwidth units.Cost) {
 	}
 	return latency, bandwidth
 }
-
-// referenceWeights returns the mean inter-site latency and bandwidth, used
-// by the heuristic to turn (volume, msgs) pairs into a single scalar
-// "communication quantity" that is commensurate with the cost function.
-// For a single-site problem the intra-site values are used.
-func (p *Problem) referenceWeights() (refLat units.Seconds, refBW units.BytesPerSec) {
-	m := p.M()
-	var latSum, bwSum float64
-	pairs := 0
-	for k := 0; k < m; k++ {
-		for l := 0; l < m; l++ {
-			if k == l {
-				continue
-			}
-			latSum += p.LT.At(k, l)
-			bwSum += p.BT.At(k, l)
-			pairs++
-		}
-	}
-	if pairs == 0 {
-		return p.Latency(0, 0), p.Bandwidth(0, 0)
-	}
-	return units.Seconds(latSum / float64(pairs)), units.BytesPerSec(bwSum / float64(pairs))
-}

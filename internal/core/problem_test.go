@@ -131,23 +131,6 @@ func TestCostParts(t *testing.T) {
 	}
 }
 
-func TestReferenceWeightsSingleSite(t *testing.T) {
-	g := comm.NewGraph(2)
-	g.AddTraffic(0, 1, 100, 1)
-	p := &Problem{
-		Comm:       g,
-		LT:         mat.MustFrom([][]float64{{0.5}}),
-		BT:         mat.MustFrom([][]float64{{2e6}}),
-		PC:         []geo.LatLon{{}},
-		Capacity:   mat.IntVec{2},
-		Constraint: mat.NewIntVec(2, Unconstrained),
-	}
-	lat, bw := p.referenceWeights()
-	if lat != 0.5 || bw != 2e6 {
-		t.Errorf("referenceWeights = %v, %v; want intra values", lat, bw)
-	}
-}
-
 func TestNM(t *testing.T) {
 	p := twoSiteProblem()
 	if p.N() != 4 || p.M() != 2 {

@@ -163,5 +163,8 @@ func TestExtManySitesHierarchyCompetitive(t *testing.T) {
 		if hier > flat*1.1 {
 			t.Errorf("%s sites: hierarchical cost %v clearly above flat %v", row[0], hier, flat)
 		}
+		if ml, err := strconv.ParseFloat(row[4], 64); err != nil || ml <= 0 {
+			t.Errorf("%s sites: multilevel cost %q, want a positive number", row[0], row[4])
+		}
 	}
 }

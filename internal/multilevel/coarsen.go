@@ -39,7 +39,6 @@ func coarsen(in *Instance, target, maxW, maxLevels int) hierarchy {
 		pin:     in.Pin,
 		allowed: normalizeAllowed(in.Allowed, in.G.n),
 	}
-	refLat, refBW := in.refWeights()
 	maxCap := 0
 	for _, c := range in.Capacity {
 		if c > maxCap {
@@ -53,7 +52,7 @@ func coarsen(in *Instance, target, maxW, maxLevels int) hierarchy {
 		maxW = 1
 	}
 	h := hierarchy{l0}
-	m := &matcher{in: in, refLat: refLat, refBW: refBW, maxW: maxW}
+	m := &matcher{in: in, ref: in.refWeights(), maxW: maxW}
 	for len(h) < maxLevels {
 		cur := h[len(h)-1]
 		if cur.g.n <= target {
@@ -88,19 +87,12 @@ func normalizeAllowed(allowed [][]int, n int) [][]int {
 
 // matcher carries the scratch of the heavy-edge matching pass.
 type matcher struct {
-	in     *Instance
-	refLat units.Seconds
-	refBW  units.BytesPerSec
-	maxW   int
+	in   *Instance
+	ref  refLink
+	maxW int
 
 	score   []units.Cost // scratch: combined edge weight to each candidate
 	touched []int        // candidates with a non-zero score this round
-}
-
-// scalar converts a (vol, msgs) pair into the cost-commensurate matching
-// weight.
-func (m *matcher) scalar(vol, msgs float64) units.Cost {
-	return (m.refLat.Scale(msgs) + units.Bytes(vol).Over(m.refBW)).AsCost()
 }
 
 // match computes a maximal matching of lv's graph under the compatibility
@@ -131,7 +123,7 @@ func (m *matcher) match(lv *level) ([]int, int) {
 				if score[e.Peer] == 0 {
 					m.touched = append(m.touched, e.Peer)
 				}
-				score[e.Peer] += m.scalar(e.Volume, e.Msgs)
+				score[e.Peer] += m.ref.weight(e.Volume, e.Msgs)
 			}
 		}
 		best, bestScore := -1, units.Cost(0)

@@ -1,0 +1,195 @@
+package multilevel
+
+import (
+	"math"
+
+	"geoprocmap/internal/units"
+)
+
+// Fill is the greedy body of the paper's Algorithm 1 (lines 3–15) over
+// weighted vertices: pin constrained vertices, walk the site groups in
+// order, seed each site with the heaviest-communicating admissible vertex
+// and grow it by affinity to what is already there. A vertex standing for w
+// processes consumes w units of a site's capacity, so at unit weight this
+// is the paper's fill exactly: core.GeoMapper runs it on level 0 for every
+// order of its κ! search, and the multilevel initial map runs it on the
+// coarsest level. A Fill owns its scratch, so each goroutine needs its own.
+type Fill struct {
+	in  *Instance
+	lv  *level
+	ref refLink
+
+	quantity  []units.Cost // static per-vertex communication quantity
+	affinity  []units.Cost
+	selected  []bool
+	avail     []int
+	members   [][]int // vertices currently placed per site
+	pl        []int
+	groupDone []bool // scratch for the site-selection loop, len M
+}
+
+// NewFill returns a fill over in's level-0 graph, pins and allowed sets.
+func NewFill(in *Instance) *Fill {
+	return newFill(in, &level{g: in.G, pin: in.Pin, allowed: normalizeAllowed(in.Allowed, in.G.n)})
+}
+
+func newFill(in *Instance, lv *level) *Fill {
+	n := lv.g.n
+	f := &Fill{
+		in:        in,
+		lv:        lv,
+		ref:       in.refWeights(),
+		quantity:  make([]units.Cost, n),
+		affinity:  make([]units.Cost, n),
+		selected:  make([]bool, n),
+		avail:     make([]int, in.M()),
+		members:   make([][]int, in.M()),
+		pl:        make([]int, n),
+		groupDone: make([]bool, in.M()),
+	}
+	for v := 0; v < n; v++ {
+		var q units.Cost
+		lv.g.adj.Neighbors(v, func(_ int, vol, msgs float64) {
+			q += f.ref.weight(vol, msgs)
+		})
+		f.quantity[v] = q
+	}
+	return f
+}
+
+// Run fills one ordered group sequence: pinned vertices first, then per
+// group the site with the most remaining capacity, seeded with the
+// heaviest-communicating admissible vertex that fits and grown by affinity
+// to the vertices already on the site. It returns the placement with -1
+// for every vertex no site took. The slice is reused by the next Run, so
+// callers must copy it to keep it; every buffer lives on the Fill, so the
+// thousands of orders a search runs do not allocate.
+//
+//geolint:allocfree
+func (f *Fill) Run(orderedGroups [][]int) []int {
+	g := f.lv.g
+	n := g.n
+	// The O(N) scans below read these as locals resliced to n, so the
+	// headers stay in registers and the compiler drops the bounds checks.
+	weight, pin, allowed := g.weight[:n], f.lv.pin[:n], f.lv.allowed[:n]
+	selected, quantity, affinity := f.selected[:n], f.quantity[:n], f.affinity[:n]
+	for i := range selected {
+		selected[i] = false
+		f.pl[i] = -1
+	}
+	copy(f.avail, f.in.Capacity)
+	for s := range f.members {
+		f.members[s] = f.members[s][:0]
+	}
+	remaining := n
+
+	// Lines 4–6: pin constrained vertices and reduce availability.
+	for v, p := range pin {
+		if p < 0 {
+			continue
+		}
+		f.place(v, p)
+		remaining--
+	}
+
+	// Lines 7–15: walk groups in order, filling sites one at a time.
+	for _, group := range orderedGroups {
+		if remaining == 0 {
+			break
+		}
+		// Each iteration picks the unfilled site in the group with the
+		// most remaining capacity (line 10).
+		groupDone := f.groupDone[:len(group)]
+		for i := range groupDone {
+			groupDone[i] = false
+		}
+		for j := 0; j < len(group); j++ {
+			site, bestAvail, bestIdx := -1, -1, -1
+			for idx, s := range group {
+				if !groupDone[idx] && f.avail[s] > bestAvail {
+					site, bestAvail, bestIdx = s, f.avail[s], idx
+				}
+			}
+			if site == -1 {
+				break
+			}
+			groupDone[bestIdx] = true
+			if f.avail[site] <= 0 {
+				continue
+			}
+			if remaining == 0 {
+				break
+			}
+
+			// Line 9: seed with the globally heaviest unselected vertex
+			// that is admissible on this site and fits its capacity.
+			seed := -1
+			bestQ := units.Cost(math.Inf(-1))
+			room := f.avail[site]
+			for v := 0; v < n; v++ {
+				if !selected[v] && quantity[v] > bestQ && weight[v] <= room && allowedOn(pin[v], allowed[v], site) {
+					seed, bestQ = v, quantity[v]
+				}
+			}
+			if seed == -1 {
+				continue // no admissible vertex for this site
+			}
+			f.place(seed, site)
+			remaining--
+
+			// Lines 12–14: fill the rest of the site with the vertices
+			// most attached to what is already there — the seed plus any
+			// vertices pinned to the site.
+			f.rebuildAffinity(site)
+			for f.avail[site] > 0 && remaining > 0 {
+				next := -1
+				bestA := units.Cost(math.Inf(-1))
+				room := f.avail[site]
+				for v := 0; v < n; v++ {
+					if selected[v] || weight[v] > room || !allowedOn(pin[v], allowed[v], site) {
+						continue
+					}
+					a := affinity[v]
+					if a > bestA || (a == bestA && next >= 0 && quantity[v] > quantity[next]) {
+						next, bestA = v, a
+					}
+				}
+				if next == -1 {
+					break // remaining vertices are inadmissible here
+				}
+				f.place(next, site)
+				remaining--
+				f.addAffinity(next)
+			}
+		}
+	}
+	return f.pl
+}
+
+// place assigns v to site and updates the capacity bookkeeping.
+func (f *Fill) place(v, site int) {
+	f.pl[v] = site
+	f.selected[v] = true
+	f.avail[site] -= f.lv.g.weight[v]
+	//geolint:allocsite amortized: members is reset to [:0] per Run, so growth converges to the per-site high-water mark
+	f.members[site] = append(f.members[site], v)
+}
+
+// rebuildAffinity recomputes every vertex's total traffic with the vertices
+// already placed on site.
+func (f *Fill) rebuildAffinity(site int) {
+	for i := range f.affinity {
+		f.affinity[i] = 0
+	}
+	for _, v := range f.members[site] {
+		f.addAffinity(v)
+	}
+}
+
+// addAffinity adds v's traffic, out+in per peer, into the affinity array
+// after v has been placed on the site currently being filled.
+func (f *Fill) addAffinity(v int) {
+	f.lv.g.adj.Neighbors(v, func(j int, vol, msgs float64) {
+		f.affinity[j] += f.ref.weight(vol, msgs)
+	})
+}

@@ -4,6 +4,11 @@
 // weighted super-vertices, then uncoarsen level by level while refining the
 // placement with a parallel, deterministic move/swap local search.
 //
+// Fill, the weighted greedy body of the paper's Algorithm 1, is the
+// repository's only copy of that body: core.GeoMapper runs it at unit
+// weight on level 0 (NewFill over FromComm), where it is the paper's fill
+// exactly, and the initial map runs it on the coarsest level.
+//
 // The scheme follows "Better Process Mapping and Sparse Quadratic
 // Assignment" (Schulz & Träff) and "Shared-Memory Hierarchical Process
 // Mapping" (Schulz & Woydt): the κ! order search that makes the flat
@@ -164,10 +169,23 @@ func (in *Instance) cost(g *Graph, pl []int) units.Cost {
 // an Instance but not a core.Problem).
 func (in *Instance) Cost(pl []int) units.Cost { return in.cost(in.G, pl) }
 
-// refWeights returns the mean inter-site latency and bandwidth (intra-site
-// for M = 1), mirroring core.Problem.referenceWeights: the scalarization
-// that makes a (volume, msgs) pair commensurate with the cost model.
-func (in *Instance) refWeights() (units.Seconds, units.BytesPerSec) {
+// refLink is the reference link the fill and the coarsening matcher price
+// traffic on, so a (volume, msgs) pair becomes one scalar commensurate
+// with the α–β cost: "heaviest communication" then accounts for both the
+// bandwidth and the latency term.
+type refLink struct {
+	lat units.Seconds
+	bw  units.BytesPerSec
+}
+
+// weight is the α–β cost of (vol, msgs) on the reference link.
+func (r refLink) weight(vol, msgs float64) units.Cost {
+	return (r.lat.Scale(msgs) + units.Bytes(vol).Over(r.bw)).AsCost()
+}
+
+// refWeights returns the reference link: the mean inter-site latency and
+// bandwidth (intra-site for M = 1).
+func (in *Instance) refWeights() refLink {
 	m := in.M()
 	var latSum, bwSum float64
 	pairs := 0
@@ -182,9 +200,9 @@ func (in *Instance) refWeights() (units.Seconds, units.BytesPerSec) {
 		}
 	}
 	if pairs == 0 {
-		return units.Seconds(in.LT.At(0, 0)), units.BytesPerSec(in.BT.At(0, 0))
+		return refLink{units.Seconds(in.LT.At(0, 0)), units.BytesPerSec(in.BT.At(0, 0))}
 	}
-	return units.Seconds(latSum / float64(pairs)), units.BytesPerSec(bwSum / float64(pairs))
+	return refLink{units.Seconds(latSum / float64(pairs)), units.BytesPerSec(bwSum / float64(pairs))}
 }
 
 // allowedOn reports whether a vertex with the given pin and allowed set may

@@ -10,27 +10,16 @@ import (
 )
 
 // initialMapper runs the paper's group-order heuristic on the coarsest
-// level, generalized to weighted super-vertices: a vertex standing for w
-// processes consumes w units of a site's capacity. The κ! permutations of
-// the site groups are enumerated in lexicographic rank order (capped by
-// maxOrders) and the minimum-cost feasible fill wins, ties broken by lowest
-// rank — the same deterministic reduction as core.GeoMapper's search, so
-// the choice never depends on evaluation order.
+// level: the weighted Fill, then a leftover repair for vertices the greedy
+// packing stranded. The κ! permutations of the site groups are enumerated
+// in lexicographic rank order (capped by maxOrders) and the minimum-cost
+// feasible fill wins, ties broken by lowest rank — the same deterministic
+// reduction as core.GeoMapper's search, so the choice never depends on
+// evaluation order.
 type initialMapper struct {
-	in     *Instance
-	lv     *level
-	refLat units.Seconds
-	refBW  units.BytesPerSec
-
-	quantity  []units.Cost
-	affinity  []units.Cost
-	selected  []bool
-	avail     []int
-	members   [][]int // vertices currently placed per site
-	pl        []int
-	groupDone []bool
-	byWeight  []int // vertices in descending weight order (leftover repair)
-	ordered   [][]int
+	*Fill
+	byWeight []int // vertices in descending weight order (leftover repair)
+	ordered  [][]int
 
 	best     []int
 	bestCost units.Cost
@@ -41,43 +30,20 @@ type initialMapper struct {
 
 func newInitialMapper(in *Instance, lv *level, maxOrders int) *initialMapper {
 	g := lv.g
-	n := g.n
 	im := &initialMapper{
-		in:        in,
-		lv:        lv,
-		quantity:  make([]units.Cost, n),
-		affinity:  make([]units.Cost, n),
-		selected:  make([]bool, n),
-		avail:     make([]int, in.M()),
-		members:   make([][]int, in.M()),
-		pl:        make([]int, n),
-		groupDone: make([]bool, in.M()),
-		byWeight:  make([]int, n),
-		ordered:   make([][]int, len(in.Groups)),
-		bestCost:  units.Cost(math.Inf(1)),
-		cap:       maxOrders,
+		Fill:     newFill(in, lv),
+		byWeight: make([]int, g.n),
+		ordered:  make([][]int, len(in.Groups)),
+		bestCost: units.Cost(math.Inf(1)),
+		cap:      maxOrders,
 	}
-	im.refLat, im.refBW = in.refWeights()
-	for v := 0; v < n; v++ {
-		var q units.Cost
-		for _, e := range g.out(v) {
-			q += im.weight(e.Volume, e.Msgs)
-		}
-		for _, e := range g.in(v) {
-			q += im.weight(e.Volume, e.Msgs)
-		}
-		im.quantity[v] = q
+	for v := range im.byWeight {
 		im.byWeight[v] = v
 	}
 	sort.SliceStable(im.byWeight, func(a, b int) bool {
 		return g.weight[im.byWeight[a]] > g.weight[im.byWeight[b]]
 	})
 	return im
-}
-
-// weight scalarizes a (vol, msgs) pair against the average inter-site link.
-func (im *initialMapper) weight(vol, msgs float64) units.Cost {
-	return (im.refLat.Scale(msgs) + units.Bytes(vol).Over(im.refBW)).AsCost()
 }
 
 // run enumerates group orders and returns the best feasible placement. The
@@ -111,112 +77,13 @@ func (im *initialMapper) run() ([]int, error) {
 
 var errInitialInfeasible = fmt.Errorf("multilevel: no feasible fill at this level")
 
-// fill runs one weighted greedy packing for an ordered group sequence:
-// pinned vertices first, then per group the site with the most remaining
-// capacity, seeded with the heaviest-communicating admissible vertex that
-// fits and grown by affinity to the vertices already on the site. Vertices
-// no group could take are repaired onto the emptiest admissible site;
-// returns false when some vertex fits nowhere (coarser-level weights can be
+// fill runs the greedy Fill for an ordered group sequence, then repairs
+// the vertices no group could take onto the emptiest admissible site.
+// Returns false when some vertex fits nowhere (coarser-level weights can be
 // too chunky — the caller then retries one level finer).
 func (im *initialMapper) fill(orderedGroups [][]int) bool {
 	g := im.lv.g
-	n := g.n
-	for i := range im.selected {
-		im.selected[i] = false
-		im.pl[i] = -1
-	}
-	copy(im.avail, im.in.Capacity)
-	for s := range im.members {
-		im.members[s] = im.members[s][:0]
-	}
-	remaining := n
-	for v, p := range im.lv.pin {
-		if p < 0 {
-			continue
-		}
-		im.selected[v] = true
-		im.place(v, p)
-		remaining--
-	}
-
-	for _, group := range orderedGroups {
-		if remaining == 0 {
-			break
-		}
-		groupDone := im.groupDone[:len(group)]
-		for i := range groupDone {
-			groupDone[i] = false
-		}
-		for j := 0; j < len(group); j++ {
-			site, bestAvail, bestIdx := -1, -1, -1
-			for idx, s := range group {
-				if !groupDone[idx] && im.avail[s] > bestAvail {
-					site, bestAvail, bestIdx = s, im.avail[s], idx
-				}
-			}
-			if site == -1 {
-				break
-			}
-			groupDone[bestIdx] = true
-			if im.avail[site] <= 0 {
-				continue
-			}
-			if remaining == 0 {
-				break
-			}
-
-			// Seed: heaviest-communicating unselected vertex that is
-			// admissible on this site and fits its remaining capacity.
-			seed := -1
-			bestQ := units.Cost(math.Inf(-1))
-			for v := 0; v < n; v++ {
-				if im.selected[v] || g.weight[v] > im.avail[site] {
-					continue
-				}
-				if !allowedOn(im.lv.pin[v], im.lv.allowed[v], site) {
-					continue
-				}
-				if im.quantity[v] > bestQ {
-					seed, bestQ = v, im.quantity[v]
-				}
-			}
-			if seed == -1 {
-				continue
-			}
-			im.place(seed, site)
-			remaining--
-
-			// Affinity measures attachment to everything already on the
-			// site — the seed plus any vertices pinned there.
-			im.rebuildAffinity(site)
-			for im.avail[site] > 0 && remaining > 0 {
-				next := -1
-				bestA := units.Cost(math.Inf(-1))
-				for v := 0; v < n; v++ {
-					if im.selected[v] || g.weight[v] > im.avail[site] {
-						continue
-					}
-					if !allowedOn(im.lv.pin[v], im.lv.allowed[v], site) {
-						continue
-					}
-					a := im.affinity[v]
-					if a > bestA || (a == bestA && next >= 0 && im.quantity[v] > im.quantity[next]) {
-						next, bestA = v, a
-					}
-				}
-				if next == -1 {
-					break
-				}
-				im.place(next, site)
-				remaining--
-				im.addAffinity(next)
-			}
-		}
-	}
-
-	if remaining == 0 {
-		return true
-	}
+	im.Run(orderedGroups)
 	// Leftover repair: heaviest vertices first onto the admissible site
 	// with the most remaining room; when every admissible site is full,
 	// try a one-step displacement before giving up.
@@ -236,9 +103,8 @@ func (im *initialMapper) fill(orderedGroups [][]int) bool {
 		if site >= 0 {
 			im.place(v, site)
 		}
-		remaining--
 	}
-	return remaining == 0
+	return true
 }
 
 // displace makes room for a stranded vertex v by relocating one unpinned
@@ -278,7 +144,7 @@ func (im *initialMapper) displace(v int) bool {
 	return false
 }
 
-// unplace removes u from site s (bookkeeping inverse of place).
+// unplace removes u from site s (bookkeeping inverse of Fill.place).
 func (im *initialMapper) unplace(u, s int) {
 	im.avail[s] += im.lv.g.weight[u]
 	mem := im.members[s]
@@ -288,35 +154,5 @@ func (im *initialMapper) unplace(u, s int) {
 			im.members[s] = mem[:len(mem)-1]
 			break
 		}
-	}
-}
-
-func (im *initialMapper) place(v, site int) {
-	im.pl[v] = site
-	im.selected[v] = true
-	im.avail[site] -= im.lv.g.weight[v]
-	im.members[site] = append(im.members[site], v)
-}
-
-// rebuildAffinity recomputes every vertex's total traffic with the vertices
-// already placed on site.
-func (im *initialMapper) rebuildAffinity(site int) {
-	for i := range im.affinity {
-		im.affinity[i] = 0
-	}
-	for _, v := range im.members[site] {
-		im.addAffinity(v)
-	}
-}
-
-// addAffinity adds vertex v's traffic into the affinity array after v has
-// been placed on the site currently being filled.
-func (im *initialMapper) addAffinity(v int) {
-	g := im.lv.g
-	for _, e := range g.out(v) {
-		im.affinity[e.Peer] += im.weight(e.Volume, e.Msgs)
-	}
-	for _, e := range g.in(v) {
-		im.affinity[e.Peer] += im.weight(e.Volume, e.Msgs)
 	}
 }

@@ -173,15 +173,15 @@ func TestMapRejectsBadRequests(t *testing.T) {
 	srv := newTestServer(t, Config{MaxProcs: 128})
 	h := srv.Handler()
 	cases := []MapRequest{
-		{},                                     // no pattern at all
-		{Workload: "LU"},                       // no procs
-		{Workload: "nope", Procs: 8},           // unknown workload
+		{},                           // no pattern at all
+		{Workload: "LU"},             // no procs
+		{Workload: "nope", Procs: 8}, // unknown workload
 		{Workload: "LU", Procs: 8, Edges: []Edge{{Src: 0, Dst: 1}}}, // both
-		{Workload: "LU", Procs: 4096},          // over MaxProcs
+		{Workload: "LU", Procs: 4096},                               // over MaxProcs
 		{Workload: "LU", Procs: 8, Algorithm: "annealing"},
-		{Workload: "LU", Procs: 8, Constraint: []int{1}},      // wrong length
-		{Workload: "LU", Procs: 8, DeadlineMillis: -5},        // negative deadline
-		{Procs: 4, Edges: []Edge{{Src: 0, Dst: 9}}},           // edge out of range
+		{Workload: "LU", Procs: 8, Constraint: []int{1}},        // wrong length
+		{Workload: "LU", Procs: 8, DeadlineMillis: -5},          // negative deadline
+		{Procs: 4, Edges: []Edge{{Src: 0, Dst: 9}}},             // edge out of range
 		{Procs: 4, Edges: []Edge{{Src: 0, Dst: 1, Volume: -1}}}, // negative traffic
 	}
 	for i, req := range cases {

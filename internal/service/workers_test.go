@@ -12,14 +12,14 @@ func TestClampSolverWorkers(t *testing.T) {
 	cases := []struct {
 		pool, requested, maxProcs, want int
 	}{
-		{4, 0, 16, 4},  // derived: fills the machine exactly
-		{4, 0, 2, 1},   // pool alone oversubscribes: floor 1
-		{4, 2, 16, 2},  // explicit within budget: honored
-		{4, 8, 16, 4},  // explicit beyond budget: clamped
-		{2, 3, 8, 3},   // 2×3 ≤ 8: honored
-		{1, 64, 8, 8},  // single worker pool gets the whole machine at most
-		{16, 1, 8, 1},  // floor 1 even when the pool already oversubscribes
-		{3, 0, 10, 3},  // derived rounds down
+		{4, 0, 16, 4}, // derived: fills the machine exactly
+		{4, 0, 2, 1},  // pool alone oversubscribes: floor 1
+		{4, 2, 16, 2}, // explicit within budget: honored
+		{4, 8, 16, 4}, // explicit beyond budget: clamped
+		{2, 3, 8, 3},  // 2×3 ≤ 8: honored
+		{1, 64, 8, 8}, // single worker pool gets the whole machine at most
+		{16, 1, 8, 1}, // floor 1 even when the pool already oversubscribes
+		{3, 0, 10, 3}, // derived rounds down
 	}
 	for _, c := range cases {
 		if got := clampSolverWorkers(c.pool, c.requested, c.maxProcs); got != c.want {
