@@ -80,13 +80,15 @@ bench-orders:
 # allocs/op (the dynamic counterpart of the static allocsafe rule).
 # Measurements land in results/BENCH_alloc.json; ns/op is informational.
 bench-alloc:
-	./scripts/bench_alloc.sh
+	./scripts/bench_zero_alloc.sh bench-alloc '^BenchmarkAlloc' results/BENCH_alloc.json \
+		./internal/core ./internal/comm ./internal/stats ./internal/netsim ./internal/multilevel
 
 # Refinement ns/move baseline: the BenchmarkRefineMove* family measures
 # the multilevel local-search hot path (move/swap deltas, candidate scan,
 # full proposal sweep) and fails on any nonzero allocs/op. Measurements
 # land in results/BENCH_refine.json.
 bench-refine:
-	./scripts/bench_refine.sh
+	./scripts/bench_zero_alloc.sh bench-refine '^BenchmarkRefineMove' results/BENCH_refine.json \
+		./internal/multilevel
 
 check: build vet lint test race faults serve-smoke serve-cluster regauge-smoke multilevel-smoke bench-alloc bench-refine

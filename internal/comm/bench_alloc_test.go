@@ -4,7 +4,7 @@ import "testing"
 
 // The BenchmarkAlloc* family gates the allocation discipline of the
 // //geolint:allocfree adjacency views: once Prewarm has frozen the graph,
-// reads must measure 0 allocs/op. scripts/bench_alloc.sh runs them with
+// reads must measure 0 allocs/op. make bench-alloc runs them with
 // -benchmem and fails on any nonzero allocs/op.
 
 var (

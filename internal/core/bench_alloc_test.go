@@ -8,7 +8,7 @@ import (
 
 // The BenchmarkAlloc* family gates the allocation discipline the allocsafe
 // rule enforces statically: every //geolint:allocfree root must measure
-// 0 allocs/op once its caches are warm. scripts/bench_alloc.sh runs them
+// 0 allocs/op once its caches are warm. make bench-alloc runs them
 // with -benchmem and fails on any nonzero allocs/op.
 
 var (

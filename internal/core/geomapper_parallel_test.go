@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -47,8 +46,7 @@ func TestOrderSearchSerialParallelEquivalence(t *testing.T) {
 		}, GeoMapper{Kappa: 4}},
 		{"sitesets-k4", func(s int64) *Problem { return siteSetProblem(28, 4, s) }, GeoMapper{Kappa: 4}},
 		{"ungrouped-m6", func(s int64) *Problem { return clusteredProblem(24, 6, s) }, GeoMapper{Kappa: 6, DisableGrouping: true}},
-		{"maxorders-k5", func(s int64) *Problem { return clusteredProblem(30, 6, s) }, GeoMapper{Kappa: 5, MaxOrders: 7}},
-		{"sitesets-maxorders", func(s int64) *Problem { return siteSetProblem(28, 4, s) }, GeoMapper{Kappa: 4, MaxOrders: 3}},
+		{"single-order-k4", func(s int64) *Problem { return siteSetProblem(28, 4, s) }, GeoMapper{Kappa: 4, SingleOrder: true}},
 		{"refined-k4", func(s int64) *Problem { return clusteredProblem(24, 4, s) }, GeoMapper{Kappa: 4, RefinePasses: 5}},
 	}
 	workerCounts := []int{2, 3, 8, runtime.GOMAXPROCS(0)}
@@ -101,53 +99,6 @@ func TestHierarchicalWorkersEquivalence(t *testing.T) {
 		if !par.Equal(serial) {
 			t.Errorf("workers=%d: hierarchical placement differs from serial", w)
 		}
-	}
-}
-
-// TestGeoMapperMaxOrdersSkipsInfeasibleOrders is the starvation
-// regression: an order whose repair fails must not consume the MaxOrders
-// budget. The augmenting-path repair cannot fail on validated problems, so
-// failures are injected through the repairPlacement seam: with the first
-// three orders forced infeasible and a budget of one, the search must
-// still reach the first feasible order instead of returning
-// "no placement produced".
-func TestGeoMapperMaxOrdersSkipsInfeasibleOrders(t *testing.T) {
-	p := siteSetProblem(16, 4, 2)
-	orig := repairPlacement
-	defer func() { repairPlacement = orig }()
-
-	calls := 0
-	repairPlacement = func(p *Problem, pl Placement) error {
-		calls++
-		if calls <= 3 {
-			return fmt.Errorf("injected repair failure %d", calls)
-		}
-		return orig(p, pl)
-	}
-	gm := &GeoMapper{Kappa: 4, Seed: 2, MaxOrders: 1, Workers: 1}
-	pl, err := gm.Map(p)
-	if err != nil {
-		t.Fatalf("budget starved on infeasible orders: %v", err)
-	}
-	if err := p.CheckPlacement(pl); err != nil {
-		t.Fatal(err)
-	}
-	if calls < 4 {
-		t.Errorf("search stopped after %d orders; infeasible orders consumed the budget", calls)
-	}
-
-	// The budget still bounds feasible work: with every order feasible, a
-	// cap of one examines exactly one order.
-	calls = 0
-	repairPlacement = func(p *Problem, pl Placement) error {
-		calls++
-		return orig(p, pl)
-	}
-	if _, err := gm.Map(p); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Errorf("MaxOrders=1 examined %d feasible orders, want 1", calls)
 	}
 }
 

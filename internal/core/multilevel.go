@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"geoprocmap/internal/mat"
 	"geoprocmap/internal/multilevel"
@@ -27,15 +26,10 @@ type MultilevelGeoMapper struct {
 	Kappa int
 	// Seed drives the K-means grouping.
 	Seed int64
-	// Workers is the refinement (and proposal-phase) parallelism. Zero
-	// selects GOMAXPROCS; any value yields byte-identical placements.
+	// Workers is multilevel.Options.Workers: the parallelism of the
+	// coarsest-level order search and of the refinement's proposal phase.
+	// Zero selects GOMAXPROCS; any value yields byte-identical placements.
 	Workers int
-	// RefinePasses bounds the local-search sweeps per level (0 = default).
-	RefinePasses int
-	// CoarsestVertices is the coarsening target (0 = default: max(32, 4·M)).
-	CoarsestVertices int
-	// MaxOrders caps the coarsest-level order enumeration (0 = default 720).
-	MaxOrders int
 }
 
 // Name implements Mapper.
@@ -51,27 +45,16 @@ func (m *MultilevelGeoMapper) Map(p *Problem) (Placement, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	kappa := m.Kappa
-	if kappa == 0 {
-		kappa = 4
-	}
-	if kappa < 1 {
-		return nil, fmt.Errorf("core: kappa = %d, want >= 1", kappa)
-	}
-	if kappa > MaxKappa {
-		return nil, fmt.Errorf("core: kappa = %d exceeds MaxKappa = %d; the coarsest-level order search would be intractable", kappa, MaxKappa)
+	kappa, err := groupCount(m.Kappa)
+	if err != nil {
+		return nil, err
 	}
 	groups, err := GroupSites(p.PC, kappa, m.Seed)
 	if err != nil {
 		return nil, err
 	}
 	inst := p.instance(groups)
-	opt := multilevel.Options{
-		Workers:          m.Workers,
-		RefinePasses:     m.RefinePasses,
-		CoarsestVertices: m.CoarsestVertices,
-		MaxOrders:        m.MaxOrders,
-	}
+	opt := multilevel.Options{Workers: m.Workers}
 	pl, _, err := multilevel.Solve(inst, opt)
 	if errors.Is(err, multilevel.ErrInfeasible) {
 		// Degenerate packings (tight capacities under multi-site
@@ -100,7 +83,7 @@ func (m *MultilevelGeoMapper) repairFallback(p *Problem, inst *multilevel.Instan
 			pl[i] = c
 		}
 	}
-	if err := repairPlacement(p, pl); err != nil {
+	if err := RepairLeftovers(p, pl); err != nil {
 		return nil, err
 	}
 	if err := multilevel.Refine(inst, pl, opt); err != nil {

@@ -23,7 +23,7 @@ func benchRefiner(b *testing.B) (*refiner, []int, units.Cost) {
 	for v, s := range pl {
 		r.load[s] += in.G.Weight(v)
 	}
-	tol := refineTol(in.Cost(pl))
+	tol := RefineTol(in.Cost(pl))
 	r.bufs[0] = r.proposeRange(pl, 0, in.G.N(), tol, r.bufs[0][:0])
 	return r, pl, tol
 }

@@ -22,8 +22,9 @@ type level struct {
 type hierarchy []*level
 
 // coarsen builds the hierarchy: heavy-edge matching with deterministic
-// tie-breaking on vertex id, contracting until the graph has at most
-// target vertices, matching stalls, or the level cap is reached.
+// tie-breaking on vertex id, contracting until the graph has at most the
+// coarsenLimits target of vertices, matching stalls, or maxLevels is
+// reached.
 //
 // Matching rule: vertices are visited in ascending id order; an unmatched
 // vertex u pairs with the unmatched, constraint-compatible neighbor v
@@ -33,7 +34,8 @@ type hierarchy []*level
 // intersection of allowed-site sets, and a merged weight within maxW and
 // the capacity of some admissible site — so contraction can never
 // manufacture an unplaceable super-vertex out of placeable parts.
-func coarsen(in *Instance, target, maxW, maxLevels int) hierarchy {
+func coarsen(in *Instance) hierarchy {
+	target, maxW := coarsenLimits(in.G.n, in.M())
 	l0 := &level{
 		g:       in.G,
 		pin:     in.Pin,

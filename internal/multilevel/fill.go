@@ -2,7 +2,9 @@ package multilevel
 
 import (
 	"math"
+	"sync"
 
+	"geoprocmap/internal/stats"
 	"geoprocmap/internal/units"
 )
 
@@ -12,8 +14,9 @@ import (
 // and grow it by affinity to what is already there. A vertex standing for w
 // processes consumes w units of a site's capacity, so at unit weight this
 // is the paper's fill exactly: core.GeoMapper runs it on level 0 for every
-// order of its κ! search, and the multilevel initial map runs it on the
-// coarsest level. A Fill owns its scratch, so each goroutine needs its own.
+// order SearchOrders examines, and the multilevel initial map runs it on
+// the coarsest level. A Fill owns its scratch, so each goroutine needs its
+// own.
 type Fill struct {
 	in  *Instance
 	lv  *level
@@ -192,4 +195,76 @@ func (f *Fill) addAffinity(v int) {
 	f.lv.g.adj.Neighbors(v, func(j int, vol, msgs float64) {
 		f.affinity[j] += f.ref.weight(vol, msgs)
 	})
+}
+
+// Eval fills, repairs and prices one order of the site groups. It returns
+// the placement, which it may reuse on its next call, the placement's cost,
+// and false when the order admits no feasible placement.
+type Eval func(orderedGroups [][]int) (pl []int, cost units.Cost, ok bool)
+
+// SearchOrders is the outer loop of the paper's Algorithm 1, and the
+// repository's only group-order search: it evaluates the orders of
+// groups whose lexicographic rank lies in [0, limit), with limit clamped to
+// κ!, and returns a copy of the cheapest feasible placement with its cost,
+// or ok == false when every examined order is infeasible.
+//
+// The ranks are split into contiguous ranges, one per worker (workers ≤ 0
+// selects GOMAXPROCS, and there are never more workers than ranks); each
+// worker evaluates its range in ascending rank order with its own
+// evaluator from newEval and keeps the first strict minimum. The
+// reduction takes the minimum cost and, on an exact tie, the lower range,
+// so the lowest rank wins and the result is byte-identical at any worker
+// count. One worker runs on the calling goroutine.
+func SearchOrders(groups [][]int, limit, workers int, newEval func() Eval) (best []int, cost units.Cost, ok bool) {
+	k := len(groups)
+	limit = min(limit, stats.FactorialInt(k))
+	workers = min(workerCount(workers), limit)
+	results := make([]orderRange, workers)
+	search := func(w int) {
+		r := &results[w]
+		r.cost = units.Cost(math.Inf(1))
+		eval := newEval()
+		ordered := make([][]int, k)
+		stats.PermutationRange(k, w*limit/workers, (w+1)*limit/workers, func(_ int, perm []int) bool {
+			for i, gi := range perm {
+				ordered[i] = groups[gi]
+			}
+			if pl, c, ok := eval(ordered); ok && c < r.cost {
+				r.best = append(r.best[:0], pl...)
+				r.cost = c
+				r.found = true
+			}
+			return true
+		})
+	}
+	if workers == 1 {
+		search(0)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func(w int) {
+				defer wg.Done()
+				search(w)
+			}(w)
+		}
+		wg.Wait()
+	}
+	bi := -1
+	for w := range results {
+		if results[w].found && (bi < 0 || results[w].cost < results[bi].cost) {
+			bi = w
+		}
+	}
+	if bi < 0 {
+		return nil, 0, false
+	}
+	return results[bi].best, results[bi].cost, true
+}
+
+// orderRange is one worker's cheapest feasible order in its rank range.
+type orderRange struct {
+	best  []int
+	cost  units.Cost
+	found bool
 }

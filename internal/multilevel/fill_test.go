@@ -1,12 +1,14 @@
 package multilevel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"geoprocmap/internal/comm"
 	"geoprocmap/internal/mat"
 	"geoprocmap/internal/stats"
+	"geoprocmap/internal/units"
 )
 
 // clusteredInstance is the level-0 instance of core's clusteredProblem
@@ -93,5 +95,75 @@ func TestReferenceWeightsSingleSite(t *testing.T) {
 	}
 	if ref := in.refWeights(); ref.lat != 0.5 || ref.bw != 2e6 {
 		t.Errorf("refWeights = %v, %v; want intra values", ref.lat, ref.bw)
+	}
+}
+
+// TestSearchOrdersMatchesSerialScan checks the shared order search against
+// a brute-force serial scan of the ranks [0, min(limit, κ!)): the same
+// placement and cost at every worker count, including more workers than
+// ranks. The evaluator prices an order by a coarse function of its
+// permutation, so many orders tie on cost and the lowest rank must win,
+// and it reports every fifth code infeasible; an evaluator that rejects
+// every order must leave the search not-ok.
+func TestSearchOrdersMatchesSerialScan(t *testing.T) {
+	const k = 4
+	groups := make([][]int, k)
+	for i := range groups {
+		groups[i] = []int{i}
+	}
+	code := func(ordered [][]int) int {
+		c := 0
+		for i, g := range ordered {
+			c += (i + 1) * g[0]
+		}
+		return c
+	}
+	newEval := func(feasible func(c int) bool) func() Eval {
+		return func() Eval {
+			pl := make([]int, k)
+			return func(ordered [][]int) ([]int, units.Cost, bool) {
+				c := code(ordered)
+				if !feasible(c) {
+					return nil, 0, false
+				}
+				for i, g := range ordered {
+					pl[i] = g[0]
+				}
+				return pl, units.Cost(c % 4), true
+			}
+		}
+	}
+	someInfeasible := func(c int) bool { return c%5 != 0 }
+	total := stats.FactorialInt(k)
+	for _, limit := range []int{1, 5, total, 720} {
+		// Brute force: the first strict minimum in ascending rank order.
+		var want []int
+		wantCost := units.Cost(math.Inf(1))
+		eval := newEval(someInfeasible)()
+		for rank := 0; rank < min(limit, total); rank++ {
+			perm := stats.PermutationUnrank(k, rank)
+			ordered := make([][]int, k)
+			for i, gi := range perm {
+				ordered[i] = groups[gi]
+			}
+			if pl, c, ok := eval(ordered); ok && c < wantCost {
+				want, wantCost = append([]int(nil), pl...), c
+			}
+		}
+		for _, workers := range []int{1, 2, 3, 8, limit + 1} {
+			got, cost, ok := SearchOrders(groups, limit, workers, newEval(someInfeasible))
+			if want == nil {
+				if ok {
+					t.Errorf("limit=%d workers=%d: found %v, want no feasible order", limit, workers, got)
+				}
+				continue
+			}
+			if !ok || cost != wantCost || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("limit=%d workers=%d: got %v cost %v ok %v, want %v cost %v", limit, workers, got, cost, ok, want, wantCost)
+			}
+			if _, _, ok := SearchOrders(groups, limit, workers, newEval(func(int) bool { return false })); ok {
+				t.Errorf("limit=%d workers=%d: all-infeasible search reported ok", limit, workers)
+			}
+		}
 	}
 }

@@ -5,9 +5,17 @@
 // placement with a parallel, deterministic move/swap local search.
 //
 // Fill, the weighted greedy body of the paper's Algorithm 1, is the
-// repository's only copy of that body: core.GeoMapper runs it at unit
-// weight on level 0 (NewFill over FromComm), where it is the paper's fill
-// exactly, and the initial map runs it on the coarsest level.
+// repository's only copy of that body, and SearchOrders, the algorithm's
+// outer loop over group orders, is the only order search: core.GeoMapper
+// runs both at unit weight on level 0 (NewFill over FromComm), where they
+// are the paper's heuristic exactly, and the initial map runs them on the
+// coarsest level over the first 720 orders. The two callers differ only in
+// the Eval they pass: core repairs site sets and prices with its own
+// objective, the initial map repairs stranded super-vertices.
+//
+// Options carries only Workers, the parallelism of that search and of the
+// refinement; the coarsening target, weight cap, level cap, order cap and
+// refinement sweeps are constants no caller needs to set.
 //
 // The scheme follows "Better Process Mapping and Sparse Quadratic
 // Assignment" (Schulz & Träff) and "Shared-Memory Hierarchical Process

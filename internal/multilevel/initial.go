@@ -1,41 +1,24 @@
 package multilevel
 
 import (
-	"fmt"
-	"math"
 	"sort"
 
-	"geoprocmap/internal/stats"
 	"geoprocmap/internal/units"
 )
 
-// initialMapper runs the paper's group-order heuristic on the coarsest
-// level: the weighted Fill, then a leftover repair for vertices the greedy
-// packing stranded. The κ! permutations of the site groups are enumerated
-// in lexicographic rank order (capped by maxOrders) and the minimum-cost
-// feasible fill wins, ties broken by lowest rank — the same deterministic
-// reduction as core.GeoMapper's search, so the choice never depends on
-// evaluation order.
+// initialMapper is the initial map's evaluator for SearchOrders on one
+// level, normally the coarsest: the weighted Fill, then a leftover repair
+// for vertices the greedy packing stranded.
 type initialMapper struct {
 	*Fill
 	byWeight []int // vertices in descending weight order (leftover repair)
-	ordered  [][]int
-
-	best     []int
-	bestCost units.Cost
-	found    bool
-	examined int
-	cap      int
 }
 
-func newInitialMapper(in *Instance, lv *level, maxOrders int) *initialMapper {
+func newInitialMapper(in *Instance, lv *level) *initialMapper {
 	g := lv.g
 	im := &initialMapper{
 		Fill:     newFill(in, lv),
 		byWeight: make([]int, g.n),
-		ordered:  make([][]int, len(in.Groups)),
-		bestCost: units.Cost(math.Inf(1)),
-		cap:      maxOrders,
 	}
 	for v := range im.byWeight {
 		im.byWeight[v] = v
@@ -46,42 +29,12 @@ func newInitialMapper(in *Instance, lv *level, maxOrders int) *initialMapper {
 	return im
 }
 
-// run enumerates group orders and returns the best feasible placement. The
-// returned slice is freshly allocated.
-func (im *initialMapper) run() ([]int, error) {
-	k := len(im.in.Groups)
-	if k == 0 {
-		return nil, fmt.Errorf("multilevel: no site groups")
-	}
-	total := stats.FactorialInt(k)
-	stats.PermutationRange(k, 0, total, func(rank int, perm []int) bool {
-		for i, gi := range perm {
-			im.ordered[i] = im.in.Groups[gi]
-		}
-		if im.fill(im.ordered) {
-			c := im.in.cost(im.lv.g, im.pl)
-			if c < im.bestCost {
-				im.bestCost = c
-				im.best = append(im.best[:0], im.pl...)
-				im.found = true
-			}
-		}
-		im.examined++
-		return im.cap <= 0 || im.examined < im.cap
-	})
-	if !im.found {
-		return nil, errInitialInfeasible
-	}
-	return append([]int(nil), im.best...), nil
-}
-
-var errInitialInfeasible = fmt.Errorf("multilevel: no feasible fill at this level")
-
-// fill runs the greedy Fill for an ordered group sequence, then repairs
-// the vertices no group could take onto the emptiest admissible site.
-// Returns false when some vertex fits nowhere (coarser-level weights can be
-// too chunky — the caller then retries one level finer).
-func (im *initialMapper) fill(orderedGroups [][]int) bool {
+// eval is the initial map's Eval: run the greedy Fill for one ordered
+// group sequence, repair the vertices no group could take onto the
+// emptiest admissible site, and price the result on the level's graph. The
+// order is infeasible when some vertex fits nowhere (coarser-level weights
+// can be too chunky — Solve then retries one level finer).
+func (im *initialMapper) eval(orderedGroups [][]int) ([]int, units.Cost, bool) {
 	g := im.lv.g
 	im.Run(orderedGroups)
 	// Leftover repair: heaviest vertices first onto the admissible site
@@ -98,13 +51,13 @@ func (im *initialMapper) fill(orderedGroups [][]int) bool {
 			}
 		}
 		if site == -1 && !im.displace(v) {
-			return false
+			return nil, 0, false
 		}
 		if site >= 0 {
 			im.place(v, site)
 		}
 	}
-	return true
+	return im.pl, im.in.cost(g, im.pl), true
 }
 
 // displace makes room for a stranded vertex v by relocating one unpinned

@@ -100,15 +100,9 @@ func TestFromCommPreservesTotals(t *testing.T) {
 	}
 }
 
-// hierarchyFor exposes the coarsening ladder the solver would build.
-func hierarchyFor(in *Instance, n, m int) hierarchy {
-	opt := Options{}.withDefaults(n, m)
-	return coarsen(in, opt.CoarsestVertices, opt.MaxWeight, opt.MaxLevels)
-}
-
 func TestCoarsenConservesVolume(t *testing.T) {
 	in := testInstance(t, 512, 8, true, true)
-	h := hierarchyFor(in, 512, 8)
+	h := coarsen(in)
 	if len(h) < 2 {
 		t.Fatalf("expected at least 2 levels, got %d", len(h))
 	}
@@ -129,8 +123,8 @@ func TestCoarsenConservesVolume(t *testing.T) {
 func TestCoarsenRespectsConstraints(t *testing.T) {
 	n, m := 512, 8
 	in := testInstance(t, n, m, true, true)
-	opt := Options{}.withDefaults(n, m)
-	h := coarsen(in, opt.CoarsestVertices, opt.MaxWeight, opt.MaxLevels)
+	_, maxWeight := coarsenLimits(n, m)
+	h := coarsen(in)
 	for l := 0; l+1 < len(h); l++ {
 		fine, coarse := h[l], h[l+1]
 		for v := 0; v < fine.g.n; v++ {
@@ -147,8 +141,8 @@ func TestCoarsenRespectsConstraints(t *testing.T) {
 			}
 		}
 		for c := 0; c < coarse.g.n; c++ {
-			if coarse.g.weight[c] > opt.MaxWeight && coarse.g.weight[c] > 2 {
-				t.Fatalf("level %d coarse vertex %d weight %d exceeds max %d", l+1, c, coarse.g.weight[c], opt.MaxWeight)
+			if coarse.g.weight[c] > maxWeight && coarse.g.weight[c] > 2 {
+				t.Fatalf("level %d coarse vertex %d weight %d exceeds max %d", l+1, c, coarse.g.weight[c], maxWeight)
 			}
 			if p := coarse.pin[c]; p >= 0 && coarse.g.weight[c] > in.Capacity[p] {
 				t.Fatalf("pinned coarse vertex %d weight %d exceeds capacity of site %d", c, coarse.g.weight[c], p)
@@ -187,19 +181,20 @@ func checkFeasible(t *testing.T, in *Instance, pl []int) {
 func TestProjectionNeverViolatesConstraints(t *testing.T) {
 	n, m := 512, 8
 	in := testInstance(t, n, m, true, true)
-	h := hierarchyFor(in, n, m)
+	h := coarsen(in)
 	// Mirror Solve's ladder: map at the coarsest level that admits a
 	// feasible fill.
 	li := len(h) - 1
 	var pl []int
 	for {
-		var err error
-		pl, err = newInitialMapper(in, h[li], 720).run()
-		if err == nil {
+		lv := h[li]
+		var ok bool
+		pl, _, ok = SearchOrders(in.Groups, maxOrders, 1, func() Eval { return newInitialMapper(in, lv).eval })
+		if ok {
 			break
 		}
 		if li == 0 {
-			t.Fatalf("initial map failed at every level: %v", err)
+			t.Fatal("initial map failed at every level")
 		}
 		li--
 	}
@@ -253,26 +248,35 @@ func TestSolveFeasible(t *testing.T) {
 }
 
 func TestSolveDeterministicAcrossWorkers(t *testing.T) {
-	in := testInstance(t, 600, 8, true, true)
-	base, _, err := Solve(in, Options{Workers: 1})
-	if err != nil {
-		t.Fatalf("Solve(workers=1): %v", err)
+	// The second instance splits 16 sites into κ = 7 groups, so the
+	// initial map searches only the first maxOrders of the 7! orders.
+	kappa7 := testInstance(t, 600, 16, true, true)
+	kappa7.Groups = make([][]int, 7)
+	for s := 0; s < 16; s++ {
+		kappa7.Groups[s*7/16] = append(kappa7.Groups[s*7/16], s)
 	}
-	for _, w := range []int{2, 3, runtime.GOMAXPROCS(0)} {
-		pl, _, err := Solve(in, Options{Workers: w})
+	for _, in := range []*Instance{testInstance(t, 600, 8, true, true), kappa7} {
+		k := len(in.Groups)
+		base, _, err := Solve(in, Options{Workers: 1})
 		if err != nil {
-			t.Fatalf("Solve(workers=%d): %v", w, err)
+			t.Fatalf("κ=%d Solve(workers=1): %v", k, err)
 		}
-		if len(pl) != len(base) {
-			t.Fatalf("workers=%d: placement length %d, want %d", w, len(pl), len(base))
-		}
-		for v := range pl {
-			if pl[v] != base[v] {
-				t.Fatalf("workers=%d: placement diverges at vertex %d (%d vs %d)", w, v, pl[v], base[v])
+		for _, w := range []int{2, 3, runtime.GOMAXPROCS(0)} {
+			pl, _, err := Solve(in, Options{Workers: w})
+			if err != nil {
+				t.Fatalf("κ=%d Solve(workers=%d): %v", k, w, err)
 			}
-		}
-		if c1, c2 := in.Cost(base), in.Cost(pl); math.Float64bits(c1.Float()) != math.Float64bits(c2.Float()) {
-			t.Fatalf("workers=%d: cost differs bitwise (%v vs %v)", w, c1, c2)
+			if len(pl) != len(base) {
+				t.Fatalf("κ=%d workers=%d: placement length %d, want %d", k, w, len(pl), len(base))
+			}
+			for v := range pl {
+				if pl[v] != base[v] {
+					t.Fatalf("κ=%d workers=%d: placement diverges at vertex %d (%d vs %d)", k, w, v, pl[v], base[v])
+				}
+			}
+			if c1, c2 := in.Cost(base), in.Cost(pl); math.Float64bits(c1.Float()) != math.Float64bits(c2.Float()) {
+				t.Fatalf("κ=%d workers=%d: cost differs bitwise (%v vs %v)", k, w, c1, c2)
+			}
 		}
 	}
 }
@@ -325,7 +329,7 @@ func TestProposeRangeDoesNotAllocate(t *testing.T) {
 	for v, s := range pl {
 		r.load[s] += in.G.Weight(v)
 	}
-	tol := refineTol(in.Cost(pl))
+	tol := RefineTol(in.Cost(pl))
 	// Grow the buffer to its high-water mark before measuring.
 	r.bufs[0] = r.proposeRange(pl, 0, in.G.N(), tol, r.bufs[0][:0])
 	allocs := testing.AllocsPerRun(50, func() {

@@ -78,7 +78,7 @@ func (r *refiner) refine(pl []int) {
 		// Deltas are exact per proposal but the commit accumulates them
 		// incrementally; re-anchor the tolerance on the true objective
 		// each pass so FP drift cannot masquerade as improvement.
-		tol := refineTol(r.in.cost(r.g, pl))
+		tol := RefineTol(r.in.cost(r.g, pl))
 		r.propose(pl, tol)
 		if r.commit(pl, tol) == 0 {
 			break
@@ -352,10 +352,14 @@ func (r *refiner) commit(pl []int, tol units.Cost) int {
 	return applied
 }
 
-// refineTol is the minimum improvement a refinement step must deliver,
-// relative to the current objective — the same guard core.refineTol uses
-// against FP-noise churn, with the same floor for near-zero objectives.
-func refineTol(c units.Cost) units.Cost {
+// RefineTol is the minimum improvement a refinement step must deliver,
+// relative to the current objective: an absolute threshold is vacuous
+// against costs orders of magnitude above 1 (every FP-noise "improvement"
+// passes, and the pass loop can churn without converging) and needlessly
+// strict near zero. The floor of 1 keeps the threshold meaningful for
+// near-zero objectives. This refiner and core's pairwise-exchange
+// refinement both use it.
+func RefineTol(c units.Cost) units.Cost {
 	m := math.Abs(c.Float())
 	if m < 1 {
 		m = 1

@@ -6,54 +6,42 @@ import (
 	"runtime"
 )
 
-// Options tunes the multilevel solver. The zero value selects defaults
-// sized for the paper's workloads.
+// Options tunes the multilevel solver.
 type Options struct {
-	// CoarsestVertices is the coarsening target: contraction stops once
-	// the graph has at most this many super-vertices. Zero selects
-	// max(32, 4·M) — a few super-vertices per site, so the coarsest-level
-	// order search stays quadratic in a small constant.
-	CoarsestVertices int
-	// MaxWeight caps a super-vertex's process count. Zero selects
-	// ceil(N / CoarsestVertices), clamped to the largest site capacity.
-	MaxWeight int
-	// RefinePasses bounds the proposal/commit sweeps per level (early exit
-	// when a sweep applies nothing). Zero selects 3.
-	RefinePasses int
-	// MaxOrders caps the coarsest-level group-order enumeration. Zero
-	// selects 720 (6! — every order for κ ≤ 6, a lexicographic prefix
-	// beyond).
-	MaxOrders int
-	// MaxLevels bounds the hierarchy depth. Zero selects 40.
-	MaxLevels int
-	// Workers is the refinement parallelism. Zero selects GOMAXPROCS;
-	// any value yields byte-identical placements.
+	// Workers is the parallelism of the coarsest-level order search and of
+	// the refinement's proposal phase. Zero selects GOMAXPROCS; any value
+	// yields byte-identical placements.
 	Workers int
 }
 
-func (o Options) withDefaults(n, m int) Options {
-	if o.CoarsestVertices <= 0 {
-		o.CoarsestVertices = 4 * m
-		if o.CoarsestVertices < 32 {
-			o.CoarsestVertices = 32
-		}
+// The solver's fixed limits.
+const (
+	// refinePasses bounds the proposal/commit sweeps per level (early
+	// exit when a sweep applies nothing).
+	refinePasses = 3
+	// maxOrders caps the coarsest-level group-order search: 6!, every
+	// order for κ ≤ 6 and a lexicographic prefix beyond.
+	maxOrders = 720
+	// maxLevels bounds the hierarchy depth.
+	maxLevels = 40
+)
+
+// coarsenLimits returns the coarsening target for n vertices over m sites,
+// max(32, 4·M) — a few super-vertices per site, so the coarsest-level
+// order search stays quadratic in a small constant — and the super-vertex
+// weight cap ⌈N/target⌉ that spreads N evenly over it.
+func coarsenLimits(n, m int) (target, maxWeight int) {
+	target = max(32, 4*m)
+	return target, (n + target - 1) / target
+}
+
+// workerCount resolves a Workers setting: zero or negative selects
+// GOMAXPROCS.
+func workerCount(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0) //geolint:detsource worker count only; the rank-range and proposal/commit reductions make the result identical at any count
 	}
-	if o.MaxWeight <= 0 {
-		o.MaxWeight = (n + o.CoarsestVertices - 1) / o.CoarsestVertices
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = 3
-	}
-	if o.MaxOrders <= 0 {
-		o.MaxOrders = 720
-	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 40
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0) //geolint:detsource worker count only; the proposal/commit reduction makes the result identical at any count
-	}
-	return o
+	return workers
 }
 
 // Stats reports what the solver did — level counts for the experiment
@@ -80,10 +68,8 @@ func Solve(in *Instance, opt Options) ([]int, Stats, error) {
 	if err := validate(in); err != nil {
 		return nil, st, err
 	}
-	n, m := in.G.n, in.M()
-	opt = opt.withDefaults(n, m)
-
-	h := coarsen(in, opt.CoarsestVertices, opt.MaxWeight, opt.MaxLevels)
+	workers := workerCount(opt.Workers)
+	h := coarsen(in)
 	st.Levels = len(h)
 	st.CoarsestN = h[len(h)-1].g.n
 
@@ -94,9 +80,12 @@ func Solve(in *Instance, opt Options) ([]int, Stats, error) {
 	li := len(h) - 1
 	var pl []int
 	for {
-		var err error
-		pl, err = newInitialMapper(in, h[li], opt.MaxOrders).run()
-		if err == nil {
+		lv := h[li]
+		var ok bool
+		pl, _, ok = SearchOrders(in.Groups, maxOrders, workers, func() Eval {
+			return newInitialMapper(in, lv).eval
+		})
+		if ok {
 			break
 		}
 		if li == 0 {
@@ -106,7 +95,7 @@ func Solve(in *Instance, opt Options) ([]int, Stats, error) {
 	}
 	st.InitialLevel = li
 
-	r := newRefiner(in, opt.Workers, opt.RefinePasses)
+	r := newRefiner(in, workers, refinePasses)
 	for l := li; ; l-- {
 		r.attach(h[l])
 		r.refine(pl)
@@ -131,13 +120,12 @@ func Refine(in *Instance, pl []int, opt Options) error {
 	if len(pl) != in.G.n {
 		return fmt.Errorf("multilevel: placement has length %d, want %d", len(pl), in.G.n)
 	}
-	opt = opt.withDefaults(in.G.n, in.M())
 	lv := &level{
 		g:       in.G,
 		pin:     in.Pin,
 		allowed: normalizeAllowed(in.Allowed, in.G.n),
 	}
-	r := newRefiner(in, opt.Workers, opt.RefinePasses)
+	r := newRefiner(in, workerCount(opt.Workers), refinePasses)
 	r.attach(lv)
 	r.refine(pl)
 	return nil

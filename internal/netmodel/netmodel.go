@@ -307,13 +307,6 @@ func (c *Cloud) Latency(k, l int) units.Seconds { return units.Seconds(c.LT.At(k
 // of the BT matrix entry.
 func (c *Cloud) Bandwidth(k, l int) units.BytesPerSec { return units.BytesPerSec(c.BT.At(k, l)) }
 
-// PairCost evaluates the paper's Formula 3: the aggregate cost of the
-// traffic between two processes mapped to sites k and l, given their total
-// message count (AG entry) and volume in bytes (CG entry).
-func (c *Cloud) PairCost(msgs float64, volume units.Bytes, k, l int) units.Cost {
-	return (c.Latency(k, l).Scale(msgs) + volume.Over(c.Bandwidth(k, l))).AsCost()
-}
-
 // DeadLinkPenalty is the factor FaultView applies to a down link: latency
 // is multiplied and bandwidth divided by it, making the link prohibitively
 // expensive for any cost-driven mapper while keeping the matrices valid

@@ -194,19 +194,6 @@ func TestTransferTime(t *testing.T) {
 	TransferTime(1, 0, 0)
 }
 
-func TestPairCost(t *testing.T) {
-	c := paperCloud(t)
-	msgs, vol := 10.0, 8e6
-	want := msgs*c.LT.At(0, 2) + vol/c.BT.At(0, 2)
-	if got := c.PairCost(msgs, Bytes(vol), 0, 2); math.Abs(got.Float()-want) > 1e-12 {
-		t.Errorf("PairCost = %v, want %v", got, want)
-	}
-	// The typed path must be bit-identical to the raw float64 formula.
-	if got := c.PairCost(msgs, Bytes(vol), 0, 2); math.Float64bits(got.Float()) != math.Float64bits(want) {
-		t.Errorf("PairCost not bit-identical to raw formula: %x vs %x", got, want)
-	}
-}
-
 // Property: the provider bandwidth model is monotone nonincreasing in
 // distance and respects its caps.
 func TestQuickCrossBandwidthMonotone(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 // BenchmarkAllocMaxMinRates gates the allocation discipline of the
 // //geolint:allocfree progressive-filling solver: after the first call
 // sizes the constraint set's scratch arrays, every re-solve must measure
-// 0 allocs/op. scripts/bench_alloc.sh runs it with -benchmem and fails on
+// 0 allocs/op. make bench-alloc runs it with -benchmem and fails on
 // any nonzero allocs/op.
 
 var benchRate units.BytesPerSec

@@ -4,7 +4,7 @@ import "testing"
 
 // The BenchmarkAlloc* family gates the allocation discipline of the
 // //geolint:allocfree Scratch estimators: 0 allocs/op once the buffer is
-// warm. scripts/bench_alloc.sh runs them with -benchmem and fails on any
+// warm. make bench-alloc runs them with -benchmem and fails on any
 // nonzero allocs/op.
 
 var benchStat float64
