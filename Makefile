@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race faults serve-smoke serve-cluster regauge-smoke multilevel-smoke bench-orders bench-alloc bench-refine check
+.PHONY: all build vet lint test race fuzz faults serve-smoke serve-cluster regauge-smoke multilevel-smoke bench-orders bench-alloc bench-refine check
 
 all: check
 
@@ -32,6 +32,15 @@ test:
 race:
 	$(GO) test -race ./internal/comm/... ./internal/mpi/... ./internal/netsim/... ./internal/service/... ./internal/core/... ./internal/regauge/... ./internal/multilevel/...
 	$(GO) test -race -run TestLoadParallelDeterministic ./internal/analysis
+
+# Native fuzz pass: each fuzz target for 10 s beyond its seed corpus.
+# go test accepts -fuzz for one package at a time, so each target gets its
+# own call: the heap-driven fill against its O(N²) reference scan, the
+# matrix text parser, and the trace compression round trip.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzFillMatchesReference$$' -fuzztime 10s ./internal/multilevel
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/mat
+	$(GO) test -run '^$$' -fuzz '^FuzzCompressRoundTrip$$' -fuzztime 10s ./internal/trace
 
 # Fault-injection smoke: replay LU through the FlakyWAN preset and run the
 # failure-aware remap path end to end (internal/faults + netsim faulty
@@ -91,4 +100,4 @@ bench-refine:
 	./scripts/bench_zero_alloc.sh bench-refine '^BenchmarkRefineMove' results/BENCH_refine.json \
 		./internal/multilevel
 
-check: build vet lint test race faults serve-smoke serve-cluster regauge-smoke multilevel-smoke bench-alloc bench-refine
+check: build vet lint test race fuzz faults serve-smoke serve-cluster regauge-smoke multilevel-smoke bench-alloc bench-refine

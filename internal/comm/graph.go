@@ -91,13 +91,13 @@ func (g *Graph) N() int { return g.n }
 
 // AddTraffic accumulates volume bytes over msgs messages sent from src to
 // dst. Self-traffic (src == dst) is ignored, as in the paper's model where
-// the diagonal carries no cost. Negative volume or msgs panic, and so does
-// a call after the graph was frozen by its first read.
+// the diagonal carries no cost. Negative or NaN volume or msgs panic, and
+// so does a call after the graph was frozen by its first read.
 func (g *Graph) AddTraffic(src, dst int, volume, msgs float64) {
 	g.checkProc(src)
 	g.checkProc(dst)
-	if volume < 0 || msgs < 0 {
-		panic(fmt.Sprintf("comm: negative traffic (%g bytes, %g msgs)", volume, msgs)) //geolint:ignore libpanic trace.Recorder validates sizes; negative traffic is a profiler bug
+	if !(volume >= 0) || !(msgs >= 0) {
+		panic(fmt.Sprintf("comm: negative or NaN traffic (%g bytes, %g msgs)", volume, msgs)) //geolint:ignore libpanic trace.Recorder validates sizes; negative traffic is a profiler bug
 	}
 	if g.csr.OutIdx != nil {
 		panic("comm: AddTraffic on a frozen graph") //geolint:ignore libpanic writing after the first read is a programmer error; readers may share the frozen rows

@@ -64,6 +64,29 @@ func TestPanics(t *testing.T) {
 	}
 }
 
+// NaN traffic passed the old `volume < 0 || msgs < 0` test and reached
+// the frozen rows, where every sum and comparison over it is poisoned; it
+// must be rejected exactly like negative traffic.
+func TestAddTrafficNaNPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		volume, msgs float64
+	}{
+		{"volume", math.NaN(), 1},
+		{"msgs", 1, math.NaN()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewGraph(2)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddTraffic(0, 1, %v, %v) did not panic", tc.volume, tc.msgs)
+				}
+			}()
+			g.AddTraffic(0, 1, tc.volume, tc.msgs)
+		})
+	}
+}
+
 func TestOutgoingIncoming(t *testing.T) {
 	g := NewGraph(4)
 	g.AddTraffic(0, 2, 10, 1)

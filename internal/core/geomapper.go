@@ -25,8 +25,11 @@ import (
 // orders, evaluating each with multilevel.Fill at unit weight over a
 // no-copy level-0 view of the problem's communication graph; the site-set
 // repair and the objective are this type's own. The complexity is
-// O(κ!·N²); the grouping step keeps κ small (the paper recommends κ ≤ 5)
-// so the order search stays tractable for large M.
+// O(κ!·(M·N + E·log E)) for E communicating pairs: the fill keeps its
+// next-process candidates in a heap instead of rescanning all N processes
+// per placement, the O(κ!·N²) of a literal reading of the paper. The
+// grouping step keeps κ small (the paper recommends κ ≤ 5) so the order
+// search stays tractable for large M.
 type GeoMapper struct {
 	// Kappa is the number of K-means site groups κ. Zero selects the
 	// default of min(M, 4). Values above MaxKappa are rejected to keep the

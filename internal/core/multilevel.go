@@ -16,8 +16,9 @@ import (
 // Against GeoMapper the asymptotics change, not just the constants: the κ!
 // order search only ever sees a few×M super-vertices, so the end-to-end
 // cost is dominated by the O(E·M) refinement sweeps — κ = 32 sites and
-// N = 100k processes solve in seconds where the flat heuristic's O(κ!·N²)
-// is out of reach (the `geobench -exp multilevel` Pareto experiment
+// N = 100k processes solve in seconds where the flat heuristic's
+// O(κ!·(M·N + E·log E)), κ! full greedy fills of all N processes, is out
+// of reach (the `geobench -exp multilevel` Pareto experiment
 // quantifies both axes).
 type MultilevelGeoMapper struct {
 	// Kappa is the K-means site-group count for the coarsest-level order

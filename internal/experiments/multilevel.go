@@ -100,7 +100,7 @@ func syntheticProblem(n, m int, seed int64) *core.Problem {
 // mapper: at each (sites, N) cell it runs every algorithm that is still
 // tractable there and reports cost (normalized to the multilevel result)
 // and mapping wall-clock. The flat paper heuristic drops out above
-// N ≈ 4096 (its greedy fill is quadratic per order) and MPIPP above a few
+// N ≈ 4096 (it runs a full greedy fill per group order) and MPIPP above a few
 // hundred processes; the multilevel pipeline is the only entry left at
 // 32 sites × 100k processes, which it solves in seconds.
 func ExtMultilevel(cfg Config) (*Report, error) {

@@ -327,7 +327,10 @@ func Read(r io.Reader) (*Matrix, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("mat: negative dimensions %d×%d", rows, cols)
 	}
-	m := New(rows, cols)
+	// The data grows row by row as the input supplies it: sizing it from
+	// the header alone would let a one-line input such as "1 20000000000000"
+	// demand terabytes before the first row is read.
+	m := &Matrix{rows: rows, cols: cols}
 	for i := 0; i < rows; i++ {
 		line, err := br.ReadString('\n')
 		if err != nil && !(errors.Is(err, io.EOF) && line != "") {
@@ -342,7 +345,7 @@ func Read(r io.Reader) (*Matrix, error) {
 			if err != nil {
 				return nil, fmt.Errorf("mat: row %d col %d: %w", i, j, err)
 			}
-			m.data[i*cols+j] = v
+			m.data = append(m.data, v)
 		}
 	}
 	return m, nil

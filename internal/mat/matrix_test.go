@@ -246,6 +246,10 @@ func TestReadErrors(t *testing.T) {
 		"1 2\n1\n",
 		"1 2\n1 x\n",
 		"2 1\n1\n", // missing second row
+		// Dimensions far beyond the input: the header alone once sized a
+		// terabyte allocation and crashed the process.
+		"1 20000000000000\n",
+		"3037000500 3037000500\n1\n",
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {

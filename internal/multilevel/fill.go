@@ -1,7 +1,9 @@
 package multilevel
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync"
 
 	"geoprocmap/internal/stats"
@@ -17,13 +19,30 @@ import (
 // order SearchOrders examines, and the multilevel initial map runs it on
 // the coarsest level. A Fill owns its scratch, so each goroutine needs its
 // own.
+//
+// Each pick is the best unselected vertex that fits the site's remaining
+// room and is admissible on it, under a total key: a seed by highest
+// quantity, then lowest index; a growth step by highest affinity to the
+// site, then highest quantity, then lowest index. Rather than rescan all
+// N vertices per placement, the fill keeps two structures: order, the
+// vertices sorted once by (quantity, index), and frontier, a max-heap of
+// the vertices whose affinity changed since the site's rebuildAffinity. A
+// growth step takes the better of the heap top and the first untouched,
+// zero-affinity entry of order, so one order of the groups costs
+// O(M·N + E·log E) instead of O(N²). Both structures drop entries lazily,
+// and within one site a dropped entry can never be picked again:
+// selection is final, the room only shrinks, the allowed sets are fixed,
+// an affinity is a sum of non-negative weights that only grows, and each
+// change pushes the new value.
 type Fill struct {
 	in  *Instance
 	lv  *level
 	ref refLink
 
 	quantity  []units.Cost // static per-vertex communication quantity
+	order     []int        // vertices by quantity descending, index ascending
 	affinity  []units.Cost
+	frontier  []frontierEntry // max-heap of vertices touched since rebuildAffinity
 	selected  []bool
 	avail     []int
 	members   [][]int // vertices currently placed per site
@@ -57,25 +76,44 @@ func newFill(in *Instance, lv *level) *Fill {
 		})
 		f.quantity[v] = q
 	}
+	f.order = make([]int, n)
+	for v := range f.order {
+		f.order[v] = v
+	}
+	slices.SortFunc(f.order, func(a, b int) int {
+		if c := cmp.Compare(f.quantity[b], f.quantity[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	return f
+}
+
+// frontierEntry is one frontier-heap entry: v with the affinity it had
+// when pushed. It is stale once affinity[v] has moved on; the fresher
+// entry pushed by that change then stands for v.
+type frontierEntry struct {
+	aff units.Cost
+	v   int
 }
 
 // Run fills one ordered group sequence: pinned vertices first, then per
 // group the site with the most remaining capacity, seeded with the
 // heaviest-communicating admissible vertex that fits and grown by affinity
-// to the vertices already on the site. It returns the placement with -1
-// for every vertex no site took. The slice is reused by the next Run, so
-// callers must copy it to keep it; every buffer lives on the Fill, so the
+// to the vertices already on the site. Ties go to the higher quantity,
+// then to the lower index. It returns the placement with -1 for every
+// vertex no site took. The slice is reused by the next Run, so callers
+// must copy it to keep it; every buffer lives on the Fill, so the
 // thousands of orders a search runs do not allocate.
 //
 //geolint:allocfree
 func (f *Fill) Run(orderedGroups [][]int) []int {
 	g := f.lv.g
 	n := g.n
-	// The O(N) scans below read these as locals resliced to n, so the
-	// headers stay in registers and the compiler drops the bounds checks.
+	// The scans below read these as locals resliced to n, so the headers
+	// stay in registers and the compiler drops the bounds checks.
 	weight, pin, allowed := g.weight[:n], f.lv.pin[:n], f.lv.allowed[:n]
-	selected, quantity, affinity := f.selected[:n], f.quantity[:n], f.affinity[:n]
+	selected, affinity, order := f.selected[:n], f.affinity[:n], f.order[:n]
 	for i := range selected {
 		selected[i] = false
 		f.pl[i] = -1
@@ -85,6 +123,7 @@ func (f *Fill) Run(orderedGroups [][]int) []int {
 		f.members[s] = f.members[s][:0]
 	}
 	remaining := n
+	seedFrom := 0 // order[:seedFrom] is all selected
 
 	// Lines 4–6: pin constrained vertices and reduce availability.
 	for v, p := range pin {
@@ -125,13 +164,17 @@ func (f *Fill) Run(orderedGroups [][]int) []int {
 			}
 
 			// Line 9: seed with the globally heaviest unselected vertex
-			// that is admissible on this site and fits its capacity.
+			// that is admissible on this site and fits its capacity: the
+			// first such entry of order.
+			for seedFrom < n && selected[order[seedFrom]] {
+				seedFrom++
+			}
 			seed := -1
-			bestQ := units.Cost(math.Inf(-1))
 			room := f.avail[site]
-			for v := 0; v < n; v++ {
-				if !selected[v] && quantity[v] > bestQ && weight[v] <= room && allowedOn(pin[v], allowed[v], site) {
-					seed, bestQ = v, quantity[v]
+			for _, v := range order[seedFrom:] {
+				if !selected[v] && weight[v] <= room && allowedOn(pin[v], allowed[v], site) {
+					seed = v
+					break
 				}
 			}
 			if seed == -1 {
@@ -142,20 +185,23 @@ func (f *Fill) Run(orderedGroups [][]int) []int {
 
 			// Lines 12–14: fill the rest of the site with the vertices
 			// most attached to what is already there — the seed plus any
-			// vertices pinned to the site.
+			// vertices pinned to the site. The best touched vertex is the
+			// frontier top; the best untouched one, at affinity zero, is
+			// the first admissible untouched entry of order. Entries the
+			// cursor passes stay out of reach for the rest of the site.
 			f.rebuildAffinity(site)
+			untouchedFrom := 0
 			for f.avail[site] > 0 && remaining > 0 {
-				next := -1
-				bestA := units.Cost(math.Inf(-1))
 				room := f.avail[site]
-				for v := 0; v < n; v++ {
-					if selected[v] || weight[v] > room || !allowedOn(pin[v], allowed[v], site) {
-						continue
+				next := f.frontierTop(site, room)
+				for ; untouchedFrom < n; untouchedFrom++ {
+					v := order[untouchedFrom]
+					if !selected[v] && affinity[v] == 0 && weight[v] <= room && allowedOn(pin[v], allowed[v], site) {
+						break
 					}
-					a := affinity[v]
-					if a > bestA || (a == bestA && next >= 0 && quantity[v] > quantity[next]) {
-						next, bestA = v, a
-					}
+				}
+				if untouchedFrom < n && (next == -1 || f.before(order[untouchedFrom], next)) {
+					next = order[untouchedFrom]
 				}
 				if next == -1 {
 					break // remaining vertices are inadmissible here
@@ -169,6 +215,77 @@ func (f *Fill) Run(orderedGroups [][]int) []int {
 	return f.pl
 }
 
+// before reports whether vertex a precedes b in the pick key: higher
+// affinity, then higher quantity, then lower index.
+func (f *Fill) before(a, b int) bool {
+	return f.entryBefore(frontierEntry{f.affinity[a], a}, frontierEntry{f.affinity[b], b})
+}
+
+// entryBefore is before over frontier entries, at their pushed affinity.
+func (f *Fill) entryBefore(a, b frontierEntry) bool {
+	if a.aff != b.aff {
+		return a.aff > b.aff
+	}
+	if qa, qb := f.quantity[a.v], f.quantity[b.v]; qa != qb {
+		return qa > qb
+	}
+	return a.v < b.v
+}
+
+// frontierTop returns the best touched vertex that is unselected, fits in
+// room and is admissible on site, or -1. It pops the entries above it:
+// stale ones, and vertices that are selected, too heavy or inadmissible,
+// none of which can become a candidate again while site is being filled.
+func (f *Fill) frontierTop(site, room int) int {
+	for len(f.frontier) > 0 {
+		e := f.frontier[0]
+		v := e.v
+		if !f.selected[v] && e.aff == f.affinity[v] && f.lv.g.weight[v] <= room && allowedOn(f.lv.pin[v], f.lv.allowed[v], site) {
+			return v
+		}
+		f.popFrontier()
+	}
+	return -1
+}
+
+// pushFrontier adds v at its current affinity to the frontier heap.
+func (f *Fill) pushFrontier(v int) {
+	//geolint:allocsite amortized: frontier is reset to [:0] per site, so growth converges to the per-site high-water mark
+	h := append(f.frontier, frontierEntry{f.affinity[v], v})
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !f.entryBefore(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	f.frontier = h
+}
+
+// popFrontier removes the frontier heap's top entry.
+func (f *Fill) popFrontier() {
+	h := f.frontier
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if r := c + 1; r < last && f.entryBefore(h[r], h[c]) {
+			c = r
+		}
+		if !f.entryBefore(h[c], h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	f.frontier = h
+}
+
 // place assigns v to site and updates the capacity bookkeeping.
 func (f *Fill) place(v, site int) {
 	f.pl[v] = site
@@ -179,21 +296,26 @@ func (f *Fill) place(v, site int) {
 }
 
 // rebuildAffinity recomputes every vertex's total traffic with the vertices
-// already placed on site.
+// already placed on site and restarts the frontier from them.
 func (f *Fill) rebuildAffinity(site int) {
 	for i := range f.affinity {
 		f.affinity[i] = 0
 	}
+	f.frontier = f.frontier[:0]
 	for _, v := range f.members[site] {
 		f.addAffinity(v)
 	}
 }
 
 // addAffinity adds v's traffic, out+in per peer, into the affinity array
-// after v has been placed on the site currently being filled.
+// after v has been placed on the site currently being filled, and pushes
+// each unselected peer's new affinity onto the frontier.
 func (f *Fill) addAffinity(v int) {
 	f.lv.g.adj.Neighbors(v, func(j int, vol, msgs float64) {
 		f.affinity[j] += f.ref.weight(vol, msgs)
+		if !f.selected[j] {
+			f.pushFrontier(j)
+		}
 	})
 }
 

@@ -3,10 +3,12 @@ package multilevel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"geoprocmap/internal/comm"
 	"geoprocmap/internal/mat"
+	"geoprocmap/internal/netmodel"
 	"geoprocmap/internal/stats"
 	"geoprocmap/internal/units"
 )
@@ -61,6 +63,41 @@ func BenchmarkAllocFill(b *testing.B) {
 	f := NewFill(clusteredInstance(64, 4, 11))
 	ordered := [][]int{{0}, {1}, {2}, {3}}
 	benchFill = f.Run(ordered) // warm members to their high-water mark
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchFill = f.Run(ordered)
+	}
+}
+
+// BenchmarkAllocFill512 measures one greedy fill at the shape of a
+// served 512-process edge-list request: the ring + stride + butterfly
+// pattern over the paper's four EC2 regions at 160 nodes each, for one
+// order of κ = 4 site groups (one site per group).
+func BenchmarkAllocFill512(b *testing.B) {
+	const n = 512
+	g := comm.NewGraph(n)
+	rng := stats.NewRand(1)
+	for i := 0; i < n; i++ {
+		g.AddTraffic(i, (i+1)%n, 2e6*(1+rng.Float64()), 20)
+		g.AddTraffic(i, (i+n/4)%n, 5e5*(1+rng.Float64()), 8)
+		if j := i ^ 1<<uint(i%10); j < n && j != i {
+			g.AddTraffic(i, j, 2e5*(1+rng.Float64()), 4)
+		}
+	}
+	cloud, err := netmodel.EvenCloud(netmodel.AmazonEC2, "m4.xlarge", netmodel.PaperEC2Regions, 160, netmodel.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := NewFill(&Instance{
+		G:        FromComm(g),
+		LT:       cloud.LT,
+		BT:       cloud.BT,
+		Capacity: cloud.Capacity(),
+		Pin:      mat.NewIntVec(n, -1),
+	})
+	ordered := [][]int{{2}, {0}, {3}, {1}}
+	benchFill = f.Run(ordered) // warm members and frontier to their high-water marks
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -166,4 +203,204 @@ func TestSearchOrdersMatchesSerialScan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceRun is the fill's pick rule written as the plain O(N²) scan
+// of Algorithm 1: a full pass over all vertices for every seed and every
+// growth step. Run must return the same placement for every order.
+func referenceRun(f *Fill, orderedGroups [][]int) []int {
+	g := f.lv.g
+	n := g.n
+	weight, pin, allowed := g.weight, f.lv.pin, f.lv.allowed
+	for i := 0; i < n; i++ {
+		f.selected[i] = false
+		f.pl[i] = -1
+	}
+	copy(f.avail, f.in.Capacity)
+	for s := range f.members {
+		f.members[s] = f.members[s][:0]
+	}
+	remaining := n
+	for v, p := range pin {
+		if p >= 0 {
+			f.place(v, p)
+			remaining--
+		}
+	}
+	for _, group := range orderedGroups {
+		if remaining == 0 {
+			break
+		}
+		done := make([]bool, len(group))
+		for range group {
+			site, bestAvail, bestIdx := -1, -1, -1
+			for idx, s := range group {
+				if !done[idx] && f.avail[s] > bestAvail {
+					site, bestAvail, bestIdx = s, f.avail[s], idx
+				}
+			}
+			if site == -1 {
+				break
+			}
+			done[bestIdx] = true
+			if f.avail[site] <= 0 {
+				continue
+			}
+			if remaining == 0 {
+				break
+			}
+			seed := -1
+			bestQ := units.Cost(math.Inf(-1))
+			for v := 0; v < n; v++ {
+				if !f.selected[v] && f.quantity[v] > bestQ && weight[v] <= f.avail[site] && allowedOn(pin[v], allowed[v], site) {
+					seed, bestQ = v, f.quantity[v]
+				}
+			}
+			if seed == -1 {
+				continue
+			}
+			f.place(seed, site)
+			remaining--
+			f.rebuildAffinity(site)
+			for f.avail[site] > 0 && remaining > 0 {
+				next := -1
+				bestA := units.Cost(math.Inf(-1))
+				for v := 0; v < n; v++ {
+					if f.selected[v] || weight[v] > f.avail[site] || !allowedOn(pin[v], allowed[v], site) {
+						continue
+					}
+					a := f.affinity[v]
+					if a > bestA || (a == bestA && next >= 0 && f.quantity[v] > f.quantity[next]) {
+						next, bestA = v, a
+					}
+				}
+				if next == -1 {
+					break
+				}
+				f.place(next, site)
+				remaining--
+				f.addAffinity(next)
+			}
+		}
+	}
+	return f.pl
+}
+
+// fillCase is a random small fill instance. Every instance carries pins,
+// site sets, edges with only msgs and edges with only volume, and
+// volumes drawn from a few values so quantities and affinities tie; the
+// zero mode makes one of the two edge kinds weightless on the reference
+// link (0: neither, 1: zero latency, 2: infinite bandwidth), so touched
+// vertices can sit at zero affinity beside untouched ones.
+func fillCase(seed int64, n, m, zero int) *Instance {
+	rng := stats.NewRand(seed)
+	g := comm.NewGraph(n)
+	for e := rng.Intn(3 * n); e > 0; e-- {
+		src, dst := rng.Intn(n), rng.Intn(n)
+		vol, msgs := float64(rng.Intn(3))*1e3, float64(rng.Intn(3))
+		switch rng.Intn(3) {
+		case 0:
+			vol = 0
+		case 1:
+			msgs = 0
+		}
+		g.AddTraffic(src, dst, vol, msgs)
+	}
+	lt, bt := mat.NewSquare(m), mat.NewSquare(m)
+	for k := 0; k < m; k++ {
+		for l := 0; l < m; l++ {
+			lat, bw := 0.001*float64(1+rng.Intn(3)), 1e6*float64(1+rng.Intn(3))
+			switch zero {
+			case 1:
+				lat = 0
+			case 2:
+				bw = math.Inf(1)
+			}
+			lt.Set(k, l, lat)
+			bt.Set(k, l, bw)
+		}
+	}
+	capacity := make([]int, m)
+	for s := range capacity {
+		capacity[s] = 1 + rng.Intn((n+m-1)/m+2)
+	}
+	pin := mat.NewIntVec(n, -1)
+	pinned := make([]int, m)
+	allowed := make([][]int, n)
+	for v := range pin {
+		switch s := rng.Intn(m); rng.Intn(5) {
+		case 0:
+			if pinned[s] < capacity[s] {
+				pin[v] = s
+				pinned[s]++
+			}
+		case 1:
+			allowed[v] = []int{s, rng.Intn(m)}
+		}
+	}
+	// A random partition of the sites into at most four non-empty groups.
+	sites := rng.Perm(m)
+	groups := make([][]int, min(m, 1+rng.Intn(4)))
+	for i, s := range sites {
+		gi := i
+		if i >= len(groups) {
+			gi = rng.Intn(len(groups))
+		}
+		groups[gi] = append(groups[gi], s)
+	}
+	return &Instance{G: FromComm(g), LT: lt, BT: bt, Capacity: capacity, Pin: pin, Allowed: allowed, Groups: groups}
+}
+
+// checkFillMatchesReference runs Run and referenceRun on every order of
+// in's groups, on level 0 and on one coarsened level whose super-vertices
+// weigh up to three processes, and fails on the first placement that
+// differs.
+func checkFillMatchesReference(t *testing.T, in *Instance) {
+	t.Helper()
+	l0 := &level{g: in.G, pin: in.Pin, allowed: normalizeAllowed(in.Allowed, in.G.n)}
+	mt := &matcher{in: in, ref: in.refWeights(), maxW: 3}
+	match, _ := mt.match(l0)
+	for _, lv := range []*level{l0, contract(l0, match)} {
+		f, ref := newFill(in, lv), newFill(in, lv)
+		ordered := make([][]int, len(in.Groups))
+		stats.PermutationRange(len(in.Groups), 0, stats.FactorialInt(len(in.Groups)), func(rank int, perm []int) bool {
+			for i, gi := range perm {
+				ordered[i] = in.Groups[gi]
+			}
+			got, want := f.Run(ordered), referenceRun(ref, ordered)
+			if !slices.Equal(got, want) {
+				t.Fatalf("level with %d vertices, order rank %d: Run = %v, reference scan = %v", lv.g.n, rank, got, want)
+			}
+			return true
+		})
+	}
+}
+
+// TestFillMatchesReference checks the heap-driven fill against the O(N²)
+// reference scan on random small instances in every zero mode and on the
+// fixtures the other fill tests use.
+func TestFillMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		n, m, zero := 1+int(seed*7%40), 1+int(seed%6), int(seed%3)
+		t.Run(fmt.Sprintf("seed=%d/n=%d/m=%d/zero=%d", seed, n, m, zero), func(t *testing.T) {
+			checkFillMatchesReference(t, fillCase(seed, n, m, zero))
+		})
+	}
+	t.Run("testInstance", func(t *testing.T) { checkFillMatchesReference(t, testInstance(t, 64, 8, true, true)) })
+	t.Run("clustered", func(t *testing.T) {
+		in := clusteredInstance(64, 4, 11)
+		in.Groups = [][]int{{0}, {1}, {2}, {3}}
+		checkFillMatchesReference(t, in)
+	})
+}
+
+// FuzzFillMatchesReference is TestFillMatchesReference over fuzzed
+// instance seeds and shapes (make fuzz runs it).
+func FuzzFillMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(12), uint8(3), uint8(0))
+	f.Add(int64(2), uint8(30), uint8(5), uint8(1))
+	f.Add(int64(3), uint8(7), uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, n, m, zero uint8) {
+		checkFillMatchesReference(t, fillCase(seed, 1+int(n%48), 1+int(m%6), int(zero%3)))
+	})
 }
