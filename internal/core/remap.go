@@ -56,8 +56,11 @@ type RemapResult struct {
 // first, each to the live site minimizing its marginal α–β cost against the
 // rest of the placement), honoring the constraint vector, the per-process
 // Allowed sets, and the surviving capacities. Constraints pinning a process
-// to a dead site are unsatisfiable and are released for the migration.
-// With opt.MoveDegraded set, processes on degraded sites (sites touching a
+// to a dead site are unsatisfiable and are released for the migration. A
+// victim the greedy pass strands — every admissible live site already full
+// — is placed by RepairLeftovers' augmenting paths, which may also relocate
+// an unpinned survivor; every such move is counted as a migration. With
+// opt.MoveDegraded set, processes on degraded sites (sites touching a
 // degraded pair in the report) are also moved when the saving amortizes the
 // migration.
 //
@@ -83,35 +86,41 @@ func Remap(p *Problem, current Placement, rep *faults.Report, opt RemapOptions) 
 		return res, nil
 	}
 	dead := make([]bool, m)
-	liveCap := 0
 	for _, k := range rep.DeadSites {
 		if k < 0 || k >= m {
 			return nil, fmt.Errorf("core: dead site %d out of range [0,%d)", k, m)
 		}
 		dead[k] = true
 	}
+	// live is p after the faults: dead sites hold nothing and pins to them
+	// are released.
+	live := *p
+	live.Capacity = p.Capacity.Clone()
+	live.Constraint = p.Constraint.Clone()
+	liveCap := 0
 	for k := 0; k < m; k++ {
-		if !dead[k] {
-			liveCap += p.Capacity[k]
+		if dead[k] {
+			live.Capacity[k] = 0
 		}
+		liveCap += live.Capacity[k]
 	}
 	if liveCap < n {
 		return nil, fmt.Errorf("core: %d processes exceed surviving capacity %d", n, liveCap)
 	}
+	for i, c := range live.Constraint {
+		if c != Unconstrained && dead[c] {
+			live.Constraint[i] = Unconstrained
+		}
+	}
 
 	// Victims leave their sites; everyone else stays and claims their slot.
 	var victims []int
-	avail := p.Capacity.Clone()
+	avail := live.Capacity.Clone()
 	for i, s := range res.Placement {
 		if dead[s] {
 			victims = append(victims, i)
 		} else {
 			avail[s]--
-		}
-	}
-	for k := 0; k < m; k++ {
-		if dead[k] {
-			avail[k] = 0
 		}
 	}
 	if len(victims) == 0 && !o.MoveDegraded {
@@ -120,19 +129,46 @@ func Remap(p *Problem, current Placement, rep *faults.Report, opt RemapOptions) 
 	}
 	// Heaviest communicators first: they dominate the cost, so they get
 	// first pick of the surviving slots (the same greedy order the
-	// baselines use).
+	// baselines use). A stranded victim stays priced at its dead site until
+	// the greedy pass ends.
 	sort.SliceStable(victims, func(a, b int) bool {
 		return p.Comm.Quantity(victims[a]) > p.Comm.Quantity(victims[b])
 	})
+	var stranded []int
 	for _, i := range victims {
-		j, err := bestLiveSite(p, res.Placement, i, dead, avail)
-		if err != nil {
-			return nil, err
+		j := bestLiveSite(&live, res.Placement, i, dead, avail)
+		if j == -1 {
+			stranded = append(stranded, i)
+			continue
 		}
-		res.MigrationSeconds += o.ImageBytes.Over(p.Bandwidth(res.Placement[i], j))
 		res.Placement[i] = j
 		avail[j]--
+	}
+	if len(stranded) > 0 {
+		for _, i := range stranded {
+			res.Placement[i] = Unconstrained
+		}
+		if err := RepairLeftovers(&live, res.Placement); err != nil {
+			return nil, fmt.Errorf("core: evacuation infeasible: %w", err)
+		}
+		for k := range avail {
+			avail[k] = live.Capacity[k]
+		}
+		for _, s := range res.Placement {
+			avail[s]--
+		}
+	}
+	migrate := func(i int) {
+		res.MigrationSeconds += o.ImageBytes.Over(p.Bandwidth(current[i], res.Placement[i]))
 		res.Migrated = append(res.Migrated, i)
+	}
+	for _, i := range victims {
+		migrate(i)
+	}
+	for i, s := range current {
+		if !dead[s] && res.Placement[i] != s {
+			migrate(i) // relocated by the repair
+		}
 	}
 
 	if o.MoveDegraded {
@@ -150,8 +186,8 @@ func Remap(p *Problem, current Placement, rep *faults.Report, opt RemapOptions) 
 				continue
 			}
 			oldDelta := marginalCost(p, res.Placement, i, s)
-			j, err := bestLiveSite(p, res.Placement, i, dead, avail)
-			if err != nil || j == s {
+			j := bestLiveSite(&live, res.Placement, i, dead, avail)
+			if j == -1 || j == s {
 				continue
 			}
 			saving := oldDelta - marginalCost(p, res.Placement, i, j)
@@ -170,57 +206,28 @@ func Remap(p *Problem, current Placement, rep *faults.Report, opt RemapOptions) 
 		}
 	}
 
-	// The repaired placement must satisfy everything except pins to dead
-	// sites, which no placement can satisfy.
-	if err := checkIgnoringDeadPins(p, res.Placement, dead); err != nil {
+	if err := live.CheckPlacement(res.Placement); err != nil {
 		return nil, fmt.Errorf("core: remap produced invalid placement: %w", err)
 	}
 	res.CostAfter = p.Cost(res.Placement)
 	return res, nil
 }
 
-// bestLiveSite returns the surviving site with free capacity that minimizes
-// process i's marginal α–β cost against the current placement, honoring its
-// pin (unless pinned to a dead site) and Allowed set.
-func bestLiveSite(p *Problem, pl Placement, i int, dead []bool, avail []int) (int, error) {
-	if c := p.Constraint[i]; c != Unconstrained && !dead[c] {
-		if avail[c] <= 0 && pl[i] != c {
-			return 0, fmt.Errorf("core: process %d pinned to full site %d", i, c)
-		}
-		return c, nil
-	}
+// bestLiveSite returns the surviving site with free capacity that admits
+// process i in the live problem and minimizes its marginal α–β cost
+// against the current placement, or -1 when there is none.
+func bestLiveSite(live *Problem, pl Placement, i int, dead []bool, avail []int) int {
 	best, bestCost := -1, units.Cost(0)
-	for j := 0; j < p.M(); j++ {
-		if dead[j] || (avail[j] <= 0 && pl[i] != j) || !allowedIgnoringDeadPin(p, i, j, dead) {
+	for j := 0; j < live.M(); j++ {
+		if dead[j] || (avail[j] <= 0 && pl[i] != j) || !live.AllowedOn(i, j) {
 			continue
 		}
-		c := marginalCost(p, pl, i, j)
+		c := marginalCost(live, pl, i, j)
 		if best == -1 || c < bestCost {
 			best, bestCost = j, c
 		}
 	}
-	if best == -1 {
-		return 0, fmt.Errorf("core: no surviving site admits process %d", i)
-	}
-	return best, nil
-}
-
-// allowedIgnoringDeadPin is AllowedOn with a pin to a dead site treated as
-// released: the Allowed set still applies, only the unsatisfiable pin is
-// waived.
-func allowedIgnoringDeadPin(p *Problem, i, j int, dead []bool) bool {
-	if c := p.Constraint[i]; c != Unconstrained && c != j && !dead[c] {
-		return false
-	}
-	if len(p.Allowed) == 0 || len(p.Allowed[i]) == 0 {
-		return true
-	}
-	for _, a := range p.Allowed[i] {
-		if a == j {
-			return true
-		}
-	}
-	return false
+	return best
 }
 
 // marginalCost is the α–β cost process i contributes when placed at site j,
@@ -243,25 +250,4 @@ func marginalCost(p *Problem, pl Placement, i, j int) units.Cost {
 		cost += (p.Latency(si, j).Scale(e.Msgs) + units.Bytes(e.Volume).Over(p.Bandwidth(si, j))).AsCost()
 	}
 	return cost
-}
-
-// checkIgnoringDeadPins is CheckPlacement with constraints whose target
-// site is dead treated as released.
-func checkIgnoringDeadPins(p *Problem, pl Placement, dead []bool) error {
-	relaxed := *p
-	relaxed.Constraint = p.Constraint.Clone()
-	for i, c := range relaxed.Constraint {
-		if c != Unconstrained && dead[c] {
-			relaxed.Constraint[i] = Unconstrained
-		}
-	}
-	if err := relaxed.CheckPlacement(pl); err != nil {
-		return err
-	}
-	for i, s := range pl {
-		if dead[s] {
-			return fmt.Errorf("process %d still on dead site %d", i, s)
-		}
-	}
-	return nil
 }

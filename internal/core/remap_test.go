@@ -162,3 +162,63 @@ func TestRemapRejectsInvalidInputs(t *testing.T) {
 		t.Error("invalid problem accepted")
 	}
 }
+
+// Regression: the greedy pass sends heavy victim 0 to site 1, the only
+// live site victim 1 admits. Remap used to reject this feasible
+// evacuation; the augmenting-path repair moves victim 0 on to site 2.
+func TestRemapRepairsStrandedVictim(t *testing.T) {
+	p := threeSiteProblem()
+	p.Allowed = [][]int{nil, {0, 1}, nil, nil}
+	stale := Placement{0, 0, 1, 2}
+	rep := &faults.Report{Dropped: 1, DeadSites: []int{0}}
+	res, err := Remap(p, stale, rep, RemapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Placement{2, 1, 1, 2}); !res.Placement.Equal(want) {
+		t.Errorf("placement = %v, want %v", res.Placement, want)
+	}
+	if err := p.CheckPlacement(res.Placement); err != nil {
+		t.Errorf("remapped placement invalid: %v", err)
+	}
+	if len(res.Migrated) != 2 || res.Migrated[0] != 0 || res.Migrated[1] != 1 {
+		t.Errorf("migrated %v, want [0 1]", res.Migrated)
+	}
+	image := RemapOptions{}.withDefaults().ImageBytes
+	want := image.Over(p.Bandwidth(0, 2)) + image.Over(p.Bandwidth(0, 1))
+	if res.MigrationSeconds != want {
+		t.Errorf("migration time %v, want %v", res.MigrationSeconds, want)
+	}
+	if res.CostAfter != p.Cost(res.Placement) {
+		t.Errorf("CostAfter %v, want %v", res.CostAfter, p.Cost(res.Placement))
+	}
+}
+
+// A repair that relocates a survivor counts the survivor's move too.
+func TestRemapRepairCountsRelocatedSurvivor(t *testing.T) {
+	p := threeSiteProblem()
+	p.Allowed = [][]int{{0, 1}, nil, nil, nil}
+	stale := Placement{0, 1, 1, 2}
+	// Site 0 dies; victim 0 admits only site 1, which survivors 1 and 2
+	// fill, so one of them must move to site 2.
+	rep := &faults.Report{Dropped: 1, DeadSites: []int{0}}
+	res, err := Remap(p, stale, rep, RemapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckPlacement(res.Placement); err != nil {
+		t.Fatalf("remapped placement invalid: %v", err)
+	}
+	if res.Placement[0] != 1 {
+		t.Errorf("victim 0 at site %d, want 1", res.Placement[0])
+	}
+	moved := 0
+	for i := range stale {
+		if res.Placement[i] != stale[i] {
+			moved++
+		}
+	}
+	if len(res.Migrated) != moved || moved != 2 {
+		t.Errorf("migrated %v for %d moved processes, want 2", res.Migrated, moved)
+	}
+}

@@ -227,8 +227,6 @@ func ExtMultiConstraint(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Region pairs: {us-east-1, us-west-1} and {ap-southeast-1, eu-west-1}.
-	regionSets := [][]int{{0, 1}, {2, 3}}
 	for _, a := range apps.All() {
 		inst, err := BuildInstance(cloud, a, 64, 1, 0, cfg.Seed)
 		if err != nil {
@@ -242,13 +240,7 @@ func ExtMultiConstraint(cfg Config) (*Report, error) {
 			pinned.Constraint[i] = regionSets[0][0]
 			pinned.Constraint[16+i] = regionSets[1][0]
 		}
-
-		sets := *base
-		sets.Allowed = make([][]int, 64)
-		for i := 0; i < 16; i++ {
-			sets.Allowed[i] = regionSets[0]
-			sets.Allowed[16+i] = regionSets[1]
-		}
+		sets := regionalSets(base)
 
 		// Exchange refinement isolates the constraint model's effect from
 		// the packing heuristic's slack: the relaxed problem's optimum can
@@ -258,7 +250,7 @@ func ExtMultiConstraint(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		setPl, err := gm.Map(&sets)
+		setPl, err := gm.Map(sets)
 		if err != nil {
 			return nil, err
 		}
@@ -277,6 +269,23 @@ func ExtMultiConstraint(cfg Config) (*Report, error) {
 	}
 	r.AddNote("Allowed-site sets are never worse than pins (a pin is a singleton set); the benefit is the optimizer's remaining freedom.")
 	return r, nil
+}
+
+// regionSets are the multiconstraint experiment's region pairs:
+// {us-east-1, us-west-1} and {ap-southeast-1, eu-west-1}.
+var regionSets = [][]int{{0, 1}, {2, 3}}
+
+// regionalSets returns a copy of the 64-process base instance in which
+// processes 0–15 may use either site of the first region pair and
+// processes 16–31 either site of the second.
+func regionalSets(base *core.Problem) *core.Problem {
+	sets := *base
+	sets.Allowed = make([][]int, 64)
+	for i := 0; i < 16; i++ {
+		sets.Allowed[i] = regionSets[0]
+		sets.Allowed[16+i] = regionSets[1]
+	}
+	return &sets
 }
 
 // ExtHeadline computes the paper's abstract claim directly: the average

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -10,7 +11,12 @@ import (
 	"testing"
 
 	"geoprocmap/internal/apps"
+	"geoprocmap/internal/baselines"
 	"geoprocmap/internal/core"
+	"geoprocmap/internal/faults"
+	"geoprocmap/internal/mat"
+	"geoprocmap/internal/multilevel"
+	"geoprocmap/internal/stats"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -51,6 +57,150 @@ func TestMultilevelPlacementsGolden(t *testing.T) {
 	}
 	checkGolden(t, "multilevel_placements.golden", buf.Bytes())
 }
+
+// TestSiteSetPlacementsGolden pins every placement path that honours
+// allowed-site sets: RandomPlacement's constrained sampler (three draws
+// from one seeded RNG), GeoMapper with exchange refinement,
+// baselines.Greedy and MultilevelGeoMapper on the multiconstraint
+// experiment's regional-set instances and on random site-set instances
+// with pins, plus Remap evacuations that the greedy pass completes. Two of
+// the random instances defeat the multilevel greedy fill at every level,
+// so MultilevelGeoMapper answers them from its augmenting-path repair
+// fallback.
+func TestSiteSetPlacementsGolden(t *testing.T) {
+	var buf bytes.Buffer
+	type instance struct {
+		label string
+		p     *core.Problem
+		seed  int64
+	}
+	var instances []instance
+	cloud, err := PaperCloudForScale(64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range apps.All() {
+		inst, err := BuildInstance(cloud, a, 64, 1, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		instances = append(instances, instance{"regional " + a.Name(), regionalSets(inst.Problem), 1})
+	}
+	for _, m := range []int{3, 5, 6} {
+		for _, n := range []int{16, 40} {
+			for _, slack := range []int{0, 2} {
+				for seed := int64(1); seed <= 2; seed++ {
+					instances = append(instances, instance{fmt.Sprintf("random m=%d n=%d slack=%d seed=%d", m, n, slack, seed),
+						siteSetProblem(n, m, slack, seed), seed})
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		m, n int
+		seed int64
+	}{{5, 16, 31}, {6, 16, 29}} {
+		p := siteSetProblem(c.n, c.m, 0, c.seed)
+		groups, err := core.GroupSites(p.PC, 4, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := &multilevel.Instance{G: multilevel.FromComm(p.Comm), LT: p.LT, BT: p.BT,
+			Capacity: p.Capacity, Pin: p.Constraint, Allowed: p.Allowed, Groups: groups}
+		if _, _, err := multilevel.Solve(in, multilevel.Options{}); !errors.Is(err, multilevel.ErrInfeasible) {
+			t.Fatalf("m=%d n=%d seed=%d no longer reaches the repair fallback: %v", c.m, c.n, c.seed, err)
+		}
+		instances = append(instances, instance{fmt.Sprintf("fallback m=%d n=%d seed=%d", c.m, c.n, c.seed), p, c.seed})
+	}
+
+	for _, in := range instances {
+		rng := stats.NewRand(in.seed)
+		for draw := 1; draw <= 3; draw++ {
+			writeDigest(t, &buf, mapperFunc(func(p *core.Problem) (core.Placement, error) {
+				return core.RandomPlacement(p, rng)
+			}), in.p, fmt.Sprintf("%s random draw=%d", in.label, draw))
+		}
+		for _, m := range []core.Mapper{
+			&core.GeoMapper{Kappa: 4, Seed: in.seed, RefinePasses: 50},
+			&baselines.Greedy{},
+			&core.MultilevelGeoMapper{Kappa: 4, Seed: in.seed},
+		} {
+			writeDigest(t, &buf, m, in.p, in.label+" "+m.Name())
+		}
+	}
+
+	// Remap: evacuate one dead site from the refined GeoMapper placement,
+	// alone and together with degraded-site moves; the digest covers the
+	// migration accounting as well as the placement.
+	for _, c := range []struct {
+		m, n, slack int
+		seed        int64
+		dead        int
+	}{{4, 24, 12, 4, 3}, {5, 24, 12, 2, 2}} {
+		p := siteSetProblem(c.n, c.m, c.slack, c.seed)
+		stale, err := (&core.GeoMapper{Kappa: 4, Seed: c.seed, RefinePasses: 50}).Map(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opt := range []core.RemapOptions{{}, {MoveDegraded: true, HorizonIterations: 1e6}} {
+			rep := &faults.Report{DeadSites: []int{c.dead}, DegradedPairs: [][2]int{{(c.dead + 1) % c.m, (c.dead + 2) % c.m}}}
+			res, err := core.Remap(p, stale, rep, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&buf, "remap m=%d n=%d slack=%d seed=%d dead=%d degraded=%t %x\n", c.m, c.n, c.slack, c.seed, c.dead, opt.MoveDegraded,
+				sha256.Sum256([]byte(fmt.Sprint(res.Placement, res.Migrated, res.MigrationSeconds))))
+		}
+	}
+	checkGolden(t, "siteset_placements.golden", buf.Bytes())
+}
+
+// siteSetProblem restricts syntheticProblem(n, m, seed) around a random
+// home placement, so every instance is feasible: site capacities are the
+// home loads (at least 1) plus slack extra slots on random sites, a tenth
+// of the processes are pinned home, and most processes may use only their
+// home site or their home site and one other.
+func siteSetProblem(n, m, slack int, seed int64) *core.Problem {
+	p := syntheticProblem(n, m, seed)
+	rng := stats.NewRand(seed)
+	home := make([]int, n)
+	p.Capacity = mat.NewIntVec(m, 0)
+	for i := range home {
+		home[i] = rng.Intn(m)
+		p.Capacity[home[i]]++
+	}
+	for k := range p.Capacity {
+		if p.Capacity[k] == 0 {
+			p.Capacity[k] = 1
+		}
+	}
+	for i := 0; i < slack; i++ {
+		p.Capacity[rng.Intn(m)]++
+	}
+	p.Allowed = make([][]int, n)
+	for i, h := range home {
+		r := rng.Float64()
+		if r < 0.1 {
+			p.Constraint[i] = h
+		}
+		if r < 0.05 || r >= 0.3 {
+			set := []int{h}
+			if rng.Float64() < 0.7 {
+				if s := rng.Intn(m); s != h {
+					set = append(set, s)
+				}
+			}
+			p.Allowed[i] = set
+		}
+	}
+	return p
+}
+
+// mapperFunc adapts a placement function to core.Mapper for writeDigest.
+type mapperFunc func(*core.Problem) (core.Placement, error)
+
+func (f mapperFunc) Name() string                                { return "func" }
+func (f mapperFunc) Map(p *core.Problem) (core.Placement, error) { return f(p) }
 
 // paperPlacements writes one digest line per paper instance: the five
 // workloads on the EC2 evaluation cloud over N ∈ {16, 64, 256}, seeds 1–2,
