@@ -265,23 +265,26 @@ func TestGeoMapperTightSiteSetsRegression(t *testing.T) {
 	}
 }
 
-// FuzzRepairLeftoversMatchesFlow checks that the augmenting-path repair is
-// complete: from the pins alone, RepairLeftovers succeeds exactly when
-// flow's max-flow verdict finds the constraints feasible, and every
-// success is an admissible placement. Instances have up to 16 processes
-// and 5 sites, with random capacities (zero included), pins that fit their
-// sites, and site sets that contain their process's pin.
-func FuzzRepairLeftoversMatchesFlow(f *testing.F) {
+// FuzzMatcherMatchesHall checks both of the matcher's searches against
+// Hall's condition, a reference that shares no code with them. From the
+// pins alone, the phased verdict must leave exactly Hall's deficiency
+// unplaced, RepairLeftovers must succeed exactly when that deficiency is
+// zero, and every success must be an admissible placement. Instances have
+// up to 16 processes and 5 sites, with random capacities (zero included),
+// pins that fit their sites, and site sets that contain their process's
+// pin.
+func FuzzMatcherMatchesHall(f *testing.F) {
 	f.Add(int64(1), uint8(15), uint8(4))
 	f.Add(int64(2), uint8(7), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw uint8) {
 		p := fuzzSiteSetProblem(seed, 1+int(nRaw%16), 1+int(mRaw%5))
+		deficiency := hallDeficiency(p)
+		unplaced := p.unplaceable()
 		pl := p.Constraint.Clone()
 		repaired := RepairLeftovers(p, pl)
-		verdict := p.feasibleAssignment()
-		if (repaired == nil) != (verdict == nil) {
-			t.Fatalf("repair error %v, flow verdict %v (capacity %v, pins %v, sets %v)",
-				repaired, verdict, p.Capacity, p.Constraint, p.Allowed)
+		if unplaced != deficiency || (repaired == nil) != (deficiency == 0) {
+			t.Fatalf("phased search leaves %d unplaced, repair error %v, Hall deficiency %d (capacity %v, pins %v, sets %v)",
+				unplaced, repaired, deficiency, p.Capacity, p.Constraint, p.Allowed)
 		}
 		if repaired == nil {
 			if err := p.CheckPlacement(pl); err != nil {
@@ -289,6 +292,105 @@ func FuzzRepairLeftoversMatchesFlow(f *testing.F) {
 			}
 		}
 	})
+}
+
+// hallDeficiency returns the most processes any placement must leave
+// out: the largest excess, over every subset T of p's sites, of the
+// processes whose admissible sites all lie in T over T's total capacity.
+// By Hall's theorem it is zero exactly when the constraints are feasible.
+func hallDeficiency(p *Problem) int {
+	m := p.M()
+	masks := make([]int, p.N())
+	for i := range masks {
+		switch {
+		case p.Constraint[i] != Unconstrained:
+			masks[i] = 1 << p.Constraint[i]
+		case len(p.Allowed[i]) > 0:
+			for _, s := range p.Allowed[i] {
+				masks[i] |= 1 << s
+			}
+		default:
+			masks[i] = 1<<m - 1
+		}
+	}
+	worst := 0
+	for T := 0; T < 1<<m; T++ {
+		excess := 0
+		for s := 0; s < m; s++ {
+			if T&(1<<s) != 0 {
+				excess -= p.Capacity[s]
+			}
+		}
+		for _, mask := range masks {
+			if mask&^T == 0 {
+				excess++
+			}
+		}
+		worst = max(worst, excess)
+	}
+	return worst
+}
+
+// Property: the phased verdict places every process exactly when an
+// exhaustive search finds an assignment that puts every process on an
+// allowed site within capacity.
+func TestQuickVerdictMatchesExhaustive(t *testing.T) {
+	f := func(nRaw, mRaw uint8, caps, masks []uint8) bool {
+		n := int(nRaw%10) + 1
+		m := int(mRaw%4) + 1
+		p := &Problem{
+			Comm:       comm.NewGraph(n),
+			Capacity:   mat.NewIntVec(m, (n+m-1)/m+1),
+			Constraint: mat.NewIntVec(n, Unconstrained),
+			Allowed:    make([][]int, n),
+		}
+		for s := 0; s < m && s < len(caps); s++ {
+			p.Capacity[s] = int(caps[s] % 4)
+		}
+		for i := 0; i < n && i < len(masks); i++ {
+			for s := 0; s < m; s++ {
+				if masks[i]&(1<<uint(s)) != 0 {
+					p.Allowed[i] = append(p.Allowed[i], s)
+				}
+			}
+		}
+		return (p.unplaceable() == 0) == exhaustive(p.Allowed, p.Capacity.Clone(), 0)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// exhaustive reports whether processes i.. can be assigned to allowed
+// sites (all sites when the list is empty) within the remaining capacity,
+// by backtracking.
+func exhaustive(allowed [][]int, capacity []int, i int) bool {
+	if i == len(allowed) {
+		return true
+	}
+	try := func(s int) bool {
+		if capacity[s] == 0 {
+			return false
+		}
+		capacity[s]--
+		ok := exhaustive(allowed, capacity, i+1)
+		capacity[s]++
+		return ok
+	}
+	if len(allowed[i]) == 0 {
+		for s := range capacity {
+			if try(s) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, s := range allowed[i] {
+		if try(s) {
+			return true
+		}
+	}
+	return false
 }
 
 // fuzzSiteSetProblem draws an n-process, m-site site-set instance from seed.
@@ -320,27 +422,88 @@ func fuzzSiteSetProblem(seed int64, n, m int) *Problem {
 	return p
 }
 
-// BenchmarkValidateSiteSets times Validate's max-flow verdict at decision
-// scale: 32 sites × 100k processes, the first quarter restricted to sites
-// 0–9 and the second to sites 10–19, with capacity ⌈N/32⌉ + 1 per site.
-// An augmenting-path walk from the pins reaches the same verdict but was
-// measured about 10× slower on this shape, which is why flow stays.
+// BenchmarkValidateSiteSets times Validate's phased verdict at decision
+// scale, 32 sites × 100k processes, on three shapes:
+//   - regional: the first quarter restricted to sites 0–9 and the second
+//     to sites 10–19, with capacity ⌈N/32⌉ + 1 per site;
+//   - random-full: capacity exactly N/32, so every site ends full; process
+//     i allows site i mod 32 plus up to three random others, in shuffled
+//     order, which keeps it feasible by construction;
+//   - dead-end: sites 0–15 are one full region whose processes allow all
+//     16, each process of chain site k in 16–30 allows {k, k+1}, site 31's
+//     allow only {31}, and the last 1,000 processes allow sites 0–16. The
+//     only slack is 1,000 extra slots on site 31, so each of those needs a
+//     chain through all of 16–31, and the region is a dead end.
+//
+// The one-at-a-time walk from the pins reaches the same verdicts but takes
+// seconds to minutes on these shapes, which is why Validate uses phases.
 func BenchmarkValidateSiteSets(b *testing.B) {
 	const n, m = 100000, 32
-	p := clusteredProblem(n, m, 1)
-	p.Capacity = mat.NewIntVec(m, (n+m-1)/m+1)
-	regions := [][]int{make([]int, 10), make([]int, 10)}
-	for s := 0; s < 10; s++ {
-		regions[0][s], regions[1][s] = s, 10+s
+	base := clusteredProblem(n, m, 1)
+	shapes := []struct {
+		name  string
+		build func(p *Problem)
+	}{
+		{"regional", func(p *Problem) {
+			p.Capacity = mat.NewIntVec(m, (n+m-1)/m+1)
+			regions := [][]int{make([]int, 10), make([]int, 10)}
+			for s := 0; s < 10; s++ {
+				regions[0][s], regions[1][s] = s, 10+s
+			}
+			for i := 0; i < n/4; i++ {
+				p.Allowed[i], p.Allowed[n/4+i] = regions[0], regions[1]
+			}
+		}},
+		{"random-full", func(p *Problem) {
+			p.Capacity = mat.NewIntVec(m, n/m)
+			rng := stats.NewRand(1)
+			for i := range p.Allowed {
+				set := []int{i % m}
+				for k := rng.Intn(4); k > 0; k-- {
+					if s := rng.Intn(m); !slices.Contains(set, s) {
+						set = append(set, s)
+					}
+				}
+				rng.Shuffle(len(set), func(a, b int) { set[a], set[b] = set[b], set[a] })
+				p.Allowed[i] = set
+			}
+		}},
+		{"dead-end", func(p *Problem) {
+			const slack = 1000
+			region, last := make([]int, 16), make([]int, 17)
+			for s := range last {
+				last[s] = s
+			}
+			copy(region, last)
+			p.Capacity = mat.NewIntVec(m, 0)
+			p.Capacity[m-1] = slack
+			for i := 0; i < n-slack; i++ {
+				k := i % m
+				p.Capacity[k]++
+				switch {
+				case k < 16:
+					p.Allowed[i] = region
+				case k < m-1:
+					p.Allowed[i] = []int{k, k + 1}
+				default:
+					p.Allowed[i] = []int{k}
+				}
+			}
+			for i := n - slack; i < n; i++ {
+				p.Allowed[i] = last
+			}
+		}},
 	}
-	p.Allowed = make([][]int, n)
-	for i := 0; i < n/4; i++ {
-		p.Allowed[i], p.Allowed[n/4+i] = regions[0], regions[1]
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.Validate(); err != nil {
-			b.Fatal(err)
-		}
+	for _, sh := range shapes {
+		p := *base
+		p.Allowed = make([][]int, n)
+		sh.build(&p)
+		b.Run(sh.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := p.Validate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -277,10 +277,3 @@ func projectGraph(p *Problem, procs []int, localProc map[int]int) *comm.Graph {
 	}
 	return g
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -128,10 +128,3 @@ func (r *Report) JSON() (string, error) {
 	}
 	return string(b) + "\n", nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -198,6 +199,29 @@ func TestMapRejectsBadRequests(t *testing.T) {
 	postMap(t, h, MapRequest{Workload: "LU", Procs: 100, Seed: 1}, http.StatusUnprocessableEntity, &e)
 	if e.Error == "" {
 		t.Error("infeasible request returned no error message")
+	}
+}
+
+// A request whose allowed sets violate Hall's condition is structurally
+// valid but infeasible: 33 processes share sites {0, 1}, which hold 32.
+// It answers 422 with Validate's verdict, and the error is not cached, so
+// an identical retry fails the same way.
+func TestMapInfeasibleSiteSets(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	h := srv.Handler()
+	req := MapRequest{Workload: "LU", Procs: 40, Seed: 1, Allowed: make([][]int, 40)}
+	for i := 0; i < 33; i++ {
+		req.Allowed[i] = []int{0, 1}
+	}
+	for try := 0; try < 2; try++ {
+		var e errorResponse
+		postMap(t, h, req, http.StatusUnprocessableEntity, &e)
+		if !strings.Contains(e.Error, "constraints are infeasible: 1 of 40 processes cannot be placed") {
+			t.Errorf("try %d: error %q does not carry the verdict", try, e.Error)
+		}
+	}
+	if view := srv.metrics.Snapshot(0, 0); view.CacheHits != 0 || view.Errors != 2 {
+		t.Errorf("metrics = %+v, want 0 hits / 2 errors", view)
 	}
 }
 
