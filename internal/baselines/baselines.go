@@ -153,7 +153,9 @@ func (g *Greedy) Map(p *core.Problem) (core.Placement, error) {
 // modified heuristic k-way graph-partitioning algorithm that starts from
 // random feasible placements and applies pairwise exchanges of unpinned
 // processes until no exchange improves the partitioning objective, keeping
-// the best restart.
+// the best restart. Each restart runs core.Problem.Exchange, the same
+// sweep GeoMapper's RefinePasses runs, on the edge-cut problem below, so
+// an exchange must clear multilevel.RefineTol of the current cut.
 //
 // Faithfully to the original (which targets SMP clusters and
 // multiclusters), the objective is the *generic* weighted edge cut — the
@@ -201,14 +203,7 @@ func (m *MPIPP) Map(p *core.Problem) (core.Placement, error) {
 		if err != nil {
 			return nil, err
 		}
-		cost := cut.Cost(pl)
-		for pass := 0; pass < maxPasses; pass++ {
-			improved := m.bestSwapPass(cut, pl, &cost)
-			if !improved {
-				break
-			}
-		}
-		if cost < bestCost {
+		if cost := cut.Exchange(pl, maxPasses); cost < bestCost {
 			bestCost = cost
 			best = pl.Clone()
 		}
@@ -241,34 +236,6 @@ func uniformCutProblem(p *core.Problem) *core.Problem {
 		Constraint: p.Constraint,
 		Allowed:    p.Allowed,
 	}
-}
-
-// bestSwapPass performs one sweep of first-improvement pairwise exchanges
-// over all unpinned process pairs in different sites. It updates pl and
-// cost in place and reports whether any exchange was applied.
-func (m *MPIPP) bestSwapPass(p *core.Problem, pl core.Placement, cost *units.Cost) bool {
-	n := p.N()
-	improved := false
-	for a := 0; a < n; a++ {
-		if p.Constraint[a] != core.Unconstrained {
-			continue
-		}
-		for b := a + 1; b < n; b++ {
-			if p.Constraint[b] != core.Unconstrained || pl[a] == pl[b] {
-				continue
-			}
-			if !p.AllowedOn(a, pl[b]) || !p.AllowedOn(b, pl[a]) {
-				continue
-			}
-			delta := p.SwapDelta(pl, a, b)
-			if delta < units.Cost(-1e-12) {
-				pl[a], pl[b] = pl[b], pl[a]
-				*cost += delta
-				improved = true
-			}
-		}
-	}
-	return improved
 }
 
 // MonteCarlo samples K random feasible placements and keeps the best. Its

@@ -9,6 +9,7 @@ import (
 	"geoprocmap/internal/core"
 	"geoprocmap/internal/geo"
 	"geoprocmap/internal/mat"
+	"geoprocmap/internal/multilevel"
 	"geoprocmap/internal/stats"
 )
 
@@ -184,6 +185,9 @@ func TestMPIPPCutObjectiveIgnoresHeterogeneity(t *testing.T) {
 	}
 }
 
+// TestSwapDeltaMatchesFullRecomputation checks the swap delta MPIPP's
+// exchange sweeps price with — multilevel's level-0 kernel — against
+// core.Problem.Cost on a heterogeneous line.
 func TestSwapDeltaMatchesFullRecomputation(t *testing.T) {
 	p := lineProblem(14, 4, 6)
 	rng := stats.NewRand(3)
@@ -191,6 +195,7 @@ func TestSwapDeltaMatchesFullRecomputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := &multilevel.Instance{G: multilevel.FromComm(p.Comm), LT: p.LT, BT: p.BT, Capacity: p.Capacity}
 	for a := 0; a < p.N(); a++ {
 		for b := a + 1; b < p.N(); b++ {
 			if pl[a] == pl[b] {
@@ -201,7 +206,7 @@ func TestSwapDeltaMatchesFullRecomputation(t *testing.T) {
 				sw[a], sw[b] = sw[b], sw[a]
 				return (p.Cost(sw) - p.Cost(pl)).Float()
 			}()
-			if got := p.SwapDelta(pl, a, b); math.Abs(got.Float()-want) > 1e-9 {
+			if got := in.SwapDelta(pl, a, b); math.Abs(got.Float()-want) > 1e-9 {
 				t.Fatalf("SwapDelta(%d,%d) = %v, full recomputation %v", a, b, got, want)
 			}
 		}

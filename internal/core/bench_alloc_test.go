@@ -52,15 +52,17 @@ func BenchmarkAllocCostParts(b *testing.B) {
 
 func BenchmarkAllocExchangeDelta(b *testing.B) {
 	p, pl := benchAllocProblem(b)
+	in := p.instance(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchCost = p.SwapDelta(pl, i%p.N(), (i+7)%p.N())
+		benchCost = in.SwapDelta(pl, i%p.N(), (i+7)%p.N())
 	}
 }
 
 func BenchmarkAllocRefinePass(b *testing.B) {
 	p, pl := benchAllocProblem(b)
+	in := p.instance(nil)
 	base := append(Placement(nil), pl...)
 	scratch := make(Placement, len(pl))
 	baseCost := p.Cost(base)
@@ -69,6 +71,6 @@ func BenchmarkAllocRefinePass(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(scratch, base)
 		cost := baseCost
-		benchBool = refinePass(p, scratch, &cost)
+		benchBool = refinePass(p, in, scratch, &cost)
 	}
 }

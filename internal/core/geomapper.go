@@ -45,12 +45,13 @@ type GeoMapper struct {
 	// rank 0, instead of searching all κ! orders (used by the ablation
 	// study).
 	SingleOrder bool
-	// RefinePasses, when positive, polishes the best placement with that
-	// many sweeps of first-improvement pairwise exchanges on the true
-	// cost function. This is an extension beyond the paper's Algorithm 1
+	// RefinePasses, when positive, polishes the best placement with up
+	// to that many Problem.Exchange sweeps: first-improvement pairwise
+	// exchanges priced by multilevel's swap delta on the true cost
+	// function. This is an extension beyond the paper's Algorithm 1
 	// (which returns the packing result directly); each sweep is O(N²·deg)
 	// so it trades overhead for solution quality, quantified by
-	// BenchmarkAblationRefinement.
+	// BenchmarkAblationRefinement. Zero skips the sweep entirely.
 	RefinePasses int
 	// Workers is the number of goroutines evaluating group orders, passed
 	// to multilevel.SearchOrders: each worker owns its own multilevel.Fill
@@ -112,7 +113,7 @@ func (g *GeoMapper) Map(p *Problem) (Placement, error) {
 	if g.SingleOrder {
 		limit = 1 // rank 0 is the identity order
 	}
-	best, bestCost, ok := multilevel.SearchOrders(groups, limit, g.Workers, func() multilevel.Eval {
+	best, _, ok := multilevel.SearchOrders(groups, limit, g.Workers, func() multilevel.Eval {
 		fill := multilevel.NewFill(p.instance(nil))
 		return func(orderedGroups [][]int) ([]int, units.Cost, bool) {
 			pl := Placement(fill.Run(orderedGroups))
@@ -127,26 +128,39 @@ func (g *GeoMapper) Map(p *Problem) (Placement, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: no placement produced")
 	}
-	for pass := 0; pass < g.RefinePasses; pass++ {
-		if !refinePass(p, best, &bestCost) {
-			break
-		}
-		// refinePass maintains the cost incrementally; FP drift compounds
-		// across sweeps, so re-sync against the true objective before the
-		// next sweep's improvement comparisons (and before anything
-		// downstream trusts bestCost).
-		bestCost = p.Cost(best)
+	if g.RefinePasses > 0 {
+		p.Exchange(best, g.RefinePasses)
 	}
 	return best, nil
 }
 
+// Exchange polishes pl in place with up to passes sweeps of
+// first-improvement pairwise exchanges, stopping early when a sweep
+// applies nothing, and returns the final cost. The level-0 instance is
+// built once per call, and the incremental cost each sweep carries is
+// re-synced against p.Cost before the next sweep: FP drift compounds
+// across sweeps, and the next sweep's RefineTol and anything downstream
+// must see the true objective.
+func (p *Problem) Exchange(pl Placement, passes int) units.Cost {
+	in := p.instance(nil)
+	cost := p.Cost(pl)
+	for pass := 0; pass < passes; pass++ {
+		if !refinePass(p, in, pl, &cost) {
+			break
+		}
+		cost = p.Cost(pl)
+	}
+	return cost
+}
+
 // refinePass applies one sweep of first-improvement pairwise exchanges of
-// unpinned, mutually-admissible processes, updating pl and cost in place.
-// The incremental cost drifts from the true objective as swaps accumulate;
-// callers running multiple passes must re-sync it via Problem.Cost.
+// unpinned, mutually-admissible processes, pricing each through in, the
+// level-0 instance of p, and updating pl and cost in place. The
+// incremental cost drifts from the true objective as swaps accumulate;
+// Exchange re-syncs it between sweeps.
 //
 //geolint:allocfree
-func refinePass(p *Problem, pl Placement, cost *units.Cost) bool {
+func refinePass(p *Problem, in *multilevel.Instance, pl Placement, cost *units.Cost) bool {
 	n := p.N()
 	improved := false
 	for a := 0; a < n; a++ {
@@ -160,7 +174,7 @@ func refinePass(p *Problem, pl Placement, cost *units.Cost) bool {
 			if !p.AllowedOn(a, pl[b]) || !p.AllowedOn(b, pl[a]) {
 				continue
 			}
-			delta := p.SwapDelta(pl, a, b)
+			delta := in.SwapDelta(pl, a, b)
 			if delta < -multilevel.RefineTol(*cost) {
 				pl[a], pl[b] = pl[b], pl[a]
 				*cost += delta
@@ -169,48 +183,4 @@ func refinePass(p *Problem, pl Placement, cost *units.Cost) bool {
 		}
 	}
 	return improved
-}
-
-// SwapDelta is the cost change of swapping the sites of processes a and
-// b, computed locally over their incident edges in O(deg(a)+deg(b)). It
-// runs O(N²) times per refinement sweep; the site/edge closures below are
-// called directly and never escape, so they stay on the stack.
-//
-//geolint:allocfree
-func (p *Problem) SwapDelta(pl Placement, a, b int) units.Cost {
-	sa, sb := pl[a], pl[b]
-	site := func(j int) int {
-		switch j {
-		case a:
-			return sb
-		case b:
-			return sa
-		default:
-			return pl[j]
-		}
-	}
-	var delta units.Cost
-	edge := func(i, j int, vol, msgs float64) {
-		oldSi, oldSj := pl[i], pl[j]
-		newSi, newSj := site(i), site(j)
-		delta -= (p.Latency(oldSi, oldSj).Scale(msgs) + units.Bytes(vol).Over(p.Bandwidth(oldSi, oldSj))).AsCost()
-		delta += (p.Latency(newSi, newSj).Scale(msgs) + units.Bytes(vol).Over(p.Bandwidth(newSi, newSj))).AsCost()
-	}
-	for _, e := range p.Comm.Outgoing(a) {
-		edge(a, e.Peer, e.Volume, e.Msgs)
-	}
-	for _, e := range p.Comm.Incoming(a) {
-		edge(e.Peer, a, e.Volume, e.Msgs)
-	}
-	for _, e := range p.Comm.Outgoing(b) {
-		if e.Peer != a {
-			edge(b, e.Peer, e.Volume, e.Msgs)
-		}
-	}
-	for _, e := range p.Comm.Incoming(b) {
-		if e.Peer != a {
-			edge(e.Peer, b, e.Volume, e.Msgs)
-		}
-	}
-	return delta
 }

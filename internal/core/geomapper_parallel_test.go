@@ -121,9 +121,10 @@ func TestGeoMapperWorkersInvalidAndDefault(t *testing.T) {
 	}
 }
 
-// TestRefinementCostResync is the cost-drift regression: the cost the
-// refinement loop carries must match the true objective of the returned
-// placement (the incremental deltas alone drift across passes).
+// TestRefinementCostResync is the cost-drift regression: the cost
+// Exchange returns must match the true objective of the placement it
+// refined bit for bit (the incremental deltas alone drift across passes),
+// and Exchange over the search-phase winner must reproduce Map's result.
 func TestRefinementCostResync(t *testing.T) {
 	p := clusteredProblem(40, 4, 21)
 	gm := &GeoMapper{Kappa: 4, Seed: 21, RefinePasses: 50, Workers: 1}
@@ -131,26 +132,21 @@ func TestRefinementCostResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reconstruct the search-phase winner and drive the refinement loop
-	// the way Map does, checking the carried cost against the truth after
-	// every pass.
 	search := &GeoMapper{Kappa: 4, Seed: 21, Workers: 1}
 	base, err := search.Map(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost := p.Cost(base)
-	for pass := 0; pass < 50; pass++ {
-		if !refinePass(p, base, &cost) {
-			break
-		}
-		cost = p.Cost(base)
-		if got := p.Cost(base); math.Float64bits(cost.Float()) != math.Float64bits(got.Float()) {
-			t.Fatalf("pass %d: carried cost %v != true cost %v", pass, cost, got)
+	for passes := 1; passes <= 50; passes *= 7 {
+		refined := base.Clone()
+		cost := p.Exchange(refined, passes)
+		if got := p.Cost(refined); math.Float64bits(cost.Float()) != math.Float64bits(got.Float()) {
+			t.Fatalf("%d passes: returned cost %v != true cost %v", passes, cost, got)
 		}
 	}
+	p.Exchange(base, 50)
 	if !base.Equal(pl) {
-		t.Errorf("reconstructed refinement differs from Map's result")
+		t.Errorf("Exchange over the search winner differs from Map's result")
 	}
 	if err := p.CheckPlacement(pl); err != nil {
 		t.Fatal(err)

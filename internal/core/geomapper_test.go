@@ -308,12 +308,16 @@ func TestGeoMapperRefineNeverWorse(t *testing.T) {
 	}
 }
 
+// TestExchangeDeltaMatchesRecomputation checks the swap delta Exchange
+// prices with — the level-0 instance kernel over p.instance(nil) —
+// against core's own whole-placement Cost.
 func TestExchangeDeltaMatchesRecomputation(t *testing.T) {
 	p := clusteredProblem(16, 4, 17)
 	pl, err := RandomPlacement(p, stats.NewRand(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := p.instance(nil)
 	for a := 0; a < p.N(); a++ {
 		for b := a + 1; b < p.N(); b++ {
 			if pl[a] == pl[b] {
@@ -322,7 +326,7 @@ func TestExchangeDeltaMatchesRecomputation(t *testing.T) {
 			sw := pl.Clone()
 			sw[a], sw[b] = sw[b], sw[a]
 			want := p.Cost(sw) - p.Cost(pl)
-			if got := p.SwapDelta(pl, a, b); math.Abs((got - want).Float()) > 1e-9 {
+			if got := in.SwapDelta(pl, a, b); math.Abs((got - want).Float()) > 1e-9 {
 				t.Fatalf("SwapDelta(%d,%d) = %v, want %v", a, b, got, want)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"geoprocmap/internal/faults"
+	"geoprocmap/internal/multilevel"
 	"geoprocmap/internal/units"
 )
 
@@ -134,9 +135,10 @@ func Remap(p *Problem, current Placement, rep *faults.Report, opt RemapOptions) 
 	sort.SliceStable(victims, func(a, b int) bool {
 		return p.Comm.Quantity(victims[a]) > p.Comm.Quantity(victims[b])
 	})
+	in := live.instance(nil)
 	var stranded []int
 	for _, i := range victims {
-		j := bestLiveSite(&live, res.Placement, i, dead, avail)
+		j := bestLiveSite(&live, in, res.Placement, i, dead, avail)
 		if j == -1 {
 			stranded = append(stranded, i)
 			continue
@@ -185,12 +187,11 @@ func Remap(p *Problem, current Placement, rep *faults.Report, opt RemapOptions) 
 			if !degradedSite[s] || p.Constraint[i] == s {
 				continue
 			}
-			oldDelta := marginalCost(p, res.Placement, i, s)
-			j := bestLiveSite(&live, res.Placement, i, dead, avail)
+			j := bestLiveSite(&live, in, res.Placement, i, dead, avail)
 			if j == -1 || j == s {
 				continue
 			}
-			saving := oldDelta - marginalCost(p, res.Placement, i, j)
+			saving := -in.MoveDelta(res.Placement, i, j)
 			migration := o.ImageBytes.Over(p.Bandwidth(s, j))
 			// The per-iteration α–β saving is credited over the horizon and
 			// weighed against the one-off migration time — an explicit
@@ -214,40 +215,20 @@ func Remap(p *Problem, current Placement, rep *faults.Report, opt RemapOptions) 
 }
 
 // bestLiveSite returns the surviving site with free capacity that admits
-// process i in the live problem and minimizes its marginal α–β cost
-// against the current placement, or -1 when there is none.
-func bestLiveSite(live *Problem, pl Placement, i int, dead []bool, avail []int) int {
+// process i in the live problem and minimizes the α–β cost change of
+// moving i there, priced by in.MoveDelta against the current placement
+// (dead-site peers included — they are priced like any other until their
+// own migration fixes them), or -1 when there is none.
+func bestLiveSite(live *Problem, in *multilevel.Instance, pl Placement, i int, dead []bool, avail []int) int {
 	best, bestCost := -1, units.Cost(0)
 	for j := 0; j < live.M(); j++ {
 		if dead[j] || (avail[j] <= 0 && pl[i] != j) || !live.AllowedOn(i, j) {
 			continue
 		}
-		c := marginalCost(live, pl, i, j)
+		c := in.MoveDelta(pl, i, j)
 		if best == -1 || c < bestCost {
 			best, bestCost = j, c
 		}
 	}
 	return best
-}
-
-// marginalCost is the α–β cost process i contributes when placed at site j,
-// with every other process at its current site (dead-site peers included —
-// they are priced like any other until their own migration fixes them).
-func marginalCost(p *Problem, pl Placement, i, j int) units.Cost {
-	var cost units.Cost
-	for _, e := range p.Comm.Outgoing(i) {
-		if e.Peer == i {
-			continue
-		}
-		sj := pl[e.Peer]
-		cost += (p.Latency(j, sj).Scale(e.Msgs) + units.Bytes(e.Volume).Over(p.Bandwidth(j, sj))).AsCost()
-	}
-	for _, e := range p.Comm.Incoming(i) {
-		if e.Peer == i {
-			continue
-		}
-		si := pl[e.Peer]
-		cost += (p.Latency(si, j).Scale(e.Msgs) + units.Bytes(e.Volume).Over(p.Bandwidth(si, j))).AsCost()
-	}
-	return cost
 }

@@ -43,7 +43,7 @@ func BenchmarkRefineMoveDelta(b *testing.B) {
 	var acc units.Cost
 	for i := 0; i < b.N; i++ {
 		v := i % n
-		acc += r.moveDelta(pl, v, (pl[v]+1+i%(m-1))%m)
+		acc += r.in.moveDelta(r.g, pl, v, (pl[v]+1+i%(m-1))%m)
 	}
 	benchCost = acc
 }
@@ -57,7 +57,7 @@ func BenchmarkRefineMoveSwap(b *testing.B) {
 	var acc units.Cost
 	for i := 0; i < b.N; i++ {
 		v := i % n
-		acc += r.swapDelta(pl, v, (v+n/2)%n)
+		acc += r.in.swapDelta(r.g, pl, v, (v+n/2)%n)
 	}
 	benchCost = acc
 }

@@ -159,7 +159,7 @@ func (r *refiner) bestStep(pl []int, v int, tol units.Cost) (proposal, bool) {
 		if r.load[s]+w > r.in.Capacity[s] {
 			continue
 		}
-		d := r.moveDelta(pl, v, s)
+		d := r.in.moveDelta(g, pl, v, s)
 		if d < best.delta {
 			best.delta = d
 			best.peer = -1
@@ -199,32 +199,34 @@ func (r *refiner) trySwap(pl []int, v, u int, bound units.Cost) (units.Cost, boo
 			return 0, false
 		}
 	}
-	d := r.swapDelta(pl, v, u)
+	d := r.in.swapDelta(g, pl, v, u)
 	if d < bound {
 		return d, true
 	}
 	return 0, false
 }
 
-// moveDelta is the objective change of moving v to site s: its incident
-// directed edges re-priced at the new site pair, plus its absorbed
-// intra-vertex traffic re-priced at the new intra-site rate. O(degree).
+// moveDelta is the objective change of moving v to site s on level graph
+// g: its incident directed edges re-priced at the new site pair, plus its
+// absorbed intra-vertex traffic re-priced at the new intra-site rate.
+// O(degree). It and swapDelta are the repository's only incremental α–β
+// kernel: the refiner calls them per level, and core's exchange sweep,
+// MPIPP and Remap call them at level 0 through MoveDelta and SwapDelta.
 //
 //geolint:allocfree
-func (r *refiner) moveDelta(pl []int, v, s int) units.Cost {
-	g := r.g
+func (in *Instance) moveDelta(g *Graph, pl []int, v, s int) units.Cost {
 	sv := pl[v]
 	var d units.Cost
 	for _, e := range g.out(v) {
 		su := pl[e.Peer]
-		d += r.in.linkCost(s, su, e.Volume, e.Msgs) - r.in.linkCost(sv, su, e.Volume, e.Msgs)
+		d += in.linkCost(s, su, e.Volume, e.Msgs) - in.linkCost(sv, su, e.Volume, e.Msgs)
 	}
 	for _, e := range g.in(v) {
 		su := pl[e.Peer]
-		d += r.in.linkCost(su, s, e.Volume, e.Msgs) - r.in.linkCost(su, sv, e.Volume, e.Msgs)
+		d += in.linkCost(su, s, e.Volume, e.Msgs) - in.linkCost(su, sv, e.Volume, e.Msgs)
 	}
 	if g.selfVol[v] != 0 || g.selfMsgs[v] != 0 {
-		d += r.in.linkCost(s, s, g.selfVol[v], g.selfMsgs[v]) - r.in.linkCost(sv, sv, g.selfVol[v], g.selfMsgs[v])
+		d += in.linkCost(s, s, g.selfVol[v], g.selfMsgs[v]) - in.linkCost(sv, sv, g.selfVol[v], g.selfMsgs[v])
 	}
 	return d
 }
@@ -243,49 +245,61 @@ func swapSite(pl []int, j, v, u, sv, su int) int {
 	}
 }
 
-// swapDelta is the objective change of exchanging the sites of v and u,
-// computed over their incident edges exactly like core.Problem.SwapDelta: v's
-// edges fully, u's edges excluding the shared (u, v) pair already counted.
+// swapDelta is the objective change of exchanging the sites of v and u on
+// level graph g, computed over their incident edges: v's edges fully, u's
+// edges excluding the shared (u, v) pair already counted, plus both
+// vertices' absorbed traffic. O(deg(v)+deg(u)).
 //
 //geolint:allocfree
-func (r *refiner) swapDelta(pl []int, v, u int) units.Cost {
-	g := r.g
+func (in *Instance) swapDelta(g *Graph, pl []int, v, u int) units.Cost {
 	sv, su := pl[v], pl[u]
 	var d units.Cost
 	for _, e := range g.out(v) {
 		j := e.Peer
-		d += r.in.linkCost(su, swapSite(pl, j, v, u, sv, su), e.Volume, e.Msgs) -
-			r.in.linkCost(sv, pl[j], e.Volume, e.Msgs)
+		d += in.linkCost(su, swapSite(pl, j, v, u, sv, su), e.Volume, e.Msgs) -
+			in.linkCost(sv, pl[j], e.Volume, e.Msgs)
 	}
 	for _, e := range g.in(v) {
 		j := e.Peer
-		d += r.in.linkCost(swapSite(pl, j, v, u, sv, su), su, e.Volume, e.Msgs) -
-			r.in.linkCost(pl[j], sv, e.Volume, e.Msgs)
+		d += in.linkCost(swapSite(pl, j, v, u, sv, su), su, e.Volume, e.Msgs) -
+			in.linkCost(pl[j], sv, e.Volume, e.Msgs)
 	}
 	for _, e := range g.out(u) {
 		j := e.Peer
 		if j == v {
 			continue
 		}
-		d += r.in.linkCost(sv, swapSite(pl, j, v, u, sv, su), e.Volume, e.Msgs) -
-			r.in.linkCost(su, pl[j], e.Volume, e.Msgs)
+		d += in.linkCost(sv, swapSite(pl, j, v, u, sv, su), e.Volume, e.Msgs) -
+			in.linkCost(su, pl[j], e.Volume, e.Msgs)
 	}
 	for _, e := range g.in(u) {
 		j := e.Peer
 		if j == v {
 			continue
 		}
-		d += r.in.linkCost(swapSite(pl, j, v, u, sv, su), sv, e.Volume, e.Msgs) -
-			r.in.linkCost(pl[j], su, e.Volume, e.Msgs)
+		d += in.linkCost(swapSite(pl, j, v, u, sv, su), sv, e.Volume, e.Msgs) -
+			in.linkCost(pl[j], su, e.Volume, e.Msgs)
 	}
 	if g.selfVol[v] != 0 || g.selfMsgs[v] != 0 {
-		d += r.in.linkCost(su, su, g.selfVol[v], g.selfMsgs[v]) - r.in.linkCost(sv, sv, g.selfVol[v], g.selfMsgs[v])
+		d += in.linkCost(su, su, g.selfVol[v], g.selfMsgs[v]) - in.linkCost(sv, sv, g.selfVol[v], g.selfMsgs[v])
 	}
 	if g.selfVol[u] != 0 || g.selfMsgs[u] != 0 {
-		d += r.in.linkCost(sv, sv, g.selfVol[u], g.selfMsgs[u]) - r.in.linkCost(su, su, g.selfVol[u], g.selfMsgs[u])
+		d += in.linkCost(sv, sv, g.selfVol[u], g.selfMsgs[u]) - in.linkCost(su, su, g.selfVol[u], g.selfMsgs[u])
 	}
 	return d
 }
+
+// MoveDelta is moveDelta on the level-0 graph: the cost change of moving
+// process v of a level-0 placement to site s.
+//
+//geolint:allocfree
+func (in *Instance) MoveDelta(pl []int, v, s int) units.Cost { return in.moveDelta(in.G, pl, v, s) }
+
+// SwapDelta is swapDelta on the level-0 graph: the cost change of
+// exchanging the sites of processes v and u of a level-0 placement.
+//
+//geolint:allocfree
+func (in *Instance) SwapDelta(pl []int, v, u int) units.Cost { return in.swapDelta(in.G, pl, v, u) }
 
 // commit applies the reduced proposals in (gain, lowest-id) order. Each
 // proposal's delta is re-evaluated against the live placement — earlier
@@ -318,7 +332,7 @@ func (r *refiner) commit(pl []int, tol units.Cost) int {
 			if s == sv || r.load[s]+w > r.in.Capacity[s] {
 				continue
 			}
-			if d := r.moveDelta(pl, v, s); d < -tol {
+			if d := r.in.moveDelta(g, pl, v, s); d < -tol {
 				pl[v] = s
 				r.load[sv] -= w
 				r.load[s] += w
@@ -341,7 +355,7 @@ func (r *refiner) commit(pl []int, tol units.Cost) int {
 				continue
 			}
 		}
-		if d := r.swapDelta(pl, v, u); d < -tol {
+		if d := r.in.swapDelta(g, pl, v, u); d < -tol {
 			pl[v], pl[u] = su, sv
 			r.load[sv] += wu - wv
 			r.load[su] += wv - wu
@@ -357,8 +371,8 @@ func (r *refiner) commit(pl []int, tol units.Cost) int {
 // against costs orders of magnitude above 1 (every FP-noise "improvement"
 // passes, and the pass loop can churn without converging) and needlessly
 // strict near zero. The floor of 1 keeps the threshold meaningful for
-// near-zero objectives. This refiner and core's pairwise-exchange
-// refinement both use it.
+// near-zero objectives. This refiner, core's Problem.Exchange sweep and
+// MPIPP, which runs that sweep on its edge-cut objective, all use it.
 func RefineTol(c units.Cost) units.Cost {
 	m := math.Abs(c.Float())
 	if m < 1 {

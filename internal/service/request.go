@@ -26,7 +26,7 @@ type Edge struct {
 type MapRequest struct {
 	// Workload names a preset application (LU, BT, SP, K-means, DNN,
 	// CG, MG); Procs is its process count and Iters the profiled
-	// iteration count (default 1).
+	// iteration count (default 1, at most 100).
 	Workload string `json:"workload,omitempty"`
 	Procs    int    `json:"procs,omitempty"`
 	Iters    int    `json:"iters,omitempty"`
@@ -93,6 +93,12 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// maxIters bounds a request's profiled iteration count. Profiling runs
+// on a pool worker and its time is linear in iters: K-means at 4096
+// processes takes ~17 ms per iteration on a 2-core Xeon, so an unbounded
+// value could hold a worker for hours.
+const maxIters = 100
+
 // validate checks the request shape against the server's admission
 // bounds and the snapshot's site count, without profiling anything.
 func (r *MapRequest) validate(maxProcs int, m int) error {
@@ -107,6 +113,8 @@ func (r *MapRequest) validate(maxProcs int, m int) error {
 		return fmt.Errorf("procs = %d exceeds the server bound %d", r.Procs, maxProcs)
 	case r.Iters < 0:
 		return fmt.Errorf("iters = %d, want >= 0", r.Iters)
+	case r.Iters > maxIters:
+		return fmt.Errorf("iters = %d exceeds the bound %d", r.Iters, maxIters)
 	case r.DeadlineMillis < 0:
 		return fmt.Errorf("deadline_ms = %d, want >= 0", r.DeadlineMillis)
 	}

@@ -202,6 +202,32 @@ func TestMapRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestMapBoundsIters is the regression test for unbounded profiling: an
+// iters above maxIters answers 400 before any queueing, so the pool runs
+// no solve and nothing is profiled, while iters at the bound is served.
+func TestMapBoundsIters(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	h := srv.Handler()
+	var e errorResponse
+	postMap(t, h, MapRequest{Workload: "LU", Procs: 8, Iters: maxIters + 1, Seed: 1}, http.StatusBadRequest, &e)
+	if !strings.Contains(e.Error, "iters = 101 exceeds the bound 100") {
+		t.Errorf("error %q does not name the bound", e.Error)
+	}
+	if view := srv.metrics.Snapshot(0, 0); view.Solves != 0 {
+		t.Errorf("rejected request ran %d solves, want 0", view.Solves)
+	}
+	srv.graphMu.Lock()
+	profiled := len(srv.graphs)
+	srv.graphMu.Unlock()
+	if profiled != 0 {
+		t.Errorf("rejected request profiled %d workloads, want 0", profiled)
+	}
+	postMap(t, h, MapRequest{Workload: "LU", Procs: 8, Iters: maxIters, Seed: 1}, http.StatusOK, nil)
+	if view := srv.metrics.Snapshot(0, 0); view.Solves != 1 {
+		t.Errorf("iters = %d ran %d solves, want 1", maxIters, view.Solves)
+	}
+}
+
 // A request whose allowed sets violate Hall's condition is structurally
 // valid but infeasible: 33 processes share sites {0, 1}, which hold 32.
 // It answers 422 with Validate's verdict, and the error is not cached, so

@@ -30,14 +30,16 @@ trap cleanup EXIT
 
 go build -o "$tmp" ./cmd/geomapd ./cmd/geoload
 
-PORT0=18080 PORT1=18081 PORT2=18082 PORT3=18083
-for port in $PORT0 $PORT1 $PORT2 $PORT3; do
-    if (exec 3<>"/dev/tcp/127.0.0.1/$port") 2>/dev/null; then
-        exec 3>&- 3<&-
-        echo "serve-cluster: port $port already in use" >&2
-        exit 1
-    fi
-done
+# Four free loopback ports from the kernel: port-0 binds, all held until
+# the last one is chosen so the four are distinct. The fleet needs its
+# URLs before it boots (-self, -peers), so -addr-file cannot serve here.
+read -r PORT0 PORT1 PORT2 PORT3 < <(python3 -c '
+import socket
+socks = [socket.socket() for _ in range(4)]
+for s in socks:
+    s.bind(("127.0.0.1", 0))
+print(*(s.getsockname()[1] for s in socks))
+') || { echo "serve-cluster: could not reserve four loopback ports" >&2; exit 1; }
 
 # The same seeded stream everywhere: mostly novel requests so throughput
 # measures solving, not cache hits.
