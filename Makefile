@@ -37,12 +37,15 @@ race:
 # go test accepts -fuzz for one package at a time, so each target gets its
 # own call: the heap-driven fill against its O(N²) reference scan, the
 # move/swap deltas against full cost recomputation, the matcher's phased
-# verdict and repair against Hall's condition, the matrix text parser, and
-# the trace compression round trip.
+# verdict and repair against Hall's condition, the network simulator's
+# fault-aware replay and fluid engines at a nil schedule against the
+# healthy-network references, the matrix text parser, and the trace
+# compression round trip.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFillMatchesReference$$' -fuzztime 10s ./internal/multilevel
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltasMatchRecomputation$$' -fuzztime 10s ./internal/multilevel
 	$(GO) test -run '^$$' -fuzz '^FuzzMatcherMatchesHall$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzNilScheduleMatchesReference$$' -fuzztime 10s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/mat
 	$(GO) test -run '^$$' -fuzz '^FuzzCompressRoundTrip$$' -fuzztime 10s ./internal/trace
 

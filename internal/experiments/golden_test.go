@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"geoprocmap/internal/faults"
 	"geoprocmap/internal/mat"
 	"geoprocmap/internal/multilevel"
+	"geoprocmap/internal/netsim"
 	"geoprocmap/internal/stats"
 )
 
@@ -155,6 +157,73 @@ func TestSiteSetPlacementsGolden(t *testing.T) {
 	checkGolden(t, "siteset_placements.golden", buf.Bytes())
 }
 
+// TestSimulatedSpansGolden pins the network simulator's numbers across
+// commits the way the placement goldens pin the mappers: the five
+// workloads at 64 processes on the EC2 evaluation cloud, under GeoMapper
+// and a seeded random placement, record the Float64bits of every engine's
+// result (trace replay, max-min fluid and processor-sharing fluid, each
+// with shared and dedicated WAN) and of SimulateFaultyReplay's span and
+// fault report with no schedule and under each faults preset.
+func TestSimulatedSpansGolden(t *testing.T) {
+	var buf bytes.Buffer
+	const n, seed = 64, 1
+	cloud, err := PaperCloudForScale(n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := []struct {
+		name string
+		mode SimMode
+	}{{"replay", SimReplay}, {"fluid", SimFluid}, {"fluidps", SimFluidPS}}
+	for _, app := range apps.All() {
+		inst, err := BuildInstance(cloud, app, n, 10, 0, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		geo, err := (&core.GeoMapper{Kappa: 4, Seed: seed}).Map(inst.Problem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		random, err := core.RandomPlacement(inst.Problem, stats.NewRand(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pl := range []struct {
+			name string
+			pl   core.Placement
+		}{{"geo", geo}, {"random", random}} {
+			label := app.Name() + " " + pl.name
+			for _, dedicated := range []bool{false, true} {
+				for _, m := range modes {
+					r, err := inst.SimulateWith(pl.pl, m.mode, netsim.Options{DedicatedWAN: dedicated})
+					if err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(&buf, "%s %s dedicated=%t %016x %016x\n", label, m.name, dedicated,
+						math.Float64bits(r.ComputeSeconds), math.Float64bits(r.CommSeconds))
+				}
+			}
+			for _, preset := range append([]string{"none"}, faults.PresetNames()...) {
+				var sched *faults.Schedule
+				if preset != "none" {
+					if sched, err = faults.Preset(preset, cloud.M(), seed); err != nil {
+						t.Fatal(err)
+					}
+				}
+				r, rep, err := inst.SimulateFaultyReplay(pl.pl, sched, FaultStart)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&buf, "%s faulty=%s %016x %016x schedule=%q messages=%d retries=%d dropped=%d blocked=%016x dead=%v degraded=%v\n",
+					label, preset, math.Float64bits(r.ComputeSeconds), math.Float64bits(r.CommSeconds),
+					rep.Schedule, rep.Messages, rep.Retries, rep.Dropped, math.Float64bits(rep.BlockedSeconds.Float()),
+					rep.DeadSites, rep.DegradedPairs)
+			}
+		}
+	}
+	checkGolden(t, "simulated_spans.golden", buf.Bytes())
+}
+
 // siteSetProblem restricts syntheticProblem(n, m, seed) around a random
 // home placement, so every instance is feasible: site capacities are the
 // home loads (at least 1) plus slack extra slots on random sites, a tenth
@@ -260,7 +329,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if !bytes.Equal(gl[i], wl[i]) {
-				t.Errorf("placement digest differs:\n got  %s\n want %s", gl[i], wl[i])
+				t.Errorf("golden line differs:\n got  %s\n want %s", gl[i], wl[i])
 			}
 		}
 		if len(gl) != len(wl) {

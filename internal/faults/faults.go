@@ -173,11 +173,18 @@ func (s *Schedule) SiteDown(k int, t float64) bool {
 // Link returns the state of the directed link (k, l) at time t, folding in
 // endpoint site outages. Intra-site "links" (k == l) are affected by a site
 // outage of k but not by link-scoped wildcard events, which model the WAN.
+// A nil schedule answers a healthy link without a call, so the simulator's
+// fault-aware engines pay no events walk on a healthy network.
 func (s *Schedule) Link(k, l int, t float64) LinkState {
-	st := LinkState{BWFactor: 1, LatFactor: 1}
 	if s == nil {
-		return st
+		return LinkState{BWFactor: 1, LatFactor: 1}
 	}
+	return s.link(k, l, t)
+}
+
+// link is Link's events walk on a non-nil schedule.
+func (s *Schedule) link(k, l int, t float64) LinkState {
+	st := LinkState{BWFactor: 1, LatFactor: 1}
 	for _, e := range s.Events {
 		if !e.covers(t) {
 			continue

@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"geoprocmap/internal/units"
@@ -10,9 +9,9 @@ import (
 
 // Report is the structured fault accounting a fault-aware simulation or
 // calibration run produces instead of an optimistic time: what failed, how
-// often senders retried, and how long they sat blocked. Reports from
-// sequential phases merge associatively, and every field is filled
-// deterministically, so same seed + same schedule ⇒ an identical Report.
+// often senders retried, and how long they sat blocked. Every field is
+// filled deterministically, so same seed + same schedule ⇒ an identical
+// Report.
 type Report struct {
 	// Schedule names the schedule that was active.
 	Schedule string
@@ -39,60 +38,6 @@ type Report struct {
 func (r *Report) Empty() bool {
 	return r == nil || (r.Retries == 0 && r.Dropped == 0 && r.BlockedSeconds == 0 &&
 		len(r.DeadSites) == 0 && len(r.DegradedPairs) == 0)
-}
-
-// Merge folds another report (e.g. from the next phase) into r. Counters
-// add; site and pair sets union, keeping their deterministic order.
-func (r *Report) Merge(o *Report) {
-	if o == nil {
-		return
-	}
-	if r.Schedule == "" {
-		r.Schedule = o.Schedule
-	}
-	r.Messages += o.Messages
-	r.Retries += o.Retries
-	r.Dropped += o.Dropped
-	r.BlockedSeconds += o.BlockedSeconds
-	r.DeadSites = mergeSites(r.DeadSites, o.DeadSites)
-	r.DegradedPairs = mergePairs(r.DegradedPairs, o.DegradedPairs)
-}
-
-func mergeSites(a, b []int) []int {
-	seen := map[int]bool{}
-	for _, s := range a {
-		seen[s] = true
-	}
-	for _, s := range b {
-		seen[s] = true
-	}
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func mergePairs(a, b [][2]int) [][2]int {
-	seen := map[[2]int]bool{}
-	for _, p := range a {
-		seen[p] = true
-	}
-	for _, p := range b {
-		seen[p] = true
-	}
-	out := make([][2]int, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
 }
 
 // String renders a one-paragraph human summary.

@@ -9,15 +9,19 @@ import (
 	"geoprocmap/internal/units"
 )
 
-// This file is the simulator's fault-aware mode: the same two engines as
-// netsim.go/replay.go, but consulting the Options.Faults schedule and
-// returning a structured faults.Report instead of an optimistic time.
+// This file holds the simulator's only replay and event-driven loops. They
+// consult the Options.Faults schedule and return a structured faults.Report
+// alongside the time; ReplayTrace and SimulatePhase call them at schedule
+// time zero and drop the report. With no schedule every link is healthy
+// (faults.Schedule.Link answers BWFactor = LatFactor = 1, no loss), every
+// fault term is ×1 or +0, and the results are the healthy network's, bit
+// for bit.
 //
 // Semantics shared by both engines:
 //
 //   - a message whose link is down when it would start blocks; the sender
 //     probes with capped exponential backoff (accounted, not slept) until
-//     the link recovers or Options.FaultDeadline elapses, after which the
+//     the link recovers or DefaultFaultDeadline elapses, after which the
 //     message is dropped and reported;
 //   - bandwidth-degradation faults scale the WAN rate, latency spikes
 //     scale the propagation delay;
@@ -27,9 +31,7 @@ import (
 //     index, so a shared Simulator stays data-race-free and two runs with
 //     the same seed and schedule produce bit-identical results.
 //
-// All methods are read-only on the Simulator (safe for concurrent use) and
-// work — returning healthy-network results and an empty report — when no
-// schedule is configured.
+// All methods are read-only on the Simulator (safe for concurrent use).
 
 // ReplayTraceFaulty replays the event stream under the fault schedule,
 // starting at absolute schedule time `start`. It returns the communication
@@ -41,7 +43,7 @@ func (s *Simulator) ReplayTraceFaulty(events []trace.Event, start float64) (unit
 	if sched != nil {
 		rep.Schedule = sched.Name
 	}
-	deadline := s.opt.deadline()
+	const deadline = DefaultFaultDeadline
 	n := len(s.mapping)
 	clock := make([]float64, n)
 	egressFree := make([]float64, n)
@@ -109,7 +111,7 @@ func (s *Simulator) ReplayTraceFaulty(events []trace.Event, start float64) (unit
 		lat *= st.LatFactor
 
 		attempts := 1
-		if st.LossProb > 0 && sched != nil {
+		if st.LossProb > 0 {
 			attempts = faults.Attempts(sched.Seed, int64(i), st.LossProb, 0)
 		}
 		backoffWait := units.Seconds(0)
@@ -133,9 +135,7 @@ func (s *Simulator) ReplayTraceFaulty(events []trace.Event, start float64) (unit
 			span = arrival
 		}
 	}
-	if sched != nil {
-		rep.DeadSites, rep.DegradedPairs = sched.Summary(s.cloud.M(), start, span)
-	}
+	rep.DeadSites, rep.DegradedPairs = sched.Summary(s.cloud.M(), start, span)
 	return units.Seconds(span - start), rep, nil
 }
 
@@ -151,7 +151,7 @@ func (s *Simulator) SimulatePhaseFaulty(msgs []Message, start float64) (units.Se
 	if sched != nil {
 		rep.Schedule = sched.Name
 	}
-	deadline := s.opt.deadline()
+	const deadline = DefaultFaultDeadline
 	flows, maxLatency, err := s.buildFlows(msgs)
 	if err != nil {
 		return 0, nil, err
@@ -180,7 +180,7 @@ func (s *Simulator) SimulatePhaseFaulty(msgs []Message, start float64) (units.Se
 			rep.BlockedSeconds += wait
 			st = sched.Link(k, l, r)
 		}
-		if st.LossProb > 0 && sched != nil {
+		if st.LossProb > 0 {
 			if attempts := faults.Attempts(sched.Seed, int64(fi), st.LossProb, 0); attempts > 1 {
 				rep.Retries += attempts - 1
 				bo := faults.BackoffTotal(attempts-1, faults.DefaultBackoffBase, faults.DefaultBackoffCap)
@@ -203,31 +203,6 @@ func (s *Simulator) SimulatePhaseFaulty(msgs []Message, start float64) (units.Se
 			makespan = fluid
 		}
 	}
-	if sched != nil {
-		rep.DeadSites, rep.DegradedPairs = sched.Summary(s.cloud.M(), start, start+makespan.Float())
-	}
+	rep.DeadSites, rep.DegradedPairs = sched.Summary(s.cloud.M(), start, start+makespan.Float())
 	return makespan, rep, nil
-}
-
-// SimulateIterationFaulty simulates one iteration — computeSeconds of
-// local work followed by the trace's communication sub-phases — starting
-// at absolute schedule time `start`, advancing the schedule clock through
-// the phases and merging their fault reports.
-func (s *Simulator) SimulateIterationFaulty(events []trace.Event, computeSeconds units.Seconds, start float64) (IterationResult, *faults.Report, error) {
-	if computeSeconds < 0 {
-		return IterationResult{}, nil, fmt.Errorf("netsim: negative compute time")
-	}
-	res := IterationResult{ComputeSeconds: computeSeconds}
-	rep := &faults.Report{}
-	t := start + computeSeconds.Float()
-	for _, phase := range PhasesFromEvents(events) {
-		dur, phaseRep, err := s.SimulatePhaseFaulty(phase, t)
-		if err != nil {
-			return IterationResult{}, nil, err
-		}
-		rep.Merge(phaseRep)
-		res.CommSeconds += dur
-		t += dur.Float()
-	}
-	return res, rep, nil
 }

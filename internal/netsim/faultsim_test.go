@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"geoprocmap/internal/faults"
+	"geoprocmap/internal/stats"
 	"geoprocmap/internal/trace"
 	"geoprocmap/internal/units"
 )
@@ -20,42 +21,23 @@ func faultySim(t *testing.T, sched *faults.Schedule) *Simulator {
 	return s
 }
 
+// TestFaultyNilScheduleMatchesPlain checks the fault-aware engines against
+// the healthy references on testSim's layout (FuzzNilScheduleMatchesReference
+// widens this to fuzzed clouds), and on seeded random streams over every
+// site count and both WAN models, zero-byte messages included.
 func TestFaultyNilScheduleMatchesPlain(t *testing.T) {
-	events := []trace.Event{
+	checkNilScheduleMatchesReference(t, faultySim(t, nil), []trace.Event{
 		{Src: 0, Dst: 2, Bytes: 10e6},
 		{Src: 2, Dst: 1, Bytes: 5e6},
-	}
-	msgs := []Message{{Src: 0, Dst: 2, Bytes: 10e6}, {Src: 1, Dst: 3, Bytes: 10e6}}
-	plain := testSim(t)
-	wantSpan, err := plain.ReplayTrace(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPhase, err := plain.SimulatePhase(msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s := faultySim(t, nil)
-	span, rep, err := s.ReplayTraceFaulty(events, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(span.Float()) != math.Float64bits(wantSpan.Float()) {
-		t.Errorf("faulty replay with nil schedule = %v, plain = %v", span, wantSpan)
-	}
-	if !rep.Empty() {
-		t.Errorf("nil schedule produced non-empty report: %v", rep)
-	}
-	phase, rep, err := s.SimulatePhaseFaulty(msgs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(phase.Float()) != math.Float64bits(wantPhase.Float()) {
-		t.Errorf("faulty phase with nil schedule = %v, plain = %v", phase, wantPhase)
-	}
-	if !rep.Empty() {
-		t.Errorf("nil schedule produced non-empty phase report: %v", rep)
+		{Src: 1, Dst: 3, Bytes: 10e6},
+		{Src: 3, Dst: 0, Bytes: 0},
+	})
+	rng := stats.NewRand(7)
+	for c := 0; c < 40; c++ {
+		raw := make([]byte, 3*(1+rng.Intn(24)))
+		rng.Read(raw)
+		s, events := nilScheduleCase(t, rng.Int63(), uint8(c), uint8(rng.Intn(15)), c%2 == 1, raw)
+		checkNilScheduleMatchesReference(t, s, events)
 	}
 }
 
@@ -173,30 +155,6 @@ func TestFaultyStartPositionsSchedule(t *testing.T) {
 	// Blocked from 5.5 until the window ends at 6, then the healthy cost.
 	if want := 0.5 + 1 + 0.1; !almost(during.Float(), want, 1e-9) || repD.Empty() {
 		t.Errorf("start=5.5: span %v (want %v), report %+v", during, want, repD)
-	}
-}
-
-func TestSimulateIterationFaultyMergesReports(t *testing.T) {
-	sched := &faults.Schedule{Name: "blackout", Events: []faults.Event{
-		{Kind: faults.SiteOutage, Start: 0, Site: 1},
-	}}
-	s := faultySim(t, sched)
-	events := []trace.Event{
-		{Src: 0, Dst: 2, Bytes: 1e6, Tag: 0},
-		{Src: 1, Dst: 3, Bytes: 1e6, Tag: 1},
-	}
-	res, rep, err := s.SimulateIterationFaulty(events, 0.5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Messages != 2 || rep.Dropped != 2 {
-		t.Errorf("report = %+v, want both messages dropped", rep)
-	}
-	if res.ComputeSeconds != 0.5 || res.CommSeconds <= 0 {
-		t.Errorf("result = %+v", res)
-	}
-	if _, _, err := s.SimulateIterationFaulty(events, -1, 0); err == nil {
-		t.Error("negative compute time accepted")
 	}
 }
 

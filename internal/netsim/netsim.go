@@ -14,8 +14,10 @@
 // arrival or completion — the classic fluid approximation of TCP sharing
 // that flow-level simulators use.
 //
-// Two engines are provided:
+// Three engines are provided:
 //
+//   - Simulator.ReplayTrace: a logical-clock replay of a recorded event
+//     stream, the experiments' default for application communication time.
 //   - Simulator.SimulatePhase: the exact event-driven engine with NIC
 //     coupling (used for paper-scale runs, 64–256 processes).
 //   - Simulator.SimulatePhasePS: an O(F log F) analytic per-link
@@ -23,9 +25,14 @@
 //     Figure 7 scales, 1024–8192 processes, where the event engine's
 //     per-event rate recomputation would dominate).
 //
-// An application iteration is simulated as a compute phase followed by
-// communication sub-phases (messages grouped by trace tag, e.g. a reduce
-// must finish before the following broadcast starts).
+// The replay and the event-driven engine each have one loop, the
+// fault-aware one (faultsim.go): with no fault schedule it reproduces the
+// healthy network exactly, so ReplayTrace and SimulatePhase are that loop
+// at schedule time zero with the report dropped.
+//
+// An application iteration is simulated as communication sub-phases
+// (messages grouped by trace tag, e.g. a reduce must finish before the
+// following broadcast starts); PhasesFromEvents builds them.
 package netsim
 
 import (
@@ -55,27 +62,17 @@ type Options struct {
 	// The default (false) models each ordered site pair as one shared WAN
 	// pipe — more pessimistic and closer to real cross-region behavior.
 	DedicatedWAN bool
-	// Faults attaches a fault schedule. When non-nil, SimulatePhase and
-	// ReplayTrace consult the schedule (outages block senders until a
-	// deadline, degradations scale rates, losses force retransmissions)
-	// and the *Faulty variants additionally return a structured
-	// faults.Report. nil simulates a healthy network.
+	// Faults attaches a fault schedule: outages block senders until
+	// DefaultFaultDeadline, degradations scale rates and latencies, losses
+	// force retransmissions. Every entry point consults it; the *Faulty
+	// variants also position the run in schedule time and return the
+	// structured faults.Report. nil simulates a healthy network.
 	Faults *faults.Schedule
-	// FaultDeadline is how long a sender blocks on a dead link before
-	// abandoning the message (default 10 simulated seconds).
-	FaultDeadline units.Seconds
 }
 
-// DefaultFaultDeadline is the Options.FaultDeadline default.
+// DefaultFaultDeadline is how long a sender blocks on a dead link before
+// abandoning the message.
 const DefaultFaultDeadline = units.Seconds(10.0)
-
-// deadline returns the configured fault deadline.
-func (o Options) deadline() units.Seconds {
-	if o.FaultDeadline > 0 {
-		return o.FaultDeadline
-	}
-	return DefaultFaultDeadline
-}
 
 // Simulator simulates communication phases of an application whose
 // processes are placed on the sites of a cloud.
@@ -137,30 +134,11 @@ func (s *Simulator) link(src, dst int) (capacity units.BytesPerSec, latency unit
 // SimulatePhase runs the event-driven engine on one set of concurrent
 // messages and returns the phase makespan: the time until the last message
 // is delivered (transmission under max-min fair rates plus the link's
-// propagation delay). An empty phase takes zero time. With Options.Faults
-// set, the phase is simulated under the schedule's state at time zero; use
-// SimulatePhaseFaulty to position the phase in time and receive the
-// structured fault report.
+// propagation delay). An empty phase takes zero time. It is
+// SimulatePhaseFaulty at schedule time zero with the report dropped.
 func (s *Simulator) SimulatePhase(msgs []Message) (units.Seconds, error) {
-	if s.opt.Faults != nil {
-		makespan, _, err := s.SimulatePhaseFaulty(msgs, 0)
-		return makespan, err
-	}
-	flows, maxLatency, err := s.buildFlows(msgs)
-	if err != nil {
-		return 0, err
-	}
-	if len(flows) == 0 {
-		return maxLatency, nil
-	}
-	makespan, err := s.solveFluid(flows)
-	if err != nil {
-		return 0, err
-	}
-	if maxLatency > makespan {
-		makespan = maxLatency
-	}
-	return makespan, nil
+	makespan, _, err := s.SimulatePhaseFaulty(msgs, 0)
+	return makespan, err
 }
 
 // solveFluid registers the constraints of the flows (scaling each WAN
@@ -426,15 +404,6 @@ func (cs *constraintSet) maxMinRates(flows []*flowState) []units.BytesPerSec {
 
 // --- application-level simulation ---------------------------------------
 
-// IterationResult is the simulated timing of one application iteration.
-type IterationResult struct {
-	ComputeSeconds units.Seconds
-	CommSeconds    units.Seconds
-}
-
-// Total returns the iteration wall time.
-func (r IterationResult) Total() units.Seconds { return r.ComputeSeconds + r.CommSeconds }
-
 // PhasesFromEvents splits a recorded event stream into sequential
 // communication sub-phases by tag (in ascending tag order): the messages of
 // one tag are concurrent, and a sub-phase starts only after the previous
@@ -455,29 +424,4 @@ func PhasesFromEvents(events []trace.Event) [][]Message {
 		out = append(out, byTag[t])
 	}
 	return out
-}
-
-// SimulateIteration simulates one iteration: computeSeconds of local work
-// followed by the communication sub-phases of the event stream. If ps is
-// true the analytic processor-sharing engine is used instead of the exact
-// event-driven one.
-func (s *Simulator) SimulateIteration(events []trace.Event, computeSeconds units.Seconds, ps bool) (IterationResult, error) {
-	if computeSeconds < 0 {
-		return IterationResult{}, fmt.Errorf("netsim: negative compute time")
-	}
-	res := IterationResult{ComputeSeconds: computeSeconds}
-	for _, phase := range PhasesFromEvents(events) {
-		var t units.Seconds
-		var err error
-		if ps {
-			t, err = s.SimulatePhasePS(phase)
-		} else {
-			t, err = s.SimulatePhase(phase)
-		}
-		if err != nil {
-			return IterationResult{}, err
-		}
-		res.CommSeconds += t
-	}
-	return res, nil
 }

@@ -237,30 +237,6 @@ func TestPhasesFromEvents(t *testing.T) {
 	}
 }
 
-func TestSimulateIteration(t *testing.T) {
-	s := testSim(t)
-	events := []trace.Event{
-		{Src: 0, Dst: 2, Bytes: 10e6, Tag: 0}, // phase 0: 1 s + 0.1
-		{Src: 2, Dst: 0, Bytes: 10e6, Tag: 1}, // phase 1: 1 s + 0.1
-	}
-	res, err := s.SimulateIteration(events, 0.5, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(res.ComputeSeconds.Float(), 0.5, 0) {
-		t.Errorf("compute = %v", res.ComputeSeconds)
-	}
-	if !almost(res.CommSeconds.Float(), 2.2, 1e-9) {
-		t.Errorf("comm = %v, want 2.2 (sequential phases)", res.CommSeconds)
-	}
-	if !almost(res.Total().Float(), 2.7, 1e-9) {
-		t.Errorf("total = %v", res.Total())
-	}
-	if _, err := s.SimulateIteration(events, -1, false); err == nil {
-		t.Error("negative compute accepted")
-	}
-}
-
 func TestMappingQualityVisible(t *testing.T) {
 	// Four heavily-communicating pairs; colocating each pair must beat
 	// splitting every pair across the WAN.

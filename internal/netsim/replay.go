@@ -1,9 +1,6 @@
 package netsim
 
 import (
-	"fmt"
-	"math"
-
 	"geoprocmap/internal/trace"
 	"geoprocmap/internal/units"
 )
@@ -29,62 +26,11 @@ import (
 //     the wavefront pipeline and collective stages serialize).
 //
 // The result is the communication span: the time of the last delivery (or
-// last send completion). Zero events take zero time. With Options.Faults
-// set the replay runs fault-aware from time zero; use ReplayTraceFaulty to
-// position the replay in schedule time and receive the structured report.
+// last send completion). Zero events take zero time. It is
+// ReplayTraceFaulty at schedule time zero with the report dropped; use
+// ReplayTraceFaulty to position the replay in schedule time and receive
+// the structured fault report.
 func (s *Simulator) ReplayTrace(events []trace.Event) (units.Seconds, error) {
-	if s.opt.Faults != nil {
-		span, _, err := s.ReplayTraceFaulty(events, 0)
-		return span, err
-	}
-	n := len(s.mapping)
-	clock := make([]float64, n)
-	egressFree := make([]float64, n)
-	ingressFree := make([]float64, n)
-	wanFree := map[[2]int]float64{}
-	span := 0.0
-	for i, e := range events {
-		if e.Src < 0 || e.Src >= n || e.Dst < 0 || e.Dst >= n {
-			return 0, fmt.Errorf("netsim: event %d endpoint out of range: %d→%d", i, e.Src, e.Dst)
-		}
-		if e.Src == e.Dst {
-			return 0, fmt.Errorf("netsim: event %d is a self-send on process %d", i, e.Src)
-		}
-		if e.Bytes < 0 {
-			return 0, fmt.Errorf("netsim: event %d has negative size", i)
-		}
-		k, l := s.mapping[e.Src], s.mapping[e.Dst]
-		lat := s.cloud.LT.At(k, l)
-		rate := s.nic[e.Src]
-		if r := s.nic[e.Dst]; r < rate {
-			rate = r
-		}
-		start := math.Max(clock[e.Src], math.Max(egressFree[e.Src], ingressFree[e.Dst]))
-		var wanKey [2]int
-		shared := k != l && !s.opt.DedicatedWAN
-		if k != l {
-			if bw := s.cloud.Bandwidth(k, l); bw < rate {
-				rate = bw
-			}
-		}
-		if shared {
-			wanKey = [2]int{k, l}
-			start = math.Max(start, wanFree[wanKey])
-		}
-		end := start + units.Bytes(e.Bytes).Over(rate).Float()
-		egressFree[e.Src] = end
-		ingressFree[e.Dst] = end
-		if shared {
-			wanFree[wanKey] = end
-		}
-		arrival := end + lat
-		clock[e.Src] = end
-		if arrival > clock[e.Dst] {
-			clock[e.Dst] = arrival
-		}
-		if arrival > span {
-			span = arrival
-		}
-	}
-	return units.Seconds(span), nil
+	span, _, err := s.ReplayTraceFaulty(events, 0)
+	return span, err
 }

@@ -1,12 +1,203 @@
 package netsim
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
+	"geoprocmap/internal/mat"
+	"geoprocmap/internal/netmodel"
+	"geoprocmap/internal/stats"
 	"geoprocmap/internal/trace"
 	"geoprocmap/internal/units"
 )
+
+// referenceReplay is the healthy-network logical-clock replay as its own
+// loop, with no fault terms: the specification ReplayTrace and
+// ReplayTraceFaulty must reproduce bit for bit when no schedule is set.
+func referenceReplay(s *Simulator, events []trace.Event) (units.Seconds, error) {
+	n := len(s.mapping)
+	clock := make([]float64, n)
+	egressFree := make([]float64, n)
+	ingressFree := make([]float64, n)
+	wanFree := map[[2]int]float64{}
+	span := 0.0
+	for i, e := range events {
+		if e.Src < 0 || e.Src >= n || e.Dst < 0 || e.Dst >= n {
+			return 0, fmt.Errorf("netsim: event %d endpoint out of range: %d→%d", i, e.Src, e.Dst)
+		}
+		if e.Src == e.Dst {
+			return 0, fmt.Errorf("netsim: event %d is a self-send on process %d", i, e.Src)
+		}
+		if e.Bytes < 0 {
+			return 0, fmt.Errorf("netsim: event %d has negative size", i)
+		}
+		k, l := s.mapping[e.Src], s.mapping[e.Dst]
+		lat := s.cloud.LT.At(k, l)
+		rate := s.nic[e.Src]
+		if r := s.nic[e.Dst]; r < rate {
+			rate = r
+		}
+		start := math.Max(clock[e.Src], math.Max(egressFree[e.Src], ingressFree[e.Dst]))
+		var wanKey [2]int
+		shared := k != l && !s.opt.DedicatedWAN
+		if k != l {
+			if bw := s.cloud.Bandwidth(k, l); bw < rate {
+				rate = bw
+			}
+		}
+		if shared {
+			wanKey = [2]int{k, l}
+			start = math.Max(start, wanFree[wanKey])
+		}
+		end := start + units.Bytes(e.Bytes).Over(rate).Float()
+		egressFree[e.Src] = end
+		ingressFree[e.Dst] = end
+		if shared {
+			wanFree[wanKey] = end
+		}
+		arrival := end + lat
+		clock[e.Src] = end
+		if arrival > clock[e.Dst] {
+			clock[e.Dst] = arrival
+		}
+		if arrival > span {
+			span = arrival
+		}
+	}
+	return units.Seconds(span), nil
+}
+
+// referencePhase is the healthy-network event-driven phase with no fault
+// terms: the fluid solve of the nonzero flows, floored by the latency of
+// the zero-byte messages. SimulatePhase and SimulatePhaseFaulty must
+// reproduce it bit for bit when no schedule is set.
+func referencePhase(s *Simulator, msgs []Message) (units.Seconds, error) {
+	flows, maxLatency, err := s.buildFlows(msgs)
+	if err != nil {
+		return 0, err
+	}
+	if len(flows) == 0 {
+		return maxLatency, nil
+	}
+	makespan, err := s.solveFluid(flows)
+	if err != nil {
+		return 0, err
+	}
+	if maxLatency > makespan {
+		makespan = maxLatency
+	}
+	return makespan, nil
+}
+
+// nilScheduleCase decodes a fuzz input: an m-site cloud (1 ≤ m ≤ 4) whose
+// latencies and bandwidths, intra-site NIC rates included, are drawn from
+// seed independently, so a WAN pipe may be faster than either NIC; n
+// processes (2 ≤ n ≤ 16) placed in contiguous blocks over the sites; and
+// one event per three bytes of raw (source, destination, size in units of
+// 100 kB, where 0 is a zero-byte message).
+func nilScheduleCase(t *testing.T, seed int64, sites, procs uint8, dedicated bool, raw []byte) (*Simulator, []trace.Event) {
+	t.Helper()
+	m, n := 1+int(sites%4), 2+int(procs%15)
+	rng := stats.NewRand(seed)
+	lt, bt := mat.NewSquare(m), mat.NewSquare(m)
+	cloud := &netmodel.Cloud{LT: lt, BT: bt}
+	for k := 0; k < m; k++ {
+		cloud.Sites = append(cloud.Sites, netmodel.Site{Nodes: n})
+		for l := 0; l < m; l++ {
+			lt.Set(k, l, 1e-4+0.3*rng.Float64())
+			bt.Set(k, l, 1e6+99e6*rng.Float64())
+		}
+	}
+	mapping := make([]int, n)
+	for i := range mapping {
+		mapping[i] = i * m / n
+	}
+	s, err := NewWithOptions(cloud, mapping, Options{DedicatedWAN: dedicated})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []trace.Event
+	for ; len(raw) >= 3; raw = raw[3:] {
+		src, dst := int(raw[0])%n, int(raw[1])%n
+		if src == dst {
+			dst = (dst + 1) % n
+		}
+		events = append(events, trace.Event{Src: src, Dst: dst, Bytes: int64(raw[2]) * 1e5})
+	}
+	return s, events
+}
+
+// checkNilScheduleMatchesReference requires both fault-aware engines and
+// their plain entry points to reproduce the references bit for bit, with
+// an empty report, on a simulator with no fault schedule. The events are
+// replayed in order and simulated as one concurrent phase.
+func checkNilScheduleMatchesReference(t *testing.T, s *Simulator, events []trace.Event) {
+	t.Helper()
+	same := func(what string, got, want units.Seconds) {
+		t.Helper()
+		if math.Float64bits(got.Float()) != math.Float64bits(want.Float()) {
+			t.Errorf("%s = %v (%016x), reference %v (%016x)", what, got, math.Float64bits(got.Float()), want, math.Float64bits(want.Float()))
+		}
+	}
+	wantSpan, err := referenceReplay(s, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	span, err := s.ReplayTrace(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("ReplayTrace", span, wantSpan)
+	span, rep, err := s.ReplayTraceFaulty(events, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("ReplayTraceFaulty", span, wantSpan)
+	if !rep.Empty() || rep.Messages != len(events) {
+		t.Errorf("replay report %+v, want empty over %d messages", rep, len(events))
+	}
+
+	msgs := make([]Message, len(events))
+	for i, e := range events {
+		msgs[i] = Message{Src: e.Src, Dst: e.Dst, Bytes: units.Bytes(e.Bytes)}
+	}
+	wantPhase, err := referencePhase(s, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phase, err := s.SimulatePhase(msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("SimulatePhase", phase, wantPhase)
+	phase, rep, err = s.SimulatePhaseFaulty(msgs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("SimulatePhaseFaulty", phase, wantPhase)
+	if !rep.Empty() || rep.Messages != len(msgs) {
+		t.Errorf("phase report %+v, want empty over %d messages", rep, len(msgs))
+	}
+}
+
+// FuzzNilScheduleMatchesReference fuzzes the fault-aware engines at a nil
+// schedule against the healthy references over clouds, placements and
+// event streams, on shared and dedicated WAN (make fuzz runs it).
+func FuzzNilScheduleMatchesReference(f *testing.F) {
+	// testdata/fuzz holds the two-event cases on testSim's two-site,
+	// four-process layout; these add one site and the full 16 processes.
+	f.Add(int64(2), uint8(0), uint8(7), true, []byte{0, 1, 10, 5, 2, 0, 6, 7, 200})
+	f.Add(int64(4), uint8(3), uint8(14), false, []byte{0, 15, 30, 15, 0, 30, 3, 12, 255, 8, 4, 1, 9, 2, 0})
+	f.Fuzz(func(t *testing.T, seed int64, sites, procs uint8, dedicated bool, raw []byte) {
+		if len(raw) > 3*64 {
+			raw = raw[:3*64]
+		}
+		s, events := nilScheduleCase(t, seed, sites, procs, dedicated, raw)
+		checkNilScheduleMatchesReference(t, s, events)
+	})
+}
 
 func TestReplayEmpty(t *testing.T) {
 	s := testSim(t)

@@ -6,6 +6,52 @@ import (
 	"sync"
 )
 
+// lru is a string-keyed map that evicts its least recently used entry
+// past capacity. It does no locking: its owner's mutex guards it.
+type lru[V any] struct {
+	capacity int
+	order    *list.List               // front = most recent
+	entries  map[string]*list.Element // key → element whose Value is *lruEntry[V]
+}
+
+type lruEntry[V any] struct {
+	key string
+	val V
+}
+
+func newLRU[V any](capacity int) lru[V] {
+	return lru[V]{capacity: capacity, order: list.New(), entries: make(map[string]*list.Element)}
+}
+
+// get returns the value for key, refreshing its recency.
+func (c *lru[V]) get(key string) (V, bool) {
+	el, ok := c.entries[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	c.order.MoveToFront(el)
+	return el.Value.(*lruEntry[V]).val, true
+}
+
+// add stores v under key as the most recent entry, evicting the least
+// recently used one past capacity.
+func (c *lru[V]) add(key string, v V) {
+	if el, ok := c.entries[key]; ok {
+		c.order.MoveToFront(el)
+		el.Value.(*lruEntry[V]).val = v
+		return
+	}
+	c.entries[key] = c.order.PushFront(&lruEntry[V]{key: key, val: v})
+	for c.order.Len() > c.capacity {
+		last := c.order.Back()
+		c.order.Remove(last)
+		delete(c.entries, last.Value.(*lruEntry[V]).key)
+	}
+}
+
+func (c *lru[V]) len() int { return c.order.Len() }
+
 // resultCache is a fingerprint-keyed LRU of solved mapping results with
 // singleflight deduplication: concurrent requests for the same
 // fingerprint collapse onto one solve, and completed solves are retained
@@ -20,14 +66,11 @@ import (
 // migrating.
 type resultCache struct {
 	mu       sync.Mutex
-	capacity int
-	order    *list.List               // front = most recent
-	entries  map[string]*list.Element // fingerprint → element whose Value is *cacheEntry
-	inflight map[string]*flight       // fingerprint → in-progress solve
+	results  lru[cacheEntry]    // fingerprint → solved result
+	inflight map[string]*flight // fingerprint → in-progress solve
 }
 
 type cacheEntry struct {
-	key string
 	req *MapRequest
 	res *MapResult
 }
@@ -43,24 +86,15 @@ func newResultCache(capacity int) *resultCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &resultCache{
-		capacity: capacity,
-		order:    list.New(),
-		entries:  make(map[string]*list.Element),
-		inflight: make(map[string]*flight),
-	}
+	return &resultCache{results: newLRU[cacheEntry](capacity), inflight: make(map[string]*flight)}
 }
 
 // get returns the cached result for key, refreshing its recency.
 func (c *resultCache) get(key string) (*MapResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	e, ok := c.results.get(key)
+	return e.res, ok
 }
 
 // add inserts a result, evicting the least-recently-used entry past
@@ -68,26 +102,14 @@ func (c *resultCache) get(key string) (*MapResult, bool) {
 func (c *resultCache) add(key string, req *MapRequest, res *MapResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		entry := el.Value.(*cacheEntry)
-		entry.req = req
-		entry.res = res
-		return
-	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, req: req, res: res})
-	for c.order.Len() > c.capacity {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.entries, last.Value.(*cacheEntry).key)
-	}
+	c.results.add(key, cacheEntry{req: req, res: res})
 }
 
 // len returns the number of cached results.
 func (c *resultCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.results.len()
 }
 
 // CachedPlacement is one cached (request, result) pair, exposed to the
@@ -106,10 +128,10 @@ type CachedPlacement struct {
 func (c *resultCache) walk() []CachedPlacement {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]CachedPlacement, 0, c.order.Len())
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		out = append(out, CachedPlacement{Key: e.key, Request: e.req, Result: e.res})
+	out := make([]CachedPlacement, 0, c.results.len())
+	for el := c.results.order.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*lruEntry[cacheEntry])
+		out = append(out, CachedPlacement{Key: e.key, Request: e.val.req, Result: e.val.res})
 	}
 	return out
 }
@@ -127,11 +149,9 @@ func (c *resultCache) walk() []CachedPlacement {
 // are not cached: the next request retries.
 func (c *resultCache) do(ctx context.Context, key string, req *MapRequest, solve func() (*MapResult, error)) (res *MapResult, shared bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		res = el.Value.(*cacheEntry).res
+	if e, ok := c.results.get(key); ok {
 		c.mu.Unlock()
-		return res, true, nil
+		return e.res, true, nil
 	}
 	if f, ok := c.inflight[key]; ok {
 		c.mu.Unlock()

@@ -189,6 +189,9 @@ type View struct {
 	CacheEntries  int     `json:"cache_entries"`
 	PoolWorkers   int     `json:"pool_workers,omitempty"`
 	SolverWorkers int     `json:"solver_workers,omitempty"`
+	// GraphMemoEntries is the number of profiled workload patterns the
+	// server holds (at most graphMemoEntries).
+	GraphMemoEntries int `json:"graph_memo_entries"`
 	// RequestLatency digests served requests only; ShedLatency holds the
 	// rejected/timed-out/errored remainder.
 	RequestLatency LatencySummary `json:"request_latency"`

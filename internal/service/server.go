@@ -97,9 +97,11 @@ type Server struct {
 
 	// graphs memoizes profiled workload patterns keyed by
 	// "workload/procs/iters"; profiling LU at n=64 costs milliseconds
-	// but doing it per request would dominate cached-path latency.
+	// but doing it per request would dominate cached-path latency. An
+	// evicted key is profiled again: the profile is a pure function of
+	// its key.
 	graphMu sync.Mutex
-	graphs  map[string]*comm.Graph
+	graphs  lru[*comm.Graph]
 
 	// solveHook, when non-nil, runs inside every executed solve; tests
 	// use it to inject latency and synchronization.
@@ -160,7 +162,7 @@ func NewServer(cfg Config) (*Server, error) {
 		started:         started,
 		obsVersion:      cfg.Store.Current().Version,
 		obsAt:           started,
-		graphs:          map[string]*comm.Graph{},
+		graphs:          newLRU[*comm.Graph](graphMemoEntries),
 		statusProbes:    map[string]StatusFunc{},
 	}
 	if s.cluster != nil {
@@ -447,13 +449,20 @@ func (s *Server) solve(ctx context.Context, req *MapRequest, snap *Snapshot) (*M
 	return res, solveErr
 }
 
+// graphMemoEntries bounds Server.graphs, the workload-profile memo.
+// procs ≤ MaxProcs and iters ≤ maxIters allow millions of distinct keys,
+// each holding a profiled graph, so an unbounded memo would let one
+// client grow daemon memory without limit. 64 is well above the handful
+// of preset keys a steady workload mix cycles through.
+const graphMemoEntries = 64
+
 // graphFor memoizes workload profiling. Concurrent first requests for
 // the same key profile once thanks to the singleflight layer above; the
-// plain mutex here only guards the map.
+// plain mutex here only guards the LRU.
 func (s *Server) graphFor(workload string, procs, iters int) (*comm.Graph, error) {
 	key := fmt.Sprintf("%s/%d/%d", workload, procs, iters)
 	s.graphMu.Lock()
-	g, ok := s.graphs[key]
+	g, ok := s.graphs.get(key)
 	s.graphMu.Unlock()
 	if ok {
 		return g, nil
@@ -467,7 +476,7 @@ func (s *Server) graphFor(workload string, procs, iters int) (*comm.Graph, error
 		return nil, err
 	}
 	s.graphMu.Lock()
-	s.graphs[key] = g
+	s.graphs.add(key, g)
 	s.graphMu.Unlock()
 	return g, nil
 }
@@ -551,26 +560,13 @@ func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 		// penalties on every re-gauge.
 		next = s.store.Base().WithFaultReport(upd.FaultReport)
 	case upd.LT != nil && upd.BT != nil:
-		lt, err := mat.From(upd.LT)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("lt: %w", err))
+		// Fresh matrices are a measured model: a client-sent degraded
+		// list or derived flag is ignored on the origin path.
+		var err error
+		if next, err = withMatrices(cur, &upd, nil, false, "admin"); err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		bt, err := mat.From(upd.BT)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bt: %w", err))
-			return
-		}
-		clone := *cur
-		clone.Version = 0
-		clone.LT, clone.BT = lt, bt
-		clone.Degraded = nil
-		clone.derived = false // fresh matrices are a measured model
-		clone.Source = "admin"
-		if upd.Source != "" {
-			clone.Source = upd.Source
-		}
-		next = &clone
 	default:
 		writeError(w, http.StatusBadRequest, fmt.Errorf("snapshot update needs lt+bt matrices or a fault_report"))
 		return
@@ -606,34 +602,20 @@ func (s *Server) handleSnapshotReplication(w http.ResponseWriter, cur *Snapshot,
 		writeError(w, http.StatusBadRequest, fmt.Errorf("replicated snapshot v%d needs lt+bt matrices", upd.Version))
 		return
 	}
-	lt, err := mat.From(upd.LT)
+	next, err := withMatrices(cur, upd, upd.Degraded, upd.Derived, "replicated")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("lt: %w", err))
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	bt, err := mat.From(upd.BT)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bt: %w", err))
-		return
-	}
-	clone := *cur
-	clone.Version = 0
-	clone.LT, clone.BT = lt, bt
-	clone.Degraded = upd.Degraded
-	clone.derived = upd.Derived
-	clone.Source = "replicated"
-	if upd.Source != "" {
-		clone.Source = upd.Source
-	}
-	applied, err := s.store.PublishAt(&clone, upd.Version)
+	applied, err := s.store.PublishAt(next, upd.Version)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if applied {
 		s.metrics.RecordSnapshot()
-		s.logf("snapshot v%d replicated in (%s)", upd.Version, clone.Source)
-		writeJSON(w, http.StatusOK, viewOf(&clone))
+		s.logf("snapshot v%d replicated in (%s)", upd.Version, next.Source)
+		writeJSON(w, http.StatusOK, viewOf(next))
 		return
 	}
 	// Stale replay: acknowledge with the snapshot the store kept.
@@ -672,6 +654,29 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, httpStatus, body)
 }
 
+// withMatrices decodes an update's lt+bt matrices into an unpublished copy
+// of cur (version 0) that carries the given degraded list and derived
+// flag, sourced from upd.Source when set and defaultSource otherwise.
+func withMatrices(cur *Snapshot, upd *SnapshotUpdate, degraded [][2]int, derived bool, defaultSource string) (*Snapshot, error) {
+	lt, err := mat.From(upd.LT)
+	if err != nil {
+		return nil, fmt.Errorf("lt: %w", err)
+	}
+	bt, err := mat.From(upd.BT)
+	if err != nil {
+		return nil, fmt.Errorf("bt: %w", err)
+	}
+	next := *cur
+	next.Version = 0
+	next.LT, next.BT = lt, bt
+	next.Degraded, next.derived = degraded, derived
+	next.Source = defaultSource
+	if upd.Source != "" {
+		next.Source = upd.Source
+	}
+	return &next, nil
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	v := s.metrics.Snapshot(s.pool.QueueDepth(), s.cache.len())
 	// The two parallelism knobs live on the server, not the counter set;
@@ -679,6 +684,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// against the machine (the oversubscription rule in Config).
 	v.PoolWorkers = s.poolWorkers
 	v.SolverWorkers = s.solverWorkers
+	s.graphMu.Lock()
+	v.GraphMemoEntries = s.graphs.len()
+	s.graphMu.Unlock()
 	_, age := s.snapshotAge(s.now())
 	v.SnapshotAgeSeconds = age.Seconds()
 	blocks, _ := s.statusBlocks()

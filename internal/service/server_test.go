@@ -217,7 +217,7 @@ func TestMapBoundsIters(t *testing.T) {
 		t.Errorf("rejected request ran %d solves, want 0", view.Solves)
 	}
 	srv.graphMu.Lock()
-	profiled := len(srv.graphs)
+	profiled := srv.graphs.len()
 	srv.graphMu.Unlock()
 	if profiled != 0 {
 		t.Errorf("rejected request profiled %d workloads, want 0", profiled)
@@ -225,6 +225,54 @@ func TestMapBoundsIters(t *testing.T) {
 	postMap(t, h, MapRequest{Workload: "LU", Procs: 8, Iters: maxIters, Seed: 1}, http.StatusOK, nil)
 	if view := srv.metrics.Snapshot(0, 0); view.Solves != 1 {
 		t.Errorf("iters = %d ran %d solves, want 1", maxIters, view.Solves)
+	}
+}
+
+// TestGraphMemoBounded is the regression test for the unbounded profiling
+// memo: a stream of distinct procs values leaves it at graphMemoEntries,
+// /metrics reports that size, and a request for an evicted key profiles
+// it again and answers the first placement's digest. A one-entry result
+// cache keeps every request on the solve path.
+func TestGraphMemoBounded(t *testing.T) {
+	st, err := NewStore(testSnapshot(t, 128, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(Config{Store: st, CacheSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	memo := func(key string) (held bool, size int) {
+		srv.graphMu.Lock()
+		defer srv.graphMu.Unlock()
+		_, held = srv.graphs.entries[key]
+		return held, srv.graphs.len()
+	}
+	firstReq := MapRequest{Workload: "LU", Procs: 2, Seed: 1}
+	firstKey := fmt.Sprintf("LU/%d/%d", firstReq.Procs, firstReq.iters())
+	var first MapResult
+	postMap(t, h, firstReq, http.StatusOK, &first)
+	for procs := 3; procs <= graphMemoEntries+9; procs++ {
+		postMap(t, h, MapRequest{Workload: "LU", Procs: procs, Seed: 1}, http.StatusOK, nil)
+		if _, got := memo(""); got != min(procs-1, graphMemoEntries) {
+			t.Fatalf("after procs = %d the memo holds %d graphs, want %d", procs, got, min(procs-1, graphMemoEntries))
+		}
+	}
+	if got := getJSON(t, h, "/metrics", http.StatusOK)["graph_memo_entries"]; got != float64(graphMemoEntries) {
+		t.Errorf("/metrics graph_memo_entries = %v, want %d", got, graphMemoEntries)
+	}
+	if held, _ := memo(firstKey); held {
+		t.Fatal("the least recently used key was not evicted")
+	}
+	var again MapResult
+	postMap(t, h, firstReq, http.StatusOK, &again)
+	if again.Digest != first.Digest {
+		t.Errorf("re-profiled key answered digest %s, first answer %s", again.Digest, first.Digest)
+	}
+	if held, size := memo(firstKey); !held || size != graphMemoEntries {
+		t.Errorf("after re-profiling the memo holds the key: %t, %d graphs; want true, %d", held, size, graphMemoEntries)
 	}
 }
 
