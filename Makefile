@@ -39,8 +39,9 @@ race:
 # move/swap deltas against full cost recomputation, the matcher's phased
 # verdict and repair against Hall's condition, the network simulator's
 # fault-aware replay and fluid engines at a nil schedule against the
-# healthy-network references, the matrix text parser, and the trace
-# compression round trip.
+# healthy-network references, the matrix text parser, the trace
+# compression round trip, and the /v1/map body decoder against
+# encoding/json.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFillMatchesReference$$' -fuzztime 10s ./internal/multilevel
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltasMatchRecomputation$$' -fuzztime 10s ./internal/multilevel
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzNilScheduleMatchesReference$$' -fuzztime 10s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/mat
 	$(GO) test -run '^$$' -fuzz '^FuzzCompressRoundTrip$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequestMatchesStdlib$$' -fuzztime 10s ./internal/service
 
 # Fault-injection smoke: replay LU through the FlakyWAN preset and run the
 # failure-aware remap path end to end (internal/faults + netsim faulty

@@ -1,12 +1,12 @@
 package service
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"math"
-	"sort"
+	"slices"
 
 	"geoprocmap/internal/core"
 )
@@ -21,28 +21,26 @@ import (
 //
 //geolint:deterministic
 func fingerprint(r *MapRequest, snapshotVersion uint64) string {
-	h := sha256.New()
-	writeU64(h, snapshotVersion)
-	writeStr(h, r.Algorithm)
-	writeU64(h, uint64(r.Kappa))
-	writeU64(h, uint64(r.Seed))
-	writeU64(h, uint64(r.Procs))
-	writeU64(h, uint64(r.iters()))
-	writeStr(h, r.Workload)
+	// Room for every field when each allowed set holds one site.
+	b := make([]byte, 0, 64+len(r.Algorithm)+len(r.Workload)+32*len(r.Edges)+8*len(r.Constraint)+16*len(r.Allowed))
+	b = appendU64(b, snapshotVersion)
+	b = appendStr(b, r.Algorithm)
+	b = appendU64(b, uint64(r.Kappa))
+	b = appendU64(b, uint64(r.Seed))
+	b = appendU64(b, uint64(r.Procs))
+	b = appendU64(b, uint64(r.iters()))
+	b = appendStr(b, r.Workload)
 	if len(r.Edges) > 0 {
-		edges := append([]Edge(nil), r.Edges...)
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].Src != edges[j].Src {
-				return edges[i].Src < edges[j].Src
-			}
-			return edges[i].Dst < edges[j].Dst
-		})
-		writeU64(h, uint64(len(edges)))
+		// Sorting by the whole edge makes the key independent of edge
+		// order even when two edges share a (src, dst) pair.
+		edges := slices.Clone(r.Edges)
+		slices.SortFunc(edges, compareEdges)
+		b = appendU64(b, uint64(len(edges)))
 		for _, e := range edges {
-			writeU64(h, uint64(e.Src))
-			writeU64(h, uint64(e.Dst))
-			writeF64(h, e.Volume)
-			writeF64(h, e.Msgs)
+			b = appendU64(b, uint64(e.Src))
+			b = appendU64(b, uint64(e.Dst))
+			b = appendU64(b, math.Float64bits(e.Volume))
+			b = appendU64(b, math.Float64bits(e.Msgs))
 		}
 	}
 	// An all-Unconstrained vector fingerprints identically to an absent
@@ -55,21 +53,36 @@ func fingerprint(r *MapRequest, snapshotVersion uint64) string {
 		}
 	}
 	if pinned {
-		writeU64(h, uint64(len(r.Constraint)))
+		b = appendU64(b, uint64(len(r.Constraint)))
 		for _, c := range r.Constraint {
-			writeU64(h, uint64(int64(c)))
+			b = appendU64(b, uint64(int64(c)))
 		}
 	}
 	if len(r.Allowed) > 0 {
-		writeU64(h, uint64(len(r.Allowed)))
+		b = appendU64(b, uint64(len(r.Allowed)))
 		for _, set := range r.Allowed {
-			writeU64(h, uint64(len(set)))
+			b = appendU64(b, uint64(len(set)))
 			for _, s := range set {
-				writeU64(h, uint64(s))
+				b = appendU64(b, uint64(s))
 			}
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hashHex(b)
+}
+
+// compareEdges orders edges by (Src, Dst, Volume bits, Msgs bits): a
+// total order, so equal multisets of edges sort to equal lists.
+func compareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(math.Float64bits(a.Volume), math.Float64bits(b.Volume)); c != 0 {
+		return c
+	}
+	return cmp.Compare(math.Float64bits(a.Msgs), math.Float64bits(b.Msgs))
 }
 
 // routingVersion is the snapshot-version sentinel RoutingKey hashes in
@@ -97,22 +110,19 @@ func PlacementDigest(pl core.Placement) string { return placementDigest(pl) }
 //
 //geolint:deterministic
 func placementDigest(pl core.Placement) string {
-	h := sha256.New()
+	b := make([]byte, 0, 8*len(pl))
 	for _, s := range pl {
-		writeU64(h, uint64(int64(s)))
+		b = appendU64(b, uint64(int64(s)))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hashHex(b)
 }
 
-func writeU64(h hash.Hash, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	h.Write(buf[:]) //geolint:ignore errcheck hash.Hash.Write documents a nil error
+// hashHex is the hex SHA-256 of b, the form every digest and key takes.
+func hashHex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
-func writeF64(h hash.Hash, v float64) { writeU64(h, math.Float64bits(v)) }
+func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
-func writeStr(h hash.Hash, s string) {
-	writeU64(h, uint64(len(s)))
-	h.Write([]byte(s)) //geolint:ignore errcheck hash.Hash.Write documents a nil error
-}
+func appendStr(b []byte, s string) []byte { return append(appendU64(b, uint64(len(s))), s...) }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -282,16 +283,38 @@ func (s *Server) Handler() http.Handler {
 // fits comfortably.
 const maxBodyBytes = 64 << 20
 
+// bodyPool recycles /v1/map body buffers, so a steady stream of bodies
+// is read without allocating. Buffers above maxPooledBody (a
+// ~5,000-process edge list) are left to the collector rather than held.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// readRequest reads the whole body, at most maxBodyBytes of it, and
+// decodes it. A longer body is an error even when its first JSON value
+// ends before the limit.
+func readRequest(w http.ResponseWriter, r *http.Request) (MapRequest, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodyPool.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		return MapRequest{}, err
+	}
+	return decodeRequest(buf.Bytes())
+}
+
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.metrics.RequestStarted()
 	outcome := OutcomeError
 	defer func() { s.metrics.RequestFinished(time.Since(start).Seconds(), outcome) }()
 
-	var req MapRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := readRequest(w, r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}

@@ -168,6 +168,17 @@ func TestMapConstraintsAndExplicitEdges(t *testing.T) {
 	if !ecached.Cached {
 		t.Error("edge order changed the fingerprint")
 	}
+	// Also when two edges share a (src, dst) pair: they build the same
+	// graph in either order.
+	edge.Edges = []Edge{{Src: 0, Dst: 1, Volume: 1, Msgs: 1}, {Src: 0, Dst: 1, Volume: 2, Msgs: 1}}
+	var pair MapResponse
+	postMap(t, h, edge, http.StatusOK, &pair)
+	edge.Edges = []Edge{edge.Edges[1], edge.Edges[0]}
+	var pcached MapResponse
+	postMap(t, h, edge, http.StatusOK, &pcached)
+	if !pcached.Cached || pcached.Digest != pair.Digest {
+		t.Error("the order of two edges on one (src, dst) pair changed the fingerprint")
+	}
 }
 
 func TestMapRejectsBadRequests(t *testing.T) {

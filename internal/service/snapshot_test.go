@@ -11,7 +11,7 @@ import (
 
 // testSnapshot builds a ground-truth snapshot of the paper's 4-region
 // EC2 cloud with n/4 nodes per site.
-func testSnapshot(t *testing.T, n int, seed int64) *Snapshot {
+func testSnapshot(t testing.TB, n int, seed int64) *Snapshot {
 	t.Helper()
 	cloud, err := netmodel.EvenCloud(netmodel.AmazonEC2, "m4.xlarge", netmodel.PaperEC2Regions, n/4, netmodel.Options{Seed: seed})
 	if err != nil {
