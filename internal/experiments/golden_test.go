@@ -28,20 +28,23 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // so a change that moves every GeoMapper placement the same way passes
 // them. Here the placements of the paper's five workloads on the EC2
 // evaluation cloud, over N ∈ {16, 64, 256}, seeds 1–2, constraint ratios
-// 0 and 0.2 and κ ∈ {2, 4}, must hash to the checked-in digests. Run with
+// 0 and 0.2 and κ ∈ {2, 4}, plus the unequal-capacity cells of
+// unequalPlacements, must hash to the checked-in digests. Run with
 // -update to rewrite the file after a deliberate re-baseline.
 func TestGeoMapperPlacementsGolden(t *testing.T) {
 	var buf bytes.Buffer
-	paperPlacements(t, &buf, func(kappa int, seed int64) core.Mapper {
+	geo := func(kappa int, seed int64) core.Mapper {
 		return &core.GeoMapper{Kappa: kappa, Seed: seed}
-	})
+	}
+	paperPlacements(t, &buf, geo)
+	unequalPlacements(t, &buf, geo)
 	checkGolden(t, "geomapper_placements.golden", buf.Bytes())
 }
 
 // TestMultilevelPlacementsGolden pins MultilevelGeoMapper placements the
 // same way, over the same paper instances plus synthetic 16-site cells at
 // κ ∈ {7, 8}, where the coarsest-level order search examines only the
-// first 720 of the κ! group orders.
+// first 720 of the κ! group orders, and the unequal-capacity cells.
 func TestMultilevelPlacementsGolden(t *testing.T) {
 	var buf bytes.Buffer
 	multilevel := func(kappa int, seed int64) core.Mapper {
@@ -57,6 +60,7 @@ func TestMultilevelPlacementsGolden(t *testing.T) {
 			}
 		}
 	}
+	unequalPlacements(t, &buf, multilevel)
 	checkGolden(t, "multilevel_placements.golden", buf.Bytes())
 }
 
@@ -292,6 +296,30 @@ func paperPlacements(t *testing.T, buf *bytes.Buffer, mapper func(kappa int, see
 						writeDigest(t, buf, mapper(kappa, seed), inst.Problem,
 							fmt.Sprintf("%s n=%d seed=%d ratio=%g kappa=%d", app.Name(), n, seed, ratio, kappa))
 					}
+				}
+			}
+		}
+	}
+}
+
+// unequalPlacements writes one digest line per unpinned synthetic instance
+// whose site capacities differ: 4 sites with capacities from two values
+// and 8 sites with capacities from three (each value on a seeded random
+// share of the sites), over N ∈ {64, 256}, seeds 1–2 and κ ∈ {2, 4}. Consecutive group orders then visit sites of differing
+// capacity, which the equal-capacity paper cloud never does.
+func unequalPlacements(t *testing.T, buf *bytes.Buffer, mapper func(kappa int, seed int64) core.Mapper) {
+	t.Helper()
+	for _, c := range []struct{ m, values int }{{4, 2}, {8, 3}} {
+		for _, n := range []int{64, 256} {
+			for seed := int64(1); seed <= 2; seed++ {
+				p := syntheticProblem(n, c.m, seed)
+				base, perm := (n+c.m-1)/c.m, stats.NewRand(seed).Perm(c.m)
+				for k := range p.Capacity {
+					p.Capacity[k] = base * (2 + perm[k]%c.values) / 2
+				}
+				for _, kappa := range []int{2, 4} {
+					writeDigest(t, buf, mapper(kappa, seed), p,
+						fmt.Sprintf("unequal m=%d n=%d seed=%d kappa=%d capacity=%v", c.m, n, seed, kappa, p.Capacity))
 				}
 			}
 		}
