@@ -35,9 +35,10 @@ race:
 
 # Native fuzz pass: each fuzz target for 10 s beyond its seed corpus.
 # go test accepts -fuzz for one package at a time, so each target gets its
-# own call: the heap-driven fill against its O(N²) reference scan, the
-# move/swap deltas against full cost recomputation, the matcher's phased
-# verdict and repair against Hall's condition, the network simulator's
+# own call: the heap-driven fill, including its replay of a recorded fill
+# on unpinned levels without site sets, against its O(N²) reference scan,
+# the move/swap deltas against full cost recomputation, the matcher's
+# phased verdict and repair against Hall's condition, the network simulator's
 # fault-aware replay and fluid engines at a nil schedule against the
 # healthy-network references, the matrix text parser, the trace
 # compression round trip, and the /v1/map body decoder against

@@ -27,9 +27,12 @@ import (
 // repair and the objective are this type's own. The complexity is
 // O(κ!·(M·N + E·log E)) for E communicating pairs: the fill keeps its
 // next-process candidates in a heap instead of rescanning all N processes
-// per placement, the O(κ!·N²) of a literal reading of the paper. The
-// grouping step keeps κ small (the paper recommends κ ≤ 5) so the order
-// search stays tractable for large M.
+// per placement, the O(κ!·N²) of a literal reading of the paper. With no
+// pinned process and no site set, orders that visit the same capacity
+// sequence share one fill (see multilevel.Fill), so on equal-capacity
+// sites the search costs one fill per worker plus κ! O(N) replays and κ!
+// cost evaluations. The grouping step keeps κ small (the paper recommends
+// κ ≤ 5) so the order search stays tractable for large M.
 type GeoMapper struct {
 	// Kappa is the number of K-means site groups κ. Zero selects the
 	// default of min(M, 4). Values above MaxKappa are rejected to keep the

@@ -34,6 +34,21 @@ import (
 // selection is final, the room only shrinks, the allowed sets are fixed,
 // an affinity is a sum of non-negative weights that only grows, and each
 // change pushes the new value.
+//
+// On a symmetric level, one with no pinned vertex and no allowed-site set
+// (decided once by newFill), no pick ever asks which site it is on: a
+// site's fill reads only its capacity and what earlier sites took. So the
+// whole fill is a function of its key, the capacity sequence: the
+// capacities of the sites in the order Run visits them. Run keeps the key
+// and the pick log of its last full fill, site by site in visit order, and
+// when the next order has the same key it replays that log through place
+// onto the new order's sites instead of filling again. The replay leaves
+// the placement, selected, avail and members (with each site's member
+// order) exactly as the full fill would, which the initial map's leftover
+// repair reads. On the paper's equal-capacity clouds every order shares
+// one key, so a κ! search costs one fill per worker plus κ! replays. A
+// pinned vertex or an allowed set ties a pick to one site's label, which
+// the capacity sequence cannot see, so those levels always fill in full.
 type Fill struct {
 	in  *Instance
 	lv  *level
@@ -48,6 +63,17 @@ type Fill struct {
 	members   [][]int // vertices currently placed per site
 	pl        []int
 	groupDone []bool // scratch for the site-selection loop, len M
+
+	// Replay state for a symmetric level; see the type doc.
+	symmetric bool
+	visits    []int  // scratch: the sites this Run visits, in order, len M
+	visited   []bool // scratch: sites already in visits, len M
+	key       []int  // key[:nKey]: the capacities of the last full fill's visits
+	nKey      int
+	recorded  bool  // key, picks and ends describe a full fill
+	picks     []int // that fill's vertices, site by site in visit order, len n
+	ends      []int // picks[ends[i-1]:ends[i]] went to its i-th visited site
+	fullRuns  int   // full fills run, for tests
 }
 
 // NewFill returns a fill over in's level-0 graph, pins and allowed sets.
@@ -68,8 +94,18 @@ func newFill(in *Instance, lv *level) *Fill {
 		members:   make([][]int, in.M()),
 		pl:        make([]int, n),
 		groupDone: make([]bool, in.M()),
+		symmetric: true,
+		visited:   make([]bool, in.M()),
 	}
+	// One block backs the replay's int buffers: visits, key and ends of
+	// len M, then picks of len n.
+	m := in.M()
+	replay := make([]int, 3*m+n)
+	f.visits, f.key, f.ends, f.picks = replay[:m:m], replay[m:2*m:2*m], replay[2*m:3*m:3*m], replay[3*m:]
 	for v := 0; v < n; v++ {
+		if lv.pin[v] >= 0 || len(lv.allowed[v]) > 0 {
+			f.symmetric = false
+		}
 		var q units.Cost
 		lv.g.adj.Neighbors(v, func(_ int, vol, msgs float64) {
 			q += f.ref.weight(vol, msgs)
@@ -104,24 +140,135 @@ type frontierEntry struct {
 // then to the lower index. It returns the placement with -1 for every
 // vertex no site took. The slice is reused by the next Run, so callers
 // must copy it to keep it; every buffer lives on the Fill, so the
-// thousands of orders a search runs do not allocate.
+// thousands of orders a search runs do not allocate. On a symmetric
+// level an order with the last full fill's key replays that fill's picks.
 //
 //geolint:allocfree
 func (f *Fill) Run(orderedGroups [][]int) []int {
-	g := f.lv.g
-	n := g.n
-	// The scans below read these as locals resliced to n, so the headers
-	// stay in registers and the compiler drops the bounds checks.
-	weight, pin, allowed := g.weight[:n], f.lv.pin[:n], f.lv.allowed[:n]
-	selected, affinity, order := f.selected[:n], f.affinity[:n], f.order[:n]
-	for i := range selected {
-		selected[i] = false
+	f.reset()
+	if !f.symmetric {
+		f.fill(orderedGroups)
+		return f.pl
+	}
+	nv, ok := f.visitOrder(orderedGroups)
+	switch {
+	case !ok:
+		f.fill(orderedGroups)
+	case f.recorded && f.sameKey(nv):
+		f.replay(nv)
+	default:
+		f.fill(orderedGroups)
+		f.record(nv)
+	}
+	return f.pl
+}
+
+// reset empties the placement and restores every site's capacity.
+func (f *Fill) reset() {
+	for i := range f.selected {
+		f.selected[i] = false
 		f.pl[i] = -1
 	}
 	copy(f.avail, f.in.Capacity)
 	for s := range f.members {
 		f.members[s] = f.members[s][:0]
 	}
+}
+
+// nextSite returns the index in group of the site not yet done with the
+// most room, ties to the lower index, or -1 when no site has room ≥ 0.
+func nextSite(group []int, done []bool, room []int) int {
+	best, bestRoom := -1, -1
+	for idx, s := range group {
+		if !done[idx] && room[s] > bestRoom {
+			best, bestRoom = idx, room[s]
+		}
+	}
+	return best
+}
+
+// visitOrder writes into f.visits the sites a fill of orderedGroups on a
+// symmetric level visits, in order, and returns their count. With no pins,
+// a site's room when its group picks the next site is still its capacity,
+// so this is fill's own site selection run ahead of the picks. It reports
+// false when a site appears twice, which fill would visit again with what
+// it already holds, so no key describes the run.
+func (f *Fill) visitOrder(orderedGroups [][]int) (int, bool) {
+	for s := range f.visited {
+		f.visited[s] = false
+	}
+	nv := 0
+	for _, group := range orderedGroups {
+		done := f.groupDone[:len(group)]
+		for i := range done {
+			done[i] = false
+		}
+		for range group {
+			idx := nextSite(group, done, f.in.Capacity)
+			if idx == -1 {
+				break
+			}
+			done[idx] = true
+			site := group[idx]
+			if f.visited[site] {
+				return 0, false
+			}
+			f.visited[site] = true
+			f.visits[nv] = site
+			nv++
+		}
+	}
+	return nv, true
+}
+
+// sameKey reports whether the nv sites in f.visits have the recorded
+// capacity sequence.
+func (f *Fill) sameKey(nv int) bool {
+	if nv != f.nKey {
+		return false
+	}
+	for i, s := range f.visits[:nv] {
+		if f.in.Capacity[s] != f.key[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// record keeps the key and pick log of the full fill that just visited
+// f.visits[:nv]. Each visited site's members are exactly its picks, in
+// pick order, since no vertex is pinned and no site is visited twice.
+func (f *Fill) record(nv int) {
+	k := 0
+	for i, s := range f.visits[:nv] {
+		f.key[i] = f.in.Capacity[s]
+		k += copy(f.picks[k:], f.members[s])
+		f.ends[i] = k
+	}
+	f.nKey, f.recorded = nv, true
+}
+
+// replay places the recorded picks onto the sites in f.visits[:nv], the
+// i-th visited site taking what the recorded fill's i-th site took.
+func (f *Fill) replay(nv int) {
+	k := 0
+	for i, s := range f.visits[:nv] {
+		for _, v := range f.picks[k:f.ends[i]] {
+			f.place(v, s)
+		}
+		k = f.ends[i]
+	}
+}
+
+// fill runs the greedy fill of one ordered group sequence from reset.
+func (f *Fill) fill(orderedGroups [][]int) {
+	f.fullRuns++
+	g := f.lv.g
+	n := g.n
+	// The scans below read these as locals resliced to n, so the headers
+	// stay in registers and the compiler drops the bounds checks.
+	weight, pin, allowed := g.weight[:n], f.lv.pin[:n], f.lv.allowed[:n]
+	selected, affinity, order := f.selected[:n], f.affinity[:n], f.order[:n]
 	remaining := n
 	seedFrom := 0 // order[:seedFrom] is all selected
 
@@ -145,17 +292,13 @@ func (f *Fill) Run(orderedGroups [][]int) []int {
 		for i := range groupDone {
 			groupDone[i] = false
 		}
-		for j := 0; j < len(group); j++ {
-			site, bestAvail, bestIdx := -1, -1, -1
-			for idx, s := range group {
-				if !groupDone[idx] && f.avail[s] > bestAvail {
-					site, bestAvail, bestIdx = s, f.avail[s], idx
-				}
-			}
-			if site == -1 {
+		for range group {
+			idx := nextSite(group, groupDone, f.avail)
+			if idx == -1 {
 				break
 			}
-			groupDone[bestIdx] = true
+			groupDone[idx] = true
+			site := group[idx]
 			if f.avail[site] <= 0 {
 				continue
 			}
@@ -212,7 +355,6 @@ func (f *Fill) Run(orderedGroups [][]int) []int {
 			}
 		}
 	}
-	return f.pl
 }
 
 // before reports whether vertex a precedes b in the pick key: higher

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"geoprocmap/internal/comm"
@@ -57,8 +58,10 @@ func clusteredInstance(n, m int, seed int64) *Instance {
 
 var benchFill []int
 
-// BenchmarkAllocFill measures one greedy fill, the per-order body of the
-// GeoMapper order search (recorded in results/BENCH_alloc.json).
+// BenchmarkAllocFill measures one full greedy fill, the per-order body of
+// the GeoMapper order search (recorded in results/BENCH_alloc.json). Every
+// order of this unpinned, equal-capacity instance has one key, so each
+// iteration drops the recorded fill first to keep Run from replaying it.
 func BenchmarkAllocFill(b *testing.B) {
 	f := NewFill(clusteredInstance(64, 4, 11))
 	ordered := [][]int{{0}, {1}, {2}, {3}}
@@ -66,15 +69,15 @@ func BenchmarkAllocFill(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		f.recorded = false
 		benchFill = f.Run(ordered)
 	}
 }
 
-// BenchmarkAllocFill512 measures one greedy fill at the shape of a
-// served 512-process edge-list request: the ring + stride + butterfly
-// pattern over the paper's four EC2 regions at 160 nodes each, for one
-// order of κ = 4 site groups (one site per group).
-func BenchmarkAllocFill512(b *testing.B) {
+// served512 is the shape of a served 512-process edge-list request: the
+// ring + stride + butterfly pattern over the paper's four EC2 regions at
+// 160 nodes each, with no pins, in κ = 4 site groups of one site each.
+func served512(tb testing.TB) *Instance {
 	const n = 512
 	g := comm.NewGraph(n)
 	rng := stats.NewRand(1)
@@ -87,22 +90,131 @@ func BenchmarkAllocFill512(b *testing.B) {
 	}
 	cloud, err := netmodel.EvenCloud(netmodel.AmazonEC2, "m4.xlarge", netmodel.PaperEC2Regions, 160, netmodel.Options{Seed: 1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	f := NewFill(&Instance{
+	return &Instance{
 		G:        FromComm(g),
 		LT:       cloud.LT,
 		BT:       cloud.BT,
 		Capacity: cloud.Capacity(),
 		Pin:      mat.NewIntVec(n, -1),
-	})
+		Groups:   [][]int{{0}, {1}, {2}, {3}},
+	}
+}
+
+// BenchmarkAllocFill512 measures one full greedy fill at the shape of a
+// served 512-process request, for one order of its site groups, dropping
+// the recorded fill in every iteration as BenchmarkAllocFill does.
+func BenchmarkAllocFill512(b *testing.B) {
+	f := NewFill(served512(b))
 	ordered := [][]int{{2}, {0}, {3}, {1}}
 	benchFill = f.Run(ordered) // warm members and frontier to their high-water marks
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		f.recorded = false
 		benchFill = f.Run(ordered)
 	}
+}
+
+// BenchmarkAllocFill512Shared measures what the other 23 orders of the
+// served 512-process search cost: a replay of the recorded fill onto a
+// relabelled order with the same capacity sequence.
+func BenchmarkAllocFill512Shared(b *testing.B) {
+	f := NewFill(served512(b))
+	orders := [2][][]int{{{2}, {0}, {3}, {1}}, {{1}, {3}, {0}, {2}}}
+	benchFill = f.Run(orders[0]) // the full fill the replays share
+	benchFill = f.Run(orders[1]) // warm every site's members to its high-water mark
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchFill = f.Run(orders[i%2])
+	}
+	if f.fullRuns != 1 {
+		b.Fatalf("%d full fills, want 1", f.fullRuns)
+	}
+}
+
+// TestFillSharesSymmetricOrders checks when SearchOrders' fills replay:
+// on the unpinned, equal-capacity served instance every order has one
+// key, so each worker fills once; a pinned vertex or an allowed-site set
+// turns the replay off; with two capacity values a worker fills again
+// exactly when an order's capacity sequence differs from the previous
+// order's. Every search must return the placement of a search whose
+// fills never replay.
+func TestFillSharesSymmetricOrders(t *testing.T) {
+	search := func(in *Instance, workers int, share bool) ([]int, int) {
+		var mu sync.Mutex
+		var fills []*Fill
+		best, _, ok := SearchOrders(in.Groups, math.MaxInt, workers, func() Eval {
+			f := NewFill(in)
+			mu.Lock()
+			fills = append(fills, f)
+			mu.Unlock()
+			return func(ordered [][]int) ([]int, units.Cost, bool) {
+				f.recorded = f.recorded && share
+				pl := f.Run(ordered)
+				if slices.Contains(pl, -1) {
+					return nil, 0, false // a site set stranded a vertex
+				}
+				return pl, in.Cost(pl), true
+			}
+		})
+		if !ok {
+			t.Fatal("no feasible order")
+		}
+		full := 0
+		for _, f := range fills {
+			full += f.fullRuns
+		}
+		return best, full
+	}
+	check := func(name string, in *Instance, workers, wantFull int) {
+		t.Helper()
+		got, full := search(in, workers, true)
+		if full != wantFull {
+			t.Errorf("%s, workers=%d: %d full fills, want %d", name, workers, full, wantFull)
+		}
+		if want, _ := search(in, workers, false); !slices.Equal(got, want) {
+			t.Errorf("%s, workers=%d: shared fills place %v, full fills %v", name, workers, got, want)
+		}
+	}
+
+	in := served512(t)
+	check("symmetric", in, 1, 1)
+	check("symmetric", in, 2, 2)
+	one, _ := search(in, 1, true)
+	if two, _ := search(in, 2, true); !slices.Equal(one, two) {
+		t.Error("symmetric: placements differ between 1 and 2 workers")
+	}
+
+	pinned := served512(t)
+	pinned.Pin[0] = 3
+	check("one pinned vertex", pinned, 1, 24)
+	restricted := served512(t)
+	restricted.Allowed = make([][]int, restricted.G.n)
+	restricted.Allowed[5] = []int{0, 2}
+	check("one site set", restricted, 1, 24)
+
+	// Two capacity values: the predicted count is one fill for the first
+	// order plus one for every order whose key differs from its
+	// predecessor's (one site per group, so the key is the capacities in
+	// group order).
+	twoValues := served512(t)
+	twoValues.Capacity = []int{160, 200, 160, 200}
+	want, prev := 0, ""
+	stats.PermutationRange(4, 0, 24, func(_ int, perm []int) bool {
+		key := fmt.Sprint(twoValues.Capacity[perm[0]], twoValues.Capacity[perm[1]], twoValues.Capacity[perm[2]], twoValues.Capacity[perm[3]])
+		if key != prev {
+			want++
+		}
+		prev = key
+		return true
+	})
+	if want <= 1 || want >= 24 {
+		t.Fatalf("key rule predicts %d full fills; the fixture should share some orders and not others", want)
+	}
+	check("two capacity values", twoValues, 1, want)
 }
 
 // TestFillDoesNotAllocatePerOrder locks in the fill's no-reallocation
@@ -286,13 +398,16 @@ func referenceRun(f *Fill, orderedGroups [][]int) []int {
 	return f.pl
 }
 
-// fillCase is a random small fill instance. Every instance carries pins,
-// site sets, edges with only msgs and edges with only volume, and
-// volumes drawn from a few values so quantities and affinities tie; the
-// zero mode makes one of the two edge kinds weightless on the reference
-// link (0: neither, 1: zero latency, 2: infinite bandwidth), so touched
-// vertices can sit at zero affinity beside untouched ones.
-func fillCase(seed int64, n, m, zero int) *Instance {
+// fillCase is a random small fill instance. Every instance carries edges
+// with only msgs and edges with only volume, and volumes drawn from a few
+// values so quantities and affinities tie; the zero mode makes one of the
+// two edge kinds weightless on the reference link (0: neither, 1: zero
+// latency, 2: infinite bandwidth), so touched vertices can sit at zero
+// affinity beside untouched ones. An instance carries pins and site sets
+// unless symmetric is set; a symmetric one draws its capacities from at
+// most two values instead, so Run replays on some consecutive orders and
+// fills again on others.
+func fillCase(seed int64, n, m, zero int, symmetric bool) *Instance {
 	rng := stats.NewRand(seed)
 	g := comm.NewGraph(n)
 	for e := rng.Intn(3 * n); e > 0; e-- {
@@ -321,21 +436,28 @@ func fillCase(seed int64, n, m, zero int) *Instance {
 		}
 	}
 	capacity := make([]int, m)
-	for s := range capacity {
-		capacity[s] = 1 + rng.Intn((n+m-1)/m+2)
-	}
 	pin := mat.NewIntVec(n, -1)
-	pinned := make([]int, m)
 	allowed := make([][]int, n)
-	for v := range pin {
-		switch s := rng.Intn(m); rng.Intn(5) {
-		case 0:
-			if pinned[s] < capacity[s] {
-				pin[v] = s
-				pinned[s]++
+	if symmetric {
+		values := [2]int{1 + rng.Intn((n+m-1)/m+2), 1 + rng.Intn((n+m-1)/m+2)}
+		for s := range capacity {
+			capacity[s] = values[rng.Intn(2)]
+		}
+	} else {
+		for s := range capacity {
+			capacity[s] = 1 + rng.Intn((n+m-1)/m+2)
+		}
+		pinned := make([]int, m)
+		for v := range pin {
+			switch s := rng.Intn(m); rng.Intn(5) {
+			case 0:
+				if pinned[s] < capacity[s] {
+					pin[v] = s
+					pinned[s]++
+				}
+			case 1:
+				allowed[v] = []int{s, rng.Intn(m)}
 			}
-		case 1:
-			allowed[v] = []int{s, rng.Intn(m)}
 		}
 	}
 	// A random partition of the sites into at most four non-empty groups.
@@ -353,8 +475,10 @@ func fillCase(seed int64, n, m, zero int) *Instance {
 
 // checkFillMatchesReference runs Run and referenceRun on every order of
 // in's groups, on level 0 and on one coarsened level whose super-vertices
-// weigh up to three processes, and fails on the first placement that
-// differs.
+// weigh up to three processes, and fails on the first order where the
+// placement, the remaining room or a site's members (in order) differ:
+// Run may have replayed an earlier order's fill, and the initial map's
+// leftover repair reads all three.
 func checkFillMatchesReference(t *testing.T, in *Instance) {
 	t.Helper()
 	l0 := &level{g: in.G, pin: in.Pin, allowed: normalizeAllowed(in.Allowed, in.G.n)}
@@ -371,19 +495,31 @@ func checkFillMatchesReference(t *testing.T, in *Instance) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("level with %d vertices, order rank %d: Run = %v, reference scan = %v", lv.g.n, rank, got, want)
 			}
+			if !slices.Equal(f.avail, ref.avail) {
+				t.Fatalf("level with %d vertices, order rank %d: avail = %v, reference scan = %v", lv.g.n, rank, f.avail, ref.avail)
+			}
+			for s := range f.members {
+				if !slices.Equal(f.members[s], ref.members[s]) {
+					t.Fatalf("level with %d vertices, order rank %d: site %d members = %v, reference scan = %v", lv.g.n, rank, s, f.members[s], ref.members[s])
+				}
+			}
 			return true
 		})
 	}
 }
 
 // TestFillMatchesReference checks the heap-driven fill against the O(N²)
-// reference scan on random small instances in every zero mode and on the
-// fixtures the other fill tests use.
+// reference scan on random small instances in every zero mode, with and
+// without pins and site sets, and on the fixtures the other fill tests
+// use.
 func TestFillMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		n, m, zero := 1+int(seed*7%40), 1+int(seed%6), int(seed%3)
 		t.Run(fmt.Sprintf("seed=%d/n=%d/m=%d/zero=%d", seed, n, m, zero), func(t *testing.T) {
-			checkFillMatchesReference(t, fillCase(seed, n, m, zero))
+			checkFillMatchesReference(t, fillCase(seed, n, m, zero, false))
+		})
+		t.Run(fmt.Sprintf("symmetric/seed=%d/n=%d/m=%d/zero=%d", seed, n, m, zero), func(t *testing.T) {
+			checkFillMatchesReference(t, fillCase(seed, n, m, zero, true))
 		})
 	}
 	t.Run("testInstance", func(t *testing.T) { checkFillMatchesReference(t, testInstance(t, 64, 8, true, true)) })
@@ -395,12 +531,14 @@ func TestFillMatchesReference(t *testing.T) {
 }
 
 // FuzzFillMatchesReference is TestFillMatchesReference over fuzzed
-// instance seeds and shapes (make fuzz runs it).
+// instance seeds and shapes (make fuzz runs it). The top bit of zero
+// selects the symmetric mode, where Run replays.
 func FuzzFillMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(3), uint8(0))
 	f.Add(int64(2), uint8(30), uint8(5), uint8(1))
 	f.Add(int64(3), uint8(7), uint8(1), uint8(2))
+	f.Add(int64(4), uint8(20), uint8(4), uint8(0x80))
 	f.Fuzz(func(t *testing.T, seed int64, n, m, zero uint8) {
-		checkFillMatchesReference(t, fillCase(seed, 1+int(n%48), 1+int(m%6), int(zero%3)))
+		checkFillMatchesReference(t, fillCase(seed, 1+int(n%48), 1+int(m%6), int(zero%3), zero&0x80 != 0))
 	})
 }

@@ -94,7 +94,7 @@ func TestDeltasMatchRecomputation(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		n, m, zero := 2+int(seed*7%30), 2+int(seed%5), int(seed%3)
 		t.Run(fmt.Sprintf("seed=%d/n=%d/m=%d/zero=%d", seed, n, m, zero), func(t *testing.T) {
-			c := checkDeltasMatchRecomputation(t, fillCase(seed, n, m, zero), seed)
+			c := checkDeltasMatchRecomputation(t, fillCase(seed, n, m, zero, false), seed)
 			cov.adjacentSwaps += c.adjacentSwaps
 			cov.selfMoves += c.selfMoves
 		})
@@ -110,6 +110,6 @@ func FuzzDeltasMatchRecomputation(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(3), uint8(0))
 	f.Add(int64(2), uint8(20), uint8(4), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, n, m, zero uint8) {
-		checkDeltasMatchRecomputation(t, fillCase(seed, 1+int(n%32), 1+int(m%6), int(zero%3)), seed)
+		checkDeltasMatchRecomputation(t, fillCase(seed, 1+int(n%32), 1+int(m%6), int(zero%3), false), seed)
 	})
 }
