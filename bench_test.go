@@ -318,7 +318,11 @@ func BenchmarkAblationCostModel(b *testing.B) {
 		{"bandwidth-only", func(q *core.Problem) { q.LT = mat.NewSquare(q.M()) }},
 		{"latency-only", func(q *core.Problem) {
 			flat := mat.NewSquare(q.M())
-			flat.Fill(1e9)
+			for i := 0; i < q.M(); i++ {
+				for j := 0; j < q.M(); j++ {
+					flat.Set(i, j, 1e9)
+				}
+			}
 			q.BT = flat
 		}},
 	}

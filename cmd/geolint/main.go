@@ -6,7 +6,7 @@
 // Usage:
 //
 //	go run ./cmd/geolint ./...                # whole module
-//	go run ./cmd/geolint ./internal/...      # one subtree
+//	go run ./cmd/geolint ./internal/...      # one subtree (skips deadcode)
 //	go run ./cmd/geolint -rules              # list the rules
 //	go run ./cmd/geolint -json ./...         # machine-readable findings
 //	go run ./cmd/geolint -staleignores ./... # also report unused ignores

@@ -36,8 +36,15 @@
 //	              boxing, variadic calls, escaping closures) over the
 //	              module call graph; deliberate crossings carry a
 //	              justified //geolint:allocsite
+//	deadcode      every declared function and method must be reachable
+//	              over the module call graph from a root: a main or
+//	              init, a package-level var initializer's reference, or a
+//	              method matching a standard-library interface (String,
+//	              Error, MarshalJSON, ServeHTTP, sort and heap methods,
+//	              Import); _test.go files are never roots, and the rule
+//	              reports only when the load covers the whole module
 //
-// Rules that need module-wide knowledge implement FactExporter; Run drives
+// Rules that need module-wide knowledge implement FactExporter; RunWith drives
 // a fact phase over every package before any rule checks, so (for example)
 // the unit types declared in internal/units are recognized from every
 // importing package. The engine also builds a module-wide call graph
@@ -94,8 +101,8 @@ type Pass struct {
 	// TypeErrors collects type-checker diagnostics for this package.
 	// Non-empty TypeErrors means typed rules may have reduced coverage.
 	TypeErrors []error
-	// Facts is the module-wide fact set, populated by Run before any
-	// rule's Check is called. Nil when rules are invoked outside Run.
+	// Facts is the module-wide fact set, populated by RunWith before any
+	// rule's Check is called. Nil when rules are invoked outside RunWith.
 	Facts *FactSet
 	// FactsOnly marks a package loaded solely because a pattern-matched
 	// package imports it: it contributes facts (unit-type declarations)
@@ -103,6 +110,10 @@ type Pass struct {
 	// lose the unitcheck rule whenever internal/units fell outside the
 	// pattern.
 	FactsOnly bool
+	// WholeModule marks a pass from a load whose patterns matched every
+	// package of the module. deadcode runs only when every pass carries
+	// it.
+	WholeModule bool
 }
 
 // Rule is one geolint check.
@@ -129,6 +140,7 @@ func DefaultRules() []Rule {
 		&DetCheckRule{},
 		&LockSafeRule{},
 		&AllocSafeRule{},
+		&DeadCodeRule{},
 	}
 }
 
@@ -186,18 +198,17 @@ type RunOptions struct {
 	UsageRules []Rule
 }
 
-// Run applies the rules to every package, filters findings through the
-// ignore directives, appends diagnostics for malformed directives, and
-// returns the surviving findings sorted by position.
-func Run(passes []*Pass, rules []Rule) []Finding {
-	return RunWith(passes, rules, RunOptions{})
-}
-
-// RunWith is Run with options. It proceeds in two phases: first every rule
-// implementing FactExporter sees every pass, building the module-wide
-// FactSet; then every rule checks every pass with the completed facts
-// available on Pass.Facts.
+// RunWith applies the rules to every package, filters findings through
+// the ignore directives, appends diagnostics for malformed directives, and
+// returns the surviving findings sorted by position. It proceeds in two
+// phases: first every rule implementing FactExporter sees every pass,
+// building the module-wide FactSet; then every rule checks every pass with
+// the completed facts available on Pass.Facts.
 func RunWith(passes []*Pass, rules []Rule, opt RunOptions) []Finding {
+	if !wholeModule(passes) {
+		rules = withoutDeadCode(rules)
+		opt.UsageRules = withoutDeadCode(opt.UsageRules)
+	}
 	facts := NewFactSet()
 	// Usage rules run the full fact/check pipeline alongside the
 	// reporting rules; only their findings' fate differs below.
@@ -275,6 +286,30 @@ func RunWith(passes []*Pass, rules []Rule, opt RunOptions) []Finding {
 		// declaration; order them by message so output is stable.
 		return a.Message < b.Message
 	})
+	return out
+}
+
+// wholeModule reports whether the passes come from a load that matched
+// every package of the module.
+func wholeModule(passes []*Pass) bool {
+	for _, p := range passes {
+		if !p.WholeModule {
+			return false
+		}
+	}
+	return len(passes) > 0
+}
+
+// withoutDeadCode drops deadcode from rules for a partial load: with
+// callers missing, it would call live functions dead. Dropped, it is
+// neither checked nor counted for stale ignores.
+func withoutDeadCode(rules []Rule) []Rule {
+	var out []Rule
+	for _, r := range rules {
+		if _, ok := r.(*DeadCodeRule); !ok {
+			out = append(out, r)
+		}
+	}
 	return out
 }
 

@@ -11,6 +11,26 @@ import (
 	"testing"
 )
 
+// Run is RunWith without options.
+func Run(passes []*Pass, rules []Rule) []Finding {
+	return RunWith(passes, rules, RunOptions{})
+}
+
+// LoadDir loads a single directory as a package with an explicit import
+// path, without consulting go.mod. The golden-file tests use it to place
+// fixture packages at rule-relevant fake paths (e.g. a testdata fixture
+// pretending to live under geoprocmap/internal/mpi).
+func LoadDir(dir, fakePath string) (*Pass, error) {
+	l := newLoader(dir, fakePath, 1)
+	p, err := l.parseDir(dir)
+	if err != nil || p == nil {
+		return p, err
+	}
+	l.passes[dir] = p
+	l.typeCheckAll()
+	return p, nil
+}
+
 // TestRuleGolden checks every rule against its fixture package: each line
 // carrying a "// want <rule>" comment must produce exactly that finding,
 // and no line without one may produce any. The fixtures also contain

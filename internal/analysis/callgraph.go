@@ -86,6 +86,10 @@ type CGNode struct {
 type CallGraph struct {
 	nodes  map[*types.Func]*CGNode
 	byName map[string]*CGNode
+	// pkgRefs holds the functions referenced or called from package-level
+	// var initializers, in first-seen order: they have no caller node, so
+	// reachability roots them (a registry map, a flag default).
+	pkgRefs []*types.Func
 }
 
 // Node returns fn's node, or nil when fn is not a declared module
@@ -95,16 +99,6 @@ func (g *CallGraph) Node(fn *types.Func) *CGNode {
 		return nil
 	}
 	return g.nodes[fn]
-}
-
-// Lookup finds a node by types.Func.FullName, e.g.
-// "(*geoprocmap/internal/core.GeoMapper).Map". Tests use it to assert
-// exact edge sets.
-func (g *CallGraph) Lookup(fullName string) *CGNode {
-	if g == nil {
-		return nil
-	}
-	return g.byName[fullName]
 }
 
 // Funcs returns every node's function sorted by full name.
@@ -237,7 +231,7 @@ func (b *cgBuilder) scanBody(p *Pass, caller *types.Func, node *CGNode, root ast
 		case *ast.DeferStmt:
 			mode[n.Call] = CallDefer
 		case *ast.CallExpr:
-			fun := ast.Unparen(n.Fun)
+			fun := uninstantiate(ast.Unparen(n.Fun))
 			calleeExpr[fun] = true
 			if sel, ok := fun.(*ast.SelectorExpr); ok {
 				calleeExpr[sel.Sel] = true
@@ -258,14 +252,43 @@ func (b *cgBuilder) scanBody(p *Pass, caller *types.Func, node *CGNode, root ast
 				return true
 			}
 			if fn, ok := p.Info.Uses[n].(*types.Func); ok {
+				fn = fn.Origin()
 				b.markAddrTaken(fn)
-				if node != nil {
-					node.Edges = append(node.Edges, CGEdge{Callee: fn, Mode: CallRef, Pos: p.position(n.Pos())})
-				}
+				b.edge(node, fn, CallRef, p.position(n.Pos()))
 			}
 		}
 		return true
 	})
+}
+
+// uninstantiate strips an explicit instantiation from a callee expression:
+// the call newLRU[entry](n) calls newLRU. Any other expression, including
+// an index into a slice or map of function values, is returned as is.
+func uninstantiate(fun ast.Expr) ast.Expr {
+	var x ast.Expr
+	switch f := fun.(type) {
+	case *ast.IndexExpr:
+		x = f.X
+	case *ast.IndexListExpr:
+		x = f.X
+	default:
+		return fun
+	}
+	switch x.(type) {
+	case *ast.Ident, *ast.SelectorExpr:
+		return x
+	}
+	return fun
+}
+
+// edge records a call or reference to fn from node, or, at package level
+// (nil node), records fn as a package-level reference.
+func (b *cgBuilder) edge(node *CGNode, fn *types.Func, m CallMode, pos token.Position) {
+	if node != nil {
+		node.Edges = append(node.Edges, CGEdge{Callee: fn, Mode: m, Pos: pos})
+		return
+	}
+	b.graph.pkgRefs = append(b.graph.pkgRefs, fn)
 }
 
 func (b *cgBuilder) markAddrTaken(fn *types.Func) {
@@ -276,7 +299,9 @@ func (b *cgBuilder) markAddrTaken(fn *types.Func) {
 }
 
 // addCall classifies one call site. Conversions and builtins are skipped;
-// calls that resolve to a declared function get a static edge; interface
+// calls that resolve to a declared function get a static edge to its
+// generic origin (a method of lru[V] instantiated at V = entry has its
+// own *types.Func, but only the declared origin is a node); interface
 // method calls and function-value calls are recorded for resolution in
 // FinalizeCallGraph.
 func (b *cgBuilder) addCall(p *Pass, caller *types.Func, node *CGNode, call *ast.CallExpr, m CallMode) {
@@ -285,13 +310,11 @@ func (b *cgBuilder) addCall(p *Pass, caller *types.Func, node *CGNode, call *ast
 		return // conversion
 	}
 	pos := p.position(call.Lparen)
-	switch f := fun.(type) {
+	switch f := uninstantiate(fun).(type) {
 	case *ast.Ident:
 		switch obj := p.Info.Uses[f].(type) {
 		case *types.Func:
-			if node != nil {
-				node.Edges = append(node.Edges, CGEdge{Callee: obj, Mode: m, Pos: pos})
-			}
+			b.edge(node, obj.Origin(), m, pos)
 			return
 		case *types.Builtin, *types.TypeName:
 			return
@@ -306,9 +329,7 @@ func (b *cgBuilder) addCall(p *Pass, caller *types.Func, node *CGNode, call *ast
 			}
 		}
 		if obj, ok := p.Info.Uses[f.Sel].(*types.Func); ok {
-			if node != nil {
-				node.Edges = append(node.Edges, CGEdge{Callee: obj, Mode: m, Pos: pos})
-			}
+			b.edge(node, obj.Origin(), m, pos)
 			return
 		}
 	}
@@ -419,15 +440,4 @@ func dedupeEdges(edges []CGEdge) []CGEdge {
 		out = append(out, e)
 	}
 	return out
-}
-
-// BuildCallGraph constructs and finalizes the call graph of a pass set
-// without running any rules — the call-graph golden tests use it.
-func BuildCallGraph(passes []*Pass) *CallGraph {
-	fs := NewFactSet()
-	for _, p := range passes {
-		fs.AddCallGraphPass(p)
-	}
-	fs.FinalizeCallGraph()
-	return fs.CallGraph()
 }

@@ -28,6 +28,26 @@ func loadCallGraphFixture(t *testing.T, parallelism int) []*Pass {
 	return passes
 }
 
+// BuildCallGraph constructs and finalizes the call graph of a pass set
+// without running any rules.
+func BuildCallGraph(passes []*Pass) *CallGraph {
+	fs := NewFactSet()
+	for _, p := range passes {
+		fs.AddCallGraphPass(p)
+	}
+	fs.FinalizeCallGraph()
+	return fs.CallGraph()
+}
+
+// Lookup finds a node by types.Func.FullName, e.g.
+// "(*geoprocmap/internal/core.GeoMapper).Map".
+func (g *CallGraph) Lookup(fullName string) *CGNode {
+	if g == nil {
+		return nil
+	}
+	return g.byName[fullName]
+}
+
 func edgeStrings(n *CGNode) []string {
 	if n == nil {
 		return nil
@@ -42,7 +62,9 @@ func edgeStrings(n *CGNode) []string {
 // TestCallGraphEdges pins the exact edge set of every fixture function:
 // static cross-package and method calls, dynamic resolution by signature,
 // interface resolution to a concrete type in another package, go/defer
-// modes, and a recursion cycle.
+// modes, a recursion cycle, and calls into generic code: an explicit
+// instantiation and a method of an instantiated type are static edges to
+// the generic declarations.
 func TestCallGraphEdges(t *testing.T) {
 	g := BuildCallGraph(loadCallGraphFixture(t, 1))
 	want := map[string][]string{
@@ -84,6 +106,12 @@ func TestCallGraphEdges(t *testing.T) {
 		},
 		"example.com/cg/beta.GoInRange": {
 			"go example.com/cg/alpha.Clock",
+		},
+		"example.com/cg/alpha.NewBox":        nil,
+		"(*example.com/cg/alpha.Box[T]).Get": nil,
+		"example.com/cg/beta.Generic": {
+			"static example.com/cg/alpha.NewBox",
+			"static (*example.com/cg/alpha.Box[T]).Get",
 		},
 	}
 	var gotNames []string

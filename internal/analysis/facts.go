@@ -79,7 +79,7 @@ func (fs *FactSet) UnitType(t types.Type) *types.TypeName {
 }
 
 // FactExporter is implemented by rules that need module-wide facts before
-// checking. Run drives two phases: first every exporter sees every pass,
+// checking. RunWith drives two phases: first every exporter sees every pass,
 // then every rule checks every pass with the completed FactSet on
 // Pass.Facts.
 type FactExporter interface {
@@ -88,7 +88,7 @@ type FactExporter interface {
 
 // FactFinalizer is implemented by rules that derive whole-module facts
 // from the completed export phase — e.g. locksafe's transitive blocking
-// closure needs the finished call graph. Run calls FinalizeFacts exactly
+// closure needs the finished call graph. RunWith calls FinalizeFacts exactly
 // once per rule, after every exporter has seen every pass and the call
 // graph has been finalized, and before any Check.
 type FactFinalizer interface {

@@ -60,7 +60,7 @@ func Load(cfg Config) ([]*Pass, error) {
 		}
 	}
 	l := newLoader(root, module, cfg.Parallelism)
-	dirs, err := l.packageDirs(cfg.Patterns)
+	dirs, whole, err := l.packageDirs(cfg.Patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -79,29 +79,15 @@ func Load(cfg Config) ([]*Pass, error) {
 			continue
 		}
 		// Packages pulled in only as imports of the matched set still
-		// carry facts (unit types, call-graph nodes); hand them to Run as
+		// carry facts (unit types, call-graph nodes); hand them to RunWith as
 		// fact-only passes so subtree patterns don't lose cross-package
 		// rules.
 		p.FactsOnly = !matched[dir]
+		p.WholeModule = whole
 		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
-}
-
-// LoadDir loads a single directory as a package with an explicit import
-// path, without consulting go.mod. The golden-file tests use it to place
-// fixture packages at rule-relevant fake paths (e.g. a testdata fixture
-// pretending to live under geoprocmap/internal/mpi).
-func LoadDir(dir, fakePath string) (*Pass, error) {
-	l := newLoader(dir, fakePath, 1)
-	p, err := l.parseDir(dir)
-	if err != nil || p == nil {
-		return p, err
-	}
-	l.passes[dir] = p
-	l.typeCheckAll()
-	return p, nil
 }
 
 type typedPkg struct {
@@ -191,8 +177,9 @@ func modulePath(gomod string) (string, error) {
 }
 
 // packageDirs walks the module tree and returns directories holding Go
-// files that match the patterns.
-func (l *loader) packageDirs(patterns []string) ([]string, error) {
+// files that match the patterns, and whether they are all of the module's
+// package directories.
+func (l *loader) packageDirs(patterns []string) ([]string, bool, error) {
 	var prefixes []string // rel-dir prefixes; nil means everything
 	all := len(patterns) == 0
 	for _, pat := range patterns {
@@ -204,6 +191,7 @@ func (l *loader) packageDirs(patterns []string) ([]string, error) {
 		prefixes = append(prefixes, strings.TrimSuffix(pat, "/..."))
 	}
 	var dirs []string
+	whole := true
 	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -220,22 +208,23 @@ func (l *loader) packageDirs(patterns []string) ([]string, error) {
 		if err != nil {
 			return err
 		}
-		if !all && !matchesAny(rel, prefixes) {
-			return nil
-		}
 		entries, err := os.ReadDir(path)
 		if err != nil {
 			return err
 		}
 		for _, e := range entries {
 			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-				dirs = append(dirs, path)
+				if all || matchesAny(rel, prefixes) {
+					dirs = append(dirs, path)
+				} else {
+					whole = false
+				}
 				break
 			}
 		}
 		return nil
 	})
-	return dirs, err
+	return dirs, whole, err
 }
 
 func matchesAny(rel string, prefixes []string) bool {

@@ -22,3 +22,13 @@ type T struct{}
 
 // M is a method edge target.
 func (T) M() {}
+
+// Box is a generic type: a call through any instantiation must resolve to
+// the declared method, the only one with a node.
+type Box[T any] struct{ v T }
+
+// Get is a method of a generic type.
+func (b *Box[T]) Get() T { return b.v }
+
+// NewBox is a generic function, called with an explicit instantiation.
+func NewBox[T any](v T) *Box[T] { return &Box[T]{v: v} }

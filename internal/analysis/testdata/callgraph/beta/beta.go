@@ -85,3 +85,10 @@ func GoInRange(xs []int) {
 		go alpha.Clock()
 	}
 }
+
+// Generic calls an explicitly instantiated function and a method of the
+// instantiated type: both are static edges to the generic declarations.
+func Generic() int {
+	b := alpha.NewBox[int](1)
+	return b.Get()
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"geoprocmap/internal/comm"
 	"geoprocmap/internal/trace"
 )
 
@@ -101,13 +102,13 @@ func TestBTSPWraparound(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Wraparound: process 7 (row 0, col 7) exchanges with process 0.
-		if g.Volume(7, 0) == 0 {
+		if edgeTo(g, 7, 0).Volume == 0 {
 			t.Errorf("%s: no wraparound traffic 7→0", a.Name())
 		}
 		// Symmetric exchanges: volume i→j equals volume j→i.
 		for i := 0; i < 64; i++ {
 			for _, e := range g.Outgoing(i) {
-				if math.Abs(g.Volume(e.Peer, i)-e.Volume) > 1e-9 {
+				if math.Abs(edgeTo(g, e.Peer, i).Volume-e.Volume) > 1e-9 {
 					t.Fatalf("%s: asymmetric exchange %d↔%d", a.Name(), i, e.Peer)
 				}
 			}
@@ -149,11 +150,11 @@ func TestKMeansButterflyPattern(t *testing.T) {
 		t.Error("K-means process 0 missing shuffle partner 3")
 	}
 	// Non-local: the pattern must include peers farther than grid distance.
-	if g.Volume(0, 32) == 0 {
+	if edgeTo(g, 0, 32).Volume == 0 {
 		t.Error("K-means lacks long-distance partner traffic")
 	}
 	// The shuffle is skewed: per-process volumes differ.
-	if g.Volume(1, (1*17+3)%64) == g.Volume(2, (2*17+3)%64) {
+	if edgeTo(g, 1, (1*17+3)%64).Volume == edgeTo(g, 2, (2*17+3)%64).Volume {
 		t.Error("shuffle volumes not skewed across processes")
 	}
 }
@@ -164,10 +165,10 @@ func TestKMeansNonPowerOfTwo(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Folded ranks 8, 9 talk to 0, 1.
-	if g.Volume(8, 0) == 0 || g.Volume(0, 8) == 0 {
+	if edgeTo(g, 8, 0).Volume == 0 || edgeTo(g, 0, 8).Volume == 0 {
 		t.Error("fold/unfold traffic missing for rank 8")
 	}
-	if g.Volume(9, 1) == 0 {
+	if edgeTo(g, 9, 1).Volume == 0 {
 		t.Error("fold traffic missing for rank 9")
 	}
 }
@@ -199,13 +200,13 @@ func TestDNNTreeStructure(t *testing.T) {
 	}
 	// Reduce tree to rank 0: 1→0, 2→0, 4→0, 3→2, 5→4, 6→4, 7→6.
 	for _, pair := range [][2]int{{1, 0}, {2, 0}, {4, 0}, {3, 2}, {5, 4}, {7, 6}} {
-		if g.Volume(pair[0], pair[1]) == 0 {
+		if edgeTo(g, pair[0], pair[1]).Volume == 0 {
 			t.Errorf("missing reduce edge %d→%d", pair[0], pair[1])
 		}
 	}
 	// Broadcast tree from rank 0: 0→4, 0→2, 0→1.
 	for _, pair := range [][2]int{{0, 4}, {0, 2}, {0, 1}} {
-		if g.Volume(pair[0], pair[1]) == 0 {
+		if edgeTo(g, pair[0], pair[1]).Volume == 0 {
 			t.Errorf("missing broadcast edge %d→%d", pair[0], pair[1])
 		}
 	}
@@ -304,7 +305,7 @@ func TestCGTransposePattern(t *testing.T) {
 	}
 	// 8×8 grid: the transpose partner of rank 1 (row 0, col 1) is rank 8
 	// (row 1, col 0) — a long-range exchange.
-	if g.Volume(1, 8) == 0 {
+	if edgeTo(g, 1, 8).Volume == 0 {
 		t.Error("missing transpose exchange 1→8")
 	}
 	// Row-wise reductions stay within the grid row.
@@ -362,7 +363,7 @@ func TestMGHierarchicalBands(t *testing.T) {
 	// Bands at strides 1, 2, 4, 8 with decreasing per-message volume.
 	prev := -1.0
 	for _, stride := range []int{1, 2, 4, 8} {
-		v := g.Volume(0, stride)
+		v := edgeTo(g, 0, stride).Volume
 		if v == 0 {
 			t.Fatalf("missing band at stride %d", stride)
 		}
@@ -372,11 +373,11 @@ func TestMGHierarchicalBands(t *testing.T) {
 		prev = v
 	}
 	// No band beyond the level cap (4 levels → max stride 8).
-	if g.Volume(0, 16) != 0 {
+	if edgeTo(g, 0, 16).Volume != 0 {
 		t.Error("unexpected band at stride 16")
 	}
 	// Exchanges are symmetric.
-	if g.Volume(0, 1) != g.Volume(1, 0) {
+	if edgeTo(g, 0, 1).Volume != edgeTo(g, 1, 0).Volume {
 		t.Error("MG exchange not symmetric")
 	}
 }
@@ -409,4 +410,14 @@ func TestExtendedCatalogComplete(t *testing.T) {
 	if _, err := ByName("MG"); err != nil {
 		t.Error("MG not in catalog")
 	}
+}
+
+// edgeTo returns g's i→j edge, or a zero Edge when i sends nothing to j.
+func edgeTo(g *comm.Graph, i, j int) comm.Edge {
+	for _, e := range g.Outgoing(i) {
+		if e.Peer == j {
+			return e
+		}
+	}
+	return comm.Edge{}
 }

@@ -6,13 +6,13 @@ import (
 	"geoprocmap/internal/mpi"
 )
 
-// This file provides each workload as a runnable mpi.Program — an actual
-// rank program executing on the virtual-MPI runtime — alongside the trace
-// generators. The two forms are kept equivalent: for every workload the
-// program's recorded communication graph is identical to the generator's
-// (asserted by TestProgramsMatchGenerators), so profiling a *run* yields
-// the same mapping problem as static generation, exactly the property the
-// paper's CYPRESS pipeline relies on.
+// This file is the test oracle for the trace generators: each workload as
+// a runnable mpi.Program — an actual rank program executing on the
+// virtual-MPI runtime. For every workload the program's recorded
+// communication graph is identical to the generator's (asserted by
+// TestProgramsMatchGenerators), so profiling a *run* yields the same
+// mapping problem as static generation, exactly the property the paper's
+// CYPRESS pipeline relies on.
 //
 // Rendezvous semantics shape the implementations: wavefronts recv-before-
 // send along the dependency DAG, symmetric exchanges use parity-ordered

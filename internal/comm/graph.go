@@ -5,8 +5,7 @@
 // messages exchanged (Table 4). The evaluation scales to 8192 processes
 // where the patterns are sparse (NPB kernels talk to a handful of
 // neighbors), so this package stores both matrices together as a directed
-// weighted graph, and converts to dense matrices on demand for small
-// problems and for rendering Figure 3.
+// weighted graph.
 //
 // A Graph has two phases. While it is built, AddTraffic appends each call
 // to its source's entry list. The first read freezes it, exactly once and
@@ -22,8 +21,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-
-	"geoprocmap/internal/mat"
 )
 
 // Edge is directed traffic from one process to a peer.
@@ -119,6 +116,8 @@ func (g *Graph) checkProc(i int) {
 
 // Prewarm freezes the graph now rather than at its first read. Reads
 // freeze it anyway, exactly once and safely under concurrent readers.
+//
+//geolint:ignore deadcode called from _perfbench/replay.go, which freezes a graph before sharing it
 func (g *Graph) Prewarm() { g.CSR() }
 
 // CSR freezes the graph if needed and returns its adjacency, for callers
@@ -181,22 +180,6 @@ func transpose(outIdx []int, out []Edge) CSR {
 	return CSR{OutIdx: outIdx, Out: out, InIdx: inIdx, In: in}
 }
 
-// Volume returns CG(i, j): the bytes sent from i to j.
-func (g *Graph) Volume(i, j int) float64 { return g.edge(i, j).Volume }
-
-// Msgs returns AG(i, j): the number of messages sent from i to j.
-func (g *Graph) Msgs(i, j int) float64 { return g.edge(i, j).Msgs }
-
-// edge returns the i→j edge, or a zero Edge when i sends nothing to j.
-func (g *Graph) edge(i, j int) Edge {
-	g.checkProc(j)
-	row := g.Outgoing(i)
-	if k, ok := slices.BinarySearchFunc(row, j, func(e Edge, j int) int { return cmp.Compare(e.Peer, j) }); ok {
-		return row[k]
-	}
-	return Edge{}
-}
-
 // Outgoing returns the outgoing edges of process i sorted by peer. The
 // slice is a row of the frozen graph: callers must not modify it.
 //
@@ -206,18 +189,6 @@ func (g *Graph) Outgoing(i int) []Edge {
 	c := g.CSR()
 	lo, hi := c.OutIdx[i], c.OutIdx[i+1]
 	return c.Out[lo:hi:hi]
-}
-
-// Incoming returns the incoming edges of process i sorted by peer. Each
-// edge's Peer field is the *sender*. The slice is a row of the frozen
-// graph: callers must not modify it.
-//
-//geolint:allocfree
-func (g *Graph) Incoming(i int) []Edge {
-	g.checkProc(i)
-	c := g.CSR()
-	lo, hi := c.InIdx[i], c.InIdx[i+1]
-	return c.In[lo:hi:hi]
 }
 
 // Neighbors calls fn for every process j that exchanges traffic with i in
@@ -288,49 +259,4 @@ func (g *Graph) MaxDegree() int {
 		}
 	}
 	return max
-}
-
-// DenseCG materializes the N×N communication-volume matrix.
-func (g *Graph) DenseCG() *mat.Matrix {
-	return g.dense(func(e Edge) float64 { return e.Volume })
-}
-
-// DenseAG materializes the N×N message-count matrix.
-func (g *Graph) DenseAG() *mat.Matrix {
-	return g.dense(func(e Edge) float64 { return e.Msgs })
-}
-
-func (g *Graph) dense(field func(Edge) float64) *mat.Matrix {
-	m := mat.NewSquare(g.n)
-	for i := 0; i < g.n; i++ {
-		for _, e := range g.Outgoing(i) {
-			m.Set(i, e.Peer, field(e))
-		}
-	}
-	return m
-}
-
-// FromDense builds a Graph from dense CG and AG matrices, which must be
-// square and of equal size.
-func FromDense(cg, ag *mat.Matrix) (*Graph, error) {
-	if !cg.IsSquare() || !ag.IsSquare() || cg.Rows() != ag.Rows() {
-		return nil, fmt.Errorf("comm: CG (%d×%d) and AG (%d×%d) must be square and equal-sized",
-			cg.Rows(), cg.Cols(), ag.Rows(), ag.Cols())
-	}
-	g := NewGraph(cg.Rows())
-	for i := 0; i < cg.Rows(); i++ {
-		for j := 0; j < cg.Cols(); j++ {
-			if i == j {
-				continue
-			}
-			v, m := cg.At(i, j), ag.At(i, j)
-			if v < 0 || m < 0 {
-				return nil, fmt.Errorf("comm: negative traffic at (%d,%d)", i, j)
-			}
-			if v > 0 || m > 0 {
-				g.AddTraffic(i, j, v, m)
-			}
-		}
-	}
-	return g, nil
 }

@@ -2,12 +2,9 @@ package core
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
-	"geoprocmap/internal/comm"
 	"geoprocmap/internal/geo"
-	"geoprocmap/internal/mat"
 )
 
 // problemJSON is the stable on-disk form of a Problem. The communication
@@ -60,49 +57,6 @@ func (p *Problem) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// ReadJSON parses a problem previously written with WriteJSON and
-// validates it.
-func ReadJSON(r io.Reader) (*Problem, error) {
-	var in problemJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("core: decoding problem: %w", err)
-	}
-	if in.N <= 0 || in.M <= 0 {
-		return nil, fmt.Errorf("core: problem has n=%d, m=%d", in.N, in.M)
-	}
-	g := comm.NewGraph(in.N)
-	for i, e := range in.Edges {
-		if e.Src < 0 || e.Src >= in.N || e.Dst < 0 || e.Dst >= in.N {
-			return nil, fmt.Errorf("core: edge %d endpoint out of range", i)
-		}
-		if e.Volume < 0 || e.Msgs < 0 {
-			return nil, fmt.Errorf("core: edge %d has negative traffic", i)
-		}
-		g.AddTraffic(e.Src, e.Dst, e.Volume, e.Msgs)
-	}
-	lt, err := mat.From(in.LT)
-	if err != nil {
-		return nil, fmt.Errorf("core: LT: %w", err)
-	}
-	bt, err := mat.From(in.BT)
-	if err != nil {
-		return nil, fmt.Errorf("core: BT: %w", err)
-	}
-	p := &Problem{
-		Comm:       g,
-		LT:         lt,
-		BT:         bt,
-		PC:         in.PC,
-		Capacity:   in.Capacity,
-		Constraint: in.Constraint,
-		Allowed:    in.Allowed,
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // placementJSON is the stable on-disk form of a placement result.
 type placementJSON struct {
 	Algorithm string  `json:"algorithm"`
@@ -115,13 +69,4 @@ func WritePlacementJSON(w io.Writer, algorithm string, cost float64, pl Placemen
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(placementJSON{Algorithm: algorithm, Cost: cost, Placement: pl})
-}
-
-// ReadPlacementJSON parses a placement written with WritePlacementJSON.
-func ReadPlacementJSON(r io.Reader) (algorithm string, cost float64, pl Placement, err error) {
-	var in placementJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return "", 0, nil, fmt.Errorf("core: decoding placement: %w", err)
-	}
-	return in.Algorithm, in.Cost, in.Placement, nil
 }

@@ -87,10 +87,10 @@ func TestProblemJSONGolden(t *testing.T) {
 	if p.Capacity[0] != 3 || p.Capacity[1] != 2 || p.Capacity[2] != 2 {
 		t.Errorf("capacities lost: %v", p.Capacity)
 	}
-	if got := p.Comm.Volume(0, 1); got != 1024 {
+	if got := edgeTo(p.Comm, 0, 1).Volume; got != 1024 {
 		t.Errorf("edge (0,1) volume = %g, want 1024", got)
 	}
-	if got := p.Comm.Volume(1, 0); got != 512 {
+	if got := edgeTo(p.Comm, 1, 0).Volume; got != 512 {
 		t.Errorf("asymmetric edge (1,0) volume = %g, want 512", got)
 	}
 	if p.LT.At(0, 2) != 0.15 || p.BT.At(2, 0) != 2.5e7 {

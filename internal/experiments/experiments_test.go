@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -422,3 +423,18 @@ func TestPaperCloudForScaleErrors(t *testing.T) {
 }
 
 var _ = netmodel.MB // keep import stable if usage shifts
+
+// RunAll executes every experiment in order and returns the reports.
+// geobench streams per experiment with its own loop; this one serves
+// TestRunAllQuick.
+func RunAll(cfg Config) ([]*Report, error) {
+	var out []*Report
+	for _, id := range IDs() {
+		rep, err := Run(id, cfg)
+		if err != nil {
+			return out, fmt.Errorf("experiments: %s: %w", id, err)
+		}
+		out = append(out, rep)
+	}
+	return out, nil
+}

@@ -71,18 +71,3 @@ func Run(id string, cfg Config) (*Report, error) {
 	}
 	return fn(cfg)
 }
-
-// RunAll executes every experiment in order and returns the reports.
-//
-//geolint:deterministic
-func RunAll(cfg Config) ([]*Report, error) {
-	var out []*Report
-	for _, id := range IDs() {
-		rep, err := Run(id, cfg)
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}

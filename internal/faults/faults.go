@@ -138,9 +138,6 @@ func (s *Schedule) Validate(m int) error {
 	return nil
 }
 
-// Empty reports whether the schedule injects no faults.
-func (s *Schedule) Empty() bool { return s == nil || len(s.Events) == 0 }
-
 // LinkState is the effective condition of one directed site-pair link at a
 // point in time.
 type LinkState struct {
@@ -155,19 +152,6 @@ type LinkState struct {
 	LatFactor float64
 	// LossProb is the per-attempt loss probability (max of active events).
 	LossProb float64
-}
-
-// SiteDown reports whether site k is in outage at time t.
-func (s *Schedule) SiteDown(k int, t float64) bool {
-	if s == nil {
-		return false
-	}
-	for _, e := range s.Events {
-		if e.Kind == SiteOutage && e.Site == k && e.covers(t) {
-			return true
-		}
-	}
-	return false
 }
 
 // Link returns the state of the directed link (k, l) at time t, folding in

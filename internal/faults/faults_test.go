@@ -64,8 +64,8 @@ func TestSiteOutageDownsAllLinks(t *testing.T) {
 	if s.Link(0, 1, 15).Down {
 		t.Error("outage leaked onto an unrelated link")
 	}
-	if !s.SiteDown(2, 15) || s.SiteDown(2, 25) || s.SiteDown(1, 15) {
-		t.Error("SiteDown window wrong")
+	if s.Link(2, 2, 25).Down || s.Link(1, 1, 15).Down {
+		t.Error("outage window wrong")
 	}
 }
 
@@ -124,7 +124,7 @@ func TestPresetsDeterministicAndValid(t *testing.T) {
 		if err := a.Validate(4); err != nil {
 			t.Errorf("%s: preset does not validate: %v", name, err)
 		}
-		if a.Empty() {
+		if len(a.Events) == 0 {
 			t.Errorf("%s: preset is empty", name)
 		}
 		c, err := Preset(name, 4, 43)
@@ -152,7 +152,7 @@ func TestSiteBlackoutShape(t *testing.T) {
 	if site < 0 || site >= 4 {
 		t.Errorf("blackout site %d out of range", site)
 	}
-	if !s.SiteDown(site, BlackoutStart+1) || s.SiteDown(site, BlackoutStart-1) {
+	if !s.Link(site, site, BlackoutStart+1).Down || s.Link(site, site, BlackoutStart-1).Down {
 		t.Error("blackout window wrong")
 	}
 	if got := s.NextLinkRecovery(site, (site+1)%4, BlackoutStart+1); !math.IsInf(got, 1) {

@@ -38,16 +38,6 @@ func HaversineKm(a, b LatLon) float64 {
 	return 2 * EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
 }
 
-// EuclideanDeg returns the planar Euclidean distance between a and b in
-// coordinate degrees. The paper's K-means grouping step uses the Euclidean
-// distance over the PC coordinates directly, so we provide it alongside the
-// physically accurate haversine distance.
-func EuclideanDeg(a, b LatLon) float64 {
-	dLat := a.Lat - b.Lat
-	dLon := a.Lon - b.Lon
-	return math.Sqrt(dLat*dLat + dLon*dLon)
-}
-
 // Region is a named cloud data-center location.
 type Region struct {
 	Name     string // provider region code, e.g. "us-east-1"

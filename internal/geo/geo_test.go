@@ -49,12 +49,6 @@ func TestHaversineAntipodal(t *testing.T) {
 	}
 }
 
-func TestEuclideanDeg(t *testing.T) {
-	if got := EuclideanDeg(LatLon{0, 0}, LatLon{3, 4}); got != 5 {
-		t.Errorf("EuclideanDeg = %v, want 5", got)
-	}
-}
-
 func TestFindRegion(t *testing.T) {
 	if _, ok := FindRegion(EC2Regions, "us-east-1"); !ok {
 		t.Error("us-east-1 not found")

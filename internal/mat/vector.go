@@ -23,18 +23,6 @@ func (v IntVec) Clone() IntVec {
 	return out
 }
 
-// Count returns the number of elements equal to x. This is the count(m, n)
-// helper from the paper's problem definition (Formula 5).
-func (v IntVec) Count(x int) int {
-	n := 0
-	for _, e := range v {
-		if e == x {
-			n++
-		}
-	}
-	return n
-}
-
 // Sum returns the sum of all elements.
 func (v IntVec) Sum() int {
 	s := 0
@@ -42,20 +30,6 @@ func (v IntVec) Sum() int {
 		s += e
 	}
 	return s
-}
-
-// Max returns the maximum element, or 0 for an empty vector.
-func (v IntVec) Max() int {
-	if len(v) == 0 {
-		return 0
-	}
-	max := v[0]
-	for _, e := range v[1:] {
-		if e > max {
-			max = e
-		}
-	}
-	return max
 }
 
 // Histogram returns counts[s] = number of elements equal to s, for

@@ -133,9 +133,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return c.world.N() }
 
-// Clock returns the rank's current virtual time in seconds.
-func (c *Comm) Clock() float64 { return c.clock }
-
 // Compute advances the rank's virtual clock by d seconds of local work.
 func (c *Comm) Compute(d float64) error {
 	if d < 0 {

@@ -16,15 +16,15 @@ func benchRefiner(b *testing.B) (*refiner, []int, units.Cost) {
 	lv := &level{g: in.G, pin: in.Pin, allowed: normalizeAllowed(in.Allowed, in.G.n)}
 	r := newRefiner(in, 1, 1)
 	r.attach(lv)
-	pl := make([]int, in.G.N())
+	pl := make([]int, in.G.n)
 	for v := range pl {
-		pl[v] = (v * in.M()) / in.G.N()
+		pl[v] = (v * in.M()) / in.G.n
 	}
 	for v, s := range pl {
-		r.load[s] += in.G.Weight(v)
+		r.load[s] += in.G.weight[v]
 	}
 	tol := RefineTol(in.Cost(pl))
-	r.bufs[0] = r.proposeRange(pl, 0, in.G.N(), tol, r.bufs[0][:0])
+	r.bufs[0] = r.proposeRange(pl, 0, in.G.n, tol, r.bufs[0][:0])
 	return r, pl, tol
 }
 

@@ -69,47 +69,6 @@ func (g *Graph) out(v int) []comm.Edge { return g.adj.Out[g.adj.OutIdx[v]:g.adj.
 // in returns v's incoming edges, ascending by sender (Peer is the sender).
 func (g *Graph) in(v int) []comm.Edge { return g.adj.In[g.adj.InIdx[v]:g.adj.InIdx[v+1]] }
 
-// N returns the number of (super-)vertices.
-func (g *Graph) N() int { return g.n }
-
-// Weight returns the number of original processes merged into vertex v.
-func (g *Graph) Weight(v int) int { return g.weight[v] }
-
-// TotalVolume returns the total communication volume represented by the
-// graph, counting directed edges once plus all absorbed intra-vertex
-// traffic. Contraction preserves it exactly.
-func (g *Graph) TotalVolume() float64 {
-	var t float64
-	for _, e := range g.adj.Out {
-		t += e.Volume
-	}
-	for _, v := range g.selfVol {
-		t += v
-	}
-	return t
-}
-
-// TotalMsgs is TotalVolume for message counts.
-func (g *Graph) TotalMsgs() float64 {
-	var t float64
-	for _, e := range g.adj.Out {
-		t += e.Msgs
-	}
-	for _, v := range g.selfMsgs {
-		t += v
-	}
-	return t
-}
-
-// TotalWeight returns the number of original processes represented.
-func (g *Graph) TotalWeight() int {
-	t := 0
-	for _, w := range g.weight {
-		t += w
-	}
-	return t
-}
-
 // FromComm returns the level-0 graph of cg: unit weights, no self traffic,
 // and cg's own frozen rows as the adjacency (cg is frozen if it was not).
 func FromComm(cg *comm.Graph) *Graph {
@@ -175,6 +134,8 @@ func (in *Instance) cost(g *Graph, pl []int) units.Cost {
 
 // Cost exposes the objective of a level-0 placement (for callers that hold
 // an Instance but not a core.Problem).
+//
+//geolint:ignore deadcode called from _perfbench/replay.go, which checks the CSR cost against the α–β sum
 func (in *Instance) Cost(pl []int) units.Cost { return in.cost(in.G, pl) }
 
 // refLink is the reference link the fill and the coarsening matcher price

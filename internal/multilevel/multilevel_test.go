@@ -90,14 +90,31 @@ func testInstance(t testing.TB, n, m int, pins, siteSets bool) *Instance {
 
 func TestFromCommPreservesTotals(t *testing.T) {
 	in := testInstance(t, 64, 4, false, false)
-	if in.G.TotalWeight() != 64 {
-		t.Fatalf("total weight %d, want 64", in.G.TotalWeight())
+	if _, _, w := totals(in.G); w != 64 {
+		t.Fatalf("total weight %d, want 64", w)
 	}
-	for v := 0; v < in.G.N(); v++ {
-		if in.G.Weight(v) != 1 {
-			t.Fatalf("level-0 vertex %d has weight %d", v, in.G.Weight(v))
+	for v := 0; v < in.G.n; v++ {
+		if in.G.weight[v] != 1 {
+			t.Fatalf("level-0 vertex %d has weight %d", v, in.G.weight[v])
 		}
 	}
+}
+
+// totals returns the communication volume and message count g represents
+// (directed edges once plus all absorbed intra-vertex traffic) and the
+// number of original processes merged into it. Contraction preserves all
+// three exactly.
+func totals(g *Graph) (vol, msgs float64, weight int) {
+	for _, e := range g.adj.Out {
+		vol += e.Volume
+		msgs += e.Msgs
+	}
+	for v := 0; v < g.n; v++ {
+		vol += g.selfVol[v]
+		msgs += g.selfMsgs[v]
+		weight += g.weight[v]
+	}
+	return vol, msgs, weight
 }
 
 func TestCoarsenConservesVolume(t *testing.T) {
@@ -106,16 +123,17 @@ func TestCoarsenConservesVolume(t *testing.T) {
 	if len(h) < 2 {
 		t.Fatalf("expected at least 2 levels, got %d", len(h))
 	}
-	vol0, msgs0, w0 := h[0].g.TotalVolume(), h[0].g.TotalMsgs(), h[0].g.TotalWeight()
+	vol0, msgs0, w0 := totals(h[0].g)
 	for l, lv := range h {
-		if got := lv.g.TotalWeight(); got != w0 {
-			t.Errorf("level %d total weight %d, want %d", l, got, w0)
+		vol, msgs, w := totals(lv.g)
+		if w != w0 {
+			t.Errorf("level %d total weight %d, want %d", l, w, w0)
 		}
-		if got := lv.g.TotalVolume(); math.Abs(got-vol0) > 1e-6*vol0 {
-			t.Errorf("level %d total volume %g, want %g", l, got, vol0)
+		if math.Abs(vol-vol0) > 1e-6*vol0 {
+			t.Errorf("level %d total volume %g, want %g", l, vol, vol0)
 		}
-		if got := lv.g.TotalMsgs(); math.Abs(got-msgs0) > 1e-6*msgs0 {
-			t.Errorf("level %d total msgs %g, want %g", l, got, msgs0)
+		if math.Abs(msgs-msgs0) > 1e-6*msgs0 {
+			t.Errorf("level %d total msgs %g, want %g", l, msgs, msgs0)
 		}
 	}
 }
@@ -160,7 +178,7 @@ func checkFeasible(t *testing.T, in *Instance, pl []int) {
 		if s < 0 || s >= in.M() {
 			t.Fatalf("vertex %d placed at invalid site %d", v, s)
 		}
-		load[s] += in.G.Weight(v)
+		load[s] += in.G.weight[v]
 		if p := in.Pin[v]; p >= 0 && s != p {
 			t.Fatalf("vertex %d placed at %d, pinned to %d", v, s, p)
 		}
@@ -283,7 +301,7 @@ func TestSolveDeterministicAcrossWorkers(t *testing.T) {
 
 func TestRefineNeverWorsens(t *testing.T) {
 	in := testInstance(t, 256, 8, false, false)
-	n, m := in.G.N(), in.M()
+	n, m := in.G.n, in.M()
 	pl := make([]int, n)
 	for v := range pl {
 		pl[v] = (v * m) / n // contiguous blocks, trivially feasible
@@ -305,7 +323,7 @@ func TestSolveImprovesOnRoundRobin(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	rr := make([]int, in.G.N())
+	rr := make([]int, in.G.n)
 	for v := range rr {
 		rr[v] = v % in.M() // scatter the ring across all sites
 	}
@@ -319,21 +337,21 @@ func TestProposeRangeDoesNotAllocate(t *testing.T) {
 	lv := &level{g: in.G, pin: in.Pin, allowed: normalizeAllowed(in.Allowed, in.G.n)}
 	r := newRefiner(in, 1, 1)
 	r.attach(lv)
-	pl := make([]int, in.G.N())
+	pl := make([]int, in.G.n)
 	for v := range pl {
-		pl[v] = (v * in.M()) / in.G.N()
+		pl[v] = (v * in.M()) / in.G.n
 	}
 	for i := range r.load {
 		r.load[i] = 0
 	}
 	for v, s := range pl {
-		r.load[s] += in.G.Weight(v)
+		r.load[s] += in.G.weight[v]
 	}
 	tol := RefineTol(in.Cost(pl))
 	// Grow the buffer to its high-water mark before measuring.
-	r.bufs[0] = r.proposeRange(pl, 0, in.G.N(), tol, r.bufs[0][:0])
+	r.bufs[0] = r.proposeRange(pl, 0, in.G.n, tol, r.bufs[0][:0])
 	allocs := testing.AllocsPerRun(50, func() {
-		r.bufs[0] = r.proposeRange(pl, 0, in.G.N(), tol, r.bufs[0][:0])
+		r.bufs[0] = r.proposeRange(pl, 0, in.G.n, tol, r.bufs[0][:0])
 	})
 	if allocs != 0 {
 		t.Fatalf("proposeRange allocates %.1f times per sweep, want 0", allocs)

@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -90,7 +91,7 @@ func TestMergeCloudsNil(t *testing.T) {
 func TestMergeCloudsDeterministic(t *testing.T) {
 	a1, _, _ := mergedCloud(t)
 	a2, _, _ := mergedCloud(t)
-	if !a1.BT.Equal(a2.BT, 0) {
+	if !reflect.DeepEqual(a1.BT, a2.BT) {
 		t.Error("same seed produced different merged clouds")
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 
-	"geoprocmap/internal/faults"
 	"geoprocmap/internal/geo"
 	"geoprocmap/internal/mat"
 	"geoprocmap/internal/stats"
@@ -275,21 +274,6 @@ func (c *Cloud) Coordinates() []geo.LatLon {
 	return out
 }
 
-// SiteOfNode maps a global node index (0 ≤ node < TotalNodes, sites laid
-// out in order) to its site index.
-func (c *Cloud) SiteOfNode(node int) int {
-	if node < 0 {
-		panic(fmt.Sprintf("netmodel: negative node index %d", node)) //geolint:ignore libpanic node indices are generated from the cloud's own layout
-	}
-	for i, s := range c.Sites {
-		if node < s.Nodes {
-			return i
-		}
-		node -= s.Nodes
-	}
-	panic(fmt.Sprintf("netmodel: node index beyond total capacity")) //geolint:ignore libpanic node indices are generated from the cloud's own layout
-}
-
 // TransferTime is the α–β model (Section 3.1): the time to move n bytes
 // over a link with latency alpha and bandwidth beta.
 func TransferTime(n units.Bytes, alpha units.Seconds, beta units.BytesPerSec) units.Seconds {
@@ -307,36 +291,9 @@ func (c *Cloud) Latency(k, l int) units.Seconds { return units.Seconds(c.LT.At(k
 // of the BT matrix entry.
 func (c *Cloud) Bandwidth(k, l int) units.BytesPerSec { return units.BytesPerSec(c.BT.At(k, l)) }
 
-// DeadLinkPenalty is the factor FaultView applies to a down link: latency
-// is multiplied and bandwidth divided by it, making the link prohibitively
-// expensive for any cost-driven mapper while keeping the matrices valid
-// (strictly positive bandwidth, as Problem.Validate requires).
+// DeadLinkPenalty is the factor a fault-aware network view applies to a
+// down link: latency is multiplied and bandwidth divided by it, making the
+// link prohibitively expensive for any cost-driven mapper while keeping the
+// matrices valid (strictly positive bandwidth, as Problem.Validate
+// requires).
 const DeadLinkPenalty = 1e6
-
-// FaultView returns a copy of the cloud whose LT/BT matrices reflect the
-// fault schedule's link states at time t: degraded links have their
-// bandwidth scaled down and latency scaled up by the active events, and
-// down links (including every link of a site in outage) carry the
-// DeadLinkPenalty. Mappers fed the view steer traffic away from faulty
-// links; a nil schedule returns a view identical to the cloud. The Sites
-// slice is shared with the receiver, the matrices are fresh copies.
-func (c *Cloud) FaultView(sched *faults.Schedule, t float64) *Cloud {
-	m := c.M()
-	lt := mat.NewSquare(m)
-	bt := mat.NewSquare(m)
-	for k := 0; k < m; k++ {
-		for l := 0; l < m; l++ {
-			st := sched.Link(k, l, t)
-			if st.Down {
-				lt.Set(k, l, c.LT.At(k, l)*DeadLinkPenalty)
-				bt.Set(k, l, c.BT.At(k, l)/DeadLinkPenalty)
-				continue
-			}
-			lt.Set(k, l, c.LT.At(k, l)*st.LatFactor)
-			bt.Set(k, l, c.BT.At(k, l)*st.BWFactor)
-		}
-	}
-	view := *c
-	view.LT, view.BT = lt, bt
-	return &view
-}

@@ -8,8 +8,8 @@
 //
 // The loop is built from the repository's existing deterministic parts:
 // calib probes the synthetic cloud against a fault schedule on a
-// schedule clock, stats.TrimmedMean smooths per-pair estimate windows so
-// one noisy pass cannot flap the model, and core.Remap prices each
+// schedule clock, stats.Scratch.TrimmedMean smooths per-pair estimate
+// windows so one noisy pass cannot flap the model, and core.Remap prices each
 // migration. All randomness derives from the configured seed plus the
 // pass number, and the loop ticks on an injected schedule clock, so a
 // full gauging history — published versions, remap decisions, placement

@@ -143,7 +143,7 @@ func SnapshotFromCalibration(c *netmodel.Cloud, res *calib.Result) (*Snapshot, e
 // report's observed faults folded in: every degraded pair's bandwidth is
 // scaled down and latency up by DegradeFactor, and every link touching a
 // dead site carries netmodel.DeadLinkPenalty, steering cost-driven
-// mappers away exactly as netmodel.FaultView does for simulations. The
+// mappers away from it. The
 // receiver is not modified; its Degraded list is replaced, not extended
 // — the report is the full current fault picture. Derive from a
 // measured snapshot (Store.Base), never from an earlier fault-report

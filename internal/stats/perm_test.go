@@ -168,3 +168,41 @@ func BenchmarkPermutationRange8(b *testing.B) {
 		}
 	}
 }
+
+// Permutations calls fn with every permutation of [0, n). The slice passed
+// to fn is reused between calls; fn must copy it if it needs to retain it.
+// If fn returns false the enumeration stops early. Permutations panics for
+// n < 0. Heap's algorithm, so the number of calls is n! — callers bound n.
+func Permutations(n int, fn func(perm []int) bool) {
+	if n < 0 {
+		panic("stats: Permutations of negative n")
+	}
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	if n == 0 {
+		fn(perm)
+		return
+	}
+	var rec func(k int) bool
+	rec = func(k int) bool {
+		if k == 1 {
+			return fn(perm)
+		}
+		for i := 0; i < k; i++ {
+			if !rec(k - 1) {
+				return false
+			}
+			if i < k-1 {
+				if k%2 == 0 {
+					perm[i], perm[k-1] = perm[k-1], perm[i]
+				} else {
+					perm[0], perm[k-1] = perm[k-1], perm[0]
+				}
+			}
+		}
+		return true
+	}
+	rec(n)
+}

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the evaluation
 // harness needs: deterministic RNG construction, summary statistics
-// (mean, standard deviation, standard error), empirical CDFs for the
-// Monte Carlo figures, and permutation enumeration for the group-order
+// (mean, standard deviation, trimmed mean, percentiles), empirical CDFs
+// for the Monte Carlo figures, and permutation ranking for the group-order
 // search in the mapping algorithm.
 package stats
 
@@ -29,22 +29,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// TrimmedMean returns the mean of xs after discarding the lowest and
-// highest frac fraction of the sorted sample (rounded down), the standard
-// outlier-robust estimator the calibrator uses to reject probe samples
-// inflated by transient WAN faults. frac is clamped to [0, 0.5); with
-// nothing left after trimming (or an empty slice) it returns Mean(xs).
-//
-// Non-finite samples (NaN, ±Inf) are dropped before trimming: an estimator
-// meant to reject outliers must not let a single poisoned sample turn the
-// whole estimate into NaN — the re-gauging drift detector feeds it
-// ratio-derived windows where a zero denominator upstream would otherwise
-// propagate forever. An all-non-finite sample returns 0.
-func TrimmedMean(xs []float64, frac float64) float64 {
-	s := Scratch{buf: make([]float64, 0, len(xs))}
-	return s.TrimmedMean(xs, frac)
-}
-
 // Scratch backs the allocation-free variants of the sorting-based
 // estimators. The repeated consumers — the re-gauging drift detector
 // smooths every site pair's sample window once per gauging pass, and the
@@ -67,10 +51,19 @@ func (s *Scratch) Prewarm(n int) {
 	}
 }
 
-// TrimmedMean is the allocation-free variant of the package-level
-// TrimmedMean: identical semantics bit for bit (same non-finite filter,
-// frac clamping, trim count, and Mean fallback), with the sorted copy
-// living in the reusable buffer.
+// TrimmedMean returns the mean of xs after discarding the lowest and
+// highest frac fraction of the sorted sample (rounded down), the standard
+// outlier-robust estimator the calibrator uses to reject probe samples
+// inflated by transient WAN faults. frac is clamped to [0, 0.5); with
+// nothing left after trimming it returns the mean of the finite samples,
+// and an empty slice returns 0. The sorted copy lives in the reusable
+// buffer.
+//
+// Non-finite samples (NaN, ±Inf) are dropped before trimming: an estimator
+// meant to reject outliers must not let a single poisoned sample turn the
+// whole estimate into NaN — the re-gauging drift detector feeds it
+// ratio-derived windows where a zero denominator upstream would otherwise
+// propagate forever. An all-non-finite sample returns 0.
 //
 //geolint:allocfree
 func (s *Scratch) TrimmedMean(xs []float64, frac float64) float64 {
@@ -148,14 +141,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// StdErr returns the standard error of the mean (the paper's error bars).
-func StdErr(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return StdDev(xs) / math.Sqrt(float64(len(xs)))
-}
-
 // Min returns the minimum of xs, or +Inf for an empty slice.
 func Min(xs []float64) float64 {
 	min := math.Inf(1)
@@ -212,104 +197,6 @@ func (c *CDF) At(x float64) float64 {
 	return float64(n) / float64(len(c.sorted))
 }
 
-// Quantile returns the smallest sample value v such that At(v) >= q, for
-// q in (0, 1]. It panics on an empty CDF or q outside (0, 1].
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		panic("stats: Quantile of empty CDF") //geolint:ignore libpanic documented contract: empty-CDF quantile mirrors slice indexing
-	}
-	if q <= 0 || q > 1 {
-		panic(fmt.Sprintf("stats: quantile %v out of range (0,1]", q)) //geolint:ignore libpanic documented contract: out-of-domain q is a programmer error
-	}
-	idx := int(math.Ceil(q*float64(len(c.sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return c.sorted[idx]
-}
-
-// Points returns up to n (x, P(X<=x)) pairs evenly spaced through the
-// sample, suitable for plotting the CDF curve.
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(c.sorted) {
-		n = len(c.sorted)
-	}
-	out := make([][2]float64, 0, n)
-	for k := 1; k <= n; k++ {
-		idx := k*len(c.sorted)/n - 1
-		out = append(out, [2]float64{c.sorted[idx], float64(idx+1) / float64(len(c.sorted))})
-	}
-	return out
-}
-
-// Normalize divides every element by the maximum of xs and returns a new
-// slice; an all-zero or empty input is returned as a copy unchanged.
-func Normalize(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	max := Max(xs)
-	if max <= 0 || math.IsInf(max, -1) {
-		return out
-	}
-	for i := range out {
-		out[i] /= max
-	}
-	return out
-}
-
-// Permutations calls fn with every permutation of [0, n). The slice passed
-// to fn is reused between calls; fn must copy it if it needs to retain it.
-// If fn returns false the enumeration stops early. Permutations panics for
-// n < 0. Heap's algorithm, so the number of calls is n! — callers bound n.
-func Permutations(n int, fn func(perm []int) bool) {
-	if n < 0 {
-		panic("stats: Permutations of negative n") //geolint:ignore libpanic documented contract: negative n is a programmer error
-	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	if n == 0 {
-		fn(perm)
-		return
-	}
-	var rec func(k int) bool
-	rec = func(k int) bool {
-		if k == 1 {
-			return fn(perm)
-		}
-		for i := 0; i < k; i++ {
-			if !rec(k - 1) {
-				return false
-			}
-			if i < k-1 {
-				if k%2 == 0 {
-					perm[i], perm[k-1] = perm[k-1], perm[i]
-				} else {
-					perm[0], perm[k-1] = perm[k-1], perm[0]
-				}
-			}
-		}
-		return true
-	}
-	rec(n)
-}
-
-// Factorial returns n! as a float64 (exact for n <= 18). It panics for
-// negative n.
-func Factorial(n int) float64 {
-	if n < 0 {
-		panic("stats: Factorial of negative n") //geolint:ignore libpanic documented contract: negative n is a programmer error
-	}
-	f := 1.0
-	for i := 2; i <= n; i++ {
-		f *= float64(i)
-	}
-	return f
-}
-
 // FactorialInt returns n! as an int. It panics for n < 0 or n > 20 (21!
 // overflows int64); callers that enumerate permutations bound n far below
 // that anyway.
@@ -360,8 +247,8 @@ func PermutationUnrank(n, rank int) []int {
 // Together with PermutationUnrank this gives the order search a
 // deterministic total order on permutations that is independent of how the
 // rank space is partitioned — the property the parallel κ! search reduces
-// over. (Permutations above uses Heap's algorithm, whose visit order has no
-// cheap rank function.)
+// over. (Heap's algorithm, the tests' Permutations oracle, has no cheap
+// rank function for its visit order.)
 func PermutationRange(n, lo, hi int, fn func(rank int, perm []int) bool) {
 	total := FactorialInt(n)
 	if lo < 0 {

@@ -10,39 +10,39 @@ import (
 // panicking (the calibrator passes operator-supplied fractions through),
 // and trimming everything falls back to the plain mean.
 func TestTrimmedMeanEdges(t *testing.T) {
-	if got := TrimmedMean(nil, 0.2); got != 0 {
-		t.Errorf("TrimmedMean(nil) = %v, want 0", got)
+	if got := new(Scratch).TrimmedMean(nil, 0.2); got != 0 {
+		t.Errorf("new(Scratch).TrimmedMean(nil) = %v, want 0", got)
 	}
-	if got := TrimmedMean([]float64{}, 0.2); got != 0 {
-		t.Errorf("TrimmedMean(empty) = %v, want 0", got)
+	if got := new(Scratch).TrimmedMean([]float64{}, 0.2); got != 0 {
+		t.Errorf("new(Scratch).TrimmedMean(empty) = %v, want 0", got)
 	}
 	xs := []float64{1, 2, 3, 4, 100}
 	// Negative frac clamps to 0: no trimming, plain mean.
-	if got, want := TrimmedMean(xs, -0.3), Mean(xs); got != want {
-		t.Errorf("TrimmedMean(frac=-0.3) = %v, want untrimmed mean %v", got, want)
+	if got, want := new(Scratch).TrimmedMean(xs, -0.3), Mean(xs); got != want {
+		t.Errorf("new(Scratch).TrimmedMean(frac=-0.3) = %v, want untrimmed mean %v", got, want)
 	}
 	// frac >= 0.5 clamps to 0.5. On an odd-length sample that leaves
 	// exactly the median; on an even-length sample it would trim
 	// everything, so it falls back to the plain mean rather than
 	// averaging an empty window.
 	for _, frac := range []float64{0.5, 0.9, 7} {
-		if got := TrimmedMean(xs, frac); got != 3 {
-			t.Errorf("TrimmedMean(odd, frac=%v) = %v, want median 3", frac, got)
+		if got := new(Scratch).TrimmedMean(xs, frac); got != 3 {
+			t.Errorf("new(Scratch).TrimmedMean(odd, frac=%v) = %v, want median 3", frac, got)
 		}
 		even := []float64{1, 2, 3, 100}
-		if got, want := TrimmedMean(even, frac), Mean(even); got != want {
-			t.Errorf("TrimmedMean(even, frac=%v) = %v, want fallback mean %v", frac, got, want)
+		if got, want := new(Scratch).TrimmedMean(even, frac), Mean(even); got != want {
+			t.Errorf("new(Scratch).TrimmedMean(even, frac=%v) = %v, want fallback mean %v", frac, got, want)
 		}
 	}
 	// A singleton survives any fraction: one cut element from each side
 	// would leave nothing, so the fallback returns the value itself.
-	if got := TrimmedMean([]float64{42}, 0.49); got != 42 {
-		t.Errorf("TrimmedMean(singleton) = %v, want 42", got)
+	if got := new(Scratch).TrimmedMean([]float64{42}, 0.49); got != 42 {
+		t.Errorf("new(Scratch).TrimmedMean(singleton) = %v, want 42", got)
 	}
 	// Sanity on actual trimming: 20% of 5 samples cuts one from each
 	// end, discarding the 100 outlier (and the 1).
-	if got, want := TrimmedMean(xs, 0.2), 3.0; got != want {
-		t.Errorf("TrimmedMean(frac=0.2) = %v, want %v", got, want)
+	if got, want := new(Scratch).TrimmedMean(xs, 0.2), 3.0; got != want {
+		t.Errorf("new(Scratch).TrimmedMean(frac=0.2) = %v, want %v", got, want)
 	}
 	// The input must not be reordered: trimming sorts a copy.
 	if xs[4] != 100 || xs[0] != 1 {

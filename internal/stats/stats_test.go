@@ -9,7 +9,7 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestMeanVarianceStdErr(t *testing.T) {
+func TestMeanVariance(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); !almostEq(got, 5, 1e-12) {
 		t.Errorf("Mean = %v, want 5", got)
@@ -18,13 +18,13 @@ func TestMeanVarianceStdErr(t *testing.T) {
 	if got := Variance(xs); !almostEq(got, 32.0/7, 1e-12) {
 		t.Errorf("Variance = %v, want %v", got, 32.0/7)
 	}
-	if got := StdErr(xs); !almostEq(got, math.Sqrt(32.0/7)/math.Sqrt(8), 1e-12) {
-		t.Errorf("StdErr = %v", got)
+	if got := StdDev(xs); !almostEq(got, math.Sqrt(32.0/7), 1e-12) {
+		t.Errorf("StdDev = %v, want %v", got, math.Sqrt(32.0/7))
 	}
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 || StdErr(nil) != 0 {
+	if Mean(nil) != 0 || Variance(nil) != 0 || StdDev(nil) != 0 {
 		t.Error("empty-slice stats should be 0")
 	}
 	if Variance([]float64{3}) != 0 {
@@ -87,40 +87,6 @@ func TestCDF(t *testing.T) {
 			t.Errorf("At(%v) = %v, want %v", tc.x, got, tc.want)
 		}
 	}
-	if got := c.Quantile(0.25); got != 1 {
-		t.Errorf("Quantile(0.25) = %v, want 1", got)
-	}
-	if got := c.Quantile(1); got != 4 {
-		t.Errorf("Quantile(1) = %v, want 4", got)
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	pts := c.Points(2)
-	if len(pts) != 2 {
-		t.Fatalf("Points(2) returned %d points", len(pts))
-	}
-	if pts[1][0] != 4 || pts[1][1] != 1 {
-		t.Errorf("last point = %v, want (4,1)", pts[1])
-	}
-	if NewCDF(nil).Points(3) != nil {
-		t.Error("empty CDF Points should be nil")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4, 8})
-	want := []float64{0.25, 0.5, 1}
-	for i := range want {
-		if !almostEq(out[i], want[i], 1e-12) {
-			t.Errorf("Normalize[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-	zeros := Normalize([]float64{0, 0})
-	if zeros[0] != 0 || zeros[1] != 0 {
-		t.Error("all-zero Normalize should stay zero")
-	}
 }
 
 func TestPermutationsCountAndUniqueness(t *testing.T) {
@@ -166,15 +132,6 @@ func TestPermutationsZero(t *testing.T) {
 	}
 }
 
-func TestFactorial(t *testing.T) {
-	cases := map[int]float64{0: 1, 1: 1, 5: 120, 10: 3628800}
-	for n, want := range cases {
-		if got := Factorial(n); got != want {
-			t.Errorf("Factorial(%d) = %v, want %v", n, got, want)
-		}
-	}
-}
-
 // Property: CDF.At is monotone nondecreasing and bounded in [0,1].
 func TestQuickCDFMonotone(t *testing.T) {
 	f := func(sample []float64, probes []float64) bool {
@@ -189,47 +146,6 @@ func TestQuickCDFMonotone(t *testing.T) {
 			prev = v
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Quantile and At are approximately inverse:
-// At(Quantile(q)) >= q for all q in (0,1].
-func TestQuickQuantileInverse(t *testing.T) {
-	f := func(sample []float64, qRaw uint16) bool {
-		if len(sample) == 0 {
-			return true
-		}
-		q := (float64(qRaw%1000) + 1) / 1000 // (0,1]
-		c := NewCDF(sample)
-		return c.At(c.Quantile(q)) >= q-1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: mean of normalized positive values is <= 1 and max is exactly 1.
-func TestQuickNormalize(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		anyPos := false
-		for i, r := range raw {
-			xs[i] = float64(r)
-			if r > 0 {
-				anyPos = true
-			}
-		}
-		out := Normalize(xs)
-		if !anyPos {
-			return Max(out) == 0
-		}
-		return almostEq(Max(out), 1, 1e-12) && Mean(out) <= 1+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -46,25 +46,6 @@ func (c *Compressed) Ratio() float64 {
 	return float64(c.RawLen) / float64(s)
 }
 
-// Decompress reconstructs the original event stream.
-func (c *Compressed) Decompress() []Event {
-	out := make([]Event, 0, c.RawLen)
-	return appendItems(out, c.Items)
-}
-
-func appendItems(out []Event, items []Item) []Event {
-	for _, it := range items {
-		for r := 0; r < it.Repeat; r++ {
-			if it.Event != nil {
-				out = append(out, *it.Event)
-			} else {
-				out = appendItems(out, it.Body)
-			}
-		}
-	}
-	return out
-}
-
 // String renders the loop structure, e.g. "12×[→1 43KB; →8 83KB]".
 func (c *Compressed) String() string {
 	var b strings.Builder

@@ -81,9 +81,6 @@ func (r BytesPerSec) Times(t Seconds) Bytes { return Bytes(float64(r) * float64(
 // jitter wobbles, retry multipliers).
 func (s Seconds) Scale(x float64) Seconds { return Seconds(float64(s) * x) }
 
-// Div returns s / x for a dimensionless divisor x (averaging).
-func (s Seconds) Div(x float64) Seconds { return Seconds(float64(s) / x) }
-
 // Scale returns b * x for a dimensionless factor x.
 func (b Bytes) Scale(x float64) Bytes { return Bytes(float64(b) * x) }
 

@@ -17,9 +17,6 @@ func TestHelpersBitIdentical(t *testing.T) {
 				if got, want := Bytes(a).Over(BytesPerSec(b)).Float(), a/b; math.Float64bits(got) != math.Float64bits(want) {
 					t.Errorf("Bytes(%g).Over(%g) = %g, want %g", a, b, got, want)
 				}
-				if got, want := Seconds(a).Div(b).Float(), a/b; math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("Seconds(%g).Div(%g) = %g, want %g", a, b, got, want)
-				}
 				if got, want := BytesPerSec(a).Div(b).Float(), a/b; math.Float64bits(got) != math.Float64bits(want) {
 					t.Errorf("BytesPerSec(%g).Div(%g) = %g, want %g", a, b, got, want)
 				}
