@@ -269,36 +269,48 @@ func BenchmarkAblationOrderSearch(b *testing.B) {
 
 // BenchmarkOrderSearchParallel measures the parallel κ! group-order
 // search against the serial path on the same problems: κ = 6..8 over an
-// 8-region cloud at N = 64 and 256, serial (Workers=1) versus
-// Workers=GOMAXPROCS. The parallel reduction returns byte-identical
-// placements, so the sub-benchmarks differ only in wall-clock. The
-// recorded baseline lives in results/BENCH_orders.json (make bench-orders).
+// 8-region cloud at N = 64 and 256 with a fifth of the processes pinned,
+// serial (Workers=1) versus Workers=GOMAXPROCS. The parallel reduction
+// returns byte-identical placements, so the sub-benchmarks differ only in
+// wall-clock. The unpinned κ = 8 cells measure the search where every
+// order after a worker's first is a replay, priced from the recorded
+// fill's site-pair traffic. The recorded baseline lives in
+// results/BENCH_orders.json (make bench-orders).
 func BenchmarkOrderSearchParallel(b *testing.B) {
 	regions := []string{"us-east-1", "us-west-1", "us-west-2", "eu-west-1",
 		"eu-central-1", "ap-southeast-1", "ap-southeast-2", "ap-northeast-1"}
-	for _, n := range []int{64, 256} {
-		cloud, err := netmodel.EvenCloud(netmodel.AmazonEC2, "m4.xlarge", regions, n/len(regions), netmodel.Options{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		inst, err := experiments.BuildInstance(cloud, apps.NewKMeans(), n, 1, 0.2, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, kappa := range []int{6, 7, 8} {
-			for _, workers := range []int{1, 0} { // 1 = serial, 0 = GOMAXPROCS
-				name := fmt.Sprintf("kappa=%d/n=%d/serial", kappa, n)
-				if workers != 1 {
-					name = fmt.Sprintf("kappa=%d/n=%d/parallel", kappa, n)
-				}
-				m := &core.GeoMapper{Kappa: kappa, Seed: 1, Workers: workers}
-				b.Run(name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if _, err := m.Map(inst.Problem); err != nil {
-							b.Fatal(err)
-						}
+	for _, c := range []struct {
+		prefix string
+		ratio  float64
+		kappas []int
+	}{
+		{"", 0.2, []int{6, 7, 8}},
+		{"unpinned/", 0, []int{8}},
+	} {
+		for _, n := range []int{64, 256} {
+			cloud, err := netmodel.EvenCloud(netmodel.AmazonEC2, "m4.xlarge", regions, n/len(regions), netmodel.Options{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			inst, err := experiments.BuildInstance(cloud, apps.NewKMeans(), n, 1, c.ratio, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, kappa := range c.kappas {
+				for _, workers := range []int{1, 0} { // 1 = serial, 0 = GOMAXPROCS
+					name := fmt.Sprintf("%skappa=%d/n=%d/serial", c.prefix, kappa, n)
+					if workers != 1 {
+						name = fmt.Sprintf("%skappa=%d/n=%d/parallel", c.prefix, kappa, n)
 					}
-				})
+					m := &core.GeoMapper{Kappa: kappa, Seed: 1, Workers: workers}
+					b.Run(name, func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							if _, err := m.Map(inst.Problem); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				}
 			}
 		}
 	}

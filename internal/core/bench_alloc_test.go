@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"geoprocmap/internal/stats"
 	"geoprocmap/internal/units"
 )
 
@@ -72,5 +73,36 @@ func BenchmarkAllocRefinePass(b *testing.B) {
 		copy(scratch, base)
 		cost := baseCost
 		benchBool = refinePass(p, in, scratch, &cost)
+	}
+}
+
+// BenchmarkAllocPricedOrder measures how the served 512-process search
+// rules out an order: once a first pass over all 24 orders has recorded
+// the fill, its site-pair table and the best cost, every order is a
+// replay that its table price, or its match with the best's sites, rules
+// out before any replay or Problem.Cost.
+func BenchmarkAllocPricedOrder(b *testing.B) {
+	p := served512Problem(b)
+	groups, err := GroupSites(p.PC, 4, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var orders [][][]int
+	stats.PermutationRange(len(groups), 0, stats.FactorialInt(len(groups)), func(_ int, perm []int) bool {
+		ordered := make([][]int, len(perm))
+		for i, gi := range perm {
+			ordered[i] = groups[gi]
+		}
+		orders = append(orders, ordered)
+		return true
+	})
+	e := p.newOrderEval()
+	for _, ordered := range orders {
+		_, benchCost, _ = e.eval(ordered) // the full fill, its table, and the best
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, benchCost, benchBool = e.eval(orders[i%len(orders)])
 	}
 }

@@ -29,10 +29,14 @@ import (
 // next-process candidates in a heap instead of rescanning all N processes
 // per placement, the O(κ!·N²) of a literal reading of the paper. With no
 // pinned process and no site set, orders that visit the same capacity
-// sequence share one fill (see multilevel.Fill), so on equal-capacity
-// sites the search costs one fill per worker plus κ! O(N) replays and κ!
-// cost evaluations. The grouping step keeps κ small (the paper recommends
-// κ ≤ 5) so the order search stays tractable for large M.
+// sequence share one fill (see multilevel.Fill), and each worker prices
+// a replayed order in O(M²) from the recorded placement's site-pair
+// traffic before replaying it (see orderEval). It replays and prices
+// exactly, in O(N + E), only the orders that price could not rule out,
+// so on equal-capacity sites the search costs one fill per worker, κ!
+// O(M²) prices and the surviving exact passes: 5 of 24 for a served
+// 512-process request. The grouping step keeps κ small (the paper
+// recommends κ ≤ 5) so the order search stays tractable for large M.
 type GeoMapper struct {
 	// Kappa is the number of K-means site groups κ. Zero selects the
 	// default of min(M, 4). Values above MaxKappa are rejected to keep the
@@ -117,16 +121,7 @@ func (g *GeoMapper) Map(p *Problem) (Placement, error) {
 		limit = 1 // rank 0 is the identity order
 	}
 	best, _, ok := multilevel.SearchOrders(groups, limit, g.Workers, func() multilevel.Eval {
-		fill := multilevel.NewFill(p.instance(nil))
-		return func(orderedGroups [][]int) ([]int, units.Cost, bool) {
-			pl := Placement(fill.Run(orderedGroups))
-			// Multi-site restrictions can strand processes the greedy
-			// packing could not fit; relocate via augmenting paths.
-			if p.HasSiteSets() && RepairLeftovers(p, pl) != nil {
-				return nil, 0, false
-			}
-			return pl, p.Cost(pl), true
-		}
+		return p.newOrderEval().eval
 	})
 	if !ok {
 		return nil, fmt.Errorf("core: no placement produced")

@@ -65,8 +65,9 @@ func (p *Problem) N() int { return p.Comm.N() }
 func (p *Problem) M() int { return len(p.Capacity) }
 
 // Validate checks the structural invariants of the problem instance:
-// matching dimensions, positive capacities and bandwidths, a feasible
-// constraint vector, and total capacity at least N.
+// matching dimensions, positive capacities and bandwidths, non-negative
+// latencies (no link may be NaN), a feasible constraint vector, and total
+// capacity at least N.
 func (p *Problem) Validate() error {
 	if p.Comm == nil {
 		return fmt.Errorf("core: nil communication pattern")
@@ -92,10 +93,12 @@ func (p *Problem) Validate() error {
 	}
 	for k := 0; k < m; k++ {
 		for l := 0; l < m; l++ {
-			if p.BT.At(k, l) <= 0 {
+			// Negated, so that NaN fails too: every comparison with NaN is
+			// false, and a NaN link would never price below anything.
+			if !(p.BT.At(k, l) > 0) {
 				return fmt.Errorf("core: BT(%d,%d) = %g, want > 0", k, l, p.BT.At(k, l))
 			}
-			if p.LT.At(k, l) < 0 {
+			if !(p.LT.At(k, l) >= 0) {
 				return fmt.Errorf("core: LT(%d,%d) = %g, want >= 0", k, l, p.LT.At(k, l))
 			}
 		}

@@ -50,6 +50,8 @@ func TestValidateFailures(t *testing.T) {
 		{"PC size", func(p *Problem) { p.PC = p.PC[:1] }},
 		{"zero bandwidth", func(p *Problem) { p.BT.Set(0, 1, 0) }},
 		{"negative latency", func(p *Problem) { p.LT.Set(1, 0, -1) }},
+		{"NaN bandwidth", func(p *Problem) { p.BT.Set(0, 1, math.NaN()) }},
+		{"NaN latency", func(p *Problem) { p.LT.Set(1, 0, math.NaN()) }},
 		{"zero capacity", func(p *Problem) { p.Capacity[0] = 0 }},
 		{"insufficient capacity", func(p *Problem) { p.Capacity = mat.IntVec{1, 2} }},
 		{"constraint length", func(p *Problem) { p.Constraint = p.Constraint[:2] }},

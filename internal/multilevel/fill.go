@@ -46,9 +46,13 @@ import (
 // the placement, selected, avail and members (with each site's member
 // order) exactly as the full fill would, which the initial map's leftover
 // repair reads. On the paper's equal-capacity clouds every order shares
-// one key, so a κ! search costs one fill per worker plus κ! replays. A
-// pinned vertex or an allowed set ties a pick to one site's label, which
-// the capacity sequence cannot see, so those levels always fill in full.
+// one key, so a κ! search costs one fill per worker plus at most κ!
+// replays. A pinned vertex or an allowed set ties a pick to one site's
+// label, which the capacity sequence cannot see, so those levels always
+// fill in full.
+//
+// Relabel and Generation let a caller price a replay before running it,
+// as core.GeoMapper does from the recorded placement's site-pair traffic.
 type Fill struct {
 	in  *Instance
 	lv  *level
@@ -69,10 +73,12 @@ type Fill struct {
 	visits    []int  // scratch: the sites this Run visits, in order, len M
 	visited   []bool // scratch: sites already in visits, len M
 	key       []int  // key[:nKey]: the capacities of the last full fill's visits
+	sites     []int  // sites[:nKey]: the sites that fill visited, in order
 	nKey      int
-	recorded  bool  // key, picks and ends describe a full fill
+	recorded  bool  // key, sites, picks and ends describe a full fill
 	picks     []int // that fill's vertices, site by site in visit order, len n
 	ends      []int // picks[ends[i-1]:ends[i]] went to its i-th visited site
+	gen       int   // fills recorded
 	fullRuns  int   // full fills run, for tests
 }
 
@@ -97,11 +103,12 @@ func newFill(in *Instance, lv *level) *Fill {
 		symmetric: true,
 		visited:   make([]bool, in.M()),
 	}
-	// One block backs the replay's int buffers: visits, key and ends of
-	// len M, then picks of len n.
+	// One block backs the replay's int buffers: visits, key, sites and
+	// ends of len M, then picks of len n.
 	m := in.M()
-	replay := make([]int, 3*m+n)
-	f.visits, f.key, f.ends, f.picks = replay[:m:m], replay[m:2*m:2*m], replay[2*m:3*m:3*m], replay[3*m:]
+	replay := make([]int, 4*m+n)
+	f.visits, f.key, f.sites, f.ends = replay[:m:m], replay[m:2*m:2*m], replay[2*m:3*m:3*m], replay[3*m:4*m:4*m]
+	f.picks = replay[4*m:]
 	for v := 0; v < n; v++ {
 		if lv.pin[v] >= 0 || len(lv.allowed[v]) > 0 {
 			f.symmetric = false
@@ -162,6 +169,28 @@ func (f *Fill) Run(orderedGroups [][]int) []int {
 	}
 	return f.pl
 }
+
+// Relabel reports whether Run(orderedGroups) would replay the recorded
+// fill, and if so returns the sites that fill visited and the sites
+// orderedGroups visits, index for index: the replay puts on current[i]
+// exactly what the recorded fill put on recorded[i]. Both slices alias
+// the Fill's scratch and stay valid until its next Run or Relabel.
+//
+//geolint:allocfree
+func (f *Fill) Relabel(orderedGroups [][]int) (recorded, current []int, ok bool) {
+	if !f.symmetric || !f.recorded {
+		return nil, nil, false
+	}
+	nv, ok := f.visitOrder(orderedGroups)
+	if !ok || !f.sameKey(nv) {
+		return nil, nil, false
+	}
+	return f.sites[:nv], f.visits[:nv], true
+}
+
+// Generation returns the number of fills Run has recorded, so it changes
+// exactly when the fill Relabel refers to does.
+func (f *Fill) Generation() int { return f.gen }
 
 // reset empties the placement and restores every site's capacity.
 func (f *Fill) reset() {
@@ -242,10 +271,12 @@ func (f *Fill) record(nv int) {
 	k := 0
 	for i, s := range f.visits[:nv] {
 		f.key[i] = f.in.Capacity[s]
+		f.sites[i] = s
 		k += copy(f.picks[k:], f.members[s])
 		f.ends[i] = k
 	}
 	f.nKey, f.recorded = nv, true
+	f.gen++
 }
 
 // replay places the recorded picks onto the sites in f.visits[:nv], the
@@ -463,7 +494,11 @@ func (f *Fill) addAffinity(v int) {
 
 // Eval fills, repairs and prices one order of the site groups. It returns
 // the placement, which it may reuse on its next call, the placement's cost,
-// and false when the order admits no feasible placement.
+// and false when the order admits no feasible placement or is shown to
+// cost no less than a placement this evaluator already returned. An
+// evaluator belongs to one SearchOrders worker, which keeps the first
+// strict minimum of what it returned, so skipping such an order leaves
+// the search's result unchanged.
 type Eval func(orderedGroups [][]int) (pl []int, cost units.Cost, ok bool)
 
 // SearchOrders is the outer loop of the paper's Algorithm 1, and the

@@ -105,7 +105,17 @@ func (p *parser) request(r *MapRequest) bool {
 	return ok && p.i == len(p.b)
 }
 
+// edge reads one edge object. It first tries the literal form
+// json.Marshal writes, {"src":I,"dst":I,"volume":F,"msgs":F} with src and
+// dst read by index; on any other byte it rewinds and reads the object
+// key by key.
 func (p *parser) edge(e *Edge) bool {
+	start := p.i
+	if p.lit(`{"src":`) && p.index(&e.Src) && p.lit(`,"dst":`) && p.index(&e.Dst) &&
+		p.lit(`,"volume":`) && p.float(&e.Volume) && p.lit(`,"msgs":`) && p.float(&e.Msgs) && p.lit(`}`) {
+		return true
+	}
+	p.i, *e = start, Edge{}
 	var seen uint16
 	return p.object(func(key []byte) bool {
 		switch string(key) {
@@ -230,6 +240,38 @@ func (p *parser) integer(bits int) (int64, bool) {
 	}
 	n, err := strconv.ParseInt(string(p.b[start:p.i]), 10, bits)
 	return n, err == nil
+}
+
+// indexDigits is the most digits index reads: every 9-digit number fits
+// a 32-bit int, and every 18-digit one a 64-bit int.
+const indexDigits = 9 * (strconv.IntSize / 32)
+
+// index reads a JSON integer with no sign, no leading zero and at most
+// indexDigits digits, a subset of what int reads that needs no
+// strconv.ParseInt.
+func (p *parser) index(v *int) bool {
+	b, i, n := p.b, p.i, 0
+	for i < len(b) && b[i]-'0' <= 9 {
+		if i-p.i == indexDigits {
+			return false
+		}
+		n = n*10 + int(b[i]-'0')
+		i++
+	}
+	if i == p.i || (b[p.i] == '0' && i-p.i > 1) {
+		return false
+	}
+	*v, p.i = n, i
+	return true
+}
+
+// lit reads s if the body continues with exactly s.
+func (p *parser) lit(s string) bool {
+	if !bytes.HasPrefix(p.b[p.i:], []byte(s)) {
+		return false
+	}
+	p.i += len(s)
+	return true
 }
 
 // float reads a JSON number that strconv.ParseFloat accepts as a

@@ -45,6 +45,10 @@ var decodeCases = []struct {
 	{"allowed", `{"workload":"DNN","procs":3,"allowed":[[1,2],[],[0,1,2,3]],"algorithm":"greedy"}`, true},
 	{"edges", `{"procs":4,"edges":[{"src":0,"dst":1,"volume":3456789.123456789,"msgs":20},{"src":2,"dst":3,"volume":2.5e-7,"msgs":0}],"seed":1}`, true},
 	{"whitespace", " {\n\t\"procs\" : 2 ,\r\n \"edges\" : [ { \"src\" : 0 , \"dst\" : 1 , \"volume\" : -0 , \"msgs\" : 1E2 } ] } \n", true},
+	{"negative src", `{"procs":2,"edges":[{"src":-1,"dst":1,"volume":1,"msgs":1}]}`, true},
+	{"edge keys out of order", `{"procs":2,"edges":[{"src":0,"dst":1,"volume":1,"msgs":1},{"dst":0,"src":1,"msgs":2,"volume":3}]}`, true},
+	{"edge whitespace", `{"procs":2,"edges":[{"src":0,"dst":1,"volume":1,"msgs":1 },{"src":1, "dst":0,"volume":2,"msgs":2}]}`, true},
+	{"long index", `{"procs":2,"edges":[{"src":1000000000000000000,"dst":0,"volume":1,"msgs":1}]}`, true},
 	{"empty arrays", `{"edges":[],"constraint":[],"allowed":[]}`, true},
 	{"empty object", `{}`, true},
 	{"null", `null`, false},
@@ -64,6 +68,7 @@ var decodeCases = []struct {
 	{"float out of range", `{"procs":2,"edges":[{"src":0,"dst":1,"volume":1e400,"msgs":1}]}`, false},
 	{"trailing bytes", `{"workload":"LU","procs":8} {"procs":9}`, false},
 	{"leading zero", `{"workload":"LU","procs":08}`, false},
+	{"src leading zero", `{"procs":2,"edges":[{"src":01,"dst":1,"volume":1,"msgs":1}]}`, false},
 	{"string for number", `{"workload":"LU","procs":"8"}`, false},
 	{"truncated", `{"procs":4,"edges":[{"src":0,"dst":1,"volume":1e6,"ms`, false},
 	{"empty body", ``, false},
