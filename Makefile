@@ -45,8 +45,9 @@ race:
 # the move/swap deltas against full cost recomputation, the matcher's
 # phased verdict and repair against Hall's condition, the network simulator's
 # fault-aware replay and fluid engines at a nil schedule against the
-# healthy-network references, the trace compression round trip, and the
-# /v1/map body decoder against encoding/json.
+# healthy-network references, the trace compression round trip, the
+# /v1/map body decoder against encoding/json, and its float read against
+# strconv.ParseFloat.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFillMatchesReference$$' -fuzztime 10s ./internal/multilevel
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltasMatchRecomputation$$' -fuzztime 10s ./internal/multilevel
@@ -55,6 +56,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzNilScheduleMatchesReference$$' -fuzztime 10s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzCompressRoundTrip$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequestMatchesStdlib$$' -fuzztime 10s ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzFloatMatchesParseFloat$$' -fuzztime 10s ./internal/service
 
 # Fault-injection smoke: replay LU through the FlakyWAN preset and run the
 # failure-aware remap path end to end (internal/faults + netsim faulty
@@ -104,7 +106,7 @@ bench-orders:
 # Measurements land in results/BENCH_alloc.json; ns/op is informational.
 bench-alloc:
 	./scripts/bench_zero_alloc.sh bench-alloc '^BenchmarkAlloc' results/BENCH_alloc.json \
-		./internal/core ./internal/comm ./internal/stats ./internal/netsim ./internal/multilevel
+		./internal/core ./internal/comm ./internal/stats ./internal/netsim ./internal/multilevel ./internal/service
 
 # Refinement ns/move baseline: the BenchmarkRefineMove* family measures
 # the multilevel local-search hot path (move/swap deltas, candidate scan,

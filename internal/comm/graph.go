@@ -8,18 +8,18 @@
 // weighted graph.
 //
 // A Graph has two phases. While it is built, AddTraffic appends each call
-// to its source's entry list. The first read freezes it, exactly once and
+// to one flat call log. The first read freezes it, exactly once and
 // safely under concurrent readers, into a CSR adjacency: peer-sorted out
 // and in rows over flat Edge arrays, with repeated (src, dst) pairs summed
-// in call order. The frozen graph is immutable, so the core mapper, the
+// in call order. The freeze orders the log by two stable counting passes
+// (by destination, then by source), so it is linear in calls plus
+// processes. The frozen graph is immutable, so the core mapper, the
 // baselines and the multilevel solver all share one adjacency without
 // copies, caches or locks.
 package comm
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 )
 
@@ -49,9 +49,9 @@ type CSR struct {
 type Graph struct {
 	n int
 
-	// pending[i] lists i's AddTraffic calls in call order, repeats
-	// included; the freeze sums them and drops the lists.
-	pending [][]Edge
+	// pending logs the AddTraffic calls in call order, repeats
+	// included; the freeze sums them and drops the log.
+	pending []call
 
 	once sync.Once
 	csr  CSR // valid once frozen; OutIdx != nil marks the freeze
@@ -66,7 +66,13 @@ func NewGraph(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("comm: negative process count %d", n)) //geolint:ignore libpanic negative count is a programmer error, like make() with negative len
 	}
-	return &Graph{n: n, pending: make([][]Edge, n)}
+	return &Graph{n: n}
+}
+
+// call is one logged AddTraffic call.
+type call struct {
+	src, dst     int
+	volume, msgs float64
 }
 
 // FromCSR returns the frozen graph over len(outIdx)-1 processes whose
@@ -102,7 +108,7 @@ func (g *Graph) AddTraffic(src, dst int, volume, msgs float64) {
 	if src == dst || (volume == 0 && msgs == 0) {
 		return
 	}
-	g.pending[src] = append(g.pending[src], Edge{Peer: dst, Volume: volume, Msgs: msgs})
+	g.pending = append(g.pending, call{src, dst, volume, msgs})
 	g.totalVolume += volume
 	g.totalMsgs += msgs
 }
@@ -127,36 +133,67 @@ func (g *Graph) CSR() *CSR {
 	return &g.csr
 }
 
-// freeze sums each source's pending entries per destination in call order
-// (matching the running sum the calls describe), sorts the row by peer,
-// and builds the incoming rows by transposition.
+// freeze orders the call log's indices by (src, dst) with two stable
+// counting passes, by dst and then by src, so each pair's calls keep
+// their call order. It sums each pair's run in that order (matching the
+// running sum the calls describe) into one edge of an exactly sized out
+// array, and builds the incoming rows by transposition.
 //
 //geolint:allocsite cold path: runs once per graph, before any hot-loop read
 func (g *Graph) freeze() {
-	at := make([]int, g.n) // position of a peer's edge in out
-	for i := range at {
-		at[i] = -1
+	log := g.pending
+	count := make([]int, g.n+1)
+	byDst := make([]int, len(log))
+	for _, c := range log {
+		count[c.dst+1]++
+	}
+	for i := 1; i < g.n; i++ {
+		count[i+1] += count[i]
+	}
+	for k, c := range log {
+		byDst[count[c.dst]] = k
+		count[c.dst]++
+	}
+	clear(count)
+	for _, c := range log {
+		count[c.src+1]++
+	}
+	for i := 1; i < g.n; i++ {
+		count[i+1] += count[i]
+	}
+	order := make([]int, len(log))
+	for _, k := range byDst {
+		src := log[k].src
+		order[count[src]] = k
+		count[src]++
+	}
+	pairs := 0
+	for r := range order {
+		if r == 0 || !samePair(log[order[r]], log[order[r-1]]) {
+			pairs++
+		}
 	}
 	outIdx := make([]int, g.n+1)
-	var out []Edge
-	for i, row := range g.pending {
-		start := len(out)
-		for _, e := range row {
-			k := at[e.Peer]
-			if k < start { // no edge to this peer in row i yet
-				k = len(out)
-				at[e.Peer] = k
-				out = append(out, Edge{Peer: e.Peer})
-			}
-			out[k].Volume += e.Volume
-			out[k].Msgs += e.Msgs
+	out := make([]Edge, 0, pairs)
+	for r, k := range order {
+		c := log[k]
+		if r == 0 || !samePair(c, log[order[r-1]]) {
+			out = append(out, Edge{Peer: c.dst})
+			outIdx[c.src+1] = len(out)
 		}
-		slices.SortFunc(out[start:], func(a, b Edge) int { return cmp.Compare(a.Peer, b.Peer) })
-		outIdx[i+1] = len(out)
+		e := &out[len(out)-1]
+		e.Volume += c.volume
+		e.Msgs += c.msgs
+	}
+	for i := 0; i < g.n; i++ { // rows with no edges end where the last one did
+		outIdx[i+1] = max(outIdx[i+1], outIdx[i])
 	}
 	g.pending = nil
 	g.csr = transpose(outIdx, out)
 }
+
+// samePair reports whether two calls share their (src, dst) pair.
+func samePair(a, b call) bool { return a.src == b.src && a.dst == b.dst }
 
 // transpose completes an out-CSR with its incoming rows. Walking sources
 // in ascending order leaves every in row sorted by sender.

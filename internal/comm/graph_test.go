@@ -321,16 +321,32 @@ func equalEdges(a, b []Edge) bool {
 // every view equals, bit for bit, a naive reference that accumulates each
 // pair with a running sum in call order. The magnitudes span fifteen
 // decades so that any reordering of a sum would change its last bits.
+// Every fourth trial runs on up to 300 processes and draws half its calls
+// from a small pool of pairs, so runs of three or more calls on one pair
+// interleave with other sources' calls and the freeze's counting passes
+// must keep each run in call order.
 func TestViewsBitExactAgainstCallOrder(t *testing.T) {
 	for trial := int64(0); trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(trial))
-		n := 1 + rng.Intn(9)
+		n, calls := 1+rng.Intn(9), rng.Intn(60)
+		if trial%4 == 0 {
+			n = 1 + rng.Intn(300)
+			calls = rng.Intn(8 * n)
+		}
 		g := NewGraph(n)
 		type pair struct{ src, dst int }
+		pool := make([]pair, 1+rng.Intn(n))
+		for k := range pool {
+			pool[k] = pair{rng.Intn(n), rng.Intn(n)}
+		}
 		ref := map[pair]*Edge{}
 		var totalVol, totalMsgs float64
-		for c := rng.Intn(60); c > 0; c-- {
+		for c := calls; c > 0; c-- {
 			src, dst := rng.Intn(n), rng.Intn(n)
+			if rng.Intn(2) == 0 {
+				p := pool[rng.Intn(len(pool))]
+				src, dst = p.src, p.dst
+			}
 			vol := rng.Float64() * math.Pow(10, float64(rng.Intn(16)-3))
 			msgs := float64(rng.Intn(4)) * rng.Float64()
 			if rng.Intn(8) == 0 {

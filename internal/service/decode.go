@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/bits"
 	"strconv"
 )
 
@@ -20,7 +22,9 @@ import (
 //   - strings of printable ASCII without a backslash;
 //   - integers in JSON integer grammar that fit the field, and floats in
 //     JSON number grammar that strconv.ParseFloat accepts (the call
-//     encoding/json makes, so values match bit for bit);
+//     encoding/json makes). Floats in the shape json.Marshal writes for
+//     edge volumes are read exactly by integer arithmetic, the rest by
+//     ParseFloat, so values match bit for bit;
 //   - arrays for edges, constraint and allowed, where an empty array is
 //     an empty non-nil slice, as encoding/json makes it.
 //
@@ -274,32 +278,150 @@ func (p *parser) lit(s string) bool {
 	return true
 }
 
-// float reads a JSON number that strconv.ParseFloat accepts as a
-// float64.
+// float reads a JSON number as strconv.ParseFloat(·, 64) reads it,
+// checking the grammar and gathering the decimal significand in one
+// scan. A number in the shape json.Marshal writes for the volumes of
+// served requests (no exponent part, at most maxExactDigits significant
+// digits and at most maxExactDigits after the point) converts exactly in
+// exactFloat; any other number goes to ParseFloat.
+//
+//geolint:allocfree
 func (p *parser) float(v *float64) bool {
 	p.space()
-	start := p.i
-	if !p.mantissa() {
+	b, i := p.b, p.i
+	start := i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	var (
+		m   uint64 // the first maxExactDigits significant digits
+		sig int    // significant digits read
+	)
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i]-'1' <= 8:
+		i, m, sig = significand(b, i, m, sig)
+	default:
 		return false
 	}
-	if p.i < len(p.b) && p.b[p.i] == '.' {
-		p.i++
-		if !p.digits() {
+	k := 0 // fraction digits: the value is m / 10^k
+	if i < len(b) && b[i] == '.' {
+		frac := i + 1
+		i, m, sig = significand(b, frac, m, sig)
+		if k = i - frac; k == 0 {
 			return false
 		}
 	}
-	if p.i < len(p.b) && (p.b[p.i] == 'e' || p.b[p.i] == 'E') {
-		p.i++
-		if p.i < len(p.b) && (p.b[p.i] == '+' || p.b[p.i] == '-') {
-			p.i++
+	exact := sig <= maxExactDigits && k <= maxExactDigits
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
 		}
-		if !p.digits() {
+		exp := i
+		for i < len(b) && b[i]-'0' <= 9 {
+			i++
+		}
+		if i == exp {
 			return false
 		}
+		exact = false
 	}
-	f, err := strconv.ParseFloat(string(p.b[start:p.i]), 64)
+	p.i = i
+	if exact {
+		*v = exactFloat(m, k, neg)
+		return true
+	}
+	f, err := strconv.ParseFloat(string(b[start:i]), 64)
 	*v = f
 	return err == nil
+}
+
+// significand reads the digits [0-9]* from b[i:] into a decimal
+// significand: m holds its first maxExactDigits significant digits and
+// sig counts them all. Leading zeros are not significant.
+func significand(b []byte, i int, m uint64, sig int) (int, uint64, int) {
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		if d := uint64(b[i] - '0'); m != 0 || d != 0 {
+			if sig++; sig <= maxExactDigits {
+				m = m*10 + d
+			}
+		}
+	}
+	return i, m, sig
+}
+
+// maxExactDigits bounds the significand exactFloat takes (every 19-digit
+// decimal is below 2^64) and the power of ten it divides by (10^19 is
+// the largest below 2^64).
+const maxExactDigits = 19
+
+// pow10 holds the powers of ten 10^0 … 10^19, all exact in a uint64.
+var pow10 = [maxExactDigits + 1]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// exactFloat returns the float64 nearest to m / 10^k, ties to even,
+// negated if neg: what strconv.ParseFloat returns for the decimal, since
+// ParseFloat rounds correctly. m < 10^19 and k ≤ 19 hold.
+//
+//   - m = 0 is ±0.
+//   - m ≤ 2^53 and 10^k ≤ 10^19 < 2^64 are exact float64s (10^k is 2^k·5^k
+//     with 5^19 < 2^53), and IEEE division rounds their exact quotient
+//     correctly (Clinger's fast path).
+//   - k = 0: the conversion from uint64 rounds to nearest even.
+//   - Otherwise m > 2^53 and k ≥ 1. With a = bitlen(m) ≥ 54 and c =
+//     bitlen(10^k) ≤ 64, the shift t = 63 + c − a puts q = ⌊m·2^t / 10^k⌋
+//     in [2^62, 2^64): 2^(a−1) ≤ m < 2^a and 2^(c−1) ≤ 10^k < 2^c. So
+//     the 128-bit m·2^t has a high word below 10^k, one Div64 gives q
+//     without overflow, and q keeps 63 or 64 bits: s = bitlen(q) − 53,
+//     10 or 11, more than a float64 holds. Dropping them rounds m/10^k
+//     to nearest: the dropped bits are compared with half of 2^s, and a
+//     nonzero remainder r of the division is the sticky bit that breaks
+//     a tie upwards, so a tie goes to even only when the quotient is
+//     exact. The result mant·2^(s−t), with mant in [2^52, 2^53] (a carry
+//     to 2^53 moves the exponent up one), lies between 2^53/10^19 >
+//     2^-11 and 10^19 < 2^64: always a normal float64, so its bits are
+//     assembled directly, with no overflow or subnormal case.
+//
+// The sign is applied last so that -0 reads as −0.
+//
+//geolint:allocfree
+func exactFloat(m uint64, k int, neg bool) float64 {
+	var f float64
+	switch {
+	case m == 0:
+	case m <= 1<<53:
+		f = float64(m) / float64(pow10[k])
+	case k == 0:
+		f = float64(m)
+	default:
+		d := pow10[k]
+		t := 63 + bits.Len64(d) - bits.Len64(m)
+		var hi, lo uint64
+		if t < 64 {
+			hi, lo = m>>(64-t), m<<t
+		} else {
+			hi = m << (t - 64)
+		}
+		q, r := bits.Div64(hi, lo, d)
+		s := bits.Len64(q) - 53
+		mant, rest, half := q>>s, q&(1<<s-1), uint64(1)<<(s-1)
+		if rest > half || (rest == half && (r != 0 || mant&1 == 1)) {
+			mant++
+		}
+		exp := s - t + 52 + 1023 // biased exponent of mant·2^(s−t)
+		if mant == 1<<53 {
+			mant >>= 1
+			exp++
+		}
+		f = math.Float64frombits(uint64(exp)<<52 | mant&(1<<52-1))
+	}
+	if neg {
+		f = -f
+	}
+	return f
 }
 
 // mantissa reads -?(0|[1-9][0-9]*).

@@ -44,6 +44,7 @@ var decodeCases = []struct {
 	{"pinned", `{"workload":"K-means","procs":4,"constraint":[2,-1,-1,0],"algorithm":"multilevel","seed":-3}`, true},
 	{"allowed", `{"workload":"DNN","procs":3,"allowed":[[1,2],[],[0,1,2,3]],"algorithm":"greedy"}`, true},
 	{"edges", `{"procs":4,"edges":[{"src":0,"dst":1,"volume":3456789.123456789,"msgs":20},{"src":2,"dst":3,"volume":2.5e-7,"msgs":0}],"seed":1}`, true},
+	{"near-halfway volumes", `{"procs":3,"edges":[{"src":0,"dst":1,"volume":4503599627370497.5,"msgs":9007199254740993},{"src":1,"dst":2,"volume":4503599627370496.5,"msgs":0.30000000000000004},{"src":2,"dst":0,"volume":2251799813685248.25,"msgs":12345678901234567}]}`, true},
 	{"whitespace", " {\n\t\"procs\" : 2 ,\r\n \"edges\" : [ { \"src\" : 0 , \"dst\" : 1 , \"volume\" : -0 , \"msgs\" : 1E2 } ] } \n", true},
 	{"negative src", `{"procs":2,"edges":[{"src":-1,"dst":1,"volume":1,"msgs":1}]}`, true},
 	{"edge keys out of order", `{"procs":2,"edges":[{"src":0,"dst":1,"volume":1,"msgs":1},{"dst":0,"src":1,"msgs":2,"volume":3}]}`, true},
@@ -211,3 +212,32 @@ func BenchmarkDecodeRequest(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFingerprint keys the 512-process request of
+// BenchmarkDecodeRequest, as every served request is keyed after its
+// decode.
+func BenchmarkFingerprint(b *testing.B) {
+	req := benchRequest(512)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchKey = fingerprint(&req, 1)
+	}
+}
+
+// BenchmarkRequestProblem builds and freezes the graph of the
+// 512-process request, as a cache miss does before its solve.
+func BenchmarkRequestProblem(b *testing.B) {
+	req := benchRequest(512)
+	snap := testSnapshot(b, 512, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := req.Problem(snap, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Comm.CSR()
+	}
+}
+
+var benchKey string

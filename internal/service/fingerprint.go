@@ -13,11 +13,12 @@ import (
 
 // fingerprint computes the canonical cache key of a request solved
 // against a snapshot version. Everything that can change the placement
-// participates: the communication pattern (preset name or sorted edge
-// list), pins, allowed sets, solver choice and seed, and the snapshot
-// version itself. Two requests with the same fingerprint are guaranteed
-// to produce bit-identical results, which is what lets the cache and the
-// singleflight layer return one request's answer to another.
+// participates: the communication pattern (preset name or the edge list
+// in keyOrder), pins, allowed sets, solver choice and seed, and the
+// snapshot version itself. Two requests with the same fingerprint are
+// guaranteed to produce bit-identical results, which is what lets the
+// cache and the singleflight layer return one request's answer to
+// another.
 //
 //geolint:deterministic
 func fingerprint(r *MapRequest, snapshotVersion uint64) string {
@@ -31,12 +32,9 @@ func fingerprint(r *MapRequest, snapshotVersion uint64) string {
 	b = appendU64(b, uint64(r.iters()))
 	b = appendStr(b, r.Workload)
 	if len(r.Edges) > 0 {
-		// Sorting by the whole edge makes the key independent of edge
-		// order even when two edges share a (src, dst) pair.
-		edges := slices.Clone(r.Edges)
-		slices.SortFunc(edges, compareEdges)
-		b = appendU64(b, uint64(len(edges)))
-		for _, e := range edges {
+		b = appendU64(b, uint64(len(r.Edges)))
+		for _, k := range keyOrder(r.Edges, r.Procs) {
+			e := r.Edges[k]
 			b = appendU64(b, uint64(e.Src))
 			b = appendU64(b, uint64(e.Dst))
 			b = appendU64(b, math.Float64bits(e.Volume))
@@ -70,13 +68,113 @@ func fingerprint(r *MapRequest, snapshotVersion uint64) string {
 	return hashHex(b)
 }
 
-// compareEdges orders edges by (Src, Dst, Volume bits, Msgs bits): a
-// total order, so equal multisets of edges sort to equal lists.
-func compareEdges(a, b Edge) int {
+// keyOrder returns the order in which the key hashes edges, as indices
+// into edges: sorted by (Src, Dst), and within one (Src, Dst) run by the
+// order comm.Graph sums it in, so that equal keys mean bit-identical
+// graphs. The graph sums a pair's edges in request order. Two addends
+// sum to the same value in either order, so a run of at most two edges
+// is put in compareEdges order and keys the same however the request
+// lists it. A longer run keeps request order: (1e16 + 1) + 1 and
+// (1 + 1) + 1e16 are different sums.
+//
+// When every endpoint lies in [0, procs), as validate ensures, and procs
+// is at most countingSlack times the edge count, the order comes from
+// two stable counting passes, by Dst and then by Src, in
+// O(len(edges) + procs). Otherwise a stable comparison sort gives the
+// same order: RoutingKey also keys unvalidated requests, and a short
+// list over many processes should not pay O(procs).
+func keyOrder(edges []Edge, procs int) []int {
+	var order []int
+	if countable(edges, procs) {
+		order = countingOrder(edges, procs)
+	} else {
+		order = comparisonOrder(edges)
+	}
+	for lo, hi := 0, 0; lo < len(order); lo = hi {
+		for hi = lo + 1; hi < len(order) && compareEndpoints(edges[order[lo]], edges[order[hi]]) == 0; hi++ {
+		}
+		if hi-lo == 2 && compareEdges(edges[order[lo]], edges[order[lo+1]]) > 0 {
+			order[lo], order[lo+1] = order[lo+1], order[lo]
+		}
+	}
+	return order
+}
+
+// countingOrder returns the indices of edges stably sorted by (Src, Dst):
+// a stable counting pass by Dst, then one by Src. Every endpoint lies in
+// [0, procs).
+func countingOrder(edges []Edge, procs int) []int {
+	count := make([]int, procs+1)
+	byDst := make([]int, len(edges))
+	for _, e := range edges {
+		count[e.Dst+1]++
+	}
+	for i := 1; i < procs; i++ {
+		count[i+1] += count[i]
+	}
+	for k, e := range edges {
+		byDst[count[e.Dst]] = k
+		count[e.Dst]++
+	}
+	clear(count)
+	for _, e := range edges {
+		count[e.Src+1]++
+	}
+	for i := 1; i < procs; i++ {
+		count[i+1] += count[i]
+	}
+	order := make([]int, len(edges))
+	for _, k := range byDst {
+		src := edges[k].Src
+		order[count[src]] = k
+		count[src]++
+	}
+	return order
+}
+
+// comparisonOrder returns the indices of edges stably sorted by
+// (Src, Dst) with a comparison sort, for any endpoints.
+func comparisonOrder(edges []Edge) []int {
+	order := make([]int, len(edges))
+	for k := range order {
+		order[k] = k
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return compareEndpoints(edges[a], edges[b]) })
+	return order
+}
+
+// countingSlack bounds the count array of keyOrder's counting passes
+// relative to the edge list: a request with procs above countingSlack
+// times its edge count is sorted by comparison instead.
+const countingSlack = 4
+
+// countable reports whether keyOrder may sort edges by counting: every
+// endpoint lies in [0, procs), and procs is at most countingSlack times
+// the edge count.
+func countable(edges []Edge, procs int) bool {
+	if procs > countingSlack*len(edges) {
+		return false
+	}
+	for _, e := range edges {
+		if uint(e.Src) >= uint(procs) || uint(e.Dst) >= uint(procs) {
+			return false
+		}
+	}
+	return true
+}
+
+// compareEndpoints orders edges by (Src, Dst).
+func compareEndpoints(a, b Edge) int {
 	if c := cmp.Compare(a.Src, b.Src); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+	return cmp.Compare(a.Dst, b.Dst)
+}
+
+// compareEdges orders edges by (Src, Dst, Volume bits, Msgs bits): a
+// total order.
+func compareEdges(a, b Edge) int {
+	if c := compareEndpoints(a, b); c != 0 {
 		return c
 	}
 	if c := cmp.Compare(math.Float64bits(a.Volume), math.Float64bits(b.Volume)); c != 0 {

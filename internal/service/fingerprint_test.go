@@ -1,8 +1,13 @@
 package service
 
 import (
+	"maps"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"geoprocmap/internal/comm"
 	"geoprocmap/internal/core"
 )
 
@@ -39,6 +44,107 @@ func TestDigestsGolden(t *testing.T) {
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
+		}
+	}
+}
+
+// randomEdges draws count edges over procs processes, half of them from a
+// small pool of pairs so that runs of one to many edges share a pair, with
+// volumes from a handful of magnitudes so that equal bits and sums that
+// depend on their order both occur.
+func randomEdges(rng *rand.Rand, procs, count int) []Edge {
+	pool := make([]Edge, 1+rng.Intn(procs))
+	for k := range pool {
+		pool[k] = Edge{Src: rng.Intn(procs), Dst: rng.Intn(procs)}
+	}
+	edges := make([]Edge, count)
+	for k := range edges {
+		e := Edge{Src: rng.Intn(procs), Dst: rng.Intn(procs)}
+		if rng.Intn(2) == 0 {
+			e = pool[rng.Intn(len(pool))]
+		}
+		e.Volume = float64(1+rng.Intn(3)) * math.Pow(10, float64(rng.Intn(17)))
+		e.Msgs = float64(rng.Intn(3))
+		edges[k] = e
+	}
+	return edges
+}
+
+// Property: the counting passes order every request keyOrder hands them
+// exactly as the stable comparison sort does, so both paths hash the same
+// bytes; and a request with an endpoint out of range, or with procs far
+// above its edge count, takes the comparison sort and still keys.
+func TestKeyOrderCountingMatchesComparison(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 400; trial++ {
+		procs := 1 + rng.Intn(300)
+		r := MapRequest{Procs: procs, Edges: randomEdges(rng, procs, (procs+countingSlack-1)/countingSlack+rng.Intn(4*procs))}
+		switch trial % 4 {
+		case 0: // an endpoint out of range
+			e := &r.Edges[rng.Intn(len(r.Edges))]
+			if rng.Intn(2) == 0 {
+				e.Src = -1 - rng.Intn(3)
+			} else {
+				e.Dst = procs + rng.Intn(3)
+			}
+		case 1: // procs far above the edge count
+			r.Procs = countingSlack*len(r.Edges) + 1 + rng.Intn(1<<20)
+		}
+		if got, want := countable(r.Edges, r.Procs), trial%4 > 1; got != want {
+			t.Fatalf("trial %d: countable = %v, want %v", trial, got, want)
+		}
+		if !countable(r.Edges, r.Procs) {
+			_ = RoutingKey(&r)
+			continue
+		}
+		if got, want := countingOrder(r.Edges, r.Procs), comparisonOrder(r.Edges); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: counting order %v, comparison order %v", trial, got, want)
+		}
+	}
+}
+
+// keyRuns is a reference for what the key hashes of an edge list: each
+// (src, dst) pair's edges in request order, with a run of at most two put
+// in compareEdges order.
+func keyRuns(edges []Edge) map[[2]int][]Edge {
+	runs := map[[2]int][]Edge{}
+	for _, e := range edges {
+		runs[[2]int{e.Src, e.Dst}] = append(runs[[2]int{e.Src, e.Dst}], e)
+	}
+	for _, run := range runs {
+		if len(run) <= 2 {
+			slices.SortFunc(run, compareEdges)
+		}
+	}
+	return runs
+}
+
+// Property: two orders of one edge list key alike exactly when keyRuns
+// says they should, and lists that key alike build bit-identical graphs.
+func TestEqualKeysBuildEqualGraphs(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	csr := func(r *MapRequest) *comm.CSR {
+		g := comm.NewGraph(r.Procs)
+		for _, e := range r.Edges {
+			g.AddTraffic(e.Src, e.Dst, e.Volume, e.Msgs)
+		}
+		return g.CSR()
+	}
+	sameBits := func(x, y comm.Edge) bool {
+		return x.Peer == y.Peer && math.Float64bits(x.Volume) == math.Float64bits(y.Volume) && math.Float64bits(x.Msgs) == math.Float64bits(y.Msgs)
+	}
+	for trial := 0; trial < 3000; trial++ {
+		procs := 2 + rng.Intn(3)
+		a := MapRequest{Procs: procs, Edges: randomEdges(rng, procs, 1+rng.Intn(8))}
+		b := MapRequest{Procs: procs, Edges: slices.Clone(a.Edges)}
+		rng.Shuffle(len(b.Edges), func(i, j int) { b.Edges[i], b.Edges[j] = b.Edges[j], b.Edges[i] })
+		same := maps.EqualFunc(keyRuns(a.Edges), keyRuns(b.Edges), slices.Equal[[]Edge])
+		if alike := fingerprint(&a, 1) == fingerprint(&b, 1); alike != same {
+			t.Fatalf("trial %d: edges %v and %v key alike: %v, want %v", trial, a.Edges, b.Edges, alike, same)
+		}
+		ga, gb := csr(&a), csr(&b)
+		if same && (!slices.Equal(ga.OutIdx, gb.OutIdx) || !slices.EqualFunc(ga.Out, gb.Out, sameBits)) {
+			t.Fatalf("trial %d: edges %v and %v key alike but build different graphs", trial, a.Edges, b.Edges)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -178,6 +179,40 @@ func TestMapConstraintsAndExplicitEdges(t *testing.T) {
 	postMap(t, h, edge, http.StatusOK, &pcached)
 	if !pcached.Cached || pcached.Digest != pair.Digest {
 		t.Error("the order of two edges on one (src, dst) pair changed the fingerprint")
+	}
+}
+
+// Three edges on one (src, dst) pair sum to different graphs in
+// different orders: comm.Graph sums them in request order, and
+// (1e16 + 1) + 1 rounds to 1e16 while (1 + 1) + 1e16 does not. The two
+// requests must not share a cache key, and each answer must cost what a
+// fresh solve of its own request costs.
+func TestMapRunOfThreeEdgesKeysInRequestOrder(t *testing.T) {
+	h := newTestServer(t, Config{}).Handler()
+	req := func(volumes ...float64) MapRequest {
+		r := MapRequest{Procs: 8, Seed: 1, Edges: []Edge{{Src: 2, Dst: 3, Volume: 5e5, Msgs: 4}}}
+		for _, v := range volumes {
+			r.Edges = append(r.Edges, Edge{Src: 0, Dst: 1, Volume: v, Msgs: 1})
+		}
+		return r
+	}
+	big, small := req(1e16, 1, 1), req(1, 1, 1e16)
+	if fingerprint(&big, 1) == fingerprint(&small, 1) {
+		t.Error("edges (0,1) with volumes 1e16, 1, 1 and 1, 1, 1e16 share a cache key")
+	}
+	var first, second MapResponse
+	postMap(t, h, big, http.StatusOK, &first)
+	postMap(t, h, small, http.StatusOK, &second)
+	for _, c := range []struct {
+		name string
+		req  MapRequest
+		got  MapResponse
+	}{{"1e16, 1, 1", big, first}, {"1, 1, 1e16", small, second}} {
+		var fresh MapResponse
+		postMap(t, newTestServer(t, Config{}).Handler(), c.req, http.StatusOK, &fresh)
+		if math.Float64bits(c.got.Cost) != math.Float64bits(fresh.Cost) {
+			t.Errorf("volumes %s: served cost %v (cached %v), a fresh solve costs %v", c.name, c.got.Cost, c.got.Cached, fresh.Cost)
+		}
 	}
 }
 

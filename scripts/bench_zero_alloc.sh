@@ -26,14 +26,21 @@ go test -run '^$' -bench "$pattern" -benchmem -benchtime 1000x "$@" | tee "$tmp"
 
 # Parse `go test -bench` output lines of the form
 #   BenchmarkAllocCost-8   1000   1458 ns/op   0 B/op   0 allocs/op
-# into a JSON array, and collect violators.
+# into a JSON array, and collect violators. Each value is read by the
+# unit after it, since a benchmark that calls b.SetBytes adds an MB/s
+# column.
 awk -v out="$out" -v pat="$pattern" -v label="$label" '
 BEGIN { n = 0; bad = "" }
 $1 ~ pat && $NF == "allocs/op" {
     name = $1
     sub(/-[0-9]+$/, "", name)
-    ns[n] = $3; bytes[n] = $5; allocs[n] = $7; names[n] = name
-    if ($7 + 0 != 0) bad = bad " " name
+    for (i = 3; i <= NF; i++) {
+        if ($i == "ns/op") ns[n] = $(i - 1)
+        if ($i == "B/op") bytes[n] = $(i - 1)
+        if ($i == "allocs/op") allocs[n] = $(i - 1)
+    }
+    names[n] = name
+    if (allocs[n] + 0 != 0) bad = bad " " name
     n++
 }
 END {
