@@ -40,10 +40,12 @@ race:
 # go test accepts -fuzz for one package at a time, so each target gets its
 # own call: the heap-driven fill, including its replay of a recorded fill
 # on unpinned levels without site sets, against its O(N²) reference scan,
-# GeoMapper's order search, which skips replays its site-pair table price
-# rules out, against a scan that fills and prices every order,
+# GeoMapper's price-first order search, which costs only the orders its
+# site-pair table price cannot rule out, against a scan that fills and
+# prices every order at one, two and three workers,
 # the move/swap deltas against full cost recomputation, the matcher's
-# phased verdict and repair against Hall's condition, the network simulator's
+# phased verdict and repair against Hall's condition, a problem's JSON
+# write and read back against the problem bit for bit, the network simulator's
 # fault-aware replay and fluid engines at a nil schedule against the
 # healthy-network references, the trace compression round trip, the
 # /v1/map body decoder against encoding/json, and its float read against
@@ -53,6 +55,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltasMatchRecomputation$$' -fuzztime 10s ./internal/multilevel
 	$(GO) test -run '^$$' -fuzz '^FuzzMatcherMatchesHall$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPricedSearchMatchesScan$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzProblemJSONRoundTrip$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzNilScheduleMatchesReference$$' -fuzztime 10s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzCompressRoundTrip$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequestMatchesStdlib$$' -fuzztime 10s ./internal/service

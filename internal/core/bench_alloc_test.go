@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"geoprocmap/internal/multilevel"
 	"geoprocmap/internal/stats"
 	"geoprocmap/internal/units"
 )
@@ -78,9 +79,9 @@ func BenchmarkAllocRefinePass(b *testing.B) {
 
 // BenchmarkAllocPricedOrder measures how the served 512-process search
 // rules out an order: once a first pass over all 24 orders has recorded
-// the fill, its site-pair table and the best cost, every order is a
-// replay that its table price, or its match with the best's sites, rules
-// out before any replay or Problem.Cost.
+// the fill, its site-pair table, the plan and the best cost, every order
+// is a replay that its table price, or its match with the best's sites,
+// rules out before any replay or Problem.Cost.
 func BenchmarkAllocPricedOrder(b *testing.B) {
 	p := served512Problem(b)
 	groups, err := GroupSites(p.PC, 4, 1)
@@ -96,13 +97,14 @@ func BenchmarkAllocPricedOrder(b *testing.B) {
 		orders = append(orders, ordered)
 		return true
 	})
-	e := p.newOrderEval()
-	for _, ordered := range orders {
-		_, benchCost, _ = e.eval(ordered) // the full fill, its table, and the best
+	e := p.newOrderEval(multilevel.NewFillTable(p.instance(nil)), groups, len(orders))
+	for rank, ordered := range orders {
+		_, benchCost, _ = e.eval(rank, ordered) // the full fill, its table, the plan and the best
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, benchCost, benchBool = e.eval(orders[i%len(orders)])
+		rank := i % len(orders)
+		_, benchCost, benchBool = e.eval(rank, orders[rank])
 	}
 }

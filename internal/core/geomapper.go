@@ -30,13 +30,16 @@ import (
 // per placement, the O(κ!·N²) of a literal reading of the paper. With no
 // pinned process and no site set, orders that visit the same capacity
 // sequence share one fill (see multilevel.Fill), and each worker prices
-// a replayed order in O(M²) from the recorded placement's site-pair
-// traffic before replaying it (see orderEval). It replays and prices
-// exactly, in O(N + E), only the orders that price could not rule out,
-// so on equal-capacity sites the search costs one fill per worker, κ!
-// O(M²) prices and the surviving exact passes: 5 of 24 for a served
-// 512-process request. The grouping step keeps κ small (the paper
-// recommends κ ≤ 5) so the order search stays tractable for large M.
+// every replayable order of its rank range in O(M²) from the recorded
+// placement's site-pair traffic. It replays and prices exactly, in
+// O(N + E), the cheapest-priced order, and then only the orders whose
+// price cannot prove them dearer (see orderEval). So on equal-capacity
+// sites the search costs one fill per worker, two O(M²) prices per
+// order and one exact pass per worker plus one per near-tie: 1 of 24
+// for a served 512-process request on one worker. The fill's seed order
+// and weighted neighbour rows are built once per Map and shared by every
+// worker. The grouping step keeps κ small (the paper recommends κ ≤ 5)
+// so the order search stays tractable for large M.
 type GeoMapper struct {
 	// Kappa is the number of K-means site groups κ. Zero selects the
 	// default of min(M, 4). Values above MaxKappa are rejected to keep the
@@ -62,10 +65,11 @@ type GeoMapper struct {
 	RefinePasses int
 	// Workers is the number of goroutines evaluating group orders, passed
 	// to multilevel.SearchOrders: each worker owns its own multilevel.Fill
-	// and the reduction — minimum cost, ties broken by lowest
-	// lexicographic permutation rank — is deterministic, so the result is
-	// byte-identical for every worker count. Zero selects GOMAXPROCS; 1
-	// runs the search serially on the calling goroutine.
+	// over one shared multilevel.FillTable, and the reduction — minimum
+	// cost, ties broken by lowest lexicographic permutation rank — is
+	// deterministic, so the result is byte-identical for every worker
+	// count. Zero selects GOMAXPROCS; 1 runs the search serially on the
+	// calling goroutine.
 	Workers int
 }
 
@@ -120,8 +124,9 @@ func (g *GeoMapper) Map(p *Problem) (Placement, error) {
 	if g.SingleOrder {
 		limit = 1 // rank 0 is the identity order
 	}
-	best, _, ok := multilevel.SearchOrders(groups, limit, g.Workers, func() multilevel.Eval {
-		return p.newOrderEval().eval
+	table := multilevel.NewFillTable(p.instance(nil))
+	best, _, ok := multilevel.SearchOrders(groups, limit, g.Workers, func(_, hi int) multilevel.Eval {
+		return p.newOrderEval(table, groups, hi).eval
 	})
 	if !ok {
 		return nil, fmt.Errorf("core: no placement produced")

@@ -43,7 +43,7 @@ func served512Problem(tb testing.TB) *Problem {
 // order of groups in rank order, keeping the first strict minimum, with
 // no bound.
 func scanOrders(p *Problem, groups [][]int) (Placement, units.Cost) {
-	fill := multilevel.NewFill(p.instance(nil))
+	fill := multilevel.NewFill(multilevel.NewFillTable(p.instance(nil)))
 	var best Placement
 	cost := units.Cost(math.Inf(1))
 	ordered := make([][]int, len(groups))
@@ -61,9 +61,11 @@ func scanOrders(p *Problem, groups [][]int) (Placement, units.Cost) {
 }
 
 // TestOrderEvalCounts pins how much of the served 512-process search the
-// table price removes: each worker fills once, prices every later order
-// from the table, and replays and prices exactly only the orders that
-// could still win. The placement must be the reference scan's.
+// price-first plan removes: each worker fills once, prices every order of
+// its range from the table, runs Problem.Cost only on the cheapest-priced
+// one and skips every other order, the recorded one included. Three
+// workers split the 24 ranks unevenly. The placement must be the
+// reference scan's.
 func TestOrderEvalCounts(t *testing.T) {
 	p := served512Problem(t)
 	groups, err := GroupSites(p.PC, 4, 1)
@@ -72,15 +74,17 @@ func TestOrderEvalCounts(t *testing.T) {
 	}
 	want, _ := scanOrders(p, groups)
 	for _, c := range []struct{ workers, exact, pruned int }{
-		{1, 5, 19},
-		{2, 8, 16},
+		{1, 1, 23},
+		{2, 2, 22},
+		{3, 3, 21},
 	} {
 		var (
 			mu    sync.Mutex
 			evals []*orderEval
 		)
-		got, _, ok := multilevel.SearchOrders(groups, math.MaxInt, c.workers, func() multilevel.Eval {
-			e := p.newOrderEval()
+		table := multilevel.NewFillTable(p.instance(nil))
+		got, _, ok := multilevel.SearchOrders(groups, math.MaxInt, c.workers, func(_, hi int) multilevel.Eval {
+			e := p.newOrderEval(table, groups, hi)
 			mu.Lock()
 			evals = append(evals, e)
 			mu.Unlock()
@@ -102,8 +106,9 @@ func TestOrderEvalCounts(t *testing.T) {
 	}
 }
 
-// FuzzPricedSearchMatchesScan requires GeoMapper.Map, at one and two
-// workers, to return the reference scan's placement bit for bit on
+// FuzzPricedSearchMatchesScan requires GeoMapper.Map, at one, two and
+// three workers (three split κ! unevenly, so a range edge can fall next
+// to the ahead order), to return the reference scan's placement bit for bit on
 // random small unpinned problems: κ ≤ 5, capacities from one or two
 // values, and links and traffic drawn from a few repeated values, or a
 // uniform cloud, so that relabellings tie exactly or within the last bits
@@ -122,7 +127,7 @@ func FuzzPricedSearchMatchesScan(f *testing.F) {
 			t.Fatal(err)
 		}
 		want, wantCost := scanOrders(p, groups)
-		for _, w := range []int{1, 2} {
+		for _, w := range []int{1, 2, 3} {
 			got, err := (&GeoMapper{Kappa: k, Seed: seed, Workers: w}).Map(p)
 			if err != nil {
 				t.Fatal(err)
@@ -172,4 +177,20 @@ func pricedCase(seed int64, n, m int, mode uint8) *Problem {
 		}
 	}
 	return &Problem{Comm: g, LT: lt, BT: bt, PC: pc, Capacity: capacity, Constraint: mat.NewIntVec(n, Unconstrained)}
+}
+
+// BenchmarkMapServed512 measures GeoMapper.Map on one worker for the
+// served 512-process shape: the site grouping, the fill table, one fill,
+// the plan's 24 table prices and the exact passes.
+func BenchmarkMapServed512(b *testing.B) {
+	p := served512Problem(b)
+	p.Comm.CSR()
+	g := &GeoMapper{Seed: 1, Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Map(p); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

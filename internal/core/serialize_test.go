@@ -7,11 +7,13 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"geoprocmap/internal/comm"
+	"geoprocmap/internal/geo"
 	"geoprocmap/internal/mat"
 	"geoprocmap/internal/stats"
 )
@@ -182,4 +184,137 @@ func edgeTo(g *comm.Graph, i, j int) comm.Edge {
 		}
 	}
 	return comm.Edge{}
+}
+
+// FuzzProblemJSONRoundTrip requires WriteJSON followed by ReadJSON to
+// reproduce a random valid problem bit for bit: N, the frozen rows of the
+// communication graph, both link matrices, the coordinates, capacities,
+// pins and allowed sets, nil and empty sets kept apart (make fuzz runs
+// it). Bit 0 of mode draws traffic and links from arbitrary finite bit
+// patterns, subnormals included, rather than round values; bit 1 adds
+// pins and bit 2 allowed sets, some of them empty.
+func FuzzProblemJSONRoundTrip(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(3), uint8(0))
+	f.Add(int64(2), uint8(20), uint8(4), uint8(7))
+	f.Add(int64(3), uint8(1), uint8(1), uint8(1))
+	f.Add(int64(4), uint8(33), uint8(5), uint8(6))
+	f.Fuzz(func(t *testing.T, seed int64, n, m, mode uint8) {
+		p := jsonCase(seed, 1+int(n%40), 1+int(m%6), mode)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("jsonCase built an invalid problem: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := p.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadJSON(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		if got.N() != p.N() || got.M() != p.M() {
+			t.Fatalf("n×m = %d×%d, want %d×%d", got.N(), got.M(), p.N(), p.M())
+		}
+		gc, pc := got.Comm.CSR(), p.Comm.CSR()
+		if !slices.Equal(gc.OutIdx, pc.OutIdx) || !slices.EqualFunc(gc.Out, pc.Out, func(a, b comm.Edge) bool {
+			return a.Peer == b.Peer && sameBits(a.Volume, b.Volume) && sameBits(a.Msgs, b.Msgs)
+		}) {
+			t.Fatalf("graph rows %v %v, want %v %v", gc.OutIdx, gc.Out, pc.OutIdx, pc.Out)
+		}
+		for k := 0; k < p.M(); k++ {
+			for l := 0; l < p.M(); l++ {
+				if !sameBits(got.LT.At(k, l), p.LT.At(k, l)) || !sameBits(got.BT.At(k, l), p.BT.At(k, l)) {
+					t.Fatalf("link (%d,%d) = %v, %v; want %v, %v", k, l, got.LT.At(k, l), got.BT.At(k, l), p.LT.At(k, l), p.BT.At(k, l))
+				}
+			}
+			if !sameBits(got.PC[k].Lat, p.PC[k].Lat) || !sameBits(got.PC[k].Lon, p.PC[k].Lon) {
+				t.Fatalf("coordinates of site %d = %v, want %v", k, got.PC[k], p.PC[k])
+			}
+		}
+		if !slices.Equal(got.Capacity, p.Capacity) || !slices.Equal(got.Constraint, p.Constraint) {
+			t.Fatalf("capacity %v, pins %v; want %v, %v", got.Capacity, got.Constraint, p.Capacity, p.Constraint)
+		}
+		if (got.Allowed == nil) != (p.Allowed == nil) || len(got.Allowed) != len(p.Allowed) {
+			t.Fatalf("allowed sets %v, want %v", got.Allowed, p.Allowed)
+		}
+		for i := range p.Allowed {
+			if (got.Allowed[i] == nil) != (p.Allowed[i] == nil) || !slices.Equal(got.Allowed[i], p.Allowed[i]) {
+				t.Fatalf("allowed set of process %d = %#v, want %#v", i, got.Allowed[i], p.Allowed[i])
+			}
+		}
+	})
+}
+
+// jsonCase builds a valid problem of n processes on m sites for
+// FuzzProblemJSONRoundTrip; see its doc for mode.
+func jsonCase(seed int64, n, m int, mode uint8) *Problem {
+	rng := stats.NewRand(seed)
+	// value draws a finite, non-negative float: arbitrary bits under mode
+	// bit 0, else a small multiple of a power of ten.
+	value := func() float64 {
+		if mode&1 == 0 {
+			return float64(rng.Intn(5)) * math.Pow(10, float64(rng.Intn(13)-3))
+		}
+		for {
+			if v := math.Float64frombits(rng.Uint64() &^ (1 << 63)); !math.IsInf(v, 0) && !math.IsNaN(v) {
+				return v
+			}
+		}
+	}
+	g := comm.NewGraph(n)
+	for e := rng.Intn(4 * n); e > 0; e-- {
+		g.AddTraffic(rng.Intn(n), rng.Intn(n), value(), value())
+	}
+	lt, bt := mat.NewSquare(m), mat.NewSquare(m)
+	pc := make([]geo.LatLon, m)
+	for k := 0; k < m; k++ {
+		for l := 0; l < m; l++ {
+			lt.Set(k, l, value())
+			b := value()
+			for b == 0 {
+				b = value()
+			}
+			bt.Set(k, l, b)
+		}
+		pc[k] = geo.LatLon{Lat: 180*rng.Float64() - 90, Lon: 360*rng.Float64() - 180}
+	}
+	// Each process has a home site with room for it, so pins and allowed
+	// sets drawn around the home stay feasible.
+	capacity := make([]int, m)
+	home := make([]int, n)
+	for i := range home {
+		home[i] = rng.Intn(m)
+		capacity[home[i]]++
+	}
+	for s := range capacity {
+		capacity[s] += rng.Intn(3)
+		capacity[s] = max(capacity[s], 1)
+	}
+	constraint := mat.NewIntVec(n, Unconstrained)
+	var allowed [][]int
+	if mode&4 != 0 {
+		allowed = make([][]int, n)
+	}
+	for i := range home {
+		if mode&2 != 0 && rng.Intn(3) == 0 {
+			constraint[i] = home[i]
+		}
+		if allowed == nil {
+			continue
+		}
+		switch rng.Intn(4) {
+		case 0: // nil: unrestricted
+		case 1:
+			allowed[i] = []int{} // empty: unrestricted too
+		default:
+			set := []int{home[i]}
+			for _, s := range rng.Perm(m)[:rng.Intn(m)] {
+				if s != home[i] {
+					set = append(set, s)
+				}
+			}
+			allowed[i] = set
+		}
+	}
+	return &Problem{Comm: g, LT: lt, BT: bt, PC: pc, Capacity: capacity, Constraint: constraint, Allowed: allowed}
 }

@@ -17,7 +17,9 @@ import (
 // processes consumes w units of a site's capacity, so at unit weight this
 // is the paper's fill exactly: core.GeoMapper runs it on level 0 for every
 // order SearchOrders examines, and the multilevel initial map runs it on
-// the coarsest level. A Fill owns its scratch, so each goroutine needs its
+// the coarsest level. What no pick changes, the seed order and the
+// weighted neighbour rows, lives in a FillTable that every Fill of the
+// level shares; a Fill owns only its scratch, so each goroutine needs its
 // own.
 //
 // Each pick is the best unselected vertex that fits the site's remaining
@@ -35,8 +37,17 @@ import (
 // an affinity is a sum of non-negative weights that only grows, and each
 // change pushes the new value.
 //
+// Pins enter a fill in two places only. They are placed before the walk,
+// so every pinned vertex is selected in every order, and each site starts
+// the walk with its capacity less its pins as room. No pick lands on a
+// site before the walk visits it, so nextSite orders a group's sites by
+// that room, the room left after pins. And a site's growth starts from
+// its members, so the vertices pinned to it seed its affinities. A site
+// with no pins therefore never reads another site's pins: it sees them
+// only as vertices already selected, one fixed set in every order.
+//
 // On a symmetric level, one with no pinned vertex and no allowed-site set
-// (decided once by newFill), no pick ever asks which site it is on: a
+// (decided once by NewFillTable), no pick ever asks which site it is on: a
 // site's fill reads only its capacity and what earlier sites took. So the
 // whole fill is a function of its key, the capacity sequence: the
 // capacities of the sites in the order Run visits them. Run keeps the key
@@ -54,12 +65,8 @@ import (
 // Relabel and Generation let a caller price a replay before running it,
 // as core.GeoMapper does from the recorded placement's site-pair traffic.
 type Fill struct {
-	in  *Instance
-	lv  *level
-	ref refLink
+	*FillTable
 
-	quantity  []units.Cost // static per-vertex communication quantity
-	order     []int        // vertices by quantity descending, index ascending
 	affinity  []units.Cost
 	frontier  []frontierEntry // max-heap of vertices touched since rebuildAffinity
 	selected  []bool
@@ -69,66 +76,168 @@ type Fill struct {
 	groupDone []bool // scratch for the site-selection loop, len M
 
 	// Replay state for a symmetric level; see the type doc.
-	symmetric bool
-	visits    []int  // scratch: the sites this Run visits, in order, len M
-	visited   []bool // scratch: sites already in visits, len M
-	key       []int  // key[:nKey]: the capacities of the last full fill's visits
-	sites     []int  // sites[:nKey]: the sites that fill visited, in order
-	nKey      int
-	recorded  bool  // key, sites, picks and ends describe a full fill
-	picks     []int // that fill's vertices, site by site in visit order, len n
-	ends      []int // picks[ends[i-1]:ends[i]] went to its i-th visited site
-	gen       int   // fills recorded
-	fullRuns  int   // full fills run, for tests
+	visits   []int  // scratch: the sites this Run visits, in order, len M
+	visited  []bool // scratch: sites already in visits, len M
+	key      []int  // key[:nKey]: the capacities of the last full fill's visits
+	sites    []int  // sites[:nKey]: the sites that fill visited, in order
+	nKey     int
+	recorded bool  // key, sites, picks and ends describe a full fill
+	picks    []int // that fill's vertices, site by site in visit order, len n
+	ends     []int // picks[ends[i-1]:ends[i]] went to its i-th visited site
+	gen      int   // fills recorded
+	fullRuns int   // full fills run, for tests
 }
 
-// NewFill returns a fill over in's level-0 graph, pins and allowed sets.
-func NewFill(in *Instance) *Fill {
-	return newFill(in, &level{g: in.G, pin: in.Pin, allowed: normalizeAllowed(in.Allowed, in.G.n)})
+// FillTable is the read-only part of the Fills over one level: what no
+// pick changes, built once by NewFillTable and shared by every Fill of
+// the level, across goroutines, without locks.
+type FillTable struct {
+	in        *Instance
+	lv        *level
+	symmetric bool // no pinned vertex and no allowed-site set
+
+	quantity []units.Cost // static per-vertex communication quantity
+	order    []int        // vertices by quantity descending, index ascending
+
+	// Row v, nbrs[nbrIdx[v]:nbrIdx[v+1]], lists v's neighbours in
+	// comm.CSR.Neighbors order with the reference-link weight of their
+	// merged out+in traffic: quantity[v] is the row's sum in that order,
+	// and placing v adds each entry's weight to its peer's affinity.
+	nbrIdx []int
+	nbrs   []weightedPeer
 }
 
-func newFill(in *Instance, lv *level) *Fill {
+// weightedPeer is one entry of a FillTable row.
+type weightedPeer struct {
+	v int
+	w units.Cost
+}
+
+// NewFillTable returns the table of in's level-0 graph, pins and allowed
+// sets.
+func NewFillTable(in *Instance) *FillTable {
+	return newFillTable(in, &level{g: in.G, pin: in.Pin, allowed: normalizeAllowed(in.Allowed, in.G.n)})
+}
+
+func newFillTable(in *Instance, lv *level) *FillTable {
 	n := lv.g.n
-	f := &Fill{
+	adj := lv.g.adj
+	t := &FillTable{
 		in:        in,
 		lv:        lv,
-		ref:       in.refWeights(),
+		symmetric: true,
 		quantity:  make([]units.Cost, n),
+		nbrIdx:    make([]int, n+1),
+	}
+	// Size the rows first: v's neighbours are the peers of its out row
+	// and its in row, a peer in both counted once.
+	for v := 0; v < n; v++ {
+		outRow, inRow := adj.Out[adj.OutIdx[v]:adj.OutIdx[v+1]], adj.In[adj.InIdx[v]:adj.InIdx[v+1]]
+		k, both := 0, 0
+		for _, e := range outRow {
+			for k < len(inRow) && inRow[k].Peer < e.Peer {
+				k++
+			}
+			if k < len(inRow) && inRow[k].Peer == e.Peer {
+				both++
+			}
+		}
+		t.nbrIdx[v+1] = t.nbrIdx[v] + len(outRow) + len(inRow) - both
+	}
+	t.nbrs = make([]weightedPeer, t.nbrIdx[n])
+	ref := in.refWeights()
+	for v := 0; v < n; v++ {
+		if lv.pin[v] >= 0 || len(lv.allowed[v]) > 0 {
+			t.symmetric = false
+		}
+		var q units.Cost
+		row := t.nbrs[t.nbrIdx[v]:t.nbrIdx[v+1]]
+		adj.Neighbors(v, func(j int, vol, msgs float64) {
+			w := ref.weight(vol, msgs)
+			q += w
+			row[0], row = weightedPeer{j, w}, row[1:]
+		})
+		t.quantity[v] = q
+	}
+	t.order = seedOrder(t.quantity)
+	return t
+}
+
+// seedOrder returns the vertices by quantity descending, then index
+// ascending. Non-negative float64s order as their bit patterns do, so
+// when no quantity is NaN or carries a sign bit, stable counting passes
+// over the complemented bit patterns, one byte each from the lowest, give
+// that order without a comparison. One pass counts all eight bytes, and
+// a byte every vertex shares gets no pass. Otherwise a comparison sort
+// does.
+func seedOrder(quantity []units.Cost) []int {
+	n := len(quantity)
+	order := make([]int, n)
+	for v := range order {
+		order[v] = v
+	}
+	keys := make([]uint64, n)
+	for v, q := range quantity {
+		if math.IsNaN(q.Float()) || math.Signbit(q.Float()) {
+			slices.SortFunc(order, func(a, b int) int {
+				if c := cmp.Compare(quantity[b], quantity[a]); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+			return order
+		}
+		keys[v] = ^math.Float64bits(q.Float())
+	}
+	if n == 0 {
+		return order
+	}
+	var count [8][256]int
+	for _, k := range keys {
+		for b := range count {
+			count[b][k>>(8*b)&0xff]++
+		}
+	}
+	nextOrder, nextKeys := make([]int, n), make([]uint64, n)
+	for b := range count {
+		c := &count[b]
+		if c[keys[0]>>(8*b)&0xff] == n {
+			continue // every vertex has this byte: the pass would move none
+		}
+		start := 0
+		for d, k := range c {
+			c[d] = start
+			start += k
+		}
+		for i, k := range keys {
+			d := k >> (8 * b) & 0xff
+			nextOrder[c[d]], nextKeys[c[d]] = order[i], k
+			c[d]++
+		}
+		order, nextOrder = nextOrder, order
+		keys, nextKeys = nextKeys, keys
+	}
+	return order
+}
+
+// NewFill returns a fill over t's level with its own scratch.
+func NewFill(t *FillTable) *Fill {
+	n, m := t.lv.g.n, t.in.M()
+	f := &Fill{
+		FillTable: t,
 		affinity:  make([]units.Cost, n),
 		selected:  make([]bool, n),
-		avail:     make([]int, in.M()),
-		members:   make([][]int, in.M()),
+		avail:     make([]int, m),
+		members:   make([][]int, m),
 		pl:        make([]int, n),
-		groupDone: make([]bool, in.M()),
-		symmetric: true,
-		visited:   make([]bool, in.M()),
+		groupDone: make([]bool, m),
+		visited:   make([]bool, m),
 	}
 	// One block backs the replay's int buffers: visits, key, sites and
 	// ends of len M, then picks of len n.
-	m := in.M()
 	replay := make([]int, 4*m+n)
 	f.visits, f.key, f.sites, f.ends = replay[:m:m], replay[m:2*m:2*m], replay[2*m:3*m:3*m], replay[3*m:4*m:4*m]
 	f.picks = replay[4*m:]
-	for v := 0; v < n; v++ {
-		if lv.pin[v] >= 0 || len(lv.allowed[v]) > 0 {
-			f.symmetric = false
-		}
-		var q units.Cost
-		lv.g.adj.Neighbors(v, func(_ int, vol, msgs float64) {
-			q += f.ref.weight(vol, msgs)
-		})
-		f.quantity[v] = q
-	}
-	f.order = make([]int, n)
-	for v := range f.order {
-		f.order[v] = v
-	}
-	slices.SortFunc(f.order, func(a, b int) int {
-		if c := cmp.Compare(f.quantity[b], f.quantity[a]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
 	return f
 }
 
@@ -484,22 +593,23 @@ func (f *Fill) rebuildAffinity(site int) {
 // after v has been placed on the site currently being filled, and pushes
 // each unselected peer's new affinity onto the frontier.
 func (f *Fill) addAffinity(v int) {
-	f.lv.g.adj.Neighbors(v, func(j int, vol, msgs float64) {
-		f.affinity[j] += f.ref.weight(vol, msgs)
-		if !f.selected[j] {
-			f.pushFrontier(j)
+	for _, e := range f.nbrs[f.nbrIdx[v]:f.nbrIdx[v+1]] {
+		f.affinity[e.v] += e.w
+		if !f.selected[e.v] {
+			f.pushFrontier(e.v)
 		}
-	})
+	}
 }
 
-// Eval fills, repairs and prices one order of the site groups. It returns
-// the placement, which it may reuse on its next call, the placement's cost,
-// and false when the order admits no feasible placement or is shown to
-// cost no less than a placement this evaluator already returned. An
-// evaluator belongs to one SearchOrders worker, which keeps the first
-// strict minimum of what it returned, so skipping such an order leaves
-// the search's result unchanged.
-type Eval func(orderedGroups [][]int) (pl []int, cost units.Cost, ok bool)
+// Eval fills, repairs and prices the order of the site groups with the
+// given rank. It returns the placement, which it may reuse on its next
+// call, the placement's cost, and false when the order admits no feasible
+// placement or when it provably costs no less than a placement this
+// evaluator already returned, or more than one it will return for a
+// later rank of its range. An evaluator belongs to one SearchOrders
+// worker, which keeps the first strict minimum of what it returned, so
+// skipping such an order leaves the search's result unchanged.
+type Eval func(rank int, orderedGroups [][]int) (pl []int, cost units.Cost, ok bool)
 
 // SearchOrders is the outer loop of the paper's Algorithm 1, and the
 // repository's only group-order search: it evaluates the orders of
@@ -509,12 +619,13 @@ type Eval func(orderedGroups [][]int) (pl []int, cost units.Cost, ok bool)
 //
 // The ranks are split into contiguous ranges, one per worker (workers ≤ 0
 // selects GOMAXPROCS, and there are never more workers than ranks); each
-// worker evaluates its range in ascending rank order with its own
-// evaluator from newEval and keeps the first strict minimum. The
-// reduction takes the minimum cost and, on an exact tie, the lower range,
-// so the lowest rank wins and the result is byte-identical at any worker
-// count. One worker runs on the calling goroutine.
-func SearchOrders(groups [][]int, limit, workers int, newEval func() Eval) (best []int, cost units.Cost, ok bool) {
+// worker evaluates its range [lo, hi) in ascending rank order with its
+// own evaluator from newEval(lo, hi), calling it once per rank, and keeps
+// the first strict minimum. The reduction takes the minimum cost and, on
+// an exact tie, the lower range, so the lowest rank wins and the result
+// is byte-identical at any worker count. One worker runs on the calling
+// goroutine.
+func SearchOrders(groups [][]int, limit, workers int, newEval func(lo, hi int) Eval) (best []int, cost units.Cost, ok bool) {
 	k := len(groups)
 	limit = min(limit, stats.FactorialInt(k))
 	workers = min(workerCount(workers), limit)
@@ -522,13 +633,14 @@ func SearchOrders(groups [][]int, limit, workers int, newEval func() Eval) (best
 	search := func(w int) {
 		r := &results[w]
 		r.cost = units.Cost(math.Inf(1))
-		eval := newEval()
+		lo, hi := w*limit/workers, (w+1)*limit/workers
+		eval := newEval(lo, hi)
 		ordered := make([][]int, k)
-		stats.PermutationRange(k, w*limit/workers, (w+1)*limit/workers, func(_ int, perm []int) bool {
+		stats.PermutationRange(k, lo, hi, func(rank int, perm []int) bool {
 			for i, gi := range perm {
 				ordered[i] = groups[gi]
 			}
-			if pl, c, ok := eval(ordered); ok && c < r.cost {
+			if pl, c, ok := eval(rank, ordered); ok && c < r.cost {
 				r.best = append(r.best[:0], pl...)
 				r.cost = c
 				r.found = true

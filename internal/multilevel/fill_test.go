@@ -1,6 +1,7 @@
 package multilevel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -63,7 +64,7 @@ var benchFill []int
 // order of this unpinned, equal-capacity instance has one key, so each
 // iteration drops the recorded fill first to keep Run from replaying it.
 func BenchmarkAllocFill(b *testing.B) {
-	f := NewFill(clusteredInstance(64, 4, 11))
+	f := NewFill(NewFillTable(clusteredInstance(64, 4, 11)))
 	ordered := [][]int{{0}, {1}, {2}, {3}}
 	benchFill = f.Run(ordered) // warm members to their high-water mark
 	b.ReportAllocs()
@@ -106,7 +107,7 @@ func served512(tb testing.TB) *Instance {
 // served 512-process request, for one order of its site groups, dropping
 // the recorded fill in every iteration as BenchmarkAllocFill does.
 func BenchmarkAllocFill512(b *testing.B) {
-	f := NewFill(served512(b))
+	f := NewFill(NewFillTable(served512(b)))
 	ordered := [][]int{{2}, {0}, {3}, {1}}
 	benchFill = f.Run(ordered) // warm members and frontier to their high-water marks
 	b.ReportAllocs()
@@ -121,7 +122,7 @@ func BenchmarkAllocFill512(b *testing.B) {
 // served 512-process search cost: a replay of the recorded fill onto a
 // relabelled order with the same capacity sequence.
 func BenchmarkAllocFill512Shared(b *testing.B) {
-	f := NewFill(served512(b))
+	f := NewFill(NewFillTable(served512(b)))
 	orders := [2][][]int{{{2}, {0}, {3}, {1}}, {{1}, {3}, {0}, {2}}}
 	benchFill = f.Run(orders[0]) // the full fill the replays share
 	benchFill = f.Run(orders[1]) // warm every site's members to its high-water mark
@@ -146,12 +147,13 @@ func TestFillSharesSymmetricOrders(t *testing.T) {
 	search := func(in *Instance, workers int, share bool) ([]int, int) {
 		var mu sync.Mutex
 		var fills []*Fill
-		best, _, ok := SearchOrders(in.Groups, math.MaxInt, workers, func() Eval {
-			f := NewFill(in)
+		table := NewFillTable(in)
+		best, _, ok := SearchOrders(in.Groups, math.MaxInt, workers, func(_, _ int) Eval {
+			f := NewFill(table)
 			mu.Lock()
 			fills = append(fills, f)
 			mu.Unlock()
-			return func(ordered [][]int) ([]int, units.Cost, bool) {
+			return func(_ int, ordered [][]int) ([]int, units.Cost, bool) {
 				f.recorded = f.recorded && share
 				pl := f.Run(ordered)
 				if slices.Contains(pl, -1) {
@@ -222,7 +224,7 @@ func TestFillSharesSymmetricOrders(t *testing.T) {
 // on every order), with pins and site sets on the paths.
 func TestFillDoesNotAllocatePerOrder(t *testing.T) {
 	in := testInstance(t, 64, 8, true, true)
-	f := NewFill(in)
+	f := NewFill(NewFillTable(in))
 	ordered := [][]int{in.Groups[2], in.Groups[0], in.Groups[3], in.Groups[1]}
 	f.Run(ordered) // warm up: members slices grow to their high-water mark
 	if allocs := testing.AllocsPerRun(50, func() { f.Run(ordered) }); allocs != 0 {
@@ -267,10 +269,15 @@ func TestSearchOrdersMatchesSerialScan(t *testing.T) {
 		}
 		return c
 	}
-	newEval := func(feasible func(c int) bool) func() Eval {
-		return func() Eval {
+	newEval := func(feasible func(c int) bool) func(lo, hi int) Eval {
+		return func(lo, hi int) Eval {
 			pl := make([]int, k)
-			return func(ordered [][]int) ([]int, units.Cost, bool) {
+			next := lo
+			return func(rank int, ordered [][]int) ([]int, units.Cost, bool) {
+				if rank != next || rank >= hi {
+					t.Errorf("evaluator of ranks [%d, %d) called at rank %d, want %d", lo, hi, rank, next)
+				}
+				next++
 				c := code(ordered)
 				if !feasible(c) {
 					return nil, 0, false
@@ -288,14 +295,14 @@ func TestSearchOrdersMatchesSerialScan(t *testing.T) {
 		// Brute force: the first strict minimum in ascending rank order.
 		var want []int
 		wantCost := units.Cost(math.Inf(1))
-		eval := newEval(someInfeasible)()
+		eval := newEval(someInfeasible)(0, min(limit, total))
 		for rank := 0; rank < min(limit, total); rank++ {
 			perm := stats.PermutationUnrank(k, rank)
 			ordered := make([][]int, k)
 			for i, gi := range perm {
 				ordered[i] = groups[gi]
 			}
-			if pl, c, ok := eval(ordered); ok && c < wantCost {
+			if pl, c, ok := eval(rank, ordered); ok && c < wantCost {
 				want, wantCost = append([]int(nil), pl...), c
 			}
 		}
@@ -485,7 +492,8 @@ func checkFillMatchesReference(t *testing.T, in *Instance) {
 	mt := &matcher{in: in, ref: in.refWeights(), maxW: 3}
 	match, _ := mt.match(l0)
 	for _, lv := range []*level{l0, contract(l0, match)} {
-		f, ref := newFill(in, lv), newFill(in, lv)
+		table := newFillTable(in, lv)
+		f, ref := NewFill(table), NewFill(table)
 		ordered := make([][]int, len(in.Groups))
 		stats.PermutationRange(len(in.Groups), 0, stats.FactorialInt(len(in.Groups)), func(rank int, perm []int) bool {
 			for i, gi := range perm {
@@ -541,4 +549,43 @@ func FuzzFillMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, m, zero uint8) {
 		checkFillMatchesReference(t, fillCase(seed, 1+int(n%48), 1+int(m%6), int(zero%3), zero&0x80 != 0))
 	})
+}
+
+// TestSeedOrderMatchesComparisonSort checks the counting passes of
+// seedOrder against the comparison sort they replace, on quantities with
+// ties, zeros, subnormals, +Inf and one shared exponent, and that a NaN
+// or a negative zero takes the comparison sort.
+func TestSeedOrderMatchesComparisonSort(t *testing.T) {
+	rng := stats.NewRand(3)
+	want := func(q []units.Cost) []int {
+		order := make([]int, len(q))
+		for v := range order {
+			order[v] = v
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(q[b], q[a]) })
+		return order
+	}
+	for trial := 0; trial < 500; trial++ {
+		q := make([]units.Cost, rng.Intn(300))
+		for v := range q {
+			switch rng.Intn(6) {
+			case 0:
+				q[v] = 0
+			case 1:
+				q[v] = units.Cost(math.Inf(1))
+			case 2:
+				q[v] = units.Cost(math.SmallestNonzeroFloat64 * float64(1+rng.Intn(4)))
+			case 3:
+				q[v] = units.Cost(1 + float64(rng.Intn(8))/8) // one exponent, few values
+			default:
+				q[v] = units.Cost(rng.Float64() * math.Pow(10, float64(rng.Intn(40)-20)))
+			}
+		}
+		if len(q) > 0 && trial%5 == 0 {
+			q[rng.Intn(len(q))] = units.Cost([]float64{math.NaN(), math.Copysign(0, -1)}[rng.Intn(2)])
+		}
+		if got, want := seedOrder(q), want(q); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: seedOrder(%v) = %v, comparison sort %v", trial, q, got, want)
+		}
+	}
 }

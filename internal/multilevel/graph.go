@@ -7,11 +7,11 @@
 // Fill, the weighted greedy body of the paper's Algorithm 1, is the
 // repository's only copy of that body, and SearchOrders, the algorithm's
 // outer loop over group orders, is the only order search: core.GeoMapper
-// runs both at unit weight on level 0 (NewFill over FromComm), where they
-// are the paper's heuristic exactly, and the initial map runs them on the
-// coarsest level over the first 720 orders. The two callers differ only in
-// the Eval they pass: core repairs site sets and prices with its own
-// objective, the initial map repairs stranded super-vertices.
+// runs both at unit weight on level 0 (NewFillTable over FromComm), where
+// they are the paper's heuristic exactly, and the initial map runs them on
+// the coarsest level over the first 720 orders. The two callers differ
+// only in the Eval they pass: core repairs site sets and prices with its
+// own objective, the initial map repairs stranded super-vertices.
 //
 // Options carries only Workers, the parallelism of that search and of the
 // refinement; the coarsening target, weight cap, level cap, order cap and

@@ -14,10 +14,10 @@ type initialMapper struct {
 	byWeight []int // vertices in descending weight order (leftover repair)
 }
 
-func newInitialMapper(in *Instance, lv *level) *initialMapper {
-	g := lv.g
+func newInitialMapper(t *FillTable) *initialMapper {
+	g := t.lv.g
 	im := &initialMapper{
-		Fill:     newFill(in, lv),
+		Fill:     NewFill(t),
 		byWeight: make([]int, g.n),
 	}
 	for v := range im.byWeight {
@@ -34,7 +34,7 @@ func newInitialMapper(in *Instance, lv *level) *initialMapper {
 // emptiest admissible site, and price the result on the level's graph. The
 // order is infeasible when some vertex fits nowhere (coarser-level weights
 // can be too chunky — Solve then retries one level finer).
-func (im *initialMapper) eval(orderedGroups [][]int) ([]int, units.Cost, bool) {
+func (im *initialMapper) eval(_ int, orderedGroups [][]int) ([]int, units.Cost, bool) {
 	g := im.lv.g
 	im.Run(orderedGroups)
 	// Leftover repair: heaviest vertices first onto the admissible site

@@ -205,9 +205,9 @@ func TestProjectionNeverViolatesConstraints(t *testing.T) {
 	li := len(h) - 1
 	var pl []int
 	for {
-		lv := h[li]
+		table := newFillTable(in, h[li])
 		var ok bool
-		pl, _, ok = SearchOrders(in.Groups, maxOrders, 1, func() Eval { return newInitialMapper(in, lv).eval })
+		pl, _, ok = SearchOrders(in.Groups, maxOrders, 1, func(_, _ int) Eval { return newInitialMapper(table).eval })
 		if ok {
 			break
 		}

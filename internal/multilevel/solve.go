@@ -80,10 +80,10 @@ func Solve(in *Instance, opt Options) ([]int, Stats, error) {
 	li := len(h) - 1
 	var pl []int
 	for {
-		lv := h[li]
+		t := newFillTable(in, h[li])
 		var ok bool
-		pl, _, ok = SearchOrders(in.Groups, maxOrders, workers, func() Eval {
-			return newInitialMapper(in, lv).eval
+		pl, _, ok = SearchOrders(in.Groups, maxOrders, workers, func(_, _ int) Eval {
+			return newInitialMapper(t).eval
 		})
 		if ok {
 			break

@@ -22,6 +22,16 @@ import (
 //
 //geolint:deterministic
 func fingerprint(r *MapRequest, snapshotVersion uint64) string {
+	key, _ := cacheKey(r, snapshotVersion)
+	return key
+}
+
+// cacheKey is fingerprint that also returns the key order of the
+// request's edges (nil without edges), so that a cache miss builds its
+// graph in that order without sorting again.
+//
+//geolint:deterministic
+func cacheKey(r *MapRequest, snapshotVersion uint64) (key string, order []int) {
 	// Room for every field when each allowed set holds one site.
 	b := make([]byte, 0, 64+len(r.Algorithm)+len(r.Workload)+32*len(r.Edges)+8*len(r.Constraint)+16*len(r.Allowed))
 	b = appendU64(b, snapshotVersion)
@@ -33,7 +43,8 @@ func fingerprint(r *MapRequest, snapshotVersion uint64) string {
 	b = appendStr(b, r.Workload)
 	if len(r.Edges) > 0 {
 		b = appendU64(b, uint64(len(r.Edges)))
-		for _, k := range keyOrder(r.Edges, r.Procs) {
+		order = keyOrder(r.Edges, r.Procs)
+		for _, k := range order {
 			e := r.Edges[k]
 			b = appendU64(b, uint64(e.Src))
 			b = appendU64(b, uint64(e.Dst))
@@ -65,7 +76,7 @@ func fingerprint(r *MapRequest, snapshotVersion uint64) string {
 			}
 		}
 	}
-	return hashHex(b)
+	return hashHex(b), order
 }
 
 // keyOrder returns the order in which the key hashes edges, as indices

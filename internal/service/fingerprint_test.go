@@ -120,31 +120,64 @@ func keyRuns(edges []Edge) map[[2]int][]Edge {
 }
 
 // Property: two orders of one edge list key alike exactly when keyRuns
-// says they should, and lists that key alike build bit-identical graphs.
+// says they should; the graph a request's Problem builds, in key order,
+// is bit for bit the one AddTraffic builds from the request's own order;
+// and lists that key alike build bit-identical graphs.
 func TestEqualKeysBuildEqualGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	csr := func(r *MapRequest) *comm.CSR {
-		g := comm.NewGraph(r.Procs)
-		for _, e := range r.Edges {
-			g.AddTraffic(e.Src, e.Dst, e.Volume, e.Msgs)
-		}
-		return g.CSR()
-	}
 	sameBits := func(x, y comm.Edge) bool {
 		return x.Peer == y.Peer && math.Float64bits(x.Volume) == math.Float64bits(y.Volume) && math.Float64bits(x.Msgs) == math.Float64bits(y.Msgs)
+	}
+	sameCSR := func(x, y *comm.CSR) bool {
+		return slices.Equal(x.OutIdx, y.OutIdx) && slices.EqualFunc(x.Out, y.Out, sameBits) &&
+			slices.Equal(x.InIdx, y.InIdx) && slices.EqualFunc(x.In, y.In, sameBits)
+	}
+	csr := func(r *MapRequest) *comm.CSR {
+		g, err := edgeGraph(r.Edges, r.Procs, keyOrder(r.Edges, r.Procs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := comm.NewGraph(r.Procs)
+		for _, e := range r.Edges {
+			ref.AddTraffic(e.Src, e.Dst, e.Volume, e.Msgs)
+		}
+		if !sameCSR(g.CSR(), ref.CSR()) {
+			t.Fatalf("edges %v: key-order graph %+v, AddTraffic graph %+v", r.Edges, *g.CSR(), *ref.CSR())
+		}
+		return g.CSR()
 	}
 	for trial := 0; trial < 3000; trial++ {
 		procs := 2 + rng.Intn(3)
 		a := MapRequest{Procs: procs, Edges: randomEdges(rng, procs, 1+rng.Intn(8))}
+		if trial%3 == 0 { // an edge with no traffic, which the graph drops
+			e := &a.Edges[rng.Intn(len(a.Edges))]
+			e.Volume, e.Msgs = 0, 0
+		}
 		b := MapRequest{Procs: procs, Edges: slices.Clone(a.Edges)}
 		rng.Shuffle(len(b.Edges), func(i, j int) { b.Edges[i], b.Edges[j] = b.Edges[j], b.Edges[i] })
 		same := maps.EqualFunc(keyRuns(a.Edges), keyRuns(b.Edges), slices.Equal[[]Edge])
 		if alike := fingerprint(&a, 1) == fingerprint(&b, 1); alike != same {
 			t.Fatalf("trial %d: edges %v and %v key alike: %v, want %v", trial, a.Edges, b.Edges, alike, same)
 		}
-		ga, gb := csr(&a), csr(&b)
-		if same && (!slices.Equal(ga.OutIdx, gb.OutIdx) || !slices.EqualFunc(ga.Out, gb.Out, sameBits)) {
+		if ga, gb := csr(&a), csr(&b); same && !sameCSR(ga, gb) {
 			t.Fatalf("trial %d: edges %v and %v key alike but build different graphs", trial, a.Edges, b.Edges)
+		}
+	}
+}
+
+// An edge list the graph cannot hold is an error of Problem, not a
+// panic: an endpoint out of range, negative traffic or NaN traffic.
+func TestEdgeGraphRejectsBadEdges(t *testing.T) {
+	for _, bad := range []Edge{
+		{Src: -1, Dst: 0, Volume: 1},
+		{Src: 0, Dst: 3, Volume: 1},
+		{Src: 0, Dst: 1, Volume: -1},
+		{Src: 0, Dst: 1, Volume: math.NaN()},
+		{Src: 1, Dst: 1, Volume: 1, Msgs: math.NaN()},
+	} {
+		edges := []Edge{{Src: 0, Dst: 1, Volume: 1, Msgs: 1}, bad}
+		if _, err := edgeGraph(edges, 3, keyOrder(edges, 3)); err == nil {
+			t.Errorf("edgeGraph(%v) accepted the edge %+v", edges, bad)
 		}
 	}
 }

@@ -1,0 +1,124 @@
+package service
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"geoprocmap/internal/comm"
+	"geoprocmap/internal/core"
+	"geoprocmap/internal/geo"
+	"geoprocmap/internal/mat"
+)
+
+// mapperAlgorithms lists every name MapRequest.Mapper accepts.
+var mapperAlgorithms = []string{"", "geo", "multilevel", "greedy", "mpipp", "random", "montecarlo"}
+
+// Property: on 100 random small problems with pins and allowed-site sets,
+// every mapper a request can name (montecarlo on every fourth), and
+// HierarchicalGeoMapper, returns a placement that passes CheckPlacement,
+// and GeoMapper returns the same placement at one, two and three
+// order-search workers.
+func TestMappersPlaceRandomProblems(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 100; trial++ {
+		p := randomProblem(rng, 1+rng.Intn(32), 1+rng.Intn(8))
+		if err := p.Validate(); err != nil {
+			t.Fatalf("trial %d: randomProblem built an invalid problem: %v", trial, err)
+		}
+		req := MapRequest{Kappa: rng.Intn(5), Seed: rng.Int63n(100)}
+		name := fmt.Sprintf("trial %d (N=%d, M=%d, kappa=%d)", trial, p.N(), p.M(), req.Kappa)
+		for _, algo := range mapperAlgorithms {
+			if algo == "montecarlo" && trial%4 != 0 {
+				// Its 10,000 samples are the draws "random" makes once
+				// per trial; a quarter of the trials keeps the test short.
+				continue
+			}
+			req.Algorithm = algo
+			mapper, err := req.Mapper(1)
+			if err != nil {
+				t.Fatalf("%s: algorithm %q: %v", name, algo, err)
+			}
+			checkMapped(t, name, mapper, p)
+		}
+		// The hierarchical mapper splits into at least two groups per level.
+		checkMapped(t, name, &core.HierarchicalGeoMapper{Kappa: []int{0, 2, 3}[rng.Intn(3)], Seed: req.Seed, LeafSites: 2 + rng.Intn(4), Workers: 1}, p)
+		var first core.Placement
+		for _, w := range []int{1, 2, 3} {
+			pl, err := (&core.GeoMapper{Kappa: req.Kappa, Seed: req.Seed, Workers: w}).Map(p)
+			if err != nil {
+				t.Fatalf("%s: GeoMapper at %d workers: %v", name, w, err)
+			}
+			if first == nil {
+				first = pl
+			} else if !pl.Equal(first) {
+				t.Fatalf("%s: GeoMapper at %d workers placed %v, at 1 worker %v", name, w, pl, first)
+			}
+		}
+	}
+}
+
+// checkMapped maps p with mapper and fails unless the placement passes
+// CheckPlacement.
+func checkMapped(t *testing.T, name string, mapper core.Mapper, p *core.Problem) {
+	t.Helper()
+	pl, err := mapper.Map(p)
+	if err != nil {
+		t.Fatalf("%s: %s: %v", name, mapper.Name(), err)
+	}
+	if err := p.CheckPlacement(pl); err != nil {
+		t.Fatalf("%s: %s: %v", name, mapper.Name(), err)
+	}
+}
+
+// randomProblem builds a feasible problem of n processes on m sites with
+// pins and allowed-site sets: each process gets a home site with room
+// for it, and its pin or allowed set includes that home. Capacities carry
+// up to two nodes of slack, links and traffic come from a few values so
+// that costs tie, and sites sit at random coordinates.
+func randomProblem(rng *rand.Rand, n, m int) *core.Problem {
+	g := comm.NewGraph(n)
+	for e := rng.Intn(4 * n); e > 0; e-- {
+		g.AddTraffic(rng.Intn(n), rng.Intn(n), []float64{1e3, 1e5, 2e6}[rng.Intn(3)], float64(1+rng.Intn(4)))
+	}
+	lt, bt := mat.NewSquare(m), mat.NewSquare(m)
+	pc := make([]geo.LatLon, m)
+	for k := 0; k < m; k++ {
+		for l := 0; l < m; l++ {
+			if k == l {
+				lt.Set(k, l, 1e-3)
+				bt.Set(k, l, 1e9)
+				continue
+			}
+			lt.Set(k, l, []float64{0.01, 0.05, 0.2}[rng.Intn(3)])
+			bt.Set(k, l, []float64{1e6, 1e7, 5e7}[rng.Intn(3)])
+		}
+		pc[k] = geo.LatLon{Lat: 120*rng.Float64() - 60, Lon: 360*rng.Float64() - 180}
+	}
+	capacity := make([]int, m)
+	home := make([]int, n)
+	for i := range home {
+		home[i] = rng.Intn(m)
+		capacity[home[i]]++
+	}
+	for s := range capacity {
+		capacity[s] = max(1, capacity[s]+rng.Intn(3))
+	}
+	constraint := mat.NewIntVec(n, core.Unconstrained)
+	allowed := make([][]int, n)
+	for i := range home {
+		switch rng.Intn(5) {
+		case 0:
+			constraint[i] = home[i]
+		case 1, 2:
+			set := []int{home[i]}
+			for _, s := range rng.Perm(m)[:rng.Intn(m)] {
+				if s != home[i] {
+					set = append(set, s)
+				}
+			}
+			allowed[i] = set
+		}
+	}
+	return &core.Problem{Comm: g, LT: lt, BT: bt, PC: pc, Capacity: capacity, Constraint: constraint, Allowed: allowed}
+}

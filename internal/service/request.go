@@ -196,6 +196,12 @@ type GraphFunc func(workload string, procs, iters int) (*comm.Graph, error)
 // Problem assembles the core.Problem for the request against a snapshot,
 // profiling the workload through graphFor (nil profiles directly).
 func (r *MapRequest) Problem(snap *Snapshot, graphFor GraphFunc) (*core.Problem, error) {
+	return r.problem(snap, graphFor, nil)
+}
+
+// problem is Problem with the key order of the request's edges, as
+// cacheKey returns it, or nil to sort them here.
+func (r *MapRequest) problem(snap *Snapshot, graphFor GraphFunc, order []int) (*core.Problem, error) {
 	var g *comm.Graph
 	if r.Workload != "" {
 		if graphFor == nil {
@@ -207,9 +213,12 @@ func (r *MapRequest) Problem(snap *Snapshot, graphFor GraphFunc) (*core.Problem,
 			return nil, err
 		}
 	} else {
-		g = comm.NewGraph(r.Procs)
-		for _, e := range r.Edges {
-			g.AddTraffic(e.Src, e.Dst, e.Volume, e.Msgs)
+		var err error
+		if order == nil {
+			order = keyOrder(r.Edges, r.Procs)
+		}
+		if g, err = edgeGraph(r.Edges, r.Procs, order); err != nil {
+			return nil, err
 		}
 	}
 	constraint := r.Constraint
@@ -232,6 +241,53 @@ func (r *MapRequest) Problem(snap *Snapshot, graphFor GraphFunc) (*core.Problem,
 		return nil, err
 	}
 	return p, nil
+}
+
+// edgeGraph returns the frozen graph of an explicit edge list over procs
+// processes, built in order, which must be keyOrder(edges, procs): the
+// order the cache key hashes the edges in. It drops self-loops and edges with no traffic and sums each
+// (src, dst) run from zero, as comm.Graph's AddTraffic and freeze do. The
+// freeze sums a run in request order, and keyOrder keeps that order
+// except to swap a run of two, whose sum is the same either way, so the
+// graph is bit-identical to the one AddTraffic would build, and two
+// requests with one key build one graph.
+func edgeGraph(edges []Edge, procs int, order []int) (*comm.Graph, error) {
+	kept := func(e Edge) bool { return e.Src != e.Dst && (e.Volume != 0 || e.Msgs != 0) }
+	pairs := 0
+	last := Edge{Src: -1}
+	for _, k := range order {
+		e := edges[k]
+		switch {
+		case uint(e.Src) >= uint(procs) || uint(e.Dst) >= uint(procs):
+			return nil, fmt.Errorf("edge %d endpoint out of range [0,%d)", k, procs)
+		case !(e.Volume >= 0) || !(e.Msgs >= 0):
+			return nil, fmt.Errorf("edge %d has negative or NaN traffic", k)
+		case kept(e) && compareEndpoints(e, last) != 0:
+			pairs++
+			last = e
+		}
+	}
+	outIdx := make([]int, procs+1)
+	out := make([]comm.Edge, 0, pairs)
+	last = Edge{Src: -1}
+	for _, k := range order {
+		e := edges[k]
+		if !kept(e) {
+			continue
+		}
+		if compareEndpoints(e, last) != 0 {
+			out = append(out, comm.Edge{Peer: e.Dst})
+			outIdx[e.Src+1] = len(out)
+			last = e
+		}
+		sum := &out[len(out)-1]
+		sum.Volume += e.Volume
+		sum.Msgs += e.Msgs
+	}
+	for i := 0; i < procs; i++ { // rows with no edges end where the last one did
+		outIdx[i+1] = max(outIdx[i+1], outIdx[i])
+	}
+	return comm.FromCSR(outIdx, out), nil
 }
 
 // profileGraph is the memoization-free GraphFunc.

@@ -6,9 +6,10 @@
 #
 # Runs the benchmarks whose names match <pattern> (an anchored prefix such
 # as '^BenchmarkAlloc') in the given packages with -benchmem, writes the
-# measurements to <out.json>, and fails if any benchmark reports a nonzero
-# allocs/op or if no results were parsed. <label> prefixes the log lines.
-# ns/op is recorded as context only; it is not gated.
+# measurements to <out.json>, each with the host's online core count, and
+# fails if any benchmark reports a nonzero allocs/op or if no results were
+# parsed. <label> prefixes the log lines. ns/op is recorded as context
+# only; it is not gated.
 set -euo pipefail
 
 if [ $# -lt 4 ]; then
@@ -29,7 +30,7 @@ go test -run '^$' -bench "$pattern" -benchmem -benchtime 1000x "$@" | tee "$tmp"
 # into a JSON array, and collect violators. Each value is read by the
 # unit after it, since a benchmark that calls b.SetBytes adds an MB/s
 # column.
-awk -v out="$out" -v pat="$pattern" -v label="$label" '
+awk -v out="$out" -v pat="$pattern" -v label="$label" -v cores="$(getconf _NPROCESSORS_ONLN)" '
 BEGIN { n = 0; bad = "" }
 $1 ~ pat && $NF == "allocs/op" {
     name = $1
@@ -46,8 +47,8 @@ $1 ~ pat && $NF == "allocs/op" {
 END {
     printf "[\n" > out
     for (i = 0; i < n; i++) {
-        printf "  {\"benchmark\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n", \
-            names[i], ns[i], bytes[i], allocs[i], (i < n - 1 ? "," : "") > out
+        printf "  {\"benchmark\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"host_cores\": %s}%s\n", \
+            names[i], ns[i], bytes[i], allocs[i], cores, (i < n - 1 ? "," : "") > out
     }
     printf "]\n" > out
     if (n == 0) { print label ": no " pat " results parsed" > "/dev/stderr"; exit 1 }
