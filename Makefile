@@ -28,12 +28,13 @@ test:
 # Race-detector pass over the packages that spawn goroutines (the virtual
 # MPI scheduler, the network simulator, the mapping service's pool/
 # cache/snapshot-store, the core mapper's parallel order search, the
-# re-gauging control loop and the multilevel refiner) or are read by them
+# re-gauging control loop, the multilevel refiner, and the daemon gates'
+# in-process geomapd fleet and re-gauging loop) or are read by them
 # concurrently (the comm graph's freeze-once adjacency), plus the analysis
 # loader's concurrent type-check waves. CI runs this target, so the
 # package list lives here only.
 race:
-	$(GO) test -race ./internal/comm/... ./internal/mpi/... ./internal/netsim/... ./internal/service/... ./internal/core/... ./internal/regauge/... ./internal/multilevel/...
+	$(GO) test -race ./internal/comm/... ./internal/mpi/... ./internal/netsim/... ./internal/service/... ./internal/core/... ./internal/regauge/... ./internal/multilevel/... ./cmd/geomapd/...
 	$(GO) test -race -run TestLoadParallelDeterministic ./internal/analysis
 
 # Native fuzz pass: each fuzz target for 10 s beyond its seed corpus.
@@ -67,34 +68,40 @@ fuzz:
 faults:
 	$(GO) run ./cmd/geosim -app LU -n 64 -faults FlakyWAN
 
-# Service smoke: boot geomapd on an ephemeral port, replay the same
-# seeded geoload mix twice, and require byte-identical placement
-# digests, a fully cache-served warm run, and a clean SIGTERM drain.
+# The daemon gates are Go tests in cmd/geomapd. Each builds geomapd from
+# its command line with the constructor main uses, serves it in-process
+# on a loopback listener bound first, and drives it with internal/loadgen,
+# the request stream, routing and digest fold geoload runs. They also run
+# in `go test ./...` and, through the race target, under -race.
+
+# Service gate: one daemon answers the same seed-7 stream twice with the
+# pinned combined placement digest, the second run wholly from its result
+# cache, and drains cleanly; a spawned geomapd process must drain and
+# exit 0 on SIGTERM.
 serve-smoke:
-	./scripts/serve_smoke.sh
+	$(GO) test -count=1 -run '^(TestServeSmoke|TestSIGTERMDrains)$$' ./cmd/geomapd
 
-# Cluster smoke: boot a 3-daemon fleet wired via -peers (each pinned to
-# GOMAXPROCS=1), and require byte-identical geoload digests between the
-# single-node baseline and the hash-routed and round-robin fleet runs,
-# nonzero cross-node peer_hits, >= 2x aggregate throughput on hosts with
-# at least 4 cores (reported but unenforced under the single-core
-# ceiling), and a clean SIGTERM drain of all three daemons.
+# Cluster gate: one seeded stream folds to the pinned digest against a
+# single daemon and against a 3-daemon -peers fleet under hash and
+# round-robin routing. Hash routing must forward nothing and solve each
+# key once, on its owner; round-robin must produce peer hits. Every
+# daemon drains cleanly. Throughput is logged, never gated.
 serve-cluster:
-	./scripts/serve_cluster_smoke.sh
+	$(GO) test -count=1 -run '^TestServeCluster$$' ./cmd/geomapd
 
-# Re-gauging smoke: boot geomapd with the closed calibration loop live
-# against FlakyWAN at a fast timescale, and require at least one
-# automatic snapshot publication, at least one hysteresis-suppressed
-# remap, and a clean drain that stops the loop.
+# Re-gauging gate: with the closed calibration loop live against FlakyWAN
+# at timescale 60, the loop must publish at least one snapshot and
+# suppress at least one remap by hysteresis within 60 s, show in
+# /healthz, and stop at drain.
 regauge-smoke:
-	./scripts/regauge_smoke.sh
+	$(GO) test -count=1 -run '^TestRegaugeSmoke$$' ./cmd/geomapd
 
-# Multilevel smoke: map a 16-site, 4096-process instance with the
-# multilevel pipeline at Workers = 1 and Workers = GOMAXPROCS under a
-# wall-clock budget; the run fails unless the two placements are
-# byte-identical.
+# Multilevel gate: the mlsmoke experiment maps a 16-site, 4096-process
+# instance at Workers = 1 and max(2, GOMAXPROCS); both placements must
+# match the pinned cost bits and placement digest, within a 120 s budget.
+# It writes no file.
 multilevel-smoke:
-	./scripts/multilevel_smoke.sh
+	$(GO) test -count=1 -timeout 120s -run '^TestMultilevelSmoke$$' ./internal/experiments
 
 # Serial-vs-parallel order-search baseline: full-scale sweep (κ = 6..8,
 # N = 64/256) written to results/BENCH_orders.json. Speedup depends on

@@ -1,15 +1,15 @@
 // Command geoload is a seeded closed-loop load generator for geomapd.
-// Each of -c workers repeatedly draws the next request from a
+// Each of -c workers repeatedly takes the next request from a
 // deterministic mix of cached (a small pool of repeating requests),
 // novel (unique seed per request), and constrained (random pins)
 // mapping requests, posts it — retrying 503 pool-shed responses behind
 // capped, jittered exponential backoff — and records the latency. The
 // run reports throughput, latency percentiles, outcome counts (with
-// retries tallied separately from failures), and a placement
-// digest folded over every response in request order — two runs with
-// the same -seed against equivalent servers must print the same digest,
-// which is how the serve-smoke CI target asserts end-to-end
-// determinism.
+// retries tallied separately from failures), and a placement digest
+// folded over every response in request order: two runs with the same
+// -seed against equivalent servers must print the same digest. The
+// stream, routing and fold live in internal/loadgen, which the geomapd
+// gate tests drive too.
 //
 // Usage:
 //
@@ -26,27 +26,14 @@
 package main
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"math/rand"
-	"net/http"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"geoprocmap/internal/buildinfo"
-	"geoprocmap/internal/faults"
-	"geoprocmap/internal/service"
+	"geoprocmap/internal/loadgen"
 	"geoprocmap/internal/stats"
-	"geoprocmap/internal/units"
 )
 
 func main() {
@@ -71,236 +58,44 @@ func main() {
 		fmt.Println(buildinfo.Version("geoload"))
 		return
 	}
-	fracs, err := parseMix(*mix)
+	fracs, err := loadgen.ParseMix(*mix)
 	if err != nil {
 		fatal(err)
 	}
-	if *requests < 1 || *concurrency < 1 {
-		fatal(fmt.Errorf("-n and -c must be positive"))
-	}
-
-	// The full request stream is generated up front from one seeded
-	// source: worker scheduling cannot perturb which requests exist,
-	// only the order they land in, and digests are folded in request
-	// order afterwards.
-	reqs := make([]service.MapRequest, *requests)
-	rng := stats.NewRand(*seed)
-	for i := range reqs {
-		r := service.MapRequest{Workload: *app, Procs: *procs}
-		switch x := rng.Float64(); {
-		case x < fracs[0]: // cached: draw from a small pool of seeds
-			r.Seed = *seed + int64(rng.Intn(*cachedPool))
-		case x < fracs[0]+fracs[1]: // novel: unique seed
-			r.Seed = *seed + 1000 + int64(i)
-		default: // constrained: unique seed plus random pins
-			r.Seed = *seed + 2000 + int64(i)
-			r.Constraint = make([]int, *procs)
-			for p := range r.Constraint {
-				r.Constraint[p] = -1
-			}
-			for pinned := 0; pinned < 1+rng.Intn(3); pinned++ {
-				r.Constraint[rng.Intn(*procs)] = rng.Intn(*sites)
-			}
-		}
-		reqs[i] = r
-	}
-
-	// Each request's target daemon is fixed up front — a pure function of
-	// the URL list and the request stream, independent of worker timing.
-	// hash routing computes the same ring the servers share, so requests
-	// land directly on their shard owners; rr exercises the peer-consult
-	// path instead. Responses are deterministic either way, so the folded
-	// digest is identical at any fleet size and under either policy.
-	targets, err := routeTargets(*url, *route, reqs)
+	rep, err := loadgen.Run(&loadgen.Options{
+		URL: *url, Route: *route,
+		Requests: *requests, Concurrency: *concurrency,
+		Mix: fracs, App: *app, Procs: *procs, Sites: *sites, Pool: *cachedPool, Seed: *seed,
+		Timeout: *timeout, Retries: *retries, RetryBase: *retryBase,
+	})
 	if err != nil {
 		fatal(err)
 	}
 
-	results := make([]outcome, *requests)
-	client := &http.Client{Timeout: *timeout}
-	next := make(chan int, *concurrency)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < *concurrency; w++ {
-		wg.Add(1)
-		// Jitter draws come from a per-worker source: retry timing may
-		// vary run to run, but the digest folds response bytes in request
-		// order, so retried runs stay byte-identical per seed.
-		jitter := stats.NewRand(*seed + int64(w))
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = post(client, targets[i], &reqs[i], *retries, *retryBase, jitter)
-			}
-		}()
-	}
-	for i := range reqs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	var (
-		ok, cached, deduped, failed, retried int
-		lats                                 []float64
-		combined                             = sha256.New()
-	)
-	for i, res := range results {
-		retried += res.retries
-		if res.err != nil || res.status != http.StatusOK {
-			failed++
-			if failed <= 3 { // show the first few failures, not a flood
-				if res.err != nil {
-					fmt.Fprintf(os.Stderr, "geoload: request %d: %v\n", i, res.err)
-				} else {
-					fmt.Fprintf(os.Stderr, "geoload: request %d: HTTP %d\n", i, res.status)
-				}
-			}
+	shown := 0
+	for i := range rep.Outcomes {
+		res := &rep.Outcomes[i]
+		if !res.Failed() || shown == 3 { // show the first few failures, not a flood
 			continue
 		}
-		ok++
-		if res.cached {
-			cached++
+		shown++
+		if res.Err != nil {
+			fmt.Fprintf(os.Stderr, "geoload: request %d: %v\n", i, res.Err)
+		} else {
+			fmt.Fprintf(os.Stderr, "geoload: request %d: HTTP %d\n", i, res.Status)
 		}
-		if res.deduped {
-			deduped++
-		}
-		lats = append(lats, res.seconds*1e3)
-		// Fold digests in request order so worker interleaving cannot
-		// change the combined value.
-		fmt.Fprintf(combined, "%d:%s\n", i, res.digest) //geolint:ignore errcheck hash.Hash.Write documents a nil error
 	}
-
 	fmt.Printf("geoload: %d requests in %.2fs (%.0f req/s), concurrency %d, seed %d\n",
-		*requests, elapsed.Seconds(), float64(*requests)/elapsed.Seconds(), *concurrency, *seed)
-	fmt.Printf("  ok %d, cached %d, deduped %d, retried %d, failed %d\n", ok, cached, deduped, retried, failed)
-	if len(lats) > 0 {
-		sort.Float64s(lats)
+		*requests, rep.Elapsed.Seconds(), float64(*requests)/rep.Elapsed.Seconds(), *concurrency, *seed)
+	fmt.Printf("  ok %d, cached %d, deduped %d, retried %d, failed %d\n", rep.OK, rep.Cached, rep.Deduped, rep.Retried, rep.Failed)
+	if lats := rep.LatencyMs; len(lats) > 0 {
 		fmt.Printf("  latency ms: p50 %.2f  p90 %.2f  p99 %.2f  max %.2f\n",
 			stats.Percentile(lats, 50), stats.Percentile(lats, 90), stats.Percentile(lats, 99), stats.Max(lats))
 	}
-	fmt.Printf("  placement digest: %s\n", hex.EncodeToString(combined.Sum(nil)))
-	if failed > 0 {
+	fmt.Printf("  placement digest: %s\n", rep.Digest)
+	if rep.Failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// outcome is one request's result as the report tallies it.
-type outcome struct {
-	status  int
-	cached  bool
-	deduped bool
-	retries int
-	digest  string
-	seconds float64
-	err     error
-}
-
-// post issues one mapping request and decodes the pieces the report
-// needs. A 503 means the daemon shed the request off a full solve queue
-// — transient by construction — so post retries it up to maxRetries
-// times behind capped exponential backoff with jitter; any other status
-// is final. The recorded latency spans all attempts including the waits.
-func post(client *http.Client, base string, req *service.MapRequest, maxRetries int, retryBase time.Duration, jitter *rand.Rand) (out outcome) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		out.err = err
-		return
-	}
-	base503 := units.Seconds(retryBase.Seconds())
-	t0 := time.Now()
-	defer func() { out.seconds = time.Since(t0).Seconds() }()
-	for attempt := 0; ; attempt++ {
-		resp, err := client.Post(base+"/v1/map", "application/json", bytes.NewReader(body))
-		if err != nil {
-			out.err = err
-			return
-		}
-		out.status = resp.StatusCode
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close() //geolint:ignore errcheck best-effort close of a response body already read to EOF
-		if err != nil {
-			out.err = err
-			return
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable && attempt < maxRetries {
-			out.retries++
-			wait := faults.Backoff(attempt, base503, base503.Scale(16), jitter)
-			time.Sleep(time.Duration(wait.Float() * float64(time.Second)))
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			return
-		}
-		var mr service.MapResponse
-		if err := json.Unmarshal(data, &mr); err != nil {
-			out.err = err
-			return
-		}
-		out.cached = mr.Cached
-		out.deduped = mr.Deduped
-		out.digest = mr.Digest
-		return
-	}
-}
-
-// routeTargets resolves each request's target daemon from the -url list
-// and the routing policy. A single URL short-circuits; "hash" builds the
-// same consistent-hash ring the servers share (so client-side routing
-// and server-side ownership agree and shard misses are rare); "rr"
-// spreads requests round-robin, deliberately hitting non-owners.
-func routeTargets(urlList, policy string, reqs []service.MapRequest) ([]string, error) {
-	urls := strings.Split(urlList, ",")
-	for i := range urls {
-		urls[i] = service.NormalizePeerURL(urls[i])
-	}
-	targets := make([]string, len(reqs))
-	if len(urls) == 1 {
-		for i := range targets {
-			targets[i] = urls[0]
-		}
-		return targets, nil
-	}
-	switch policy {
-	case "hash":
-		ring, err := service.NewRing(urls)
-		if err != nil {
-			return nil, err
-		}
-		for i := range reqs {
-			targets[i] = ring.Owner(service.RoutingKey(&reqs[i]))
-		}
-	case "rr":
-		for i := range targets {
-			targets[i] = urls[i%len(urls)]
-		}
-	default:
-		return nil, fmt.Errorf("-route must be hash or rr, got %q", policy)
-	}
-	return targets, nil
-}
-
-// parseMix parses "a,b,c" fractions summing to ~1.
-func parseMix(s string) ([3]float64, error) {
-	var fracs [3]float64
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
-		return fracs, fmt.Errorf("-mix needs three comma-separated fractions, got %q", s)
-	}
-	sum := 0.0
-	for i, p := range parts {
-		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || f < 0 {
-			return fracs, fmt.Errorf("-mix fraction %q invalid", p)
-		}
-		fracs[i] = f
-		sum += f
-	}
-	if sum < 0.999 || sum > 1.001 {
-		return fracs, fmt.Errorf("-mix fractions sum to %g, want 1", sum)
-	}
-	return fracs, nil
 }
 
 func fatal(err error) {

@@ -40,9 +40,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -62,45 +62,92 @@ import (
 )
 
 func main() {
+	d, err := newDaemon(flag.CommandLine, os.Args[1:], os.Stderr)
+	if err != nil {
+		fatal(err)
+	}
+	if d == nil { // -version
+		return
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
+	ln, err := net.Listen("tcp", d.addr)
+	if err != nil {
+		fatal(err)
+	}
+	if d.addrFile != "" {
+		// The rename makes the file appear only with its full contents,
+		// so a process polling for it never reads a partial address.
+		tmp := d.addrFile + ".tmp"
+		if err := os.WriteFile(tmp, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
+			fatal(err)
+		}
+		if err := os.Rename(tmp, d.addrFile); err != nil {
+			fatal(err)
+		}
+	}
+	if err := d.serve(ctx, ln); err != nil {
+		fatal(err)
+	}
+}
+
+// daemon is one configured geomapd that is not yet listening: its
+// snapshot store, the mapping server (wired to the fleet with -peers)
+// and, with -regauge, the re-gauging loop.
+type daemon struct {
+	addr, addrFile string
+	logger         *log.Logger
+	store          *service.Store
+	srv            *service.Server
+	gauger         *regauge.Gauger // nil without -regauge
+	sites, nodes   int
+}
+
+// newDaemon parses geomapd's command line from args into fs and builds
+// the daemon, logging to logw. After -version it prints the version and
+// returns a nil daemon.
+func newDaemon(fs *flag.FlagSet, args []string, logw io.Writer) (*daemon, error) {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address (use 127.0.0.1:0 for an ephemeral port)")
-		addrFile    = flag.String("addr-file", "", "write the bound address to this file once listening")
-		provider    = flag.String("provider", "ec2", "cloud provider: ec2 or azure")
-		regions     = flag.String("regions", strings.Join(netmodel.PaperEC2Regions, ","), "comma-separated regions")
-		instance    = flag.String("instance", "m4.xlarge", "instance type")
-		nodes       = flag.Int("nodes", 16, "nodes per site")
-		seed        = flag.Int64("seed", 1, "random seed for the modeled cloud")
-		useCalib    = flag.Bool("calib", false, "bootstrap the snapshot from a calibration run instead of ground truth")
-		days        = flag.Int("days", 1, "calibration days (with -calib)")
-		samples     = flag.Int("samples", 5, "calibration samples per day per pair (with -calib)")
-		workers     = flag.Int("workers", 4, "solver pool size")
-		solverWkrs  = flag.Int("solver-workers", 0, "order-search goroutines per solve (0 = derive from GOMAXPROCS/workers; pool×per-solve is clamped to GOMAXPROCS)")
-		queueDepth  = flag.Int("queue", 0, "pending-solve bound before shedding (default 4×workers)")
-		cacheSize   = flag.Int("cache", 1024, "result cache entries")
-		maxProcs    = flag.Int("max-procs", 4096, "largest accepted process count")
-		deadline    = flag.Duration("deadline", 30*time.Second, "default per-request solve deadline")
-		showVersion = flag.Bool("version", false, "print version and exit")
+		addr        = fs.String("addr", ":8080", "listen address (use 127.0.0.1:0 for an ephemeral port)")
+		addrFile    = fs.String("addr-file", "", "write the bound address to this file once listening")
+		provider    = fs.String("provider", "ec2", "cloud provider: ec2 or azure")
+		regions     = fs.String("regions", strings.Join(netmodel.PaperEC2Regions, ","), "comma-separated regions")
+		instance    = fs.String("instance", "m4.xlarge", "instance type")
+		nodes       = fs.Int("nodes", 16, "nodes per site")
+		seed        = fs.Int64("seed", 1, "random seed for the modeled cloud")
+		useCalib    = fs.Bool("calib", false, "bootstrap the snapshot from a calibration run instead of ground truth")
+		days        = fs.Int("days", 1, "calibration days (with -calib)")
+		samples     = fs.Int("samples", 5, "calibration samples per day per pair (with -calib)")
+		workers     = fs.Int("workers", 4, "solver pool size")
+		solverWkrs  = fs.Int("solver-workers", 0, "order-search goroutines per solve (0 = derive from GOMAXPROCS/workers; pool×per-solve is clamped to GOMAXPROCS)")
+		queueDepth  = fs.Int("queue", 0, "pending-solve bound before shedding (default 4×workers)")
+		cacheSize   = fs.Int("cache", 1024, "result cache entries")
+		maxProcs    = fs.Int("max-procs", 4096, "largest accepted process count")
+		deadline    = fs.Duration("deadline", 30*time.Second, "default per-request solve deadline")
+		showVersion = fs.Bool("version", false, "print version and exit")
 
-		peers       = flag.String("peers", "", "comma-separated base URLs of the whole fleet including this daemon (enables cluster mode; every daemon must get the same list)")
-		selfURL     = flag.String("self", "", "this daemon's own base URL as it appears in -peers (required with -peers)")
-		peerTimeout = flag.Duration("peer-timeout", 10*time.Second, "per-peer HTTP timeout for result fetches and snapshot replication")
+		peers       = fs.String("peers", "", "comma-separated base URLs of the whole fleet including this daemon (enables cluster mode; every daemon must get the same list)")
+		selfURL     = fs.String("self", "", "this daemon's own base URL as it appears in -peers (required with -peers)")
+		peerTimeout = fs.Duration("peer-timeout", 10*time.Second, "per-peer HTTP timeout for result fetches and snapshot replication")
 
-		faultSpec   = flag.String("faults", "", "fault schedule the re-gauging probes run against: preset name (FlakyWAN, SiteBlackout, DiurnalDrift) or JSON file")
-		maxStale    = flag.Duration("max-staleness", 0, "snapshot age past which /healthz answers 503 (0 = report age only)")
-		regaugeOn   = flag.Bool("regauge", false, "run the closed-loop re-gauging control loop")
-		rgInterval  = flag.Duration("regauge-interval", 30*time.Second, "schedule time between gauge passes")
-		rgTimescale = flag.Float64("regauge-timescale", 1, "schedule seconds per wall second (e.g. 300 ticks a 30 s interval every 100 ms)")
-		rgDrift     = flag.Float64("regauge-drift", 0.15, "relative per-pair change that counts as drift")
-		rgCooldown  = flag.Duration("regauge-cooldown", 0, "per-placement cooldown after a triggered remap (0 = 3× interval)")
-		rgSafety    = flag.Float64("regauge-safety", 2, "remap only when predicted saving > migration time × this factor")
-		rgSamples   = flag.Int("regauge-samples", 3, "per-pair probe budget of one gauge pass")
-		rgWindow    = flag.Int("regauge-window", 3, "per-pair smoothing window (passes)")
-		rgMaxFail   = flag.Int("regauge-max-failures", 3, "consecutive failed passes before publication freezes")
+		faultSpec   = fs.String("faults", "", "fault schedule the re-gauging probes run against: preset name (FlakyWAN, SiteBlackout, DiurnalDrift) or JSON file")
+		maxStale    = fs.Duration("max-staleness", 0, "snapshot age past which /healthz answers 503 (0 = report age only)")
+		regaugeOn   = fs.Bool("regauge", false, "run the closed-loop re-gauging control loop")
+		rgInterval  = fs.Duration("regauge-interval", 30*time.Second, "schedule time between gauge passes")
+		rgTimescale = fs.Float64("regauge-timescale", 1, "schedule seconds per wall second (e.g. 300 ticks a 30 s interval every 100 ms)")
+		rgDrift     = fs.Float64("regauge-drift", 0.15, "relative per-pair change that counts as drift")
+		rgCooldown  = fs.Duration("regauge-cooldown", 0, "per-placement cooldown after a triggered remap (0 = 3× interval)")
+		rgSafety    = fs.Float64("regauge-safety", 2, "remap only when predicted saving > migration time × this factor")
+		rgSamples   = fs.Int("regauge-samples", 3, "per-pair probe budget of one gauge pass")
+		rgWindow    = fs.Int("regauge-window", 3, "per-pair smoothing window (passes)")
+		rgMaxFail   = fs.Int("regauge-max-failures", 3, "consecutive failed passes before publication freezes")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
 	if *showVersion {
 		fmt.Println(buildinfo.Version("geomapd"))
-		return
+		return nil, nil
 	}
 
 	var p *netmodel.Provider
@@ -110,33 +157,33 @@ func main() {
 	case "azure":
 		p = netmodel.WindowsAzure
 	default:
-		fatal(fmt.Errorf("unknown provider %q", *provider))
+		return nil, fmt.Errorf("unknown provider %q", *provider)
 	}
 	cloud, err := netmodel.EvenCloud(p, *instance, strings.Split(*regions, ","), *nodes, netmodel.Options{Seed: *seed})
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 
 	snap := service.SnapshotFromCloud(cloud)
 	if *useCalib {
 		res, err := calib.Calibrate(cloud, calib.Options{Seed: *seed, Days: *days, SamplesPerDay: *samples})
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		if snap, err = service.SnapshotFromCalibration(cloud, res); err != nil {
-			fatal(err)
+			return nil, err
 		}
 	}
 	store, err := service.NewStore(snap)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	sched, err := faults.FromSpec(*faultSpec, cloud.M(), *seed)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 
-	logger := log.New(os.Stderr, "geomapd: ", log.LstdFlags)
+	logger := log.New(logw, "geomapd: ", log.LstdFlags)
 
 	// -peers switches on cluster mode: the fleet shares one consistent-hash
 	// ring over request routing keys, snapshot publications replicate to
@@ -147,7 +194,7 @@ func main() {
 	var publisher regauge.SnapshotPublisher = store
 	if *peers != "" {
 		if *selfURL == "" {
-			fatal(fmt.Errorf("-peers requires -self (this daemon's URL as listed in -peers)"))
+			return nil, fmt.Errorf("-peers requires -self (this daemon's URL as listed in -peers)")
 		}
 		cluster, err = service.NewCluster(service.ClusterConfig{
 			Self:    *selfURL,
@@ -156,7 +203,7 @@ func main() {
 			Logf:    logger.Printf,
 		})
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		publisher = service.NewReplicator(store, cluster)
 		logger.Printf("cluster: %d-node fleet, self %s", cluster.Ring().Size(), cluster.Self())
@@ -175,15 +222,12 @@ func main() {
 		Logf:            logger.Printf,
 	})
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
+	d := &daemon{addr: *addr, addrFile: *addrFile, logger: logger, store: store, srv: srv, sites: cloud.M(), nodes: *nodes}
 
-	// The re-gauging loop runs until drain: its context is cancelled after
-	// the HTTP listener shuts down, and the final counters are not printed
-	// until it has stopped touching the cache.
-	gaugeStop := func() {}
 	if *regaugeOn {
-		g, err := regauge.New(regauge.Config{
+		d.gauger, err = regauge.New(regauge.Config{
 			Cloud:          cloud,
 			Store:          publisher,
 			Source:         regauge.ServerSource{Server: srv},
@@ -201,67 +245,58 @@ func main() {
 			Logf:           logger.Printf,
 		})
 		if err != nil {
-			fatal(err)
+			srv.Close()
+			return nil, err
 		}
-		srv.RegisterStatus("regauge", g.StatusProbe)
-		gctx, gcancel := context.WithCancel(context.Background())
-		gdone := make(chan struct{})
-		go func() {
-			defer close(gdone)
-			g.Run(gctx)
-		}()
-		gaugeStop = func() {
-			gcancel()
-			<-gdone
-			logger.Printf("regauge: stopped")
-		}
+		srv.RegisterStatus("regauge", d.gauger.StatusProbe)
 	}
+	return d, nil
+}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatal(err)
-	}
-	if *addrFile != "" {
-		// Written atomically-enough for the smoke harness: the rename
-		// makes the file appear only with its full contents.
-		tmp := *addrFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
-			fatal(err)
-		}
-		if err := os.Rename(tmp, *addrFile); err != nil {
-			fatal(err)
-		}
-	}
-	logger.Printf("listening on %s (%d sites × %d nodes, snapshot v%d from %s)",
-		ln.Addr(), cloud.M(), *nodes, store.Current().Version, store.Current().Source)
+// serve answers HTTP on ln, with the re-gauging loop running, until ctx
+// ends. Then it drains: the listener stops accepting, in-flight requests
+// finish, the loop stops touching the cache, and the solve queue empties
+// before the final counters are logged. It returns nil after a clean
+// drain, or the error that stopped the listener early.
+func (d *daemon) serve(ctx context.Context, ln net.Listener) error {
+	cur := d.store.Current()
+	d.logger.Printf("listening on %s (%d sites × %d nodes, snapshot v%d from %s)",
+		ln.Addr(), d.sites, d.nodes, cur.Version, cur.Source)
 
-	hs := &http.Server{Handler: srv.Handler()}
+	gctx, gcancel := context.WithCancel(context.Background())
+	gdone := make(chan struct{})
+	go func() {
+		defer close(gdone)
+		if d.gauger != nil {
+			d.gauger.Run(gctx)
+		}
+	}()
+
+	hs := &http.Server{Handler: d.srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGTERM, syscall.SIGINT)
+	var err error
 	select {
-	case sig := <-stop:
-		logger.Printf("received %s, draining", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	case <-ctx.Done():
+		d.logger.Printf("draining")
+		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil {
-			logger.Printf("shutdown: %v", err)
+		if err := hs.Shutdown(sctx); err != nil {
+			d.logger.Printf("shutdown: %v", err)
 		}
-	case err := <-serveErr:
-		if !errors.Is(err, http.ErrServerClosed) {
-			fatal(err)
-		}
+	case err = <-serveErr: // Serve returns before Shutdown only on failure.
 	}
-	// The listener is closed and in-flight handlers have returned; stop
-	// the gauging loop and drain whatever the pool still holds before
-	// reporting final counters.
-	gaugeStop()
-	srv.Close()
-	v := srv.Metrics().Snapshot(0, 0)
-	logger.Printf("drained: %d requests (%d solves, %d cache hits, %d deduped, %d shed)",
+	gcancel()
+	<-gdone
+	if d.gauger != nil {
+		d.logger.Printf("regauge: stopped")
+	}
+	d.srv.Close()
+	v := d.srv.Metrics().Snapshot(0, 0)
+	d.logger.Printf("drained: %d requests (%d solves, %d cache hits, %d deduped, %d shed)",
 		v.Requests, v.Solves, v.CacheHits, v.Deduped, v.Rejected)
+	return err
 }
 
 func fatal(err error) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"geoprocmap/internal/apps"
@@ -88,5 +89,34 @@ func TestSeedDeterminism(t *testing.T) {
 	}
 	if math.Float64bits(b1) != math.Float64bits(b2) {
 		t.Errorf("same-seed baseline costs differ bitwise: %v vs %v", b1, b2)
+	}
+}
+
+// TestMultilevelSmoke is the multilevel-smoke gate: the full-size mlsmoke
+// experiment, as `geobench -exp mlsmoke` runs it, maps its 4096-process
+// instance at Workers = 1 and max(2, GOMAXPROCS) to the same placement,
+// with the cost and the placement digest pinned bit for bit.
+func TestMultilevelSmoke(t *testing.T) {
+	const (
+		wantCostBits = 0x4079a7e806d856b2 // 410.4941471529702
+		wantDigest   = "5dcf9bb6310a33342f7b293609a98967822d452166110f94608d042d49985ffa"
+	)
+	rep, err := MultilevelSmoke(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := []string{"1", fmt.Sprint(max(2, runtime.GOMAXPROCS(0)))}
+	if len(rep.Rows) != len(workers) {
+		t.Fatalf("report has %d rows, want %d:\n%s", len(rep.Rows), len(workers), rep)
+	}
+	for i, row := range rep.Rows {
+		cost, err := strconv.ParseFloat(row[1], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row[0] != workers[i] || math.Float64bits(cost) != wantCostBits || row[3] != "true" || row[4] != wantDigest {
+			t.Errorf("row %v, want workers %s, cost %v (bits %#x), identical, digest %s",
+				row, workers[i], math.Float64frombits(wantCostBits), uint64(wantCostBits), wantDigest)
+		}
 	}
 }

@@ -3,12 +3,14 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 
 	"geoprocmap/internal/baselines"
 	"geoprocmap/internal/comm"
 	"geoprocmap/internal/core"
 	"geoprocmap/internal/geo"
 	"geoprocmap/internal/mat"
+	"geoprocmap/internal/service"
 	"geoprocmap/internal/stats"
 )
 
@@ -181,11 +183,12 @@ func ExtMultilevel(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// MultilevelSmoke is the digest gate `make multilevel-smoke` runs: one
-// mid-size instance (16 sites, 4096 processes) mapped with the multilevel
-// pipeline at Workers = 1 and Workers = GOMAXPROCS. The two placements
-// must be byte-identical — any divergence fails the experiment, which
-// fails the make target and CI.
+// MultilevelSmoke is the multilevel digest gate: one mid-size instance
+// (16 sites, 4096 processes) mapped with the multilevel pipeline at
+// Workers = 1 and Workers = GOMAXPROCS (at least 2). The two placements
+// must be byte-identical, or the experiment fails. Each row carries the
+// exact cost and the placement digest, which TestMultilevelSmoke pins
+// across commits.
 func MultilevelSmoke(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	n, m := 4096, 16
@@ -197,7 +200,7 @@ func MultilevelSmoke(cfg Config) (*Report, error) {
 	rep := &Report{
 		ID:     "mlsmoke",
 		Title:  "Multilevel smoke: worker-count determinism digest",
-		Header: []string{"workers", "cost", "map_ms", "identical"},
+		Header: []string{"workers", "cost", "map_ms", "identical", "digest"},
 	}
 	maxWorkers := runtime.GOMAXPROCS(0) //geolint:detsource worker count only; the experiment fails unless placements are byte-identical
 	if maxWorkers < 2 {
@@ -224,14 +227,15 @@ func MultilevelSmoke(cfg Config) (*Report, error) {
 		}
 		rep.AddRow(
 			fmt.Sprintf("%d", w),
-			fmt.Sprintf("%.4g", p.Cost(pl).Float()),
+			strconv.FormatFloat(p.Cost(pl).Float(), 'g', -1, 64),
 			fmt.Sprintf("%.1f", dur.Seconds()*1e3),
 			fmt.Sprintf("%t", identical),
+			service.PlacementDigest(pl),
 		)
 		if !identical {
 			return nil, fmt.Errorf("multilevel smoke: Workers=%d placement diverges from Workers=1", w)
 		}
 	}
-	rep.AddNote("N = %d processes, %d sites; identical = placement byte-equal to the Workers=1 run", n, m)
+	rep.AddNote("N = %d processes, %d sites; identical = placement byte-equal to the Workers=1 run; digest = service.PlacementDigest", n, m)
 	return rep, nil
 }

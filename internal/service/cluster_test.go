@@ -2,10 +2,7 @@ package service
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -101,16 +98,6 @@ func postMapURL(t *testing.T, url string, req *MapRequest) MapResponse {
 	return mr
 }
 
-// digestOf folds per-request digests in request order, mirroring
-// geoload's combined placement digest.
-func digestOf(digests []string) string {
-	h := sha256.New()
-	for i, d := range digests {
-		fmt.Fprintf(h, "%d:%s\n", i, d)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // TestClusterDigestMatchesSingleNode is the cross-node determinism
 // gate: the same seeded request stream must produce a byte-identical
 // combined placement digest against one daemon, against a 3-node fleet
@@ -128,7 +115,7 @@ func TestClusterDigestMatchesSingleNode(t *testing.T) {
 		postMap(t, h, reqs[i], http.StatusOK, &mr)
 		baseline[i] = mr.Digest
 	}
-	want := digestOf(baseline)
+	want := CombinedDigest(baseline)
 
 	nodes := startCluster(t, 3)
 	ring := nodes[0].srv.cluster.Ring()
@@ -137,7 +124,7 @@ func TestClusterDigestMatchesSingleNode(t *testing.T) {
 	for i := range reqs {
 		hashed[i] = postMapURL(t, ring.Owner(RoutingKey(&reqs[i])), &reqs[i]).Digest
 	}
-	if got := digestOf(hashed); got != want {
+	if got := CombinedDigest(hashed); got != want {
 		t.Errorf("hash-routed fleet digest %s != single-node %s", got, want)
 	}
 
@@ -150,7 +137,7 @@ func TestClusterDigestMatchesSingleNode(t *testing.T) {
 			peerFilled++
 		}
 	}
-	if got := digestOf(rr); got != want {
+	if got := CombinedDigest(rr); got != want {
 		t.Errorf("round-robin fleet digest %s != single-node %s", got, want)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"math"
 	"slices"
+	"strconv"
 
 	"geoprocmap/internal/core"
 )
@@ -213,6 +214,28 @@ func RoutingKey(r *MapRequest) string { return fingerprint(r, routingVersion) }
 // (and the offline replay scenario) can stamp remapped results with the
 // same digest clients already compare.
 func PlacementDigest(pl core.Placement) string { return placementDigest(pl) }
+
+// CombinedDigest folds the placement digests of a request stream into
+// one SHA-256, in request order: answered request i contributes the line
+// "i:digest". Empty entries (requests that got no placement) are skipped
+// but keep their index. The fold never sees arrival order, so two runs
+// of one seeded stream against equivalent servers, at any fleet size,
+// must produce the same value.
+//
+//geolint:deterministic
+func CombinedDigest(digests []string) string {
+	var b []byte
+	for i, d := range digests {
+		if d == "" {
+			continue
+		}
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, ':')
+		b = append(b, d...)
+		b = append(b, '\n')
+	}
+	return hashHex(b)
+}
 
 // placementDigest is the canonical SHA-256 of a placement vector,
 // exposed in responses so clients can assert determinism cheaply.

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"geoprocmap/internal/apps"
 	"geoprocmap/internal/comm"
 	"geoprocmap/internal/faults"
 	"geoprocmap/internal/mat"
@@ -492,11 +491,7 @@ func (s *Server) graphFor(workload string, procs, iters int) (*comm.Graph, error
 	if ok {
 		return g, nil
 	}
-	app, err := apps.ByName(workload)
-	if err != nil {
-		return nil, err
-	}
-	g, err = apps.Graph(app, procs, iters)
+	g, err := profileGraph(workload, procs, iters)
 	if err != nil {
 		return nil, err
 	}
