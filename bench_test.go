@@ -207,8 +207,9 @@ func BenchmarkTraceCompressLU(b *testing.B) {
 // --- ablation benchmarks (design choices from DESIGN.md) ------------------
 
 // BenchmarkAblationGrouping compares the full algorithm (κ=3 K-means
-// grouping over 6 sites → ≤3! orders) against the ungrouped variant
-// (6! = 720 site orders): grouping trades a tiny amount of cost for an
+// grouping over 6 sites → ≤3! orders) against the ungrouped variant: at
+// κ = M = 6, K-means gives one-site groups, so the search covers all
+// 6! = 720 site orders. Grouping trades a tiny amount of cost for an
 // order-of-magnitude overhead reduction.
 func BenchmarkAblationGrouping(b *testing.B) {
 	regions := []string{"us-east-1", "us-west-2", "eu-west-1", "eu-central-1", "ap-southeast-1", "ap-northeast-1"}
@@ -225,7 +226,7 @@ func BenchmarkAblationGrouping(b *testing.B) {
 		mapper *core.GeoMapper
 	}{
 		{"grouped-k3", &core.GeoMapper{Kappa: 3, Seed: 1}},
-		{"ungrouped-720-orders", &core.GeoMapper{Kappa: 6, Seed: 1, DisableGrouping: true}},
+		{"ungrouped-720-orders", &core.GeoMapper{Kappa: 6, Seed: 1}},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			var cost float64
@@ -242,8 +243,8 @@ func BenchmarkAblationGrouping(b *testing.B) {
 }
 
 // BenchmarkAblationOrderSearch compares the κ! group-order search against a
-// single (identity) order: the search is where the algorithm's edge over
-// plain greedy packing comes from.
+// single order (κ = 1: one group, so one order): the search is where the
+// algorithm's edge over plain greedy packing comes from.
 func BenchmarkAblationOrderSearch(b *testing.B) {
 	p := buildProblem(b, "K-means", 64)
 	for _, variant := range []struct {
@@ -251,7 +252,7 @@ func BenchmarkAblationOrderSearch(b *testing.B) {
 		mapper *core.GeoMapper
 	}{
 		{"full-order-search", &core.GeoMapper{Kappa: 4, Seed: 1}},
-		{"single-order", &core.GeoMapper{Kappa: 4, Seed: 1, SingleOrder: true}},
+		{"single-order", &core.GeoMapper{Kappa: 1, Seed: 1}},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			var cost float64

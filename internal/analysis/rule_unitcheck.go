@@ -28,7 +28,7 @@ import (
 //     its dimension (seconds², a dimensionless ratio). Use Scale/Div for
 //     dimensionless factors and Float() for ratios.
 //  4. Bare numeric literals adopted into a unit type by implicit
-//     conversion — `Options{ProbeTimeout: 5}` — instead of the explicit
+//     conversion — `Options{PairProbeSeconds: 5}` — instead of the explicit
 //     constructor units.Seconds(5) that states the dimension at the
 //     assignment site. Zero literals are exempt (0 is 0 in every unit),
 //     as are literals wrapped in an explicit conversion.

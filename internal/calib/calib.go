@@ -29,6 +29,23 @@ import (
 	"geoprocmap/internal/units"
 )
 
+// Probe constants. probeBytes is the bandwidth probe size (the paper's
+// 8 MB). interNoise and intraNoise are the relative std-devs of inter-
+// and intra-site measurements: the paper reports <5% inter-site
+// variation and notes intra-site variation is larger. probeTimeout is how
+// long one probe attempt may take before the calibrator abandons it and
+// retries. trimFraction is the fraction of low and high samples discarded
+// from each end before averaging — trimmed-mean outlier rejection, so
+// transient fault windows cannot skew an estimate that mostly saw a
+// healthy link.
+const (
+	probeBytes   = units.Bytes(8 << 20)
+	interNoise   = 0.03
+	intraNoise   = 0.10
+	probeTimeout = units.Seconds(5)
+	trimFraction = 0.1
+)
+
 // Options configures a calibration run. Zero values select the defaults
 // noted on each field.
 type Options struct {
@@ -36,17 +53,9 @@ type Options struct {
 	Days int
 	// SamplesPerDay per site pair (default 10).
 	SamplesPerDay int
-	// ProbeBytes is the bandwidth probe size (default 8 MB).
-	ProbeBytes units.Bytes
 	// PairProbeSeconds is the wall time one probe session occupies, used
 	// only for overhead accounting (default 60 s, the paper's figure).
 	PairProbeSeconds units.Seconds
-	// InterNoise is the relative std-dev of inter-site measurements
-	// (default 0.03, the paper reports <5% variation).
-	InterNoise float64
-	// IntraNoise is the relative std-dev of intra-site measurements
-	// (default 0.10; the paper notes intra-site variation is larger).
-	IntraNoise float64
 	// Seed drives the measurement noise.
 	Seed int64
 	// Faults attaches a fault schedule the probes run against. Probes on a
@@ -54,18 +63,10 @@ type Options struct {
 	// degraded links inflate the measured elapsed times; ProbeLoss events
 	// drop individual probe attempts. nil calibrates a healthy network.
 	Faults *faults.Schedule
-	// ProbeTimeout is how long one probe attempt may take before the
-	// calibrator abandons it and retries (default 5 s).
-	ProbeTimeout units.Seconds
 	// MaxRetries bounds the retry attempts per sample after the first try
 	// (default 3). A sample that exhausts its retries is recorded as
 	// failed and the site pair is flagged Degraded.
 	MaxRetries int
-	// TrimFraction is the fraction of low and high samples discarded from
-	// each end before averaging (default 0.1) — trimmed-mean outlier
-	// rejection, so transient fault windows cannot skew an estimate that
-	// mostly saw a healthy link.
-	TrimFraction float64
 	// Start offsets every probe onto the fault schedule's clock: sample j
 	// of each pair fires at Start + j × PairProbeSeconds. The zero value
 	// keeps the historical behavior (probing from schedule time 0); the
@@ -80,20 +81,10 @@ func (o Options) withDefaults() (Options, error) {
 		return o, fmt.Errorf("calib: negative Days %d", o.Days)
 	case o.SamplesPerDay < 0:
 		return o, fmt.Errorf("calib: negative SamplesPerDay %d", o.SamplesPerDay)
-	case o.ProbeBytes < 0:
-		return o, fmt.Errorf("calib: negative ProbeBytes %v", o.ProbeBytes)
 	case o.PairProbeSeconds < 0:
 		return o, fmt.Errorf("calib: negative PairProbeSeconds %v", o.PairProbeSeconds)
-	case o.InterNoise < 0:
-		return o, fmt.Errorf("calib: negative InterNoise %v", o.InterNoise)
-	case o.IntraNoise < 0:
-		return o, fmt.Errorf("calib: negative IntraNoise %v", o.IntraNoise)
-	case o.ProbeTimeout < 0:
-		return o, fmt.Errorf("calib: negative ProbeTimeout %v", o.ProbeTimeout)
 	case o.MaxRetries < 0:
 		return o, fmt.Errorf("calib: negative MaxRetries %d", o.MaxRetries)
-	case o.TrimFraction < 0 || o.TrimFraction >= 0.5:
-		return o, fmt.Errorf("calib: TrimFraction %v outside [0, 0.5)", o.TrimFraction)
 	case o.Start < 0:
 		return o, fmt.Errorf("calib: negative Start %v", o.Start)
 	}
@@ -103,26 +94,11 @@ func (o Options) withDefaults() (Options, error) {
 	if o.SamplesPerDay == 0 {
 		o.SamplesPerDay = 10
 	}
-	if o.ProbeBytes == 0 { //geolint:ignore floatcmp zero-value Options default sentinel; 0 is exactly representable
-		o.ProbeBytes = units.Bytes(8 << 20)
-	}
 	if o.PairProbeSeconds == 0 { //geolint:ignore floatcmp zero-value Options default sentinel; 0 is exactly representable
 		o.PairProbeSeconds = units.Seconds(60)
 	}
-	if o.InterNoise == 0 { //geolint:ignore floatcmp zero-value Options default sentinel; 0 is exactly representable
-		o.InterNoise = 0.03
-	}
-	if o.IntraNoise == 0 { //geolint:ignore floatcmp zero-value Options default sentinel; 0 is exactly representable
-		o.IntraNoise = 0.10
-	}
-	if o.ProbeTimeout == 0 { //geolint:ignore floatcmp zero-value Options default sentinel; 0 is exactly representable
-		o.ProbeTimeout = units.Seconds(5)
-	}
 	if o.MaxRetries == 0 {
 		o.MaxRetries = 3
-	}
-	if o.TrimFraction == 0 { //geolint:ignore floatcmp zero-value Options default sentinel; 0 is exactly representable
-		o.TrimFraction = 0.1
 	}
 	return o, nil
 }
@@ -149,7 +125,8 @@ type Result struct {
 	// Degraded(k, l) is 1 when at least one sample for the pair was
 	// abandoned after exhausting its retries, so the pair's estimates rest
 	// on fewer samples than requested (a fully unreachable pair falls back
-	// to the timeout bound: LT = ProbeTimeout, BT = ProbeBytes/ProbeTimeout).
+	// to the timeout bound: LT = 5 s, the probe timeout, and BT = the 8 MB
+	// probe over that timeout).
 	Degraded *mat.Matrix
 	// Unreachable(k, l) is 1 when every sample for the pair was abandoned —
 	// the probes never saw the link up, so LT/BT carry only the timeout
@@ -199,9 +176,6 @@ func Calibrate(cloud *netmodel.Cloud, opt Options) (*Result, error) {
 	if o.Days < 1 || o.SamplesPerDay < 1 {
 		return nil, fmt.Errorf("calib: need at least one day and one sample per day")
 	}
-	if o.ProbeBytes < units.Bytes(2) {
-		return nil, fmt.Errorf("calib: probe of %v bytes cannot separate latency from bandwidth", o.ProbeBytes)
-	}
 	m := cloud.M()
 	rng := stats.NewRand(o.Seed)
 	lt := mat.NewSquare(m)
@@ -223,9 +197,9 @@ func Calibrate(cloud *netmodel.Cloud, opt Options) (*Result, error) {
 	sm.Prewarm(samples)
 	for k := 0; k < m; k++ {
 		for l := 0; l < m; l++ {
-			noise := o.InterNoise
+			noise := interNoise
 			if k == l {
-				noise = o.IntraNoise
+				noise = intraNoise
 			}
 			trueLat := cloud.Latency(k, l)
 			trueBW := cloud.Bandwidth(k, l)
@@ -250,12 +224,12 @@ func Calibrate(cloud *netmodel.Cloud, opt Options) (*Result, error) {
 				// the calibrator observed. Downstream consumers must treat
 				// the pair as unreliable via the Degraded flag.
 				unreachable.Set(k, l, 1)
-				lt.Set(k, l, o.ProbeTimeout.Float())
-				bt.Set(k, l, o.ProbeBytes.Per(o.ProbeTimeout).Float())
+				lt.Set(k, l, probeTimeout.Float())
+				bt.Set(k, l, probeBytes.Per(probeTimeout).Float())
 				continue
 			}
-			latEst := sm.TrimmedMean(latSamples, o.TrimFraction)
-			probeMean := sm.TrimmedMean(probes, o.TrimFraction)
+			latEst := sm.TrimmedMean(latSamples, trimFraction)
+			probeMean := sm.TrimmedMean(probes, trimFraction)
 			transfer := probeMean - latEst
 			if transfer <= 0 {
 				// Noise swallowed the transfer time; fall back to the raw
@@ -263,7 +237,7 @@ func Calibrate(cloud *netmodel.Cloud, opt Options) (*Result, error) {
 				transfer = probeMean
 			}
 			lt.Set(k, l, latEst)
-			bt.Set(k, l, o.ProbeBytes.Float()/transfer)
+			bt.Set(k, l, probeBytes.Float()/transfer)
 			if probeMean > 0 {
 				variation.Set(k, l, stats.StdDev(probes)/probeMean)
 			}
@@ -298,8 +272,8 @@ func probePair(k, l int, t0 units.Seconds, trueLat units.Seconds, trueBW units.B
 			effLat := trueLat.Scale(st.LatFactor)
 			effBW := trueBW.Scale(st.BWFactor)
 			lat1 = elapsed(units.Bytes(1), effLat, effBW, noise, rng)
-			latP = elapsed(o.ProbeBytes, effLat, effBW, noise, rng)
-			if latP > o.ProbeTimeout {
+			latP = elapsed(probeBytes, effLat, effBW, noise, rng)
+			if latP > probeTimeout {
 				// Too degraded to finish in time — indistinguishable from
 				// a dead link at the probe's vantage point.
 				failed = true
@@ -311,7 +285,7 @@ func probePair(k, l int, t0 units.Seconds, trueLat units.Seconds, trueBW units.B
 		if attempt >= o.MaxRetries {
 			return 0, 0, false
 		}
-		wait := o.ProbeTimeout + faults.Backoff(attempt, faults.DefaultBackoffBase, faults.DefaultBackoffCap, nil)
+		wait := probeTimeout + faults.Backoff(attempt, faults.DefaultBackoffBase, faults.DefaultBackoffCap, nil)
 		// Jitter the retry spacing (±25%) so repeated probes do not
 		// synchronize with periodic fault windows.
 		wait = wait.Scale(1 + 0.25*(2*rng.Float64()-1))

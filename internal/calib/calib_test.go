@@ -87,19 +87,10 @@ func TestCalibrateErrors(t *testing.T) {
 	if _, err := Calibrate(cloud, Options{Days: -1}); err == nil {
 		t.Error("negative days accepted")
 	}
-	if _, err := Calibrate(cloud, Options{ProbeBytes: 1}); err == nil {
-		t.Error("1-byte probe accepted")
-	}
 	bad := []Options{
 		{SamplesPerDay: -1},
-		{ProbeBytes: -8},
 		{PairProbeSeconds: -1},
-		{InterNoise: -0.1},
-		{IntraNoise: -0.1},
-		{ProbeTimeout: -1},
 		{MaxRetries: -1},
-		{TrimFraction: -0.1},
-		{TrimFraction: 0.5},
 	}
 	for i, o := range bad {
 		if _, err := Calibrate(cloud, o); err == nil {
@@ -113,11 +104,11 @@ func TestMoreSamplingImprovesAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := Calibrate(cloud, Options{Days: 1, SamplesPerDay: 1, Seed: 11, IntraNoise: 0.3, InterNoise: 0.2})
+	small, err := Calibrate(cloud, Options{Days: 1, SamplesPerDay: 1, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Calibrate(cloud, Options{Days: 20, SamplesPerDay: 50, Seed: 11, IntraNoise: 0.3, InterNoise: 0.2})
+	big, err := Calibrate(cloud, Options{Days: 20, SamplesPerDay: 50, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,14 +47,6 @@ type GeoMapper struct {
 	Kappa int
 	// Seed drives the K-means initialization.
 	Seed int64
-	// DisableGrouping skips the K-means step and treats every site as its
-	// own group (used by the ablation study). The order search then
-	// enumerates M! site orders, so it is only usable for small M.
-	DisableGrouping bool
-	// SingleOrder, when true, evaluates only the identity group order,
-	// rank 0, instead of searching all κ! orders (used by the ablation
-	// study).
-	SingleOrder bool
 	// RefinePasses, when positive, polishes the best placement with up
 	// to that many Problem.Exchange sweeps: first-improvement pairwise
 	// exchanges priced by multilevel's swap delta on the true cost
@@ -108,24 +100,12 @@ func (g *GeoMapper) Map(p *Problem) (Placement, error) {
 		return nil, err
 	}
 
-	var groups [][]int
-	if g.DisableGrouping {
-		if p.M() > MaxKappa {
-			return nil, fmt.Errorf("core: grouping disabled with M = %d sites; order search over M! orders is intractable (max %d)", p.M(), MaxKappa)
-		}
-		for j := 0; j < p.M(); j++ {
-			groups = append(groups, []int{j})
-		}
-	} else if groups, err = GroupSites(p.PC, kappa, g.Seed); err != nil {
+	groups, err := GroupSites(p.PC, kappa, g.Seed)
+	if err != nil {
 		return nil, err
 	}
-
-	limit := stats.FactorialInt(len(groups))
-	if g.SingleOrder {
-		limit = 1 // rank 0 is the identity order
-	}
 	table := multilevel.NewFillTable(p.instance(nil))
-	best, _, ok := multilevel.SearchOrders(groups, limit, g.Workers, func(_, hi int) multilevel.Eval {
+	best, _, ok := multilevel.SearchOrders(groups, stats.FactorialInt(len(groups)), g.Workers, func(_, hi int) multilevel.Eval {
 		return p.newOrderEval(table, groups, hi).eval
 	})
 	if !ok {

@@ -45,8 +45,8 @@ func TestOrderSearchSerialParallelEquivalence(t *testing.T) {
 			return p
 		}, GeoMapper{Kappa: 4}},
 		{"sitesets-k4", func(s int64) *Problem { return siteSetProblem(28, 4, s) }, GeoMapper{Kappa: 4}},
-		{"ungrouped-m6", func(s int64) *Problem { return clusteredProblem(24, 6, s) }, GeoMapper{Kappa: 6, DisableGrouping: true}},
-		{"single-order-k4", func(s int64) *Problem { return siteSetProblem(28, 4, s) }, GeoMapper{Kappa: 4, SingleOrder: true}},
+		{"one-site-groups-k6", func(s int64) *Problem { return clusteredProblem(24, 6, s) }, GeoMapper{Kappa: 6}},
+		{"single-group-k1", func(s int64) *Problem { return siteSetProblem(28, 4, s) }, GeoMapper{Kappa: 1}},
 		{"refined-k4", func(s int64) *Problem { return clusteredProblem(24, 4, s) }, GeoMapper{Kappa: 4, RefinePasses: 5}},
 	}
 	workerCounts := []int{2, 3, 8, runtime.GOMAXPROCS(0)}

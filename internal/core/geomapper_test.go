@@ -189,40 +189,6 @@ func TestGeoMapperKappaValidation(t *testing.T) {
 	}
 }
 
-func TestGeoMapperDisableGrouping(t *testing.T) {
-	p := clusteredProblem(16, 4, 2)
-	pl, err := (&GeoMapper{Kappa: 4, DisableGrouping: true}).Map(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.CheckPlacement(pl); err != nil {
-		t.Fatal(err)
-	}
-	// With many sites and no grouping the order search must be refused.
-	big := clusteredProblem(20, 10, 2)
-	if _, err := (&GeoMapper{Kappa: 4, DisableGrouping: true}).Map(big); err == nil {
-		t.Error("ungrouped M=10 order search accepted")
-	}
-}
-
-func TestGeoMapperSingleOrder(t *testing.T) {
-	p := clusteredProblem(16, 4, 2)
-	single, err := (&GeoMapper{Kappa: 4, SingleOrder: true}).Map(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.CheckPlacement(single); err != nil {
-		t.Fatal(err)
-	}
-	full, err := (&GeoMapper{Kappa: 4}).Map(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Cost(full) > p.Cost(single)+1e-9 {
-		t.Error("full order search worse than single order")
-	}
-}
-
 func TestGeoMapperInvalidProblem(t *testing.T) {
 	p := twoSiteProblem()
 	p.Capacity[0] = 0

@@ -9,26 +9,32 @@ import (
 	"geoprocmap/internal/units"
 )
 
+// Migration pricing: moving a process transfers MigrationImageBytes, the
+// checkpoint image restored at the destination site, at the bandwidth
+// between its old and new site, and a move's per-iteration α–β saving is
+// credited over DefaultHorizonIterations future application iterations.
+// Remap prices its moves with these, and so does any caller weighing a
+// placement switch against its migration.
+const (
+	MigrationImageBytes      = units.Bytes(64 << 20)
+	DefaultHorizonIterations = 100
+)
+
 // RemapOptions tunes failure-aware remapping.
 type RemapOptions struct {
-	// ImageBytes is the per-process migration payload — the checkpoint
-	// image restored at the destination site (default 64 MB).
-	ImageBytes units.Bytes
 	// MoveDegraded also evacuates processes from degraded (but live) sites
 	// when the α–β cost saved over HorizonIterations amortizes the move's
 	// migration time. Dead-site evacuation is always performed.
 	MoveDegraded bool
 	// HorizonIterations is the number of future application iterations a
-	// degraded-site move's cost saving is credited over (default 100).
+	// degraded-site move's cost saving is credited over (default
+	// DefaultHorizonIterations).
 	HorizonIterations float64
 }
 
 func (o RemapOptions) withDefaults() RemapOptions {
-	if o.ImageBytes <= 0 {
-		o.ImageBytes = units.Bytes(64 << 20)
-	}
 	if o.HorizonIterations <= 0 {
-		o.HorizonIterations = 100
+		o.HorizonIterations = DefaultHorizonIterations
 	}
 	return o
 }
@@ -161,7 +167,7 @@ func Remap(p *Problem, current Placement, rep *faults.Report, opt RemapOptions) 
 		}
 	}
 	migrate := func(i int) {
-		res.MigrationSeconds += o.ImageBytes.Over(p.Bandwidth(current[i], res.Placement[i]))
+		res.MigrationSeconds += MigrationImageBytes.Over(p.Bandwidth(current[i], res.Placement[i]))
 		res.Migrated = append(res.Migrated, i)
 	}
 	for _, i := range victims {
@@ -192,7 +198,7 @@ func Remap(p *Problem, current Placement, rep *faults.Report, opt RemapOptions) 
 				continue
 			}
 			saving := -in.MoveDelta(res.Placement, i, j)
-			migration := o.ImageBytes.Over(p.Bandwidth(s, j))
+			migration := MigrationImageBytes.Over(p.Bandwidth(s, j))
 			// The per-iteration α–β saving is credited over the horizon and
 			// weighed against the one-off migration time — an explicit
 			// Cost→Seconds crossing, since both sides are durations here.

@@ -184,8 +184,7 @@ func TestRemapRepairsStrandedVictim(t *testing.T) {
 	if len(res.Migrated) != 2 || res.Migrated[0] != 0 || res.Migrated[1] != 1 {
 		t.Errorf("migrated %v, want [0 1]", res.Migrated)
 	}
-	image := RemapOptions{}.withDefaults().ImageBytes
-	want := image.Over(p.Bandwidth(0, 2)) + image.Over(p.Bandwidth(0, 1))
+	want := MigrationImageBytes.Over(p.Bandwidth(0, 2)) + MigrationImageBytes.Over(p.Bandwidth(0, 1))
 	if res.MigrationSeconds != want {
 		t.Errorf("migration time %v, want %v", res.MigrationSeconds, want)
 	}

@@ -42,6 +42,22 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// Each draw of an improvement figure runs on the caller's config with
+// only the seed moved, so the geo mapper's Workers (the overhead term of
+// fig5) and Quick (the repeat count) reach every draw.
+func TestDrawConfigKeepsCallerSettings(t *testing.T) {
+	cfg := Config{Seed: 4, Quick: true, ConstraintRatio: 0.3, Workers: 3}
+	got := cfg.draw(2)
+	want := cfg
+	want.Seed = 2004
+	if got != want {
+		t.Errorf("draw(2) = %+v, want %+v", got, want)
+	}
+	if got.repeats() != cfg.repeats() {
+		t.Errorf("draw repeats %d, caller %d", got.repeats(), cfg.repeats())
+	}
+}
+
 func TestRandomConstraints(t *testing.T) {
 	capVec := mat.IntVec{4, 4, 4, 4}
 	rng := stats.NewRand(1)

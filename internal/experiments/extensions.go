@@ -37,13 +37,13 @@ func ExtAzure(cfg Config) (*Report, error) {
 	names := []string{"Greedy", "MPIPP", "Geo-distributed"}
 	for _, a := range apps.All() {
 		sums := make([]float64, len(names))
-		for d := 0; d < cfg.Draws; d++ {
-			seed := cfg.Seed + int64(d)*1000
+		for d := 0; d < cfg.draws(); d++ {
+			seed := cfg.draw(d).Seed
 			inst, err := BuildInstance(cloud, a, 64, 1, cfg.ConstraintRatio, seed)
 			if err != nil {
 				return nil, err
 			}
-			base, err := inst.BaselineCost(cfg.Repeats, seed+100)
+			base, err := inst.BaselineCost(cfg.repeats(), seed+100)
 			if err != nil {
 				return nil, err
 			}
@@ -57,7 +57,7 @@ func ExtAzure(cfg Config) (*Report, error) {
 		}
 		row := []string{a.Name()}
 		for i := range names {
-			row = append(row, fmt.Sprintf("%.0f%%", sums[i]/float64(cfg.Draws)))
+			row = append(row, fmt.Sprintf("%.0f%%", sums[i]/float64(cfg.draws())))
 		}
 		r.Rows = append(r.Rows, row)
 	}
@@ -88,8 +88,8 @@ func ExtContention(cfg Config) (*Report, error) {
 		}
 		mappersUnder := []core.Mapper{&baselines.Greedy{}, &core.GeoMapper{Kappa: 4, Seed: cfg.Seed, Workers: cfg.Workers}}
 		sums := make([][2]float64, len(mappersUnder))
-		for d := 0; d < cfg.Draws; d++ {
-			seed := cfg.Seed + int64(d)*1000
+		for d := 0; d < cfg.draws(); d++ {
+			seed := cfg.draw(d).Seed
 			inst, err := BuildInstance(cloud, a, 64, 1, cfg.ConstraintRatio, seed)
 			if err != nil {
 				return nil, err
@@ -98,7 +98,7 @@ func ExtContention(cfg Config) (*Report, error) {
 				// Baseline under this network model.
 				rng := stats.NewRand(seed + 100)
 				var base float64
-				for rep := 0; rep < cfg.Repeats; rep++ {
+				for rep := 0; rep < cfg.repeats(); rep++ {
 					pl, err := core.RandomPlacement(inst.Problem, rng)
 					if err != nil {
 						return nil, err
@@ -109,7 +109,7 @@ func ExtContention(cfg Config) (*Report, error) {
 					}
 					base += res.CommSeconds
 				}
-				base /= float64(cfg.Repeats)
+				base /= float64(cfg.repeats())
 				for mi, m := range mappersUnder {
 					pl, _, err := inst.MapAndTime(m)
 					if err != nil {
@@ -125,8 +125,8 @@ func ExtContention(cfg Config) (*Report, error) {
 		}
 		for mi, m := range mappersUnder {
 			r.AddRow(name, m.Name(),
-				fmt.Sprintf("%.0f%%", sums[mi][0]/float64(cfg.Draws)),
-				fmt.Sprintf("%.0f%%", sums[mi][1]/float64(cfg.Draws)))
+				fmt.Sprintf("%.0f%%", sums[mi][0]/float64(cfg.draws())),
+				fmt.Sprintf("%.0f%%", sums[mi][1]/float64(cfg.draws())))
 		}
 	}
 	r.AddNote("Shared pipes punish placements that funnel traffic through one site pair; cost-guided mappers keep most of their advantage but the margin narrows.")
@@ -306,8 +306,8 @@ func ExtHeadline(cfg Config) (*Report, error) {
 	comparators := []core.Mapper{&baselines.Random{Seed: cfg.Seed}, &baselines.Greedy{}, &baselines.MPIPP{Seed: cfg.Seed}}
 	improvements := make(map[string][]float64)
 	for _, a := range apps.All() {
-		for d := 0; d < cfg.Draws; d++ {
-			seed := cfg.Seed + int64(d)*1000
+		for d := 0; d < cfg.draws(); d++ {
+			seed := cfg.draw(d).Seed
 			inst, err := BuildInstance(cloud, a, 64, 1, cfg.ConstraintRatio, seed)
 			if err != nil {
 				return nil, err

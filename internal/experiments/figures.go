@@ -66,7 +66,7 @@ type appTimes struct {
 }
 
 func measureApp(inst *Instance, cfg Config, mode SimMode) (*appTimes, error) {
-	base, err := inst.BaselineSim(cfg.Repeats, cfg.Seed+100, mode)
+	base, err := inst.BaselineSim(cfg.repeats(), cfg.Seed+100, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -117,13 +117,13 @@ func Figure6(cfg Config) (*Report, error) {
 	names := []string{"Greedy", "MPIPP", "Geo-distributed"}
 	for _, a := range apps.All() {
 		sums := make([]float64, len(names))
-		for d := 0; d < cfg.Draws; d++ {
-			seed := cfg.Seed + int64(d)*1000
+		for d := 0; d < cfg.draws(); d++ {
+			seed := cfg.draw(d).Seed
 			inst, err := BuildInstance(cloud, a, 64, a.DefaultIters(), cfg.ConstraintRatio, seed)
 			if err != nil {
 				return nil, err
 			}
-			base, err := inst.BaselineCost(cfg.Repeats, seed+100)
+			base, err := inst.BaselineCost(cfg.repeats(), seed+100)
 			if err != nil {
 				return nil, err
 			}
@@ -137,7 +137,7 @@ func Figure6(cfg Config) (*Report, error) {
 		}
 		row := []string{a.Name()}
 		for i := range names {
-			row = append(row, fmt.Sprintf("%.0f%%", sums[i]/float64(cfg.Draws)))
+			row = append(row, fmt.Sprintf("%.0f%%", sums[i]/float64(cfg.draws())))
 		}
 		r.Rows = append(r.Rows, row)
 	}
@@ -161,13 +161,13 @@ func improvementFigure(cfg Config, id, title string, includeCompute bool, worklo
 	names := []string{"Greedy", "MPIPP", "Geo-distributed"}
 	for _, a := range workloads {
 		sums := make([]float64, len(names))
-		for d := 0; d < cfg.Draws; d++ {
-			seed := cfg.Seed + int64(d)*1000
-			inst, err := BuildInstance(cloud, a, 64, a.DefaultIters(), cfg.ConstraintRatio, seed)
+		for d := 0; d < cfg.draws(); d++ {
+			dc := cfg.draw(d)
+			inst, err := BuildInstance(cloud, a, 64, a.DefaultIters(), dc.ConstraintRatio, dc.Seed)
 			if err != nil {
 				return nil, err
 			}
-			times, err := measureApp(inst, Config{Seed: seed, Repeats: cfg.Repeats, Draws: 1, ConstraintRatio: cfg.ConstraintRatio}, SimReplay)
+			times, err := measureApp(inst, dc, SimReplay)
 			if err != nil {
 				return nil, err
 			}
@@ -186,7 +186,7 @@ func improvementFigure(cfg Config, id, title string, includeCompute bool, worklo
 		}
 		row := []string{a.Name()}
 		for i := range names {
-			row = append(row, fmt.Sprintf("%.0f%%", sums[i]/float64(cfg.Draws)))
+			row = append(row, fmt.Sprintf("%.0f%%", sums[i]/float64(cfg.draws())))
 		}
 		r.Rows = append(r.Rows, row)
 	}
@@ -219,18 +219,18 @@ func Figure7(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			draws := cfg.Draws
+			draws := cfg.draws()
 			if n >= 1024 && draws > 2 {
 				draws = 2
 			}
 			sums := make([]float64, 2)
 			for d := 0; d < draws; d++ {
-				seed := cfg.Seed + int64(d)*1000
+				seed := cfg.draw(d).Seed
 				inst, err := BuildInstance(cloud, a, n, 1, cfg.ConstraintRatio, seed)
 				if err != nil {
 					return nil, err
 				}
-				base, err := inst.BaselineCost(cfg.Repeats, seed+7)
+				base, err := inst.BaselineCost(cfg.repeats(), seed+7)
 				if err != nil {
 					return nil, err
 				}
@@ -275,8 +275,8 @@ func Figure8(cfg Config) (*Report, error) {
 		row := []string{name}
 		for _, ratio := range ratios {
 			var sum float64
-			for d := 0; d < cfg.Draws; d++ {
-				seed := cfg.Seed + int64(d)*1000
+			for d := 0; d < cfg.draws(); d++ {
+				seed := cfg.draw(d).Seed
 				inst, err := BuildInstance(cloud, a, 64, 1, ratio, seed)
 				if err != nil {
 					return nil, err
@@ -291,7 +291,7 @@ func Figure8(cfg Config) (*Report, error) {
 				}
 				sum += ImprovementPct(inst.CommCost(greedyPl), inst.CommCost(geoPl))
 			}
-			row = append(row, fmt.Sprintf("%.0f%%", sum/float64(cfg.Draws)))
+			row = append(row, fmt.Sprintf("%.0f%%", sum/float64(cfg.draws())))
 		}
 		r.Rows = append(r.Rows, row)
 	}

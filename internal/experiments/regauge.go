@@ -34,13 +34,6 @@ type RegaugeScenario struct {
 	// DaySeconds is the replayed horizon (default 960 — four DiurnalDrift
 	// cycles).
 	DaySeconds float64
-	// Interval is the gauge interval in schedule seconds (default 30).
-	Interval float64
-	// DriftThreshold, Cooldown, SafetyFactor tune the gauger (defaults
-	// 0.15, 3 × Interval, 2).
-	DriftThreshold float64
-	Cooldown       float64
-	SafetyFactor   float64
 	// Seed drives everything; Workers is the geo mapper's order-search
 	// parallelism (byte-identical results at any value).
 	Seed    int64
@@ -60,11 +53,13 @@ func (s RegaugeScenario) withDefaults() RegaugeScenario {
 	if s.DaySeconds <= 0 {
 		s.DaySeconds = 960
 	}
-	if s.Interval <= 0 {
-		s.Interval = 30
-	}
 	return s
 }
+
+// scenarioInterval is the gauge interval of a scenario, in schedule
+// seconds; the gauger's drift threshold, cooldown and safety factor are
+// its defaults.
+const scenarioInterval = 30.0
 
 // RegaugeOutcome is the full deterministic record of one scenario run.
 type RegaugeOutcome struct {
@@ -204,22 +199,19 @@ func RunRegauge(sc RegaugeScenario) (*RegaugeOutcome, error) {
 	}}
 
 	g, err := regauge.New(regauge.Config{
-		Cloud:          cloud,
-		Store:          store,
-		Source:         src,
-		Faults:         sched,
-		Seed:           sc.Seed,
-		Interval:       units.Seconds(sc.Interval),
-		DriftThreshold: sc.DriftThreshold,
-		Cooldown:       units.Seconds(sc.Cooldown),
-		SafetyFactor:   sc.SafetyFactor,
+		Cloud:    cloud,
+		Store:    store,
+		Source:   src,
+		Faults:   sched,
+		Seed:     sc.Seed,
+		Interval: units.Seconds(scenarioInterval),
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	out := &RegaugeOutcome{Preset: sc.Preset, InitialDigest: service.PlacementDigest(stalePl)}
-	for now := sc.Interval; now <= sc.DaySeconds; {
+	for now := scenarioInterval; now <= sc.DaySeconds; {
 		pr := g.Step(units.Seconds(now))
 		out.Passes = append(out.Passes, pr)
 		for _, d := range pr.Decisions {

@@ -28,13 +28,6 @@ type Config struct {
 	Quick bool
 	// ConstraintRatio is the fraction of pinned processes (paper default 0.2).
 	ConstraintRatio float64
-	// Repeats is the number of measured runs averaged per data point
-	// (the paper uses 100 on EC2); 0 selects 20, or 5 under Quick.
-	Repeats int
-	// Draws is the number of independent instances (constraint vectors and
-	// noise seeds) each improvement figure averages over, mirroring the
-	// paper's repeated measurements; 0 selects 5, or 3 under Quick.
-	Draws int
 	// Workers is the geo mapper's order-search parallelism for every
 	// GeoMapper an experiment constructs (0 = GOMAXPROCS, 1 = serial).
 	// Any value produces byte-identical placements — the parallel search
@@ -47,20 +40,32 @@ func (c Config) withDefaults() Config {
 	if c.ConstraintRatio == 0 { //geolint:ignore floatcmp zero-value Config default sentinel; 0 is exactly representable
 		c.ConstraintRatio = 0.2
 	}
-	if c.Repeats == 0 {
-		if c.Quick {
-			c.Repeats = 5
-		} else {
-			c.Repeats = 20
-		}
+	return c
+}
+
+// repeats is the number of measured runs averaged per data point: 20, or
+// 5 under Quick (the paper uses 100 on EC2).
+func (c Config) repeats() int {
+	if c.Quick {
+		return 5
 	}
-	if c.Draws == 0 {
-		if c.Quick {
-			c.Draws = 3
-		} else {
-			c.Draws = 5
-		}
+	return 20
+}
+
+// draws is the number of independent instances (constraint vectors and
+// noise seeds) each improvement figure averages over, mirroring the
+// paper's repeated measurements: 5, or 3 under Quick.
+func (c Config) draws() int {
+	if c.Quick {
+		return 3
 	}
+	return 5
+}
+
+// draw is the configuration of draw d: the caller's, with the seed the
+// draw's instance is built from.
+func (c Config) draw(d int) Config {
+	c.Seed += int64(d) * 1000
 	return c
 }
 

@@ -146,13 +146,20 @@ func Stream(o *Options) []service.MapRequest {
 // list, the policy and the stream, whatever the worker timing. One URL
 // takes every request. "hash" builds the ring the servers share, so
 // each request lands on its shard owner; "rr" round-robins, so most
-// requests land on non-owners and take the peer-consult path.
+// requests land on non-owners and take the peer-consult path. A URL
+// listed twice is rejected under either policy: round-robin would send
+// that daemon twice its share.
 //
 //geolint:deterministic
 func Targets(urlList, policy string, reqs []service.MapRequest) ([]string, error) {
 	urls := strings.Split(urlList, ",")
+	seen := make(map[string]bool, len(urls))
 	for i := range urls {
 		urls[i] = service.NormalizePeerURL(urls[i])
+		if seen[urls[i]] {
+			return nil, fmt.Errorf("duplicate daemon URL %q", urls[i])
+		}
+		seen[urls[i]] = true
 	}
 	targets := make([]string, len(reqs))
 	if len(urls) == 1 {

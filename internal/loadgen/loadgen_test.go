@@ -128,4 +128,10 @@ func TestRoundRobinTargetsCycle(t *testing.T) {
 	if _, err := Targets(strings.Join(urls, ","), "random", reqs); err == nil {
 		t.Error("unknown routing policy accepted")
 	}
+	// A trailing slash names the same daemon, so each list repeats one.
+	for _, policy := range []string{"rr", "hash"} {
+		if _, err := Targets("http://a:1,http://b:2,http://a:1/", policy, reqs); err == nil {
+			t.Errorf("duplicate daemon URL accepted under %s", policy)
+		}
+	}
 }

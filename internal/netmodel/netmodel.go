@@ -173,10 +173,11 @@ type Options struct {
 	// Seed drives the deterministic per-pair jitter. Clouds built with the
 	// same inputs and seed are identical.
 	Seed int64
-	// Jitter is the relative magnitude of per-direction asymmetric noise
-	// applied to latency and bandwidth (default 0.02 = ±2%).
-	Jitter float64
 }
+
+// jitter is the relative magnitude of the per-direction asymmetric noise
+// applied to latency and bandwidth (±2%).
+const jitter = 0.02
 
 // NewCloud builds a cloud from a provider, an instance type name, and a
 // list of sites. The LT/BT matrices are generated from the provider's
@@ -197,10 +198,6 @@ func NewCloud(p *Provider, instanceType string, sites []Site, opt Options) (*Clo
 	m := len(sites)
 	lt := mat.NewSquare(m)
 	bt := mat.NewSquare(m)
-	jitter := opt.Jitter
-	if jitter == 0 { //geolint:ignore floatcmp zero-value Options default sentinel; 0 is exactly representable
-		jitter = 0.02
-	}
 	rng := stats.NewRand(opt.Seed)
 	wobble := func() float64 { return 1 + jitter*(2*rng.Float64()-1) }
 	for k := 0; k < m; k++ {

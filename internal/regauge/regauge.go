@@ -75,6 +75,18 @@ const (
 	ActionError      = "error"      // target could not be evaluated
 )
 
+// A pass probes each pair probeSpacing apart, retrying a lost sample up
+// to probeRetries times, and counts as failed when at least failureBar of
+// its samples are lost. windowTrim is the trimmed-mean fraction applied
+// to each pair's estimate window: with the default window of 3 it is a
+// median, rejecting a single outlier pass.
+const (
+	probeSpacing = units.Seconds(1)
+	probeRetries = 2
+	failureBar   = 0.5
+	windowTrim   = 0.34
+)
+
 // Config assembles a Gauger. Zero values select the noted defaults.
 type Config struct {
 	// Cloud is the synthetic network the reduced-budget passes probe;
@@ -98,13 +110,6 @@ type Config struct {
 	// the reduced budget that makes continuous re-gauging affordable
 	// next to a full calibration's Days × SamplesPerDay).
 	Samples int
-	// ProbeSpacing is the schedule time between a pair's samples
-	// (default 1 s).
-	ProbeSpacing units.Seconds
-	// ProbeTimeout bounds one probe attempt (default 5 s).
-	ProbeTimeout units.Seconds
-	// MaxRetries bounds retries per probe sample (default 2).
-	MaxRetries int
 
 	// DriftThreshold is the relative per-pair change (against the
 	// currently published model) that counts as drift (default 0.15).
@@ -112,10 +117,6 @@ type Config struct {
 	// Window is how many recent passes each pair's estimate window
 	// retains (default 3).
 	Window int
-	// TrimFraction is the trimmed-mean fraction applied to each window
-	// (default 0.34 — with the default window of 3 this is a median,
-	// rejecting a single outlier pass).
-	TrimFraction float64
 
 	// SafetyFactor is the hysteresis margin: a remap triggers only when
 	// predicted saving > migration time × SafetyFactor (default 2).
@@ -123,12 +124,6 @@ type Config struct {
 	// Cooldown is the per-target schedule time after a triggered remap
 	// during which further remaps are suppressed (default 3 × Interval).
 	Cooldown units.Seconds
-	// HorizonIterations credits a remap's per-iteration saving over this
-	// many future iterations (default 100, matching core.RemapOptions).
-	HorizonIterations float64
-	// ImageBytes is the per-process migration payload (default 64 MB,
-	// matching core.RemapOptions).
-	ImageBytes units.Bytes
 	// SolverWorkers is the order-search parallelism of re-solve
 	// candidates (default 1). It never changes results — the parallel
 	// search's deterministic reduction is byte-identical at any count.
@@ -137,9 +132,6 @@ type Config struct {
 	// MaxFailures is how many consecutive failed passes escalate the
 	// gauger to degraded mode (default 3).
 	MaxFailures int
-	// FailureBar is the failed-sample fraction at or above which a pass
-	// counts as failed (default 0.5).
-	FailureBar float64
 
 	// Timescale converts schedule seconds to wall time in Run: wall wait
 	// = schedule wait / Timescale (default 1; the smoke test runs at a
@@ -155,14 +147,12 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("regauge: Config.Cloud is required")
 	case c.Store == nil:
 		return c, fmt.Errorf("regauge: Config.Store is required")
-	case c.Interval < 0 || c.ProbeSpacing < 0 || c.ProbeTimeout < 0 || c.Cooldown < 0:
+	case c.Interval < 0 || c.Cooldown < 0:
 		return c, fmt.Errorf("regauge: negative duration in Config")
-	case c.Samples < 0 || c.MaxRetries < 0 || c.Window < 0 || c.MaxFailures < 0:
+	case c.Samples < 0 || c.Window < 0 || c.MaxFailures < 0:
 		return c, fmt.Errorf("regauge: negative count in Config")
-	case c.DriftThreshold < 0 || c.TrimFraction < 0 || c.TrimFraction >= 0.5:
-		return c, fmt.Errorf("regauge: drift/trim parameter out of range")
-	case c.SafetyFactor < 0 || c.FailureBar < 0 || c.FailureBar > 1 || c.Timescale < 0:
-		return c, fmt.Errorf("regauge: safety/failure/timescale parameter out of range")
+	case c.DriftThreshold < 0 || c.SafetyFactor < 0 || c.Timescale < 0:
+		return c, fmt.Errorf("regauge: drift/safety/timescale parameter out of range")
 	}
 	if c.Interval <= 0 {
 		c.Interval = units.Seconds(30)
@@ -170,23 +160,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Samples == 0 {
 		c.Samples = 3
 	}
-	if c.ProbeSpacing <= 0 {
-		c.ProbeSpacing = units.Seconds(1)
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = units.Seconds(5)
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
 	if c.DriftThreshold <= 0 {
 		c.DriftThreshold = 0.15
 	}
 	if c.Window == 0 {
 		c.Window = 3
-	}
-	if c.TrimFraction <= 0 {
-		c.TrimFraction = 0.34
 	}
 	if c.SafetyFactor <= 0 {
 		c.SafetyFactor = 2
@@ -194,20 +172,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Cooldown <= 0 {
 		c.Cooldown = c.Interval.Scale(3)
 	}
-	if c.HorizonIterations <= 0 {
-		c.HorizonIterations = 100
-	}
-	if c.ImageBytes <= 0 {
-		c.ImageBytes = units.Bytes(64 << 20)
-	}
 	if c.SolverWorkers <= 0 {
 		c.SolverWorkers = 1
 	}
 	if c.MaxFailures == 0 {
 		c.MaxFailures = 3
-	}
-	if c.FailureBar <= 0 {
-		c.FailureBar = 0.5
 	}
 	if c.Timescale <= 0 {
 		c.Timescale = 1
@@ -336,7 +305,7 @@ func (g *Gauger) Step(now units.Seconds) PassResult {
 
 	res, failedFrac, err := g.probe(now, passSeed)
 	pr.FailedFraction = failedFrac
-	if err != nil || failedFrac >= g.cfg.FailureBar {
+	if err != nil || failedFrac >= failureBar {
 		g.consecFails++
 		g.consecOKs = 0
 		if g.consecFails >= g.cfg.MaxFailures {
@@ -424,9 +393,8 @@ func (g *Gauger) probe(now units.Seconds, passSeed int64) (*calib.Result, float6
 	res, err := calib.Calibrate(g.cfg.Cloud, calib.Options{
 		Days:             1,
 		SamplesPerDay:    g.cfg.Samples,
-		PairProbeSeconds: g.cfg.ProbeSpacing,
-		ProbeTimeout:     g.cfg.ProbeTimeout,
-		MaxRetries:       g.cfg.MaxRetries,
+		PairProbeSeconds: probeSpacing,
+		MaxRetries:       probeRetries,
 		Faults:           g.cfg.Faults,
 		Seed:             passSeed,
 		Start:            now,
@@ -448,8 +416,8 @@ func (g *Gauger) smooth(res *calib.Result) (*mat.Matrix, *mat.Matrix) {
 			i := k*g.m + l
 			g.winLT[i] = pushWindow(g.winLT[i], res.LT.At(k, l), g.cfg.Window)
 			g.winBT[i] = pushWindow(g.winBT[i], res.BT.At(k, l), g.cfg.Window)
-			smLT.Set(k, l, g.sm.TrimmedMean(g.winLT[i], g.cfg.TrimFraction))
-			smBT.Set(k, l, g.sm.TrimmedMean(g.winBT[i], g.cfg.TrimFraction))
+			smLT.Set(k, l, g.sm.TrimmedMean(g.winLT[i], windowTrim))
+			smBT.Set(k, l, g.sm.TrimmedMean(g.winBT[i], windowTrim))
 		}
 	}
 	return smLT, smBT
@@ -535,7 +503,7 @@ func (g *Gauger) walkTargets(now units.Seconds, version uint64, dead []int, wors
 			out = append(out, d)
 			continue
 		}
-		saving := (rr.CostBefore - rr.CostAfter).Scale(g.cfg.HorizonIterations).AsSeconds()
+		saving := (rr.CostBefore - rr.CostAfter).Scale(core.DefaultHorizonIterations).AsSeconds()
 		d.SavingSeconds = saving.Float()
 		d.MigrationSeconds = rr.MigrationSeconds.Float()
 		uneconomic := len(rr.Migrated) == 0 ||
@@ -546,17 +514,8 @@ func (g *Gauger) walkTargets(now units.Seconds, version uint64, dead []int, wors
 			out = append(out, d)
 			continue
 		}
-		lat, bw := prob.CostParts(rr.Placement)
-		remapped := &service.MapResult{
-			SnapshotVersion: version,
-			Algorithm:       t.Result.Algorithm + "+remap",
-			Cost:            (lat + bw).Float(),
-			LatencyCost:     lat.Float(),
-			BandwidthCost:   bw.Float(),
-			Placement:       []int(rr.Placement),
-			Digest:          service.PlacementDigest(rr.Placement),
-			SolveMillis:     t.Result.SolveMillis,
-		}
+		remapped := service.NewMapResult(prob, rr.Placement, version, t.Result.Algorithm+"+remap")
+		remapped.SolveMillis = t.Result.SolveMillis
 		if err := g.cfg.Source.Apply(t, remapped); err != nil {
 			d.Action = ActionError
 			g.cfg.Logf("regauge: target %.12s apply: %v", t.Key, err)
@@ -598,11 +557,7 @@ func (g *Gauger) walkTargets(now units.Seconds, version uint64, dead []int, wors
 // migration. It is skipped while sites are dead — a fresh solve knows
 // nothing about dead capacity and could place processes there.
 func (g *Gauger) bestRemap(t Target, prob *core.Problem, pl core.Placement, dead []int, worse [][2]int) (*core.RemapResult, error) {
-	opts := core.RemapOptions{
-		MoveDegraded:      true,
-		HorizonIterations: g.cfg.HorizonIterations,
-		ImageBytes:        g.cfg.ImageBytes,
-	}
+	opts := core.RemapOptions{MoveDegraded: true}
 	best, err := core.Remap(prob, pl, &faults.Report{DeadSites: dead, DegradedPairs: worse}, opts)
 	if err != nil {
 		return nil, err
@@ -683,7 +638,7 @@ func (g *Gauger) resolveCandidate(t Target, prob *core.Problem, pl core.Placemen
 			continue
 		}
 		rr.Migrated = append(rr.Migrated, i)
-		rr.MigrationSeconds += g.cfg.ImageBytes.Over(prob.Bandwidth(pl[i], fresh[i]))
+		rr.MigrationSeconds += core.MigrationImageBytes.Over(prob.Bandwidth(pl[i], fresh[i]))
 	}
 	return rr
 }
@@ -692,7 +647,7 @@ func (g *Gauger) resolveCandidate(t Target, prob *core.Problem, pl core.Placemen
 // migration time scaled by the safety factor — the quantity the
 // hysteresis gate compares against zero.
 func (g *Gauger) netSaving(rr *core.RemapResult) units.Seconds {
-	return (rr.CostBefore - rr.CostAfter).Scale(g.cfg.HorizonIterations).AsSeconds() -
+	return (rr.CostBefore - rr.CostAfter).Scale(core.DefaultHorizonIterations).AsSeconds() -
 		rr.MigrationSeconds.Scale(g.cfg.SafetyFactor)
 }
 

@@ -67,8 +67,6 @@ func TestConfigValidation(t *testing.T) {
 		{"nil store", Config{Cloud: rig.cloud}},
 		{"negative interval", Config{Cloud: rig.cloud, Store: rig.store, Interval: -1}},
 		{"negative samples", Config{Cloud: rig.cloud, Store: rig.store, Samples: -2}},
-		{"trim fraction too large", Config{Cloud: rig.cloud, Store: rig.store, TrimFraction: 0.5}},
-		{"failure bar above one", Config{Cloud: rig.cloud, Store: rig.store, FailureBar: 1.5}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.cfg); err == nil {

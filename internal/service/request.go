@@ -76,6 +76,22 @@ type MapResult struct {
 	SolveMillis float64 `json:"solve_ms"`
 }
 
+// NewMapResult builds the result of placement pl for problem p, solved
+// by algorithm against snapshot version: the α–β cost and its two terms,
+// and the placement digest. SolveMillis is left for the caller.
+func NewMapResult(p *core.Problem, pl core.Placement, version uint64, algorithm string) *MapResult {
+	lat, bw := p.CostParts(pl)
+	return &MapResult{
+		SnapshotVersion: version,
+		Algorithm:       algorithm,
+		Cost:            (lat + bw).Float(),
+		LatencyCost:     lat.Float(),
+		BandwidthCost:   bw.Float(),
+		Placement:       pl,
+		Digest:          placementDigest(pl),
+	}
+}
+
 // MapResponse is the body of a successful POST /v1/map.
 type MapResponse struct {
 	MapResult

@@ -448,19 +448,10 @@ func (s *Server) solve(ctx context.Context, req *MapRequest, order []int, snap *
 			solveErr = err
 			return
 		}
-		lat, bw := prob.CostParts(pl)
+		res = NewMapResult(prob, pl, snap.Version, mapper.Name())
 		elapsed := time.Since(t0)
 		s.metrics.SolveFinished(elapsed.Seconds())
-		res = &MapResult{
-			SnapshotVersion: snap.Version,
-			Algorithm:       mapper.Name(),
-			Cost:            (lat + bw).Float(),
-			LatencyCost:     lat.Float(),
-			BandwidthCost:   bw.Float(),
-			Placement:       pl,
-			Digest:          placementDigest(pl),
-			SolveMillis:     float64(elapsed.Microseconds()) / 1e3,
-		}
+		res.SolveMillis = float64(elapsed.Microseconds()) / 1e3
 	})
 	if err != nil {
 		return nil, err
