@@ -46,9 +46,10 @@ race:
 # prices every order at one, two and three workers,
 # the move/swap deltas against full cost recomputation, the matcher's
 # phased verdict and repair against Hall's condition, a problem's JSON
-# write and read back against the problem bit for bit, the network simulator's
-# fault-aware replay and fluid engines at a nil schedule against the
-# healthy-network references, the trace compression round trip, the
+# write and read back against the problem bit for bit, the comm graph's
+# folded call log against an unfolded one and a per-pair left fold, the
+# network simulator's fault-aware replay and fluid engines at a nil
+# schedule against the healthy-network references, the trace compression round trip, the
 # /v1/map body decoder against encoding/json, and its float read against
 # strconv.ParseFloat.
 fuzz:
@@ -57,6 +58,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMatcherMatchesHall$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPricedSearchMatchesScan$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzProblemJSONRoundTrip$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzFoldMatchesUnfolded$$' -fuzztime 10s ./internal/comm
 	$(GO) test -run '^$$' -fuzz '^FuzzNilScheduleMatchesReference$$' -fuzztime 10s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzCompressRoundTrip$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequestMatchesStdlib$$' -fuzztime 10s ./internal/service

@@ -141,7 +141,7 @@ func BenchmarkReplayLU256(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec, err := apps.NewLU().Trace(256, 1)
+	rec, err := apps.Trace(apps.NewLU(), 256, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func BenchmarkFluidPhase64(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec, err := apps.NewKMeans().Trace(64, 1)
+	rec, err := apps.Trace(apps.NewKMeans(), 64, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func BenchmarkFluidPhase64(b *testing.B) {
 }
 
 func BenchmarkTraceCompressLU(b *testing.B) {
-	rec, err := apps.NewLU().Trace(64, 50)
+	rec, err := apps.Trace(apps.NewLU(), 64, 50)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -49,6 +49,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -254,10 +255,11 @@ func newDaemon(fs *flag.FlagSet, args []string, logw io.Writer) (*daemon, error)
 }
 
 // serve answers HTTP on ln, with the re-gauging loop running, until ctx
-// ends. Then it drains: the listener stops accepting, in-flight requests
-// finish, the loop stops touching the cache, and the solve queue empties
-// before the final counters are logged. It returns nil after a clean
-// drain, or the error that stopped the listener early.
+// ends. Then it drains: the listener stops accepting, connections that
+// never sent a request are closed, in-flight requests finish, the loop
+// stops touching the cache, and the solve queue empties before the final
+// counters are logged. It returns nil after a clean drain, or the error
+// that stopped the listener early.
 func (d *daemon) serve(ctx context.Context, ln net.Listener) error {
 	cur := d.store.Current()
 	d.logger.Printf("listening on %s (%d sites × %d nodes, snapshot v%d from %s)",
@@ -272,7 +274,8 @@ func (d *daemon) serve(ctx context.Context, ln net.Listener) error {
 		}
 	}()
 
-	hs := &http.Server{Handler: d.srv.Handler()}
+	fresh := &freshConns{conns: map[net.Conn]struct{}{}}
+	hs := &http.Server{Handler: d.srv.Handler(), ConnState: fresh.track}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -282,6 +285,7 @@ func (d *daemon) serve(ctx context.Context, ln net.Listener) error {
 		d.logger.Printf("draining")
 		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
+		fresh.closeAll()
 		if err := hs.Shutdown(sctx); err != nil {
 			d.logger.Printf("shutdown: %v", err)
 		}
@@ -297,6 +301,43 @@ func (d *daemon) serve(ctx context.Context, ln net.Listener) error {
 	d.logger.Printf("drained: %d requests (%d solves, %d cache hits, %d deduped, %d shed)",
 		v.Requests, v.Solves, v.CacheHits, v.Deduped, v.Rejected)
 	return err
+}
+
+// freshConns tracks the connections a client opened but has not sent a
+// request on (http.StateNew). Shutdown counts such a connection as idle
+// only once it is 5 s old, so an HTTP client's spare dial, or any client
+// that connects and waits, would hold a drain that long; the drain
+// closes them itself instead.
+type freshConns struct {
+	mu       sync.Mutex
+	conns    map[net.Conn]struct{}
+	draining bool
+}
+
+// track is the server's ConnState hook. Once the drain has begun, a
+// connection that is still new is closed as it arrives.
+func (f *freshConns) track(c net.Conn, state http.ConnState) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case state != http.StateNew:
+		delete(f.conns, c)
+	case f.draining:
+		_ = c.Close() // no request has been read from it
+	default:
+		f.conns[c] = struct{}{}
+	}
+}
+
+// closeAll starts the drain: it closes every connection still new.
+func (f *freshConns) closeAll() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.draining = true
+	for c := range f.conns {
+		_ = c.Close() // no request has been read from it
+	}
+	clear(f.conns)
 }
 
 func fatal(err error) {

@@ -336,6 +336,35 @@ func TestRegaugeSmoke(t *testing.T) {
 	}
 }
 
+// TestDrainClosesFreshConnections is the regression test for a drain
+// held by a client that connects and never sends a request: Shutdown
+// alone waits 5 s for such a connection, the drain must close it and
+// finish within 1 s.
+func TestDrainClosesFreshConnections(t *testing.T) {
+	ln, url := listen(t)
+	td := startDaemon(t, ln, "-nodes", "4")
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	// The listener accepts in dial order, so once a later connection is
+	// answered the server has accepted raw as a new connection.
+	var health map[string]any
+	getJSON(t, url+"/healthz", &health)
+	start := time.Now()
+	requireDrained(t, "daemon", td)
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("drain took %v with one connection that sent no request, want under 1 s", took)
+	}
+	if err := raw.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := raw.Read(make([]byte, 1)); err == nil {
+		t.Errorf("the connection read %d bytes after the drain, want it closed", n)
+	}
+}
+
 // TestSIGTERMDrains runs geomapd as its own process: SIGTERM must make it
 // drain, log the final counters and exit 0.
 func TestSIGTERMDrains(t *testing.T) {

@@ -45,7 +45,7 @@ func main() {
 	if it == 0 {
 		it = app.DefaultIters()
 	}
-	rec, err := app.Trace(*n, it)
+	rec, err := apps.Trace(app, *n, it)
 	if err != nil {
 		fatal(err)
 	}

@@ -33,7 +33,7 @@ func main() {
 	// 2. Profile the application: trace one iteration of LU on 64
 	// processes and aggregate its CG/AG communication pattern.
 	app := apps.NewLU()
-	rec, err := app.Trace(64, 1)
+	rec, err := apps.Trace(app, 64, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

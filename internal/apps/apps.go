@@ -5,10 +5,19 @@
 //
 // The paper obtains each application's CG/AG matrices by profiling real
 // runs with CYPRESS; here each workload is a generator that replays the
-// application's communication structure into a trace.Recorder (the
-// virtual-MPI substitute), from which the same matrices are aggregated.
-// The generators reproduce the Figure 3 characteristics the paper calls
-// out:
+// application's communication structure into a sink. The generator is
+// written once and has two readers:
+//
+//   - Graph streams the messages straight into a comm.Graph, keeping no
+//     event log, for callers that need only the matrices the mapper
+//     reads (the mapping service, the experiments' tables, the examples);
+//   - Trace records them in a trace.Recorder (the virtual-MPI
+//     substitute), for callers that also read the event stream: loop
+//     compression, netsim's message-level replay and geotrace.
+//
+// Both make the same AddTraffic calls in the same order, so their graphs
+// are bit-identical. The generators reproduce the Figure 3
+// characteristics the paper calls out:
 //
 //   - LU, BT, SP: near-diagonal matrices from 2-D process-grid neighbor
 //     exchanges ("process 1 only communicates with processes 2 and 8 for
@@ -36,23 +45,55 @@ import (
 type App interface {
 	// Name is the label used in the paper's figures.
 	Name() string
-	// Trace replays iters iterations of the workload on n processes and
-	// returns the recorded message stream.
-	Trace(n, iters int) (*trace.Recorder, error)
 	// DefaultIters is the iteration count used by the experiments.
 	DefaultIters() int
 	// ComputeTime returns the local (computation + I/O) seconds one
 	// process spends per iteration when run on n processes.
 	ComputeTime(n int) float64
+	// emit replays iters ≥ 1 iterations of the workload on n ≥ 2
+	// processes into s, in send order.
+	emit(s sink, n, iters int)
 }
 
-// Graph profiles an app and aggregates its CG/AG communication pattern.
+// sink receives a generator's messages. MustSend panics on a message
+// trace.Recorder.Send would reject; generators are correct by
+// construction.
+type sink interface {
+	MustSend(src, dst int, bytes int64, tag int)
+}
+
+// Graph profiles iters iterations of a on n processes straight into its
+// CG/AG communication pattern.
 func Graph(a App, n, iters int) (*comm.Graph, error) {
-	r, err := a.Trace(n, iters)
-	if err != nil {
+	if err := checkRun(a, n, iters); err != nil {
 		return nil, err
 	}
-	return r.Graph(), nil
+	g := comm.NewGraph(n)
+	a.emit(trace.GraphSink{G: g}, n, iters)
+	return g, nil
+}
+
+// Trace replays iters iterations of a on n processes and returns the
+// recorded message stream.
+func Trace(a App, n, iters int) (*trace.Recorder, error) {
+	if err := checkRun(a, n, iters); err != nil {
+		return nil, err
+	}
+	r := trace.NewRecorder(n)
+	a.emit(r, n, iters)
+	return r, nil
+}
+
+// checkRun rejects a run every generator would: fewer than 2 processes
+// or fewer than 1 iteration.
+func checkRun(a App, n, iters int) error {
+	if n < 2 {
+		return fmt.Errorf("apps: %s needs at least 2 processes, got %d", a.Name(), n)
+	}
+	if iters < 1 {
+		return fmt.Errorf("apps: %s needs at least 1 iteration, got %d", a.Name(), iters)
+	}
+	return nil
 }
 
 // All returns the five paper workloads with their default parameters, in

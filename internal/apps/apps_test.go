@@ -213,12 +213,18 @@ func TestDNNTreeStructure(t *testing.T) {
 }
 
 func TestTraceArgErrors(t *testing.T) {
-	for _, a := range All() {
-		if _, err := a.Trace(1, 1); err == nil {
+	for _, a := range Extended() {
+		if _, err := Trace(a, 1, 1); err == nil {
 			t.Errorf("%s: n=1 accepted", a.Name())
 		}
-		if _, err := a.Trace(8, 0); err == nil {
+		if _, err := Trace(a, 8, 0); err == nil {
 			t.Errorf("%s: iters=0 accepted", a.Name())
+		}
+		if _, err := Graph(a, 1, 1); err == nil {
+			t.Errorf("%s: Graph accepted n=1", a.Name())
+		}
+		if _, err := Graph(a, 8, 0); err == nil {
+			t.Errorf("%s: Graph accepted iters=0", a.Name())
 		}
 	}
 }
@@ -265,7 +271,7 @@ func TestIterationsScaleTraffic(t *testing.T) {
 // The LU trace of one process must compress extremely well — its stream is
 // a pure loop (this is what made CYPRESS practical for the paper).
 func TestNPBTraceCompresses(t *testing.T) {
-	r, err := NewLU().Trace(64, 50)
+	r, err := Trace(NewLU(), 64, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +289,7 @@ func TestQuickAppsValidTraces(t *testing.T) {
 		n := int(nRaw%62) + 2
 		iters := int(itRaw%3) + 1
 		a := appsList[int(appRaw)%len(appsList)]
-		r, err := a.Trace(n, iters)
+		r, err := Trace(a, n, iters)
 		if err != nil {
 			return false
 		}
@@ -333,10 +339,10 @@ func TestCGInExtendedCatalog(t *testing.T) {
 	if a.ComputeTime(64) <= 0 || a.DefaultIters() < 1 {
 		t.Error("CG metadata invalid")
 	}
-	if _, err := a.Trace(1, 1); err == nil {
+	if _, err := Trace(a, 1, 1); err == nil {
 		t.Error("CG n=1 accepted")
 	}
-	if _, err := a.Trace(8, 0); err == nil {
+	if _, err := Trace(a, 8, 0); err == nil {
 		t.Error("CG iters=0 accepted")
 	}
 	// The paper catalog stays at five workloads.
@@ -392,10 +398,10 @@ func TestMGSmallWorld(t *testing.T) {
 		t.Error("no traffic for 3 processes")
 	}
 	a := NewMG()
-	if _, err := a.Trace(1, 1); err == nil {
+	if _, err := Trace(a, 1, 1); err == nil {
 		t.Error("n=1 accepted")
 	}
-	if _, err := a.Trace(4, 0); err == nil {
+	if _, err := Trace(a, 4, 0); err == nil {
 		t.Error("iters=0 accepted")
 	}
 	if a.ComputeTime(32) <= 0 {

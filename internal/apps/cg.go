@@ -1,11 +1,5 @@
 package apps
 
-import (
-	"fmt"
-
-	"geoprocmap/internal/trace"
-)
-
 // CG is the NPB Conjugate Gradient kernel, provided as an extension beyond
 // the paper's five workloads. Its communication is distinctive: processes
 // form a 2-D grid over the sparse matrix, and every iteration combines
@@ -44,16 +38,9 @@ func (c *CG) ComputeTime(n int) float64 {
 	return 15.0 / float64(n)
 }
 
-// Trace implements App.
-func (c *CG) Trace(n, iters int) (*trace.Recorder, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("apps: CG needs at least 2 processes, got %d", n)
-	}
-	if iters < 1 {
-		return nil, fmt.Errorf("apps: CG needs at least 1 iteration, got %d", iters)
-	}
+// emit implements App.
+func (c *CG) emit(out sink, n, iters int) {
 	rows, cols := gridDims(n)
-	r := trace.NewRecorder(n)
 	rank := func(row, col int) int { return row*cols + col }
 	for it := 0; it < iters; it++ {
 		// Transpose exchange: the partner of (row, col) is the process
@@ -69,7 +56,7 @@ func (c *CG) Trace(n, iters int) (*trace.Recorder, error) {
 				}
 				dst := rank(pr, pc)
 				if dst != src {
-					r.MustSend(src, dst, c.SegmentBytes, TagFaceExchange)
+					out.MustSend(src, dst, c.SegmentBytes, TagFaceExchange)
 				}
 			}
 		}
@@ -80,11 +67,10 @@ func (c *CG) Trace(n, iters int) (*trace.Recorder, error) {
 				for col := 0; col < cols; col++ {
 					partner := col ^ span
 					if partner < cols {
-						r.MustSend(rank(row, col), rank(row, partner), c.ReduceBytes, TagReduce)
+						out.MustSend(rank(row, col), rank(row, partner), c.ReduceBytes, TagReduce)
 					}
 				}
 			}
 		}
 	}
-	return r, nil
 }

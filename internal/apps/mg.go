@@ -1,11 +1,5 @@
 package apps
 
-import (
-	"fmt"
-
-	"geoprocmap/internal/trace"
-)
-
 // MG is the NPB Multigrid kernel, a second extension workload. Its
 // signature is *hierarchical* neighbor exchange: every V-cycle touches a
 // pyramid of grids, and at each level ℓ a process exchanges halo faces
@@ -39,15 +33,8 @@ func (m *MG) ComputeTime(n int) float64 {
 	return 10.0 / float64(n)
 }
 
-// Trace implements App.
-func (m *MG) Trace(n, iters int) (*trace.Recorder, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("apps: MG needs at least 2 processes, got %d", n)
-	}
-	if iters < 1 {
-		return nil, fmt.Errorf("apps: MG needs at least 1 iteration, got %d", iters)
-	}
-	r := trace.NewRecorder(n)
+// emit implements App.
+func (m *MG) emit(out sink, n, iters int) {
 	for it := 0; it < iters; it++ {
 		// Down-sweep then up-sweep of the V-cycle: levels 0..L-1 then back.
 		for _, level := range m.cycle(n) {
@@ -58,13 +45,12 @@ func (m *MG) Trace(n, iters int) (*trace.Recorder, error) {
 			}
 			for i := 0; i < n; i++ {
 				if i+stride < n {
-					r.MustSend(i, i+stride, bytes, TagFaceExchange)
-					r.MustSend(i+stride, i, bytes, TagFaceExchange)
+					out.MustSend(i, i+stride, bytes, TagFaceExchange)
+					out.MustSend(i+stride, i, bytes, TagFaceExchange)
 				}
 			}
 		}
 	}
-	return r, nil
 }
 
 // cycle returns the level sequence of one V-cycle for n processes:

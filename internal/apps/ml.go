@@ -1,11 +1,5 @@
 package apps
 
-import (
-	"fmt"
-
-	"geoprocmap/internal/trace"
-)
-
 // KMeans is the parallel K-means clustering workload (Kanungo et al.) over
 // geo-partitioned observations. Each iteration has two communication
 // steps:
@@ -52,15 +46,8 @@ func (k *KMeans) blockBytes() int64 {
 	return int64(k.Clusters) * (int64(k.Dim)*8 + 8)
 }
 
-// Trace implements App.
-func (k *KMeans) Trace(n, iters int) (*trace.Recorder, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("apps: K-means needs at least 2 processes, got %d", n)
-	}
-	if iters < 1 {
-		return nil, fmt.Errorf("apps: K-means needs at least 1 iteration, got %d", iters)
-	}
-	r := trace.NewRecorder(n)
+// emit implements App.
+func (k *KMeans) emit(out sink, n, iters int) {
 	block := k.blockBytes()
 
 	// Largest power of two ≤ n; ranks ≥ pow fold onto rank-pow partners
@@ -72,18 +59,18 @@ func (k *KMeans) Trace(n, iters int) (*trace.Recorder, error) {
 	}
 	for it := 0; it < iters; it++ {
 		for i := pow; i < n; i++ {
-			r.MustSend(i, i-pow, block, TagReduce)
+			out.MustSend(i, i-pow, block, TagReduce)
 		}
 		for s := 1; s < pow; s *= 2 {
 			for i := 0; i < pow; i++ {
 				partner := i ^ s
 				if partner < pow {
-					r.MustSend(i, partner, block, TagReduce)
+					out.MustSend(i, partner, block, TagReduce)
 				}
 			}
 		}
 		for i := pow; i < n; i++ {
-			r.MustSend(i-pow, i, block, TagBroadcast)
+			out.MustSend(i-pow, i, block, TagBroadcast)
 		}
 		// Boundary-point migration: every process ships reassigned
 		// observations to two hash-derived partners, with per-process
@@ -93,12 +80,11 @@ func (k *KMeans) Trace(n, iters int) (*trace.Recorder, error) {
 			for _, stride := range [2]int{17, 41} {
 				partner := (i*stride + 3) % n
 				if partner != i {
-					r.MustSend(i, partner, vol, TagShuffle)
+					out.MustSend(i, partner, vol, TagShuffle)
 				}
 			}
 		}
 	}
-	return r, nil
 }
 
 // skew maps a process rank to a deterministic volume factor in [0.5, 2.5),
@@ -140,15 +126,8 @@ func (d *DNN) DefaultIters() int { return d.iters }
 // independent of the worker count (each worker consumes its own shard).
 func (d *DNN) ComputeTime(n int) float64 { return 2.5 }
 
-// Trace implements App.
-func (d *DNN) Trace(n, iters int) (*trace.Recorder, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("apps: DNN needs at least 2 processes, got %d", n)
-	}
-	if iters < 1 {
-		return nil, fmt.Errorf("apps: DNN needs at least 1 iteration, got %d", iters)
-	}
-	r := trace.NewRecorder(n)
+// emit implements App.
+func (d *DNN) emit(out sink, n, iters int) {
 	for it := 0; it < iters; it++ {
 		// Binomial-tree reduce of the model replicas to rank 0.
 		for s := 1; s < n; s *= 2 {
@@ -156,7 +135,7 @@ func (d *DNN) Trace(n, iters int) (*trace.Recorder, error) {
 				if i&s != 0 && i&(s-1) == 0 {
 					dst := i &^ s
 					if dst < n {
-						r.MustSend(i, dst, d.ModelBytes, TagReduce)
+						out.MustSend(i, dst, d.ModelBytes, TagReduce)
 					}
 				}
 			}
@@ -165,12 +144,11 @@ func (d *DNN) Trace(n, iters int) (*trace.Recorder, error) {
 		for s := nextPow2(n) / 2; s >= 1; s /= 2 {
 			for i := 0; i < n; i++ {
 				if i&(2*s-1) == 0 && i+s < n {
-					r.MustSend(i, i+s, d.ModelBytes, TagBroadcast)
+					out.MustSend(i, i+s, d.ModelBytes, TagBroadcast)
 				}
 			}
 		}
 	}
-	return r, nil
 }
 
 func nextPow2(n int) int {

@@ -1,11 +1,5 @@
 package apps
 
-import (
-	"fmt"
-
-	"geoprocmap/internal/trace"
-)
-
 // npb is the shared machinery of the three NPB pseudo-applications. Each
 // runs on a 2-D process grid and exchanges fixed-size messages with its
 // grid neighbors every iteration; the kernels differ in message sizes,
@@ -89,16 +83,9 @@ func (a *npb) ComputeTime(n int) float64 {
 	return a.computeBase / float64(n)
 }
 
-// Trace implements App.
-func (a *npb) Trace(n, iters int) (*trace.Recorder, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("apps: %s needs at least 2 processes, got %d", a.name, n)
-	}
-	if iters < 1 {
-		return nil, fmt.Errorf("apps: %s needs at least 1 iteration, got %d", a.name, iters)
-	}
+// emit implements App.
+func (a *npb) emit(out sink, n, iters int) {
 	rows, cols := gridDims(n)
-	r := trace.NewRecorder(n)
 	rank := func(row, col int) int { return row*cols + col }
 	for it := 0; it < iters; it++ {
 		if a.wraparound {
@@ -110,12 +97,12 @@ func (a *npb) Trace(n, iters int) (*trace.Recorder, error) {
 					east := rank(row, (col+1)%cols)
 					south := rank((row+1)%rows, col)
 					if east != src {
-						r.MustSend(src, east, a.eastBytes, TagFaceExchange)
-						r.MustSend(east, src, a.eastBytes, TagFaceExchange)
+						out.MustSend(src, east, a.eastBytes, TagFaceExchange)
+						out.MustSend(east, src, a.eastBytes, TagFaceExchange)
 					}
 					if south != src {
-						r.MustSend(src, south, a.southBytes, TagFaceExchange)
-						r.MustSend(south, src, a.southBytes, TagFaceExchange)
+						out.MustSend(src, south, a.southBytes, TagFaceExchange)
+						out.MustSend(south, src, a.southBytes, TagFaceExchange)
 					}
 				}
 			}
@@ -127,10 +114,10 @@ func (a *npb) Trace(n, iters int) (*trace.Recorder, error) {
 			for col := 0; col < cols; col++ {
 				src := rank(row, col)
 				if col+1 < cols {
-					r.MustSend(src, rank(row, col+1), a.eastBytes, TagForwardSweep)
+					out.MustSend(src, rank(row, col+1), a.eastBytes, TagForwardSweep)
 				}
 				if row+1 < rows {
-					r.MustSend(src, rank(row+1, col), a.southBytes, TagForwardSweep)
+					out.MustSend(src, rank(row+1, col), a.southBytes, TagForwardSweep)
 				}
 			}
 		}
@@ -138,13 +125,12 @@ func (a *npb) Trace(n, iters int) (*trace.Recorder, error) {
 			for col := cols - 1; col >= 0; col-- {
 				src := rank(row, col)
 				if col > 0 {
-					r.MustSend(src, rank(row, col-1), a.eastBytes, TagBackwardSweep)
+					out.MustSend(src, rank(row, col-1), a.eastBytes, TagBackwardSweep)
 				}
 				if row > 0 {
-					r.MustSend(src, rank(row-1, col), a.southBytes, TagBackwardSweep)
+					out.MustSend(src, rank(row-1, col), a.southBytes, TagBackwardSweep)
 				}
 			}
 		}
 	}
-	return r, nil
 }

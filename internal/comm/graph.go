@@ -8,11 +8,14 @@
 // weighted graph.
 //
 // A Graph has two phases. While it is built, AddTraffic appends each call
-// to one flat call log. The first read freezes it, exactly once and
-// safely under concurrent readers, into a CSR adjacency: peer-sorted out
-// and in rows over flat Edge arrays, with repeated (src, dst) pairs summed
-// in call order. The freeze orders the log by two stable counting passes
-// (by destination, then by source), so it is linear in calls plus
+// to one flat call log, which folds in place to one entry per (src, dst)
+// pair whenever it outgrows the pairs it holds, so a profile of millions
+// of messages keeps memory in proportion to its pairs. The first read
+// freezes the graph, exactly once and safely under concurrent readers,
+// into a CSR adjacency: peer-sorted out and in rows over flat Edge arrays,
+// with repeated (src, dst) pairs summed in call order. The fold and the
+// freeze order the log by the same two stable counting passes (by
+// destination, then by source), so each is linear in calls plus
 // processes. The frozen graph is immutable, so the core mapper, the
 // baselines and the multilevel solver all share one adjacency without
 // copies, caches or locks.
@@ -49,9 +52,9 @@ type CSR struct {
 type Graph struct {
 	n int
 
-	// pending logs the AddTraffic calls in call order, repeats
-	// included; the freeze sums them and drops the log.
-	pending []call
+	// log holds the AddTraffic calls not yet frozen; the freeze sums
+	// them and drops it.
+	log callLog
 
 	once sync.Once
 	csr  CSR // valid once frozen; OutIdx != nil marks the freeze
@@ -66,13 +69,40 @@ func NewGraph(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("comm: negative process count %d", n)) //geolint:ignore libpanic negative count is a programmer error, like make() with negative len
 	}
-	return &Graph{n: n}
+	return &Graph{n: n, log: callLog{foldAt: foldSlack * n}}
 }
 
-// call is one logged AddTraffic call.
+// call is one logged AddTraffic call, or the fold of a run of them.
 type call struct {
 	src, dst     int
 	volume, msgs float64
+}
+
+// foldSlack is the call-log room, in calls per process, beyond twice the
+// pairs the last fold left. A fold costs O(foldAt + n) and takes place at
+// least pairs + foldSlack·n calls after the last one, so the log costs
+// amortized O(1) per call and holds at most 2·pairs + foldSlack·n calls.
+// At 16, no preset profiled at 256 processes over one iteration folds.
+const foldSlack = 16
+
+// callLog is a graph's AddTraffic calls in call order, repeats included,
+// until the log reaches foldAt calls. It then folds: the calls become one
+// entry per (src, dst) pair, in (src, dst) order, each the running sum of
+// its pair's calls in call order, starting from zero as the freeze does.
+// The freeze's stable sort keeps a folded entry ahead of the later calls
+// on its pair, so it adds those to the folded partial in call order: the
+// additions, and so every sum's bits, are the ones it would make over the
+// unfolded log. (No folded partial is −0, since a running sum from +0 of
+// non-negative terms never is, so the freeze's 0 + partial is the partial
+// itself.)
+type callLog struct {
+	calls  []call
+	foldAt int
+	// spare, count, byDst and order are the fold's scratch, kept
+	// between folds: the folded log is written to spare, which then
+	// swaps with calls.
+	spare               []call
+	count, byDst, order []int
 }
 
 // FromCSR returns the frozen graph over len(outIdx)-1 processes whose
@@ -108,7 +138,10 @@ func (g *Graph) AddTraffic(src, dst int, volume, msgs float64) {
 	if src == dst || (volume == 0 && msgs == 0) {
 		return
 	}
-	g.pending = append(g.pending, call{src, dst, volume, msgs})
+	if len(g.log.calls) >= g.log.foldAt {
+		g.fold()
+	}
+	g.log.calls = append(g.log.calls, call{src, dst, volume, msgs})
 	g.totalVolume += volume
 	g.totalMsgs += msgs
 }
@@ -122,8 +155,6 @@ func (g *Graph) checkProc(i int) {
 
 // Prewarm freezes the graph now rather than at its first read. Reads
 // freeze it anyway, exactly once and safely under concurrent readers.
-//
-//geolint:ignore deadcode called from _perfbench/replay.go, which freezes a graph before sharing it
 func (g *Graph) Prewarm() { g.CSR() }
 
 // CSR freezes the graph if needed and returns its adjacency, for callers
@@ -133,51 +164,95 @@ func (g *Graph) CSR() *CSR {
 	return &g.csr
 }
 
-// freeze orders the call log's indices by (src, dst) with two stable
+// sortByPair orders the call log's indices by (src, dst) with two stable
 // counting passes, by dst and then by src, so each pair's calls keep
-// their call order. It sums each pair's run in that order (matching the
-// running sum the calls describe) into one edge of an exactly sized out
-// array, and builds the incoming rows by transposition.
-//
-//geolint:allocsite cold path: runs once per graph, before any hot-loop read
-func (g *Graph) freeze() {
-	log := g.pending
-	count := make([]int, g.n+1)
-	byDst := make([]int, len(log))
-	for _, c := range log {
+// their call order. It returns the order, held in the log's scratch, and
+// the number of distinct pairs.
+func (g *Graph) sortByPair() (order []int, pairs int) {
+	l := &g.log
+	calls := l.calls
+	l.count = resize(l.count, g.n+1)
+	l.byDst = resize(l.byDst, len(calls))
+	l.order = resize(l.order, len(calls))
+	count, byDst, order := l.count, l.byDst, l.order
+	clear(count)
+	for _, c := range calls {
 		count[c.dst+1]++
 	}
 	for i := 1; i < g.n; i++ {
 		count[i+1] += count[i]
 	}
-	for k, c := range log {
+	for k, c := range calls {
 		byDst[count[c.dst]] = k
 		count[c.dst]++
 	}
 	clear(count)
-	for _, c := range log {
+	for _, c := range calls {
 		count[c.src+1]++
 	}
 	for i := 1; i < g.n; i++ {
 		count[i+1] += count[i]
 	}
-	order := make([]int, len(log))
 	for _, k := range byDst {
-		src := log[k].src
+		src := calls[k].src
 		order[count[src]] = k
 		count[src]++
 	}
-	pairs := 0
 	for r := range order {
-		if r == 0 || !samePair(log[order[r]], log[order[r-1]]) {
+		if r == 0 || !samePair(calls[order[r]], calls[order[r-1]]) {
 			pairs++
 		}
 	}
+	return order, pairs
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough.
+func resize(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
+}
+
+// fold replaces the call log by its pairs, each the running sum of its
+// run in call order, and sets the next fold to 2·pairs + foldSlack·n
+// calls (see callLog). The folded log goes to the spare buffer, sized to
+// hold every call until that fold.
+func (g *Graph) fold() {
+	order, pairs := g.sortByPair()
+	l := &g.log
+	l.foldAt = 2*pairs + foldSlack*g.n
+	folded := l.spare[:0]
+	if cap(folded) < l.foldAt {
+		folded = make([]call, 0, l.foldAt)
+	}
+	for r, k := range order {
+		c := l.calls[k]
+		if r == 0 || !samePair(c, l.calls[order[r-1]]) {
+			folded = append(folded, call{src: c.src, dst: c.dst})
+		}
+		f := &folded[len(folded)-1]
+		f.volume += c.volume
+		f.msgs += c.msgs
+	}
+	l.calls, l.spare = folded, l.calls[:0]
+}
+
+// freeze sums each (src, dst) run of the call log, in the order
+// sortByPair leaves it, into one edge of an exactly sized out array,
+// builds the incoming rows by transposition, and drops the log with its
+// scratch.
+//
+//geolint:allocsite cold path: runs once per graph, before any hot-loop read
+func (g *Graph) freeze() {
+	order, pairs := g.sortByPair()
+	calls := g.log.calls
 	outIdx := make([]int, g.n+1)
 	out := make([]Edge, 0, pairs)
 	for r, k := range order {
-		c := log[k]
-		if r == 0 || !samePair(c, log[order[r-1]]) {
+		c := calls[k]
+		if r == 0 || !samePair(c, calls[order[r-1]]) {
 			out = append(out, Edge{Peer: c.dst})
 			outIdx[c.src+1] = len(out)
 		}
@@ -188,7 +263,7 @@ func (g *Graph) freeze() {
 	for i := 0; i < g.n; i++ { // rows with no edges end where the last one did
 		outIdx[i+1] = max(outIdx[i+1], outIdx[i])
 	}
-	g.pending = nil
+	g.log = callLog{}
 	g.csr = transpose(outIdx, out)
 }
 

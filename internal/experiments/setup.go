@@ -139,7 +139,7 @@ func BuildInstance(cloud *netmodel.Cloud, app apps.App, n, iters int, constraint
 	if n > cloud.TotalNodes() {
 		return nil, fmt.Errorf("experiments: %d processes on a %d-node cloud", n, cloud.TotalNodes())
 	}
-	rec, err := app.Trace(n, 1)
+	rec, err := apps.Trace(app, n, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -162,7 +162,7 @@ func FuzzDecodeRequestMatchesStdlib(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, ok := checkDecodeAgrees(t, body)
-		if !ok || req.validate(96, snap.M()) != nil {
+		if !ok || req.validate(96, snap) != nil {
 			return
 		}
 		_, _ = req.Problem(snap, graphFor) // an error is a 422, not a failure

@@ -111,13 +111,15 @@ type errorResponse struct {
 
 // maxIters bounds a request's profiled iteration count. Profiling runs
 // on a pool worker and its time is linear in iters: K-means at 4096
-// processes takes ~17 ms per iteration on a 2-core Xeon, so an unbounded
+// processes takes ~7 ms per iteration on a 2-core Xeon, so an unbounded
 // value could hold a worker for hours.
 const maxIters = 100
 
 // validate checks the request shape against the server's admission
-// bounds and the snapshot's site count, without profiling anything.
-func (r *MapRequest) validate(maxProcs int, m int) error {
+// bounds and the pinned snapshot's sites and total capacity, without
+// profiling a workload or building a graph.
+func (r *MapRequest) validate(maxProcs int, snap *Snapshot) error {
+	m := snap.M()
 	switch {
 	case r.Workload == "" && len(r.Edges) == 0:
 		return fmt.Errorf("request needs a workload preset or an explicit edge list")
@@ -127,6 +129,8 @@ func (r *MapRequest) validate(maxProcs int, m int) error {
 		return fmt.Errorf("procs = %d, want > 0", r.Procs)
 	case r.Procs > maxProcs:
 		return fmt.Errorf("procs = %d exceeds the server bound %d", r.Procs, maxProcs)
+	case r.Procs > snap.Capacity.Sum():
+		return fmt.Errorf("procs = %d exceeds the snapshot's total capacity %d", r.Procs, snap.Capacity.Sum())
 	case r.Iters < 0:
 		return fmt.Errorf("iters = %d, want >= 0", r.Iters)
 	case r.Iters > maxIters:

@@ -322,7 +322,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	// lands mid-solve, this request is answered consistently against
 	// the version it names in the response.
 	snap := s.store.Current()
-	if err := req.validate(s.maxProcs, snap.M()); err != nil {
+	if err := req.validate(s.maxProcs, snap); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -473,7 +473,9 @@ const graphMemoEntries = 64
 
 // graphFor memoizes workload profiling. Concurrent first requests for
 // the same key profile once thanks to the singleflight layer above; the
-// plain mutex here only guards the LRU.
+// plain mutex here only guards the LRU. A profiled graph is frozen
+// before it enters the memo, so the memo holds only CSR rows: never a
+// call log or its fold scratch, which the freeze drops.
 func (s *Server) graphFor(workload string, procs, iters int) (*comm.Graph, error) {
 	key := fmt.Sprintf("%s/%d/%d", workload, procs, iters)
 	s.graphMu.Lock()
@@ -486,6 +488,7 @@ func (s *Server) graphFor(workload string, procs, iters int) (*comm.Graph, error
 	if err != nil {
 		return nil, err
 	}
+	g.Prewarm()
 	s.graphMu.Lock()
 	s.graphs.add(key, g)
 	s.graphMu.Unlock()

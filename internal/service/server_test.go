@@ -238,14 +238,62 @@ func TestMapRejectsBadRequests(t *testing.T) {
 			t.Errorf("case %d returned no error message", i)
 		}
 	}
-	// A structurally fine request that is infeasible against the
-	// snapshot (more processes than total capacity) fails problem
-	// validation, not request validation.
+	// More processes than the pinned snapshot's total capacity is
+	// rejected by request validation, before the workload is profiled.
 	var e errorResponse
-	postMap(t, h, MapRequest{Workload: "LU", Procs: 100, Seed: 1}, http.StatusUnprocessableEntity, &e)
+	postMap(t, h, MapRequest{Workload: "LU", Procs: 100, Seed: 1}, http.StatusBadRequest, &e)
 	if e.Error == "" {
 		t.Error("infeasible request returned no error message")
 	}
+}
+
+// TestMapRejectsOverCapacityBeforeProfiling is the regression test for
+// admitting a request no snapshot can place: K-means at 4096 processes
+// over 100 iterations passes the server's process bound but not a
+// 64-node snapshot's capacity, so it is answered 400 with nothing
+// profiled, solved or memoized.
+func TestMapRejectsOverCapacityBeforeProfiling(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	var e errorResponse
+	postMap(t, srv.Handler(), MapRequest{Workload: "K-means", Procs: 4096, Iters: maxIters, Seed: 1}, http.StatusBadRequest, &e)
+	if !strings.Contains(e.Error, "procs = 4096 exceeds the snapshot's total capacity 64") {
+		t.Errorf("error %q does not name the capacity", e.Error)
+	}
+	if view := srv.metrics.Snapshot(0, 0); view.Solves != 0 {
+		t.Errorf("rejected request ran %d solves, want 0", view.Solves)
+	}
+	srv.graphMu.Lock()
+	profiled := srv.graphs.len()
+	srv.graphMu.Unlock()
+	if profiled != 0 {
+		t.Errorf("rejected request profiled %d workloads, want 0", profiled)
+	}
+}
+
+// TestGraphMemoHoldsFrozenGraphs requires a graph to be frozen when it
+// enters the profiling memo, not at its first read: the request's allowed
+// sets are infeasible, so no mapper reads the memoized graph, and
+// AddTraffic on it must still panic, as it does only once the freeze has
+// dropped the call log.
+func TestGraphMemoHoldsFrozenGraphs(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	req := MapRequest{Workload: "MG", Procs: 40, Iters: 3, Seed: 1, Allowed: make([][]int, 40)}
+	for i := 0; i < 33; i++ {
+		req.Allowed[i] = []int{0, 1}
+	}
+	postMap(t, srv.Handler(), req, http.StatusUnprocessableEntity, nil)
+	srv.graphMu.Lock()
+	g, ok := srv.graphs.get("MG/40/3")
+	srv.graphMu.Unlock()
+	if !ok {
+		t.Fatal("the profiled graph is not memoized")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("the memoized graph accepted AddTraffic: it was not frozen")
+		}
+	}()
+	g.AddTraffic(0, 1, 1, 1)
 }
 
 // TestMapBoundsIters is the regression test for unbounded profiling: an

@@ -3,11 +3,20 @@
 // It stands in for CYPRESS (Zhai et al., SC'14), which the paper uses to
 // obtain the communication pattern matrix CG and message-count matrix AG by
 // combining static structure extraction with runtime trace compression.
-// Here, workloads from internal/apps emit their message events into a
-// Recorder (the "runtime" half), and the Compress function recovers
-// loop structure from each process's event stream (the "structure" half),
-// storing long iterative traces in a compact nested-loop form. The
-// aggregate matrices the optimizer consumes come from Recorder.Graph.
+// Workloads from internal/apps emit their messages into one of two sinks
+// (programs on the virtual MPI runtime, into a Recorder):
+//
+//   - A Recorder keeps every message as an Event (the "runtime" half),
+//     for the readers that need the stream itself: loop compression,
+//     where Compress recovers each process's nested-loop structure (the
+//     "structure" half), and netsim's message-level replay. Its Graph
+//     aggregates the events into the CG/AG matrices.
+//   - A GraphSink adds each message straight to a comm.Graph and stores
+//     nothing else, for callers that need only the matrices, as the
+//     paper's mapper does.
+//
+// Both make the same checks and the same AddTraffic calls, in send
+// order, so they yield bit-identical graphs.
 package trace
 
 import (
@@ -23,6 +32,33 @@ type Event struct {
 	Dst   int
 	Bytes int64
 	Tag   int
+}
+
+// GraphSink adds each message, as one message of its size, to G, keeping
+// no event, index or tag.
+type GraphSink struct{ G *comm.Graph }
+
+// MustSend is Recorder.MustSend for the graph: it panics on a message
+// Recorder.Send would reject, and otherwise adds it to G.
+func (s GraphSink) MustSend(src, dst int, bytes int64, _ int) {
+	if err := checkSend(s.G.N(), src, dst, bytes); err != nil {
+		panic(err)
+	}
+	s.G.AddTraffic(src, dst, float64(bytes), 1)
+}
+
+// checkSend validates one message of an n-process program.
+func checkSend(n, src, dst int, bytes int64) error {
+	if src < 0 || src >= n || dst < 0 || dst >= n {
+		return fmt.Errorf("trace: endpoint out of range: %d→%d with %d processes", src, dst, n)
+	}
+	if src == dst {
+		return fmt.Errorf("trace: self-message on process %d", src)
+	}
+	if bytes < 0 {
+		return fmt.Errorf("trace: negative message size %d", bytes)
+	}
+	return nil
 }
 
 // Recorder accumulates message events from a virtual-MPI program run.
@@ -46,14 +82,8 @@ func (r *Recorder) N() int { return r.n }
 // Send records a message of size bytes from src to dst with the given tag.
 // Self-messages are rejected — the virtual-MPI layer never sends to itself.
 func (r *Recorder) Send(src, dst int, bytes int64, tag int) error {
-	if src < 0 || src >= r.n || dst < 0 || dst >= r.n {
-		return fmt.Errorf("trace: endpoint out of range: %d→%d with %d processes", src, dst, r.n)
-	}
-	if src == dst {
-		return fmt.Errorf("trace: self-message on process %d", src)
-	}
-	if bytes < 0 {
-		return fmt.Errorf("trace: negative message size %d", bytes)
+	if err := checkSend(r.n, src, dst, bytes); err != nil {
+		return err
 	}
 	r.byProc[src] = append(r.byProc[src], len(r.events))
 	r.events = append(r.events, Event{Src: src, Dst: dst, Bytes: bytes, Tag: tag})
