@@ -39,11 +39,14 @@ race:
 
 # Native fuzz pass: each fuzz target for 10 s beyond its seed corpus.
 # go test accepts -fuzz for one package at a time, so each target gets its
-# own call: the heap-driven fill, including its replay of a recorded fill
+# own call (TestMakefileFuzzesEveryTarget fails when a Fuzz function of
+# the module is missing here, or a name here has no function): the heap-driven fill, including its replay of a recorded fill
 # on unpinned levels without site sets, against its O(N²) reference scan,
-# GeoMapper's price-first order search, which costs only the orders its
-# site-pair table price cannot rule out, against a scan that fills and
-# prices every order at one, two and three workers,
+# GeoMapper's order search, which fills each key class of orders once
+# and costs only the orders its site-pair table price cannot rule out,
+# against a scan that fills and prices every order at one, two and three
+# workers, on problems with several keys or with pins (one order per
+# class),
 # the move/swap deltas against full cost recomputation, the matcher's
 # phased verdict and repair against Hall's condition, a problem's JSON
 # write and read back against the problem bit for bit, the comm graph's

@@ -275,7 +275,7 @@ func TestNPBTraceCompresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := trace.Compress(r.ProcessEvents(9)) // interior process: 4 sends/iter
+	c := trace.CompressAll(r)[9] // interior process: 4 sends/iter
 	if c.Ratio() < 20 {
 		t.Errorf("LU interior process trace ratio %v, want ≥20 (stream: %s)", c.Ratio(), c)
 	}

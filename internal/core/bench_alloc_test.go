@@ -77,34 +77,28 @@ func BenchmarkAllocRefinePass(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocPricedOrder measures how the served 512-process search
-// rules out an order: once a first pass over all 24 orders has recorded
-// the fill, its site-pair table, the plan and the best cost, every order
-// is a replay that its table price, or its match with the best's sites,
-// rules out before any replay or Problem.Cost.
+// BenchmarkAllocPricedOrder measures the per-order step of the served
+// 512-process search's one key class: once an evaluation of the class has
+// filled its first order and built the site-pair table, the best's sites
+// and the price scratch, each order is priced from the table and tested
+// against the best's cost and sites, with no replay or Problem.Cost.
 func BenchmarkAllocPricedOrder(b *testing.B) {
 	p := served512Problem(b)
 	groups, err := GroupSites(p.PC, 4, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var orders [][][]int
-	stats.PermutationRange(len(groups), 0, stats.FactorialInt(len(groups)), func(_ int, perm []int) bool {
-		ordered := make([][]int, len(perm))
-		for i, gi := range perm {
-			ordered[i] = groups[gi]
-		}
-		orders = append(orders, ordered)
-		return true
-	})
-	e := p.newOrderEval(multilevel.NewFillTable(p.instance(nil)), groups, len(orders))
-	for rank, ordered := range orders {
-		_, benchCost, _ = e.eval(rank, ordered) // the full fill, its table, the plan and the best
+	ranks := make([]int, stats.FactorialInt(len(groups)))
+	for r := range ranks {
+		ranks[r] = r
 	}
+	e := p.newOrderEval(multilevel.NewFillTable(p.instance(groups)))
+	_, _, best, _ := e.eval(ranks) // the full fill, its table, the prices and the best
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rank := i % len(orders)
-		_, benchCost, benchBool = e.eval(rank, orders[rank])
+		rank := ranks[i%len(ranks)]
+		benchCost = e.priced(rank)
+		benchBool = e.dearer(benchCost, best) || e.sameAsBest(rank)
 	}
 }

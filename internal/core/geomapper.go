@@ -28,16 +28,16 @@ import (
 // O(κ!·(M·N + E·log E)) for E communicating pairs: the fill keeps its
 // next-process candidates in a heap instead of rescanning all N processes
 // per placement, the O(κ!·N²) of a literal reading of the paper. With no
-// pinned process and no site set, orders that visit the same capacity
-// sequence share one fill (see multilevel.Fill), and each worker prices
-// every replayable order of its rank range in O(M²) from the recorded
-// placement's site-pair traffic. It replays and prices exactly, in
-// O(N + E), the cheapest-priced order, and then only the orders whose
-// price cannot prove them dearer (see orderEval). So on equal-capacity
-// sites the search costs one fill per worker, two O(M²) prices per
-// order and one exact pass per worker plus one per near-tie: 1 of 24
-// for a served 512-process request on one worker. The fill's seed order
-// and weighted neighbour rows are built once per Map and shared by every
+// pinned process and no site set, SearchOrders puts the orders that visit
+// the same capacity sequence into one key class, which one worker
+// evaluates from one fill (see multilevel.Fill): it prices every order of
+// the class in O(M²) from the fill's site-pair traffic, and replays and
+// prices exactly, in O(N + E), the cheapest-priced order and then only
+// the orders whose price cannot prove them dearer (see orderEval). So on
+// equal-capacity sites the search costs one fill, one O(M²) price per
+// order and one exact pass plus one per near-tie at any worker count: 1
+// of 24 for a served 512-process request. The fill's seed order and
+// weighted neighbour rows are built once per Map and shared by every
 // worker. The grouping step keeps κ small (the paper recommends κ ≤ 5)
 // so the order search stays tractable for large M.
 type GeoMapper struct {
@@ -56,12 +56,14 @@ type GeoMapper struct {
 	// BenchmarkAblationRefinement. Zero skips the sweep entirely.
 	RefinePasses int
 	// Workers is the number of goroutines evaluating group orders, passed
-	// to multilevel.SearchOrders: each worker owns its own multilevel.Fill
-	// over one shared multilevel.FillTable, and the reduction — minimum
-	// cost, ties broken by lowest lexicographic permutation rank — is
-	// deterministic, so the result is byte-identical for every worker
-	// count. Zero selects GOMAXPROCS; 1 runs the search serially on the
-	// calling goroutine.
+	// to multilevel.SearchOrders: workers take whole key classes, each
+	// with its own multilevel.Fill over one shared multilevel.FillTable,
+	// and the reduction — minimum cost, ties broken by lowest
+	// lexicographic permutation rank — is deterministic, so the result is
+	// byte-identical for every worker count. A search never runs more
+	// workers than it has classes: one on equal-capacity sites with no pin
+	// or site set. Zero selects GOMAXPROCS; 1 runs the search serially on
+	// the calling goroutine.
 	Workers int
 }
 
@@ -104,9 +106,9 @@ func (g *GeoMapper) Map(p *Problem) (Placement, error) {
 	if err != nil {
 		return nil, err
 	}
-	table := multilevel.NewFillTable(p.instance(nil))
-	best, _, ok := multilevel.SearchOrders(groups, stats.FactorialInt(len(groups)), g.Workers, func(_, hi int) multilevel.Eval {
-		return p.newOrderEval(table, groups, hi).eval
+	table := multilevel.NewFillTable(p.instance(groups))
+	best, _, ok := multilevel.SearchOrders(table, stats.FactorialInt(len(groups)), g.Workers, func() multilevel.Eval {
+		return p.newOrderEval(table).eval
 	})
 	if !ok {
 		return nil, fmt.Errorf("core: no placement produced")

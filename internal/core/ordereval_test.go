@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -61,11 +62,11 @@ func scanOrders(p *Problem, groups [][]int) (Placement, units.Cost) {
 }
 
 // TestOrderEvalCounts pins how much of the served 512-process search the
-// price-first plan removes: each worker fills once, prices every order of
-// its range from the table, runs Problem.Cost only on the cheapest-priced
-// one and skips every other order, the recorded one included. Three
-// workers split the 24 ranks unevenly. The placement must be the
-// reference scan's.
+// key classes and the price-first walk remove: every order visits the same
+// capacity sequence, so the search has one class, which one evaluator
+// fills once, prices from the table, runs Problem.Cost on the
+// cheapest-priced order only, and skips the other 23, at any worker
+// count. The placement must be the reference scan's.
 func TestOrderEvalCounts(t *testing.T) {
 	p := served512Problem(t)
 	groups, err := GroupSites(p.PC, 4, 1)
@@ -73,52 +74,55 @@ func TestOrderEvalCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := scanOrders(p, groups)
-	for _, c := range []struct{ workers, exact, pruned int }{
-		{1, 1, 23},
-		{2, 2, 22},
-		{3, 3, 21},
-	} {
+	for _, workers := range []int{1, 2, 3} {
 		var (
-			mu    sync.Mutex
-			evals []*orderEval
+			mu      sync.Mutex
+			evals   []*orderEval
+			classes int
 		)
-		table := multilevel.NewFillTable(p.instance(nil))
-		got, _, ok := multilevel.SearchOrders(groups, math.MaxInt, c.workers, func(_, hi int) multilevel.Eval {
-			e := p.newOrderEval(table, groups, hi)
+		table := multilevel.NewFillTable(p.instance(groups))
+		got, _, ok := multilevel.SearchOrders(table, math.MaxInt, workers, func() multilevel.Eval {
+			e := p.newOrderEval(table)
 			mu.Lock()
 			evals = append(evals, e)
 			mu.Unlock()
-			return e.eval
+			return func(ranks []int) (int, []int, units.Cost, bool) {
+				mu.Lock()
+				classes++ // each class's first order is a full fill
+				mu.Unlock()
+				return e.eval(ranks)
+			}
 		})
 		if !ok || !slices.Equal(got, want) {
-			t.Fatalf("workers=%d: placement %v, reference scan %v", c.workers, got, want)
+			t.Fatalf("workers=%d: placement %v, reference scan %v", workers, got, want)
 		}
-		fills, exact, pruned := 0, 0, 0
+		exact, pruned := 0, 0
 		for _, e := range evals {
-			fills += e.fill.Generation()
 			exact += e.exact
 			pruned += e.pruned
 		}
-		if fills != c.workers || exact != c.exact || pruned != c.pruned {
-			t.Errorf("workers=%d: %d full fills, %d exact costs, %d pruned; want %d, %d, %d",
-				c.workers, fills, exact, pruned, c.workers, c.exact, c.pruned)
+		if classes != 1 || exact != 1 || pruned != 23 {
+			t.Errorf("workers=%d: %d full fills, %d exact costs, %d pruned; want 1, 1, 23", workers, classes, exact, pruned)
 		}
 	}
 }
 
 // FuzzPricedSearchMatchesScan requires GeoMapper.Map, at one, two and
-// three workers (three split κ! unevenly, so a range edge can fall next
-// to the ahead order), to return the reference scan's placement bit for bit on
-// random small unpinned problems: κ ≤ 5, capacities from one or two
-// values, and links and traffic drawn from a few repeated values, or a
-// uniform cloud, so that relabellings tie exactly or within the last bits
-// (make fuzz runs it).
+// three workers, to return the reference scan's placement bit for bit on
+// random small problems: κ ≤ 5, capacities from one or two values, and
+// links and traffic drawn from a few repeated values, or a uniform cloud,
+// so that relabellings tie exactly or within the last bits. Unpinned
+// problems with two capacity values split the orders into several key
+// classes; pinned ones make every order its own class, so the workers
+// share one-rank classes (make fuzz runs it).
 func FuzzPricedSearchMatchesScan(f *testing.F) {
 	f.Add(int64(1), uint8(24), uint8(4), uint8(3), uint8(0))
 	f.Add(int64(2), uint8(30), uint8(6), uint8(5), uint8(1))
 	f.Add(int64(3), uint8(17), uint8(5), uint8(4), uint8(2))
 	f.Add(int64(4), uint8(40), uint8(6), uint8(4), uint8(3))
 	f.Add(int64(5), uint8(9), uint8(3), uint8(2), uint8(6))
+	f.Add(int64(6), uint8(30), uint8(5), uint8(4), uint8(0x80))
+	f.Add(int64(7), uint8(20), uint8(4), uint8(3), uint8(0x83))
 	f.Fuzz(func(t *testing.T, seed int64, n, m, kappa, mode uint8) {
 		p := pricedCase(seed, 1+int(n%48), 1+int(m%6), mode)
 		k := 1 + int(kappa)%min(p.M(), 5)
@@ -142,9 +146,10 @@ func FuzzPricedSearchMatchesScan(f *testing.F) {
 	})
 }
 
-// pricedCase builds an unpinned problem of n processes on m sites. Bit 0
-// of mode makes the cloud uniform, bit 1 gives every other site one more
-// node, and bit 2 adds one node of slack per site.
+// pricedCase builds a problem of n processes on m sites. Bit 0 of mode
+// makes the cloud uniform, bit 1 gives every other site one more node,
+// bit 2 adds one node of slack per site, and bit 7 pins 0–3 processes to
+// sites with room.
 func pricedCase(seed int64, n, m int, mode uint8) *Problem {
 	rng := stats.NewRand(seed)
 	pick := func(vals ...float64) float64 { return vals[rng.Intn(len(vals))] }
@@ -176,21 +181,36 @@ func pricedCase(seed int64, n, m int, mode uint8) *Problem {
 			capacity[k]++
 		}
 	}
-	return &Problem{Comm: g, LT: lt, BT: bt, PC: pc, Capacity: capacity, Constraint: mat.NewIntVec(n, Unconstrained)}
+	constraint := mat.NewIntVec(n, Unconstrained)
+	if mode&0x80 != 0 {
+		pinned := make([]int, m)
+		for k := rng.Intn(4); k > 0; k-- {
+			if i, s := rng.Intn(n), rng.Intn(m); constraint[i] == Unconstrained && pinned[s] < capacity[s] {
+				constraint[i] = s
+				pinned[s]++
+			}
+		}
+	}
+	return &Problem{Comm: g, LT: lt, BT: bt, PC: pc, Capacity: capacity, Constraint: constraint}
 }
 
-// BenchmarkMapServed512 measures GeoMapper.Map on one worker for the
-// served 512-process shape: the site grouping, the fill table, one fill,
-// the plan's 24 table prices and the exact passes.
+// BenchmarkMapServed512 measures GeoMapper.Map for the served
+// 512-process shape at one and two workers: the site grouping, the fill
+// table, the key classes, one fill, 24 table prices and one exact pass.
+// The orders share one key, so the second worker gets no class and runs
+// no goroutine.
 func BenchmarkMapServed512(b *testing.B) {
 	p := served512Problem(b)
 	p.Comm.CSR()
-	g := &GeoMapper{Seed: 1, Workers: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.Map(p); err != nil {
-			b.Fatal(err)
-		}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			g := &GeoMapper{Seed: 1, Workers: workers}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := g.Map(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

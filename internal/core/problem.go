@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"geoprocmap/internal/comm"
 	"geoprocmap/internal/geo"
@@ -65,9 +66,13 @@ func (p *Problem) N() int { return p.Comm.N() }
 func (p *Problem) M() int { return len(p.Capacity) }
 
 // Validate checks the structural invariants of the problem instance:
-// matching dimensions, positive capacities and bandwidths, non-negative
-// latencies (no link may be NaN), a feasible constraint vector, and total
-// capacity at least N.
+// matching dimensions, positive capacities, finite positive bandwidths,
+// finite non-negative latencies, finite traffic totals, a feasible
+// constraint vector, and total capacity at least N. Every admitted value
+// has a JSON form, so WriteJSON can write any valid problem: AddTraffic
+// rejects negative and NaN traffic, and a sum of non-negative terms
+// rounds no lower for more terms, so finite totals bound every pair's
+// volume and message count.
 func (p *Problem) Validate() error {
 	if p.Comm == nil {
 		return fmt.Errorf("core: nil communication pattern")
@@ -95,13 +100,16 @@ func (p *Problem) Validate() error {
 		for l := 0; l < m; l++ {
 			// Negated, so that NaN fails too: every comparison with NaN is
 			// false, and a NaN link would never price below anything.
-			if !(p.BT.At(k, l) > 0) {
-				return fmt.Errorf("core: BT(%d,%d) = %g, want > 0", k, l, p.BT.At(k, l))
+			if bt := p.BT.At(k, l); !(bt > 0 && bt <= math.MaxFloat64) {
+				return fmt.Errorf("core: BT(%d,%d) = %g, want finite and > 0", k, l, bt)
 			}
-			if !(p.LT.At(k, l) >= 0) {
-				return fmt.Errorf("core: LT(%d,%d) = %g, want >= 0", k, l, p.LT.At(k, l))
+			if lt := p.LT.At(k, l); !(lt >= 0 && lt <= math.MaxFloat64) {
+				return fmt.Errorf("core: LT(%d,%d) = %g, want finite and >= 0", k, l, lt)
 			}
 		}
+	}
+	if vol, msgs := p.Comm.TotalVolume(), p.Comm.TotalMsgs(); math.IsInf(vol, 0) || math.IsInf(msgs, 0) {
+		return fmt.Errorf("core: total traffic is %g bytes in %g messages, want finite", vol, msgs)
 	}
 	total := 0
 	for j, c := range p.Capacity {

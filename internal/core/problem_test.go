@@ -52,6 +52,13 @@ func TestValidateFailures(t *testing.T) {
 		{"negative latency", func(p *Problem) { p.LT.Set(1, 0, -1) }},
 		{"NaN bandwidth", func(p *Problem) { p.BT.Set(0, 1, math.NaN()) }},
 		{"NaN latency", func(p *Problem) { p.LT.Set(1, 0, math.NaN()) }},
+		{"infinite bandwidth", func(p *Problem) { p.BT.Set(0, 0, math.Inf(1)) }},
+		{"infinite latency", func(p *Problem) { p.LT.Set(1, 0, math.Inf(1)) }},
+		{"infinite volume", func(p *Problem) { p.Comm.AddTraffic(1, 2, math.Inf(1), 1) }},
+		{"overflowing messages", func(p *Problem) {
+			p.Comm.AddTraffic(1, 2, 1, math.MaxFloat64)
+			p.Comm.AddTraffic(3, 0, 1, math.MaxFloat64)
+		}},
 		{"zero capacity", func(p *Problem) { p.Capacity[0] = 0 }},
 		{"insufficient capacity", func(p *Problem) { p.Capacity = mat.IntVec{1, 2} }},
 		{"constraint length", func(p *Problem) { p.Constraint = p.Constraint[:2] }},

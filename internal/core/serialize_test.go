@@ -186,13 +186,41 @@ func edgeTo(g *comm.Graph, i, j int) comm.Edge {
 	return comm.Edge{}
 }
 
+// TestValidateAgreesWithWriteJSON pins that every problem Validate
+// admits has a JSON form: a +Inf link, which WriteJSON cannot encode, is
+// rejected, and WriteJSON succeeds on valid problems in every jsonCase
+// mode, arbitrary bit patterns included.
+func TestValidateAgreesWithWriteJSON(t *testing.T) {
+	p := twoSiteProblem()
+	p.BT.Set(0, 0, math.Inf(1))
+	if err := p.WriteJSON(io.Discard); err == nil {
+		t.Fatal("WriteJSON encoded a +Inf bandwidth")
+	}
+	if err := p.Validate(); err == nil {
+		t.Fatal("Validate accepted a +Inf bandwidth")
+	}
+	for seed := int64(1); seed <= 100; seed++ {
+		mode := uint8(seed % 8)
+		p := jsonCase(seed, 1+int(seed%40), 1+int(seed%6), mode)
+		if p.Validate() != nil {
+			continue
+		}
+		if err := p.WriteJSON(io.Discard); err != nil {
+			t.Fatalf("seed %d, mode %d: WriteJSON of a valid problem: %v", seed, mode, err)
+		}
+	}
+}
+
 // FuzzProblemJSONRoundTrip requires WriteJSON followed by ReadJSON to
 // reproduce a random valid problem bit for bit: N, the frozen rows of the
 // communication graph, both link matrices, the coordinates, capacities,
 // pins and allowed sets, nil and empty sets kept apart (make fuzz runs
-// it). Bit 0 of mode draws traffic and links from arbitrary finite bit
-// patterns, subnormals included, rather than round values; bit 1 adds
-// pins and bit 2 allowed sets, some of them empty.
+// it). Bit 0 of mode draws traffic and links from arbitrary bit
+// patterns, keeping those Validate and AddTraffic admit (subnormals,
+// negative zeros and infinite traffic included), rather than round
+// values; bit 1 adds pins and bit 2 allowed sets, some of them empty.
+// Inputs whose traffic total overflows are not valid problems and are
+// skipped.
 func FuzzProblemJSONRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(3), uint8(0))
 	f.Add(int64(2), uint8(20), uint8(4), uint8(7))
@@ -201,7 +229,10 @@ func FuzzProblemJSONRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, m, mode uint8) {
 		p := jsonCase(seed, 1+int(n%40), 1+int(m%6), mode)
 		if err := p.Validate(); err != nil {
-			t.Fatalf("jsonCase built an invalid problem: %v", err)
+			if !math.IsInf(p.Comm.TotalVolume(), 1) && !math.IsInf(p.Comm.TotalMsgs(), 1) {
+				t.Fatalf("jsonCase built an invalid problem: %v", err)
+			}
+			return // the drawn traffic overflowed its total: not a valid problem
 		}
 		var buf bytes.Buffer
 		if err := p.WriteJSON(&buf); err != nil {
@@ -249,32 +280,34 @@ func FuzzProblemJSONRoundTrip(f *testing.F) {
 // FuzzProblemJSONRoundTrip; see its doc for mode.
 func jsonCase(seed int64, n, m int, mode uint8) *Problem {
 	rng := stats.NewRand(seed)
-	// value draws a finite, non-negative float: arbitrary bits under mode
-	// bit 0, else a small multiple of a power of ten.
-	value := func() float64 {
-		if mode&1 == 0 {
-			return float64(rng.Intn(5)) * math.Pow(10, float64(rng.Intn(13)-3))
-		}
+	// draw returns a value admit accepts, drawn from arbitrary bits under
+	// mode bit 0, else a small multiple of a power of ten.
+	draw := func(admit func(float64) bool) float64 {
 		for {
-			if v := math.Float64frombits(rng.Uint64() &^ (1 << 63)); !math.IsInf(v, 0) && !math.IsNaN(v) {
+			var v float64
+			if mode&1 == 0 {
+				v = float64(rng.Intn(5)) * math.Pow(10, float64(rng.Intn(13)-3))
+			} else {
+				v = math.Float64frombits(rng.Uint64())
+			}
+			if admit(v) {
 				return v
 			}
 		}
 	}
+	traffic := func(v float64) bool { return v >= 0 } // what AddTraffic admits
+	latency := func(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+	bandwidth := func(v float64) bool { return v > 0 && v <= math.MaxFloat64 }
 	g := comm.NewGraph(n)
 	for e := rng.Intn(4 * n); e > 0; e-- {
-		g.AddTraffic(rng.Intn(n), rng.Intn(n), value(), value())
+		g.AddTraffic(rng.Intn(n), rng.Intn(n), draw(traffic), draw(traffic))
 	}
 	lt, bt := mat.NewSquare(m), mat.NewSquare(m)
 	pc := make([]geo.LatLon, m)
 	for k := 0; k < m; k++ {
 		for l := 0; l < m; l++ {
-			lt.Set(k, l, value())
-			b := value()
-			for b == 0 {
-				b = value()
-			}
-			bt.Set(k, l, b)
+			lt.Set(k, l, draw(latency))
+			bt.Set(k, l, draw(bandwidth))
 		}
 		pc[k] = geo.LatLon{Lat: 180*rng.Float64() - 90, Lon: 360*rng.Float64() - 180}
 	}

@@ -2,6 +2,7 @@ package multilevel
 
 import (
 	"cmp"
+	"encoding/binary"
 	"math"
 	"slices"
 	"sync"
@@ -56,14 +57,15 @@ import (
 // onto the new order's sites instead of filling again. The replay leaves
 // the placement, selected, avail and members (with each site's member
 // order) exactly as the full fill would, which the initial map's leftover
-// repair reads. On the paper's equal-capacity clouds every order shares
-// one key, so a κ! search costs one fill per worker plus at most κ!
-// replays. A pinned vertex or an allowed set ties a pick to one site's
-// label, which the capacity sequence cannot see, so those levels always
-// fill in full.
+// repair reads. SearchOrders hands every order of one key to one
+// evaluator, so a search runs one full fill per distinct key at any
+// worker count: one on the paper's equal-capacity clouds, with every
+// other order a replay. A pinned vertex or an allowed set ties a pick to
+// one site's label, which the capacity sequence cannot see, so those
+// levels always fill in full.
 //
-// Relabel and Generation let a caller price a replay before running it,
-// as core.GeoMapper does from the recorded placement's site-pair traffic.
+// Order and Visits let a caller price a replay before running it, as
+// core.GeoMapper does from the recorded placement's site-pair traffic.
 type Fill struct {
 	*FillTable
 
@@ -73,18 +75,17 @@ type Fill struct {
 	avail     []int
 	members   [][]int // vertices currently placed per site
 	pl        []int
-	groupDone []bool // scratch for the site-selection loop, len M
+	groupDone []bool  // scratch for the site-selection loop, len M
+	ordered   [][]int // scratch: one order of the instance's groups
 
 	// Replay state for a symmetric level; see the type doc.
 	visits   []int  // scratch: the sites this Run visits, in order, len M
 	visited  []bool // scratch: sites already in visits, len M
 	key      []int  // key[:nKey]: the capacities of the last full fill's visits
-	sites    []int  // sites[:nKey]: the sites that fill visited, in order
 	nKey     int
-	recorded bool  // key, sites, picks and ends describe a full fill
+	recorded bool  // key, picks and ends describe a full fill
 	picks    []int // that fill's vertices, site by site in visit order, len n
 	ends     []int // picks[ends[i-1]:ends[i]] went to its i-th visited site
-	gen      int   // fills recorded
 	fullRuns int   // full fills run, for tests
 }
 
@@ -231,13 +232,14 @@ func NewFill(t *FillTable) *Fill {
 		members:   make([][]int, m),
 		pl:        make([]int, n),
 		groupDone: make([]bool, m),
+		ordered:   make([][]int, len(t.in.Groups)),
 		visited:   make([]bool, m),
 	}
-	// One block backs the replay's int buffers: visits, key, sites and
-	// ends of len M, then picks of len n.
-	replay := make([]int, 4*m+n)
-	f.visits, f.key, f.sites, f.ends = replay[:m:m], replay[m:2*m:2*m], replay[2*m:3*m:3*m], replay[3*m:4*m:4*m]
-	f.picks = replay[4*m:]
+	// One block backs the replay's int buffers: visits, key and ends of
+	// len M, then picks of len n.
+	replay := make([]int, 3*m+n)
+	f.visits, f.key, f.ends = replay[:m:m], replay[m:2*m:2*m], replay[2*m:3*m:3*m]
+	f.picks = replay[3*m:]
 	return f
 }
 
@@ -266,7 +268,7 @@ func (f *Fill) Run(orderedGroups [][]int) []int {
 		f.fill(orderedGroups)
 		return f.pl
 	}
-	nv, ok := f.visitOrder(orderedGroups)
+	nv, ok := f.visitOrder(orderedGroups, f.visits, f.visited, f.groupDone)
 	switch {
 	case !ok:
 		f.fill(orderedGroups)
@@ -279,27 +281,38 @@ func (f *Fill) Run(orderedGroups [][]int) []int {
 	return f.pl
 }
 
-// Relabel reports whether Run(orderedGroups) would replay the recorded
-// fill, and if so returns the sites that fill visited and the sites
-// orderedGroups visits, index for index: the replay puts on current[i]
-// exactly what the recorded fill put on recorded[i]. Both slices alias
-// the Fill's scratch and stay valid until its next Run or Relabel.
+// Order returns the instance's groups in the order of the permutation
+// stats.PermutationUnrank decodes from rank, in scratch the next Order
+// reuses: digit i of the rank picks among the groups not yet placed, kept
+// in index order in ordered[i:].
 //
 //geolint:allocfree
-func (f *Fill) Relabel(orderedGroups [][]int) (recorded, current []int, ok bool) {
-	if !f.symmetric || !f.recorded {
-		return nil, nil, false
+func (f *Fill) Order(rank int) [][]int {
+	ordered := f.ordered
+	k := copy(ordered, f.in.Groups)
+	base := stats.FactorialInt(k)
+	for i := range k {
+		base /= k - i
+		d := i + rank/base
+		rank %= base
+		g := ordered[d]
+		copy(ordered[i+1:d+1], ordered[i:d])
+		ordered[i] = g
 	}
-	nv, ok := f.visitOrder(orderedGroups)
-	if !ok || !f.sameKey(nv) {
-		return nil, nil, false
-	}
-	return f.sites[:nv], f.visits[:nv], true
+	return ordered
 }
 
-// Generation returns the number of fills Run has recorded, so it changes
-// exactly when the fill Relabel refers to does.
-func (f *Fill) Generation() int { return f.gen }
+// Visits returns the sites Run(orderedGroups) visits, in order, for an
+// order of a key class of several ranks (see SearchOrders). Run puts on
+// the i-th site one order of the class visits what it puts on the i-th
+// site any other visits. The slice is scratch the next Run or Visits
+// reuses.
+//
+//geolint:allocfree
+func (f *Fill) Visits(orderedGroups [][]int) []int {
+	nv, _ := f.visitOrder(orderedGroups, f.visits, f.visited, f.groupDone)
+	return f.visits[:nv]
+}
 
 // reset empties the placement and restores every site's capacity.
 func (f *Fill) reset() {
@@ -325,38 +338,69 @@ func nextSite(group []int, done []bool, room []int) int {
 	return best
 }
 
-// visitOrder writes into f.visits the sites a fill of orderedGroups on a
-// symmetric level visits, in order, and returns their count. With no pins,
-// a site's room when its group picks the next site is still its capacity,
-// so this is fill's own site selection run ahead of the picks. It reports
-// false when a site appears twice, which fill would visit again with what
-// it already holds, so no key describes the run.
-func (f *Fill) visitOrder(orderedGroups [][]int) (int, bool) {
-	for s := range f.visited {
-		f.visited[s] = false
-	}
+// visitOrder writes into visits the sites a fill of orderedGroups on a
+// symmetric level visits, in order, and returns their count; visited and
+// done are its scratch, each len M. With no pins, a site's room when its
+// group picks the next site is still its capacity, so this is fill's own
+// site selection run ahead of the picks. It reports false when a site
+// appears twice, which fill would visit again with what it already
+// holds, so no key describes the run.
+func (t *FillTable) visitOrder(orderedGroups [][]int, visits []int, visited, done []bool) (int, bool) {
+	clear(visited)
 	nv := 0
 	for _, group := range orderedGroups {
-		done := f.groupDone[:len(group)]
-		for i := range done {
-			done[i] = false
-		}
+		done := done[:len(group)]
+		clear(done)
 		for range group {
-			idx := nextSite(group, done, f.in.Capacity)
+			idx := nextSite(group, done, t.in.Capacity)
 			if idx == -1 {
 				break
 			}
 			done[idx] = true
 			site := group[idx]
-			if f.visited[site] {
+			if visited[site] {
 				return 0, false
 			}
-			f.visited[site] = true
-			f.visits[nv] = site
+			visited[site] = true
+			visits[nv] = site
 			nv++
 		}
 	}
 	return nv, true
+}
+
+// keyClasses returns the key classes of the ranks [0, limit) (see
+// SearchOrders), each in ascending rank order, ordered by lowest rank.
+func (t *FillTable) keyClasses(limit int) [][]int {
+	m, groups := t.in.M(), t.in.Groups
+	visits, flags := make([]int, m), make([]bool, 2*m)
+	ordered := make([][]int, len(groups))
+	index := make(map[string]int) // a key's class
+	var classes [][]int
+	var key []byte
+	stats.PermutationRange(len(groups), 0, limit, func(rank int, perm []int) bool {
+		for i, gi := range perm {
+			ordered[i] = groups[gi]
+		}
+		nv, ok := t.visitOrder(ordered, visits, flags[:m], flags[m:])
+		if !t.symmetric || !ok {
+			classes = append(classes, []int{rank})
+			return true
+		}
+		// Varints are prefix-free, so equal keys mean equal sequences.
+		key = key[:0]
+		for _, s := range visits[:nv] {
+			key = binary.AppendVarint(key, int64(t.in.Capacity[s]))
+		}
+		if c, seen := index[string(key)]; seen {
+			classes[c] = append(classes[c], rank)
+		} else {
+			index[string(key)] = len(classes)
+			classes = append(classes, []int{rank})
+		}
+		return true
+	})
+	return classes
 }
 
 // sameKey reports whether the nv sites in f.visits have the recorded
@@ -380,12 +424,10 @@ func (f *Fill) record(nv int) {
 	k := 0
 	for i, s := range f.visits[:nv] {
 		f.key[i] = f.in.Capacity[s]
-		f.sites[i] = s
 		k += copy(f.picks[k:], f.members[s])
 		f.ends[i] = k
 	}
 	f.nKey, f.recorded = nv, true
-	f.gen++
 }
 
 // replay places the recorded picks onto the sites in f.visits[:nv], the
@@ -601,81 +643,76 @@ func (f *Fill) addAffinity(v int) {
 	}
 }
 
-// Eval fills, repairs and prices the order of the site groups with the
-// given rank. It returns the placement, which it may reuse on its next
-// call, the placement's cost, and false when the order admits no feasible
-// placement or when it provably costs no less than a placement this
-// evaluator already returned, or more than one it will return for a
-// later rank of its range. An evaluator belongs to one SearchOrders
-// worker, which keeps the first strict minimum of what it returned, so
-// skipping such an order leaves the search's result unchanged.
-type Eval func(rank int, orderedGroups [][]int) (pl []int, cost units.Cost, ok bool)
+// Eval evaluates a key class of orders (see SearchOrders), given by their
+// ascending ranks, which Fill.Order decodes. It returns the rank of the
+// cheapest feasible order, the lowest on a tie, with its placement, which
+// it may reuse on its next call, and its cost, or ok == false when no
+// order of the class is feasible. It may skip an order that provably
+// costs more than another of the class or repeats a lower rank's
+// placement.
+type Eval func(ranks []int) (rank int, pl []int, cost units.Cost, ok bool)
 
 // SearchOrders is the outer loop of the paper's Algorithm 1, and the
-// repository's only group-order search: it evaluates the orders of
-// groups whose lexicographic rank lies in [0, limit), with limit clamped to
-// κ!, and returns a copy of the cheapest feasible placement with its cost,
-// or ok == false when every examined order is infeasible.
+// repository's only group-order search: it evaluates the orders of the
+// site groups of t's instance whose lexicographic rank lies in
+// [0, limit), with limit clamped to κ!, and returns a copy of the
+// cheapest feasible placement with its cost, or ok == false when every
+// examined order is infeasible.
 //
-// The ranks are split into contiguous ranges, one per worker (workers ≤ 0
-// selects GOMAXPROCS, and there are never more workers than ranks); each
-// worker evaluates its range [lo, hi) in ascending rank order with its
-// own evaluator from newEval(lo, hi), calling it once per rank, and keeps
-// the first strict minimum. The reduction takes the minimum cost and, on
-// an exact tie, the lower range, so the lowest rank wins and the result
-// is byte-identical at any worker count. One worker runs on the calling
-// goroutine.
-func SearchOrders(groups [][]int, limit, workers int, newEval func(lo, hi int) Eval) (best []int, cost units.Cost, ok bool) {
-	k := len(groups)
-	limit = min(limit, stats.FactorialInt(k))
-	workers = min(workerCount(workers), limit)
-	results := make([]orderRange, workers)
+// Before any fill it puts the ranks into key classes: on a symmetric
+// level, the ranks whose orders visit the same capacity sequence and so
+// replay one fill (see Fill); on other levels, or for an order that
+// visits a site twice, each rank alone. Worker w of W takes the classes
+// w, w+W, … with its own evaluator from newEval, so each key is filled
+// once at any worker count (workers ≤ 0 selects GOMAXPROCS, never more
+// than the classes; worker 0 runs on the calling goroutine). The
+// reduction keeps the minimum cost and, on a tie, the lowest rank, so the
+// result is byte-identical at any worker count.
+func SearchOrders(t *FillTable, limit, workers int, newEval func() Eval) (best []int, cost units.Cost, ok bool) {
+	limit = min(limit, stats.FactorialInt(len(t.in.Groups)))
+	classes := t.keyClasses(limit)
+	workers = max(1, min(workerCount(workers), len(classes)))
+	results := make([]orderResult, workers)
 	search := func(w int) {
 		r := &results[w]
-		r.cost = units.Cost(math.Inf(1))
-		lo, hi := w*limit/workers, (w+1)*limit/workers
-		eval := newEval(lo, hi)
-		ordered := make([][]int, k)
-		stats.PermutationRange(k, lo, hi, func(rank int, perm []int) bool {
-			for i, gi := range perm {
-				ordered[i] = groups[gi]
-			}
-			if pl, c, ok := eval(rank, ordered); ok && c < r.cost {
+		eval := newEval()
+		for c := w; c < len(classes); c += workers {
+			if rank, pl, cost, ok := eval(classes[c]); ok && r.worse(cost, rank) {
 				r.best = append(r.best[:0], pl...)
-				r.cost = c
-				r.found = true
+				r.cost, r.rank, r.found = cost, rank, true
 			}
-			return true
-		})
-	}
-	if workers == 1 {
-		search(0)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				search(w)
-			}(w)
-		}
-		wg.Wait()
-	}
-	bi := -1
-	for w := range results {
-		if results[w].found && (bi < 0 || results[w].cost < results[bi].cost) {
-			bi = w
 		}
 	}
-	if bi < 0 {
-		return nil, 0, false
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			search(w)
+		}()
 	}
-	return results[bi].best, results[bi].cost, true
+	search(0)
+	wg.Wait()
+	win := &results[0]
+	for w := range results[1:] {
+		if r := &results[w+1]; r.found && win.worse(r.cost, r.rank) {
+			win = r
+		}
+	}
+	return win.best, win.cost, win.found
 }
 
-// orderRange is one worker's cheapest feasible order in its rank range.
-type orderRange struct {
+// orderResult is the cheapest feasible order of the classes one worker
+// took.
+type orderResult struct {
 	best  []int
 	cost  units.Cost
+	rank  int
 	found bool
+}
+
+// worse reports whether r is empty or loses to an order of the given
+// cost and rank.
+func (r *orderResult) worse(cost units.Cost, rank int) bool {
+	return !r.found || cost < r.cost || cost == r.cost && rank < r.rank
 }

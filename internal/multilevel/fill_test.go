@@ -137,29 +137,36 @@ func BenchmarkAllocFill512Shared(b *testing.B) {
 }
 
 // TestFillSharesSymmetricOrders checks when SearchOrders' fills replay:
-// on the unpinned, equal-capacity served instance every order has one
-// key, so each worker fills once; a pinned vertex or an allowed-site set
-// turns the replay off; with two capacity values a worker fills again
-// exactly when an order's capacity sequence differs from the previous
-// order's. Every search must return the placement of a search whose
-// fills never replay.
+// every key class is filled once and replayed for its other orders, so
+// full fills equal the distinct capacity sequences at every worker count.
+// On the unpinned, equal-capacity served instance that is one fill; a
+// pinned vertex or an allowed-site set turns the replay off; two capacity
+// values give several keys. Every search must return the placement of a
+// search whose fills never replay.
 func TestFillSharesSymmetricOrders(t *testing.T) {
 	search := func(in *Instance, workers int, share bool) ([]int, int) {
 		var mu sync.Mutex
 		var fills []*Fill
 		table := NewFillTable(in)
-		best, _, ok := SearchOrders(in.Groups, math.MaxInt, workers, func(_, _ int) Eval {
+		best, _, ok := SearchOrders(table, math.MaxInt, workers, func() Eval {
 			f := NewFill(table)
 			mu.Lock()
 			fills = append(fills, f)
 			mu.Unlock()
-			return func(_ int, ordered [][]int) ([]int, units.Cost, bool) {
-				f.recorded = f.recorded && share
-				pl := f.Run(ordered)
-				if slices.Contains(pl, -1) {
-					return nil, 0, false // a site set stranded a vertex
+			return func(ranks []int) (int, []int, units.Cost, bool) {
+				var best []int
+				rank, cost := -1, units.Cost(math.Inf(1))
+				for _, r := range ranks {
+					f.recorded = f.recorded && share
+					pl := f.Run(f.Order(r))
+					if slices.Contains(pl, -1) {
+						continue // a site set stranded a vertex
+					}
+					if c := in.Cost(pl); c < cost {
+						best, rank, cost = slices.Clone(pl), r, c
+					}
 				}
-				return pl, in.Cost(pl), true
+				return rank, best, cost, best != nil
 			}
 		})
 		if !ok {
@@ -171,52 +178,47 @@ func TestFillSharesSymmetricOrders(t *testing.T) {
 		}
 		return best, full
 	}
-	check := func(name string, in *Instance, workers, wantFull int) {
+	// keys counts the distinct capacity sequences of in's orders: one site
+	// per group, so a key is the capacities in group order.
+	keys := func(in *Instance) int {
+		seen := map[string]bool{}
+		stats.PermutationRange(len(in.Groups), 0, stats.FactorialInt(len(in.Groups)), func(_ int, perm []int) bool {
+			key := ""
+			for _, gi := range perm {
+				key += fmt.Sprint(in.Capacity[in.Groups[gi][0]], " ")
+			}
+			seen[key] = true
+			return true
+		})
+		return len(seen)
+	}
+	check := func(name string, in *Instance, wantFull int) {
 		t.Helper()
-		got, full := search(in, workers, true)
-		if full != wantFull {
-			t.Errorf("%s, workers=%d: %d full fills, want %d", name, workers, full, wantFull)
-		}
-		if want, _ := search(in, workers, false); !slices.Equal(got, want) {
-			t.Errorf("%s, workers=%d: shared fills place %v, full fills %v", name, workers, got, want)
+		for _, workers := range []int{1, 2, 3} {
+			got, full := search(in, workers, true)
+			if full != wantFull {
+				t.Errorf("%s, workers=%d: %d full fills, want %d", name, workers, full, wantFull)
+			}
+			if want, _ := search(in, 1, false); !slices.Equal(got, want) {
+				t.Errorf("%s, workers=%d: shared fills place %v, full fills %v", name, workers, got, want)
+			}
 		}
 	}
 
-	in := served512(t)
-	check("symmetric", in, 1, 1)
-	check("symmetric", in, 2, 2)
-	one, _ := search(in, 1, true)
-	if two, _ := search(in, 2, true); !slices.Equal(one, two) {
-		t.Error("symmetric: placements differ between 1 and 2 workers")
-	}
-
+	check("symmetric", served512(t), 1)
 	pinned := served512(t)
 	pinned.Pin[0] = 3
-	check("one pinned vertex", pinned, 1, 24)
+	check("one pinned vertex", pinned, 24)
 	restricted := served512(t)
 	restricted.Allowed = make([][]int, restricted.G.n)
 	restricted.Allowed[5] = []int{0, 2}
-	check("one site set", restricted, 1, 24)
-
-	// Two capacity values: the predicted count is one fill for the first
-	// order plus one for every order whose key differs from its
-	// predecessor's (one site per group, so the key is the capacities in
-	// group order).
+	check("one site set", restricted, 24)
 	twoValues := served512(t)
 	twoValues.Capacity = []int{160, 200, 160, 200}
-	want, prev := 0, ""
-	stats.PermutationRange(4, 0, 24, func(_ int, perm []int) bool {
-		key := fmt.Sprint(twoValues.Capacity[perm[0]], twoValues.Capacity[perm[1]], twoValues.Capacity[perm[2]], twoValues.Capacity[perm[3]])
-		if key != prev {
-			want++
-		}
-		prev = key
-		return true
-	})
-	if want <= 1 || want >= 24 {
-		t.Fatalf("key rule predicts %d full fills; the fixture should share some orders and not others", want)
+	if k := keys(twoValues); k != 6 {
+		t.Fatalf("two capacity values give %d keys, want 4!/(2!·2!) = 6", k)
 	}
-	check("two capacity values", twoValues, 1, want)
+	check("two capacity values", twoValues, 6)
 }
 
 // TestFillDoesNotAllocatePerOrder locks in the fill's no-reallocation
@@ -252,16 +254,15 @@ func TestReferenceWeightsSingleSite(t *testing.T) {
 // TestSearchOrdersMatchesSerialScan checks the shared order search against
 // a brute-force serial scan of the ranks [0, min(limit, κ!)): the same
 // placement and cost at every worker count, including more workers than
-// ranks. The evaluator prices an order by a coarse function of its
-// permutation, so many orders tie on cost and the lowest rank must win,
-// and it reports every fifth code infeasible; an evaluator that rejects
-// every order must leave the search not-ok.
+// classes, on a level whose capacity sequences split the orders into six
+// key classes and on a pinned one, where each rank is its own class. The
+// evaluator prices an order by a coarse function of its permutation, so
+// many orders tie on cost and the lowest rank must win, and it reports
+// every fifth code infeasible; an evaluator that rejects every order must
+// leave the search not-ok. Every rank must reach exactly one evaluator
+// call, in a class of ascending ranks whose orders share one key.
 func TestSearchOrdersMatchesSerialScan(t *testing.T) {
 	const k = 4
-	groups := make([][]int, k)
-	for i := range groups {
-		groups[i] = []int{i}
-	}
 	code := func(ordered [][]int) int {
 		c := 0
 		for i, g := range ordered {
@@ -269,56 +270,118 @@ func TestSearchOrdersMatchesSerialScan(t *testing.T) {
 		}
 		return c
 	}
-	newEval := func(feasible func(c int) bool) func(lo, hi int) Eval {
-		return func(lo, hi int) Eval {
-			pl := make([]int, k)
-			next := lo
-			return func(rank int, ordered [][]int) ([]int, units.Cost, bool) {
-				if rank != next || rank >= hi {
-					t.Errorf("evaluator of ranks [%d, %d) called at rank %d, want %d", lo, hi, rank, next)
+	symmetric := served512(t)
+	symmetric.Capacity = []int{160, 200, 160, 200}
+	pinned := served512(t)
+	pinned.Pin[0] = 3
+	for _, in := range []*Instance{symmetric, pinned} {
+		table := NewFillTable(in)
+		order := func(rank int) (ordered [][]int) {
+			for _, gi := range stats.PermutationUnrank(k, rank) {
+				ordered = append(ordered, in.Groups[gi])
+			}
+			return ordered
+		}
+		key := func(rank int) string {
+			if !table.symmetric {
+				return fmt.Sprint(rank)
+			}
+			var capacities []int
+			for _, g := range order(rank) {
+				capacities = append(capacities, in.Capacity[g[0]])
+			}
+			return fmt.Sprint(capacities)
+		}
+		newEval := func(feasible func(c int) bool, seen []int) func() Eval {
+			var mu sync.Mutex
+			return func() Eval {
+				pl := make([]int, k)
+				return func(ranks []int) (int, []int, units.Cost, bool) {
+					if !slices.IsSorted(ranks) {
+						t.Errorf("class %v not in ascending rank order", ranks)
+					}
+					rank, cost := -1, units.Cost(math.Inf(1))
+					for _, r := range ranks {
+						mu.Lock()
+						seen[r]++
+						mu.Unlock()
+						if key(r) != key(ranks[0]) {
+							t.Errorf("class %v: rank %d has key %s, rank %d key %s", ranks, r, key(r), ranks[0], key(ranks[0]))
+						}
+						c := code(order(r))
+						if feasible(c) && units.Cost(c%4) < cost {
+							rank, cost = r, units.Cost(c%4)
+						}
+					}
+					if rank < 0 {
+						return 0, nil, 0, false
+					}
+					for i, g := range order(rank) {
+						pl[i] = g[0]
+					}
+					return rank, pl, cost, true
 				}
-				next++
-				c := code(ordered)
-				if !feasible(c) {
-					return nil, 0, false
+			}
+		}
+		someInfeasible := func(c int) bool { return c%5 != 0 }
+		total := stats.FactorialInt(k)
+		for _, limit := range []int{1, 5, total, 720} {
+			// Brute force: the first strict minimum in ascending rank order.
+			var want []int
+			wantCost := units.Cost(math.Inf(1))
+			for rank := 0; rank < min(limit, total); rank++ {
+				ordered := order(rank)
+				if c := code(ordered); someInfeasible(c) && units.Cost(c%4) < wantCost {
+					want, wantCost = nil, units.Cost(c%4)
+					for _, g := range ordered {
+						want = append(want, g[0])
+					}
 				}
-				for i, g := range ordered {
-					pl[i] = g[0]
+			}
+			for _, workers := range []int{1, 2, 3, 8, limit + 1} {
+				seen := make([]int, total)
+				got, cost, ok := SearchOrders(table, limit, workers, newEval(someInfeasible, seen))
+				for r, n := range seen {
+					calls := 0
+					if r < min(limit, total) {
+						calls = 1
+					}
+					if n != calls {
+						t.Errorf("symmetric=%v limit=%d workers=%d: rank %d evaluated %d times, want %d", table.symmetric, limit, workers, r, n, calls)
+					}
 				}
-				return pl, units.Cost(c % 4), true
+				if want == nil {
+					if ok {
+						t.Errorf("limit=%d workers=%d: found %v, want no feasible order", limit, workers, got)
+					}
+					continue
+				}
+				if !ok || cost != wantCost || fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("symmetric=%v limit=%d workers=%d: got %v cost %v ok %v, want %v cost %v", table.symmetric, limit, workers, got, cost, ok, want, wantCost)
+				}
+				if _, _, ok := SearchOrders(table, limit, workers, newEval(func(int) bool { return false }, make([]int, total))); ok {
+					t.Errorf("limit=%d workers=%d: all-infeasible search reported ok", limit, workers)
+				}
 			}
 		}
 	}
-	someInfeasible := func(c int) bool { return c%5 != 0 }
-	total := stats.FactorialInt(k)
-	for _, limit := range []int{1, 5, total, 720} {
-		// Brute force: the first strict minimum in ascending rank order.
-		var want []int
-		wantCost := units.Cost(math.Inf(1))
-		eval := newEval(someInfeasible)(0, min(limit, total))
-		for rank := 0; rank < min(limit, total); rank++ {
-			perm := stats.PermutationUnrank(k, rank)
-			ordered := make([][]int, k)
-			for i, gi := range perm {
-				ordered[i] = groups[gi]
-			}
-			if pl, c, ok := eval(rank, ordered); ok && c < wantCost {
-				want, wantCost = append([]int(nil), pl...), c
-			}
+}
+
+// TestFillOrderMatchesUnrank checks Fill.Order against
+// stats.PermutationUnrank for every rank of up to seven groups.
+func TestFillOrderMatchesUnrank(t *testing.T) {
+	for k := 0; k <= 7; k++ {
+		groups := make([][]int, k)
+		for i := range groups {
+			groups[i] = []int{i}
 		}
-		for _, workers := range []int{1, 2, 3, 8, limit + 1} {
-			got, cost, ok := SearchOrders(groups, limit, workers, newEval(someInfeasible))
-			if want == nil {
-				if ok {
-					t.Errorf("limit=%d workers=%d: found %v, want no feasible order", limit, workers, got)
+		f := &Fill{FillTable: &FillTable{in: &Instance{Groups: groups}}, ordered: make([][]int, k)}
+		for rank := 0; rank < stats.FactorialInt(k); rank++ {
+			ordered := f.Order(rank)
+			for i, gi := range stats.PermutationUnrank(k, rank) {
+				if ordered[i][0] != gi {
+					t.Fatalf("k=%d rank %d: Order gives %v, PermutationUnrank %v", k, rank, ordered, stats.PermutationUnrank(k, rank))
 				}
-				continue
-			}
-			if !ok || cost != wantCost || fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("limit=%d workers=%d: got %v cost %v ok %v, want %v cost %v", limit, workers, got, cost, ok, want, wantCost)
-			}
-			if _, _, ok := SearchOrders(groups, limit, workers, newEval(func(int) bool { return false })); ok {
-				t.Errorf("limit=%d workers=%d: all-infeasible search reported ok", limit, workers)
 			}
 		}
 	}

@@ -96,7 +96,7 @@ type Instance struct {
 	Capacity []int
 	Pin      []int   // per level-0 vertex: required site or -1
 	Allowed  [][]int // per level-0 vertex: admissible sites; nil/empty = all
-	Groups   [][]int // site groups for the initial-map order search
+	Groups   [][]int // site groups for the order search
 }
 
 // M returns the number of sites.

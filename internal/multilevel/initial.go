@@ -29,14 +29,29 @@ func newInitialMapper(t *FillTable) *initialMapper {
 	return im
 }
 
-// eval is the initial map's Eval: run the greedy Fill for one ordered
-// group sequence, repair the vertices no group could take onto the
-// emptiest admissible site, and price the result on the level's graph. The
-// order is infeasible when some vertex fits nowhere (coarser-level weights
-// can be too chunky — Solve then retries one level finer).
-func (im *initialMapper) eval(_ int, orderedGroups [][]int) ([]int, units.Cost, bool) {
+// eval is the initial map's Eval: it runs every order of the class, keeps
+// the first strict minimum, and runs it again if a later order ran after.
+func (im *initialMapper) eval(ranks []int) (int, []int, units.Cost, bool) {
+	best, bestCost := -1, units.Cost(0)
+	for _, r := range ranks {
+		if cost, ok := im.run(r); ok && (best < 0 || cost < bestCost) {
+			best, bestCost = r, cost
+		}
+	}
+	if best >= 0 && best != ranks[len(ranks)-1] {
+		im.run(best)
+	}
+	return best, im.pl, bestCost, best >= 0
+}
+
+// run runs the greedy Fill for the order of the given rank, repairs the
+// vertices no group could take onto the emptiest admissible site, and
+// prices the result on the level's graph. The order is infeasible when
+// some vertex fits nowhere (coarser-level weights can be too chunky —
+// Solve then retries one level finer).
+func (im *initialMapper) run(rank int) (units.Cost, bool) {
 	g := im.lv.g
-	im.Run(orderedGroups)
+	im.Run(im.Order(rank))
 	// Leftover repair: heaviest vertices first onto the admissible site
 	// with the most remaining room; when every admissible site is full,
 	// try a one-step displacement before giving up.
@@ -51,13 +66,13 @@ func (im *initialMapper) eval(_ int, orderedGroups [][]int) ([]int, units.Cost, 
 			}
 		}
 		if site == -1 && !im.displace(v) {
-			return nil, 0, false
+			return 0, false
 		}
 		if site >= 0 {
 			im.place(v, site)
 		}
 	}
-	return im.pl, im.in.cost(g, im.pl), true
+	return im.in.cost(g, im.pl), true
 }
 
 // displace makes room for a stranded vertex v by relocating one unpinned

@@ -207,7 +207,7 @@ func TestProjectionNeverViolatesConstraints(t *testing.T) {
 	for {
 		table := newFillTable(in, h[li])
 		var ok bool
-		pl, _, ok = SearchOrders(in.Groups, maxOrders, 1, func(_, _ int) Eval { return newInitialMapper(table).eval })
+		pl, _, ok = SearchOrders(table, maxOrders, 1, func() Eval { return newInitialMapper(table).eval })
 		if ok {
 			break
 		}

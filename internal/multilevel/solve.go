@@ -39,7 +39,7 @@ func coarsenLimits(n, m int) (target, maxWeight int) {
 // GOMAXPROCS.
 func workerCount(workers int) int {
 	if workers <= 0 {
-		return runtime.GOMAXPROCS(0) //geolint:detsource worker count only; the rank-range and proposal/commit reductions make the result identical at any count
+		return runtime.GOMAXPROCS(0) //geolint:detsource worker count only; the (cost, rank) and proposal/commit reductions make the result identical at any count
 	}
 	return workers
 }
@@ -82,7 +82,7 @@ func Solve(in *Instance, opt Options) ([]int, Stats, error) {
 	for {
 		t := newFillTable(in, h[li])
 		var ok bool
-		pl, _, ok = SearchOrders(in.Groups, maxOrders, workers, func(_, _ int) Eval {
+		pl, _, ok = SearchOrders(t, maxOrders, workers, func() Eval {
 			return newInitialMapper(t).eval
 		})
 		if ok {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -159,11 +160,24 @@ func leafItems(events []Event) []Item {
 }
 
 // CompressAll compresses every process's stream of a recorded run and
-// returns the per-process results.
+// returns the per-process results. One counting pass buckets the events
+// by source, keeping each process's events in record order.
 func CompressAll(r *Recorder) []*Compressed {
+	start := make([]int, r.N()+1)
+	for _, e := range r.events {
+		start[e.Src+1]++
+	}
+	for i := 1; i <= r.N(); i++ {
+		start[i] += start[i-1]
+	}
+	bySrc, next := make([]Event, len(r.events)), slices.Clone(start)
+	for _, e := range r.events {
+		bySrc[next[e.Src]] = e
+		next[e.Src]++
+	}
 	out := make([]*Compressed, r.N())
-	for i := 0; i < r.N(); i++ {
-		out[i] = Compress(r.ProcessEvents(i))
+	for i := range out {
+		out[i] = Compress(bySrc[start[i]:start[i+1]])
 	}
 	return out
 }

@@ -65,7 +65,6 @@ func checkSend(n, src, dst int, bytes int64) error {
 type Recorder struct {
 	n      int
 	events []Event
-	byProc [][]int // indices into events, per source process
 }
 
 // NewRecorder returns a Recorder for an n-process program.
@@ -73,7 +72,7 @@ func NewRecorder(n int) *Recorder {
 	if n <= 0 {
 		panic(fmt.Sprintf("trace: invalid process count %d", n)) //geolint:ignore libpanic process count comes from validated World construction
 	}
-	return &Recorder{n: n, byProc: make([][]int, n)}
+	return &Recorder{n: n}
 }
 
 // N returns the number of processes.
@@ -85,7 +84,6 @@ func (r *Recorder) Send(src, dst int, bytes int64, tag int) error {
 	if err := checkSend(r.n, src, dst, bytes); err != nil {
 		return err
 	}
-	r.byProc[src] = append(r.byProc[src], len(r.events))
 	r.events = append(r.events, Event{Src: src, Dst: dst, Bytes: bytes, Tag: tag})
 	return nil
 }
@@ -104,18 +102,6 @@ func (r *Recorder) Len() int { return len(r.events) }
 // Events returns the global event sequence in record order. The returned
 // slice is shared; callers must not modify it.
 func (r *Recorder) Events() []Event { return r.events }
-
-// ProcessEvents returns the events sent by process src, in order.
-func (r *Recorder) ProcessEvents(src int) []Event {
-	if src < 0 || src >= r.n {
-		panic(fmt.Sprintf("trace: process %d out of range", src)) //geolint:ignore libpanic process bounds mirror slice indexing
-	}
-	out := make([]Event, len(r.byProc[src]))
-	for i, idx := range r.byProc[src] {
-		out[i] = r.events[idx]
-	}
-	return out
-}
 
 // Graph aggregates the recorded events into the application's combined
 // CG/AG communication pattern.

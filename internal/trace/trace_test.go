@@ -58,6 +58,19 @@ func TestMustSendPanics(t *testing.T) {
 	r.MustSend(1, 1, 10, 0)
 }
 
+// ProcessEvents returns the events sent by process src, in order: a
+// filter over the recording, which keeps no per-process index
+// (CompressAll buckets the events by source itself).
+func (r *Recorder) ProcessEvents(src int) []Event {
+	var out []Event
+	for _, e := range r.events {
+		if e.Src == src {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestProcessEvents(t *testing.T) {
 	r := NewRecorder(3)
 	r.MustSend(0, 1, 10, 0)
