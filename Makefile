@@ -40,8 +40,10 @@ race:
 # Native fuzz pass: each fuzz target for 10 s beyond its seed corpus.
 # go test accepts -fuzz for one package at a time, so each target gets its
 # own call (TestMakefileFuzzesEveryTarget fails when a Fuzz function of
-# the module is missing here, or a name here has no function): the heap-driven fill, including its replay of a recorded fill
-# on unpinned levels without site sets, against its O(N²) reference scan,
+# the module is missing here, or a name here has no function): the
+# heap-driven fill, walked by key class as the order search walks it
+# (Fill.Run on each class's first order, Fill.Replay on the others),
+# against its O(N²) reference scan,
 # GeoMapper's order search, which fills each key class of orders once
 # and costs only the orders its site-pair table price cannot rule out,
 # against a scan that fills and prices every order at one, two and three

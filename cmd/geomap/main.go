@@ -16,11 +16,11 @@ import (
 	"strings"
 
 	"geoprocmap/internal/apps"
-	"geoprocmap/internal/baselines"
 	"geoprocmap/internal/buildinfo"
 	"geoprocmap/internal/core"
 	"geoprocmap/internal/experiments"
 	"geoprocmap/internal/netmodel"
+	"geoprocmap/internal/service"
 	"geoprocmap/internal/stats"
 )
 
@@ -64,22 +64,9 @@ func main() {
 		fatal(err)
 	}
 
-	var mapper core.Mapper
-	switch *algo {
-	case "geo":
-		mapper = &core.GeoMapper{Kappa: *kappa, Seed: *seed, Workers: *workers}
-	case "multilevel":
-		mapper = &core.MultilevelGeoMapper{Kappa: *kappa, Seed: *seed, Workers: *workers}
-	case "greedy":
-		mapper = &baselines.Greedy{}
-	case "mpipp":
-		mapper = &baselines.MPIPP{Seed: *seed}
-	case "random":
-		mapper = &baselines.Random{Seed: *seed}
-	case "montecarlo":
-		mapper = &baselines.MonteCarlo{Seed: *seed, Samples: 10000}
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *algo))
+	mapper, err := (&service.MapRequest{Algorithm: *algo, Kappa: *kappa, Seed: *seed}).Mapper(*workers)
+	if err != nil {
+		fatal(err)
 	}
 
 	pl, dur, err := inst.MapAndTime(mapper)

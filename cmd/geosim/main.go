@@ -30,18 +30,18 @@ import (
 	"os"
 
 	"geoprocmap/internal/apps"
-	"geoprocmap/internal/baselines"
 	"geoprocmap/internal/buildinfo"
 	"geoprocmap/internal/core"
 	"geoprocmap/internal/experiments"
 	"geoprocmap/internal/faults"
+	"geoprocmap/internal/service"
 )
 
 func main() {
 	var (
 		appName   = flag.String("app", "LU", "workload: LU, BT, SP, K-means, DNN")
 		n         = flag.Int("n", 64, "number of processes (multiple of 4)")
-		algo      = flag.String("algo", "geo", "mapper: geo, multilevel, greedy, mpipp, random")
+		algo      = flag.String("algo", "geo", "mapper: geo, multilevel, greedy, mpipp, random, montecarlo")
 		engine    = flag.String("engine", "replay", "simulation engine: replay, fluid, ps")
 		iters     = flag.Int("iters", 0, "iterations (0 = workload default)")
 		ratio     = flag.Float64("constraints", 0.2, "data-movement constraint ratio")
@@ -113,20 +113,9 @@ func main() {
 		fatal(fmt.Errorf("unknown engine %q", *engine))
 	}
 
-	var mapper core.Mapper
-	switch *algo {
-	case "geo":
-		mapper = &core.GeoMapper{Kappa: 4, Seed: *seed}
-	case "multilevel":
-		mapper = &core.MultilevelGeoMapper{Kappa: 4, Seed: *seed}
-	case "greedy":
-		mapper = &baselines.Greedy{}
-	case "mpipp":
-		mapper = &baselines.MPIPP{Seed: *seed}
-	case "random":
-		mapper = &baselines.Random{Seed: *seed}
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *algo))
+	mapper, err := (&service.MapRequest{Algorithm: *algo, Kappa: 4, Seed: *seed}).Mapper(0)
+	if err != nil {
+		fatal(err)
 	}
 
 	base, err := inst.BaselineSim(*repeats, *seed+100, mode)

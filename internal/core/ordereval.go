@@ -34,19 +34,20 @@ const (
 // A class of one rank is filled and costed. In a larger class, on a
 // symmetric level, every order's placement is the first order's under a
 // relabelling of the visited sites. The evaluator fills the first order
-// and tabulates its directed site-pair traffic, Σ msgs and Σ volume per
-// pair of occupied sites, in one O(E) pass, then prices every order of
-// the class from the table in O(M²). It replays and runs Problem.Cost on
-// the cheapest-priced order, the first on a tie, and then walks the
-// other orders in rank order. It skips an order, with neither replay nor
-// Problem.Cost, when its price proves it dearer than the cheapest cost
-// found so far, or when it places every process where that cost's order
-// does. Such a repeat has that order's price bit for bit, so it comes
-// later in the walk (the cheapest-priced order is the first of its
-// price) and loses the tie on rank. Orders whose price cannot separate
-// them from the bound, near-ties included, are replayed and costed, and
-// the cheapest, the lowest rank on a tie, is returned: every skipped
-// order costs more, or repeats the placement of a lower rank.
+// with Fill.Run and tabulates its directed site-pair traffic, Σ msgs and Σ
+// volume per pair of occupied sites, in one O(E) pass, then prices every
+// order of the class from the table in O(M²). It replays (with
+// Fill.Replay) and runs Problem.Cost on the cheapest-priced order, the
+// first on a tie, and then walks the other orders in rank order. It skips
+// an order, with neither replay nor Problem.Cost, when its price proves it
+// dearer than the cheapest cost found so far, or when it places every
+// process where that cost's order does. Such a repeat has that order's
+// price bit for bit, so it comes later in the walk (the cheapest-priced
+// order is the first of its price) and loses the tie on rank. Orders whose
+// price cannot separate them from the bound, near-ties included, are
+// replayed and costed, and the cheapest, the lowest rank on a tie, is
+// returned: every skipped order costs more, or repeats the placement of a
+// lower rank.
 type orderEval struct {
 	p     *Problem
 	fill  *multilevel.Fill
@@ -99,10 +100,11 @@ func (e *orderEval) eval(ranks []int) (int, []int, units.Cost, bool) {
 	// is the order pl holds.
 	best, bestCost, last := -1, units.Cost(0), -1
 	try := func(i int) {
-		pl, last = e.fill.Run(e.fill.Order(ranks[i])), i
+		ordered := e.fill.Order(ranks[i])
+		pl, last = e.fill.Replay(ordered), i
 		if c := e.cost(pl); best < 0 || c < bestCost || i < best && c <= bestCost {
 			best, bestCost = i, c
-			e.bestCur = append(e.bestCur[:0], e.fill.Visits(e.fill.Order(ranks[i]))...)
+			e.bestCur = append(e.bestCur[:0], e.fill.Visits(ordered)...)
 		}
 	}
 	try(top)
@@ -116,7 +118,7 @@ func (e *orderEval) eval(ranks []int) (int, []int, units.Cost, bool) {
 		}
 	}
 	if last != best {
-		pl = e.fill.Run(e.fill.Order(ranks[best]))
+		pl = e.fill.Replay(e.fill.Order(ranks[best]))
 	}
 	return ranks[best], pl, bestCost, true
 }

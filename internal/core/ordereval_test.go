@@ -40,24 +40,21 @@ func served512Problem(tb testing.TB) *Problem {
 	}
 }
 
-// scanOrders is the reference search: Fill.Run and Problem.Cost on every
-// order of groups in rank order, keeping the first strict minimum, with
-// no bound.
+// scanOrders is the reference search: a full Fill.Run, never a replay,
+// and Problem.Cost on every order of groups in rank order, keeping the
+// first strict minimum, with no bound.
 func scanOrders(p *Problem, groups [][]int) (Placement, units.Cost) {
 	fill := multilevel.NewFill(multilevel.NewFillTable(p.instance(nil)))
 	var best Placement
 	cost := units.Cost(math.Inf(1))
 	ordered := make([][]int, len(groups))
-	stats.PermutationRange(len(groups), 0, stats.FactorialInt(len(groups)), func(_ int, perm []int) bool {
-		for i, gi := range perm {
-			ordered[i] = groups[gi]
-		}
+	for rank := range stats.FactorialInt(len(groups)) {
+		stats.Unrank(ordered, groups, rank)
 		pl := Placement(fill.Run(ordered))
 		if c := p.Cost(pl); c < cost {
 			best, cost = pl.Clone(), c
 		}
-		return true
-	})
+	}
 	return best, cost
 }
 

@@ -104,8 +104,8 @@ func TestBuildInstance(t *testing.T) {
 	if inst.Problem.N() != 64 || inst.Problem.M() != 4 {
 		t.Errorf("problem is %d×%d, want 64 procs × 4 sites", inst.Problem.N(), inst.Problem.M())
 	}
-	if len(inst.IterPhases) == 0 || len(inst.IterTrace) == 0 {
-		t.Error("no iteration phases or trace")
+	if len(inst.IterTrace) == 0 {
+		t.Error("no iteration trace")
 	}
 	// Over-capacity request must fail.
 	if _, err := BuildInstance(cloud, apps.NewLU(), 128, 1, 0, 1); err == nil {

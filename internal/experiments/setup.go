@@ -128,9 +128,6 @@ type Instance struct {
 	// IterTrace is the single-iteration event stream (iterations are
 	// identical, so one iteration is simulated and scaled).
 	IterTrace []trace.Event
-	// IterPhases groups the iteration's messages into sequential
-	// sub-phases for the fluid engines.
-	IterPhases [][]netsim.Message
 }
 
 // BuildInstance profiles the app, calibrates the cloud, and assembles the
@@ -144,9 +141,6 @@ func BuildInstance(cloud *netmodel.Cloud, app apps.App, n, iters int, constraint
 		return nil, err
 	}
 	graph := rec.Graph()
-	events := rec.Events()
-	// One iteration's messages, grouped into sequential sub-phases.
-	phases := netsim.PhasesFromEvents(events)
 
 	cal, err := calib.Calibrate(cloud, calib.Options{Seed: seed})
 	if err != nil {
@@ -171,13 +165,12 @@ func BuildInstance(cloud *netmodel.Cloud, app apps.App, n, iters int, constraint
 		return nil, err
 	}
 	return &Instance{
-		Cloud:      cloud,
-		App:        app,
-		N:          n,
-		Iters:      iters,
-		Problem:    prob,
-		IterTrace:  events,
-		IterPhases: phases,
+		Cloud:     cloud,
+		App:       app,
+		N:         n,
+		Iters:     iters,
+		Problem:   prob,
+		IterTrace: rec.Events(),
 	}, nil
 }
 
@@ -222,7 +215,9 @@ func (inst *Instance) SimulateWith(pl core.Placement, mode SimMode, opt netsim.O
 			return SimResult{}, err
 		}
 	case SimFluid, SimFluidPS:
-		for _, phase := range inst.IterPhases {
+		// The fluid engines take the iteration's messages grouped into
+		// sequential sub-phases.
+		for _, phase := range netsim.PhasesFromEvents(inst.IterTrace) {
 			var t units.Seconds
 			if mode == SimFluidPS {
 				t, err = sim.SimulatePhasePS(phase)

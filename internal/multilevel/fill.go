@@ -51,21 +51,22 @@ import (
 // (decided once by NewFillTable), no pick ever asks which site it is on: a
 // site's fill reads only its capacity and what earlier sites took. So the
 // whole fill is a function of its key, the capacity sequence: the
-// capacities of the sites in the order Run visits them. Run keeps the key
-// and the pick log of its last full fill, site by site in visit order, and
-// when the next order has the same key it replays that log through place
-// onto the new order's sites instead of filling again. The replay leaves
-// the placement, selected, avail and members (with each site's member
-// order) exactly as the full fill would, which the initial map's leftover
-// repair reads. SearchOrders hands every order of one key to one
-// evaluator, so a search runs one full fill per distinct key at any
-// worker count: one on the paper's equal-capacity clouds, with every
-// other order a replay. A pinned vertex or an allowed set ties a pick to
-// one site's label, which the capacity sequence cannot see, so those
-// levels always fill in full.
+// capacities of the sites in the order Run visits them. On such a level
+// Run logs its picks, site by site in visit order, and Replay places that
+// log through place onto the sites another order of the same key visits
+// instead of filling again. The replay leaves the placement, selected,
+// avail and members (with each site's member order) exactly as Run would,
+// which the initial map's leftover repair reads. The Fill never compares
+// keys: SearchOrders sorts the ranks into key classes before any fill,
+// and each evaluator runs its class's first order and replays the others,
+// so a search runs one full fill per distinct key at any worker count:
+// one on the paper's equal-capacity clouds. A pinned vertex or an allowed
+// set ties a pick to one site's label, which the capacity sequence cannot
+// see, so on those levels every class is one order and every order fills
+// in full.
 //
 // Order and Visits let a caller price a replay before running it, as
-// core.GeoMapper does from the recorded placement's site-pair traffic.
+// core.GeoMapper does from the logged placement's site-pair traffic.
 type Fill struct {
 	*FillTable
 
@@ -79,14 +80,11 @@ type Fill struct {
 	ordered   [][]int // scratch: one order of the instance's groups
 
 	// Replay state for a symmetric level; see the type doc.
-	visits   []int  // scratch: the sites this Run visits, in order, len M
+	visits   []int  // scratch: the sites an order visits, in order, len M
 	visited  []bool // scratch: sites already in visits, len M
-	key      []int  // key[:nKey]: the capacities of the last full fill's visits
-	nKey     int
-	recorded bool  // key, picks and ends describe a full fill
-	picks    []int // that fill's vertices, site by site in visit order, len n
-	ends     []int // picks[ends[i-1]:ends[i]] went to its i-th visited site
-	fullRuns int   // full fills run, for tests
+	picks    []int  // the last Run's vertices, site by site in visit order, len n
+	ends     []int  // picks[ends[i-1]:ends[i]] went to its i-th visited site
+	fullRuns int    // full fills run, for tests
 }
 
 // FillTable is the read-only part of the Fills over one level: what no
@@ -235,11 +233,10 @@ func NewFill(t *FillTable) *Fill {
 		ordered:   make([][]int, len(t.in.Groups)),
 		visited:   make([]bool, m),
 	}
-	// One block backs the replay's int buffers: visits, key and ends of
-	// len M, then picks of len n.
-	replay := make([]int, 3*m+n)
-	f.visits, f.key, f.ends = replay[:m:m], replay[m:2*m:2*m], replay[2*m:3*m:3*m]
-	f.picks = replay[3*m:]
+	// One block backs the replay's int buffers: visits and ends of len M,
+	// then picks of len n.
+	replay := make([]int, 2*m+n)
+	f.visits, f.ends, f.picks = replay[:m:m], replay[m:2*m:2*m], replay[2*m:]
 	return f
 }
 
@@ -258,55 +255,63 @@ type frontierEntry struct {
 // then to the lower index. It returns the placement with -1 for every
 // vertex no site took. The slice is reused by the next Run, so callers
 // must copy it to keep it; every buffer lives on the Fill, so the
-// thousands of orders a search runs do not allocate. On a symmetric
-// level an order with the last full fill's key replays that fill's picks.
+// thousands of orders a search runs do not allocate. Run always fills in
+// full; on a symmetric level it also logs its picks for Replay.
 //
 //geolint:allocfree
 func (f *Fill) Run(orderedGroups [][]int) []int {
 	f.reset()
-	if !f.symmetric {
-		f.fill(orderedGroups)
-		return f.pl
-	}
-	nv, ok := f.visitOrder(orderedGroups, f.visits, f.visited, f.groupDone)
-	switch {
-	case !ok:
-		f.fill(orderedGroups)
-	case f.recorded && f.sameKey(nv):
-		f.replay(nv)
-	default:
-		f.fill(orderedGroups)
-		f.record(nv)
+	f.fill(orderedGroups)
+	if f.symmetric {
+		// Each visited site's members are exactly its picks, in pick
+		// order, as no vertex is pinned. An order that visits a site twice
+		// logs nothing (nv = 0): SearchOrders gives it a class of its own.
+		nv, _ := f.visitOrder(orderedGroups, f.visits, f.visited, f.groupDone)
+		k := 0
+		for i, s := range f.visits[:nv] {
+			k += copy(f.picks[k:], f.members[s])
+			f.ends[i] = k
+		}
 	}
 	return f.pl
 }
 
-// Order returns the instance's groups in the order of the permutation
-// stats.PermutationUnrank decodes from rank, in scratch the next Order
-// reuses: digit i of the rank picks among the groups not yet placed, kept
-// in index order in ordered[i:].
+// Replay returns what Run(orderedGroups) would, and leaves selected,
+// avail and members as that Run would, without filling: it places the
+// last Run's picks onto the sites orderedGroups visits, the i-th visited
+// site taking what the last Run put on its i-th. The placement slice is
+// Run's. Precondition: orderedGroups is in the key class of the last
+// Run's order (see SearchOrders), which holds for every order of a class
+// SearchOrders hands out once its evaluator has run the class's first
+// order.
+//
+//geolint:allocfree
+func (f *Fill) Replay(orderedGroups [][]int) []int {
+	f.reset()
+	k := 0
+	for i, s := range f.Visits(orderedGroups) {
+		for _, v := range f.picks[k:f.ends[i]] {
+			f.place(v, s)
+		}
+		k = f.ends[i]
+	}
+	return f.pl
+}
+
+// Order returns the instance's groups in the order of lexicographic rank
+// rank, as stats.Unrank decodes it, in scratch the next Order reuses.
 //
 //geolint:allocfree
 func (f *Fill) Order(rank int) [][]int {
-	ordered := f.ordered
-	k := copy(ordered, f.in.Groups)
-	base := stats.FactorialInt(k)
-	for i := range k {
-		base /= k - i
-		d := i + rank/base
-		rank %= base
-		g := ordered[d]
-		copy(ordered[i+1:d+1], ordered[i:d])
-		ordered[i] = g
-	}
-	return ordered
+	stats.Unrank(f.ordered, f.in.Groups, rank)
+	return f.ordered
 }
 
 // Visits returns the sites Run(orderedGroups) visits, in order, for an
 // order of a key class of several ranks (see SearchOrders). Run puts on
 // the i-th site one order of the class visits what it puts on the i-th
-// site any other visits. The slice is scratch the next Run or Visits
-// reuses.
+// site any other visits. The slice is scratch the next Run, Replay or
+// Visits reuses.
 //
 //geolint:allocfree
 func (f *Fill) Visits(orderedGroups [][]int) []int {
@@ -369,8 +374,9 @@ func (t *FillTable) visitOrder(orderedGroups [][]int, visits []int, visited, don
 	return nv, true
 }
 
-// keyClasses returns the key classes of the ranks [0, limit) (see
-// SearchOrders), each in ascending rank order, ordered by lowest rank.
+// keyClasses returns the key classes of the ranks [0, limit), limit ≤ κ!
+// (see SearchOrders), each in ascending rank order, ordered by lowest
+// rank.
 func (t *FillTable) keyClasses(limit int) [][]int {
 	m, groups := t.in.M(), t.in.Groups
 	visits, flags := make([]int, m), make([]bool, 2*m)
@@ -378,14 +384,12 @@ func (t *FillTable) keyClasses(limit int) [][]int {
 	index := make(map[string]int) // a key's class
 	var classes [][]int
 	var key []byte
-	stats.PermutationRange(len(groups), 0, limit, func(rank int, perm []int) bool {
-		for i, gi := range perm {
-			ordered[i] = groups[gi]
-		}
+	for rank := range limit {
+		stats.Unrank(ordered, groups, rank)
 		nv, ok := t.visitOrder(ordered, visits, flags[:m], flags[m:])
 		if !t.symmetric || !ok {
 			classes = append(classes, []int{rank})
-			return true
+			continue
 		}
 		// Varints are prefix-free, so equal keys mean equal sequences.
 		key = key[:0]
@@ -398,48 +402,8 @@ func (t *FillTable) keyClasses(limit int) [][]int {
 			index[string(key)] = len(classes)
 			classes = append(classes, []int{rank})
 		}
-		return true
-	})
+	}
 	return classes
-}
-
-// sameKey reports whether the nv sites in f.visits have the recorded
-// capacity sequence.
-func (f *Fill) sameKey(nv int) bool {
-	if nv != f.nKey {
-		return false
-	}
-	for i, s := range f.visits[:nv] {
-		if f.in.Capacity[s] != f.key[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// record keeps the key and pick log of the full fill that just visited
-// f.visits[:nv]. Each visited site's members are exactly its picks, in
-// pick order, since no vertex is pinned and no site is visited twice.
-func (f *Fill) record(nv int) {
-	k := 0
-	for i, s := range f.visits[:nv] {
-		f.key[i] = f.in.Capacity[s]
-		k += copy(f.picks[k:], f.members[s])
-		f.ends[i] = k
-	}
-	f.nKey, f.recorded = nv, true
-}
-
-// replay places the recorded picks onto the sites in f.visits[:nv], the
-// i-th visited site taking what the recorded fill's i-th site took.
-func (f *Fill) replay(nv int) {
-	k := 0
-	for i, s := range f.visits[:nv] {
-		for _, v := range f.picks[k:f.ends[i]] {
-			f.place(v, s)
-		}
-		k = f.ends[i]
-	}
 }
 
 // fill runs the greedy fill of one ordered group sequence from reset.
@@ -660,14 +624,15 @@ type Eval func(ranks []int) (rank int, pl []int, cost units.Cost, ok bool)
 // examined order is infeasible.
 //
 // Before any fill it puts the ranks into key classes: on a symmetric
-// level, the ranks whose orders visit the same capacity sequence and so
-// replay one fill (see Fill); on other levels, or for an order that
-// visits a site twice, each rank alone. Worker w of W takes the classes
-// w, w+W, … with its own evaluator from newEval, so each key is filled
-// once at any worker count (workers ≤ 0 selects GOMAXPROCS, never more
-// than the classes; worker 0 runs on the calling goroutine). The
-// reduction keeps the minimum cost and, on a tie, the lowest rank, so the
-// result is byte-identical at any worker count.
+// level, the ranks whose orders visit the same capacity sequence, so that
+// an evaluator Runs the class's first order and Replays the others (see
+// Fill); on other levels, or for an order that visits a site twice, each
+// rank alone. The classes alone decide which orders share a fill. Worker w
+// of W takes the classes w, w+W, … with its own evaluator from newEval, so
+// each key is filled once at any worker count (workers ≤ 0 selects
+// GOMAXPROCS, never more than the classes; worker 0 runs on the calling
+// goroutine). The reduction keeps the minimum cost and, on a tie, the
+// lowest rank, so the result is byte-identical at any worker count.
 func SearchOrders(t *FillTable, limit, workers int, newEval func() Eval) (best []int, cost units.Cost, ok bool) {
 	limit = min(limit, stats.FactorialInt(len(t.in.Groups)))
 	classes := t.keyClasses(limit)

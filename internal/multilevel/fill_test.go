@@ -60,9 +60,7 @@ func clusteredInstance(n, m int, seed int64) *Instance {
 var benchFill []int
 
 // BenchmarkAllocFill measures one full greedy fill, the per-order body of
-// the GeoMapper order search (recorded in results/BENCH_alloc.json). Every
-// order of this unpinned, equal-capacity instance has one key, so each
-// iteration drops the recorded fill first to keep Run from replaying it.
+// the GeoMapper order search (recorded in results/BENCH_alloc.json).
 func BenchmarkAllocFill(b *testing.B) {
 	f := NewFill(NewFillTable(clusteredInstance(64, 4, 11)))
 	ordered := [][]int{{0}, {1}, {2}, {3}}
@@ -70,7 +68,6 @@ func BenchmarkAllocFill(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.recorded = false
 		benchFill = f.Run(ordered)
 	}
 }
@@ -104,8 +101,7 @@ func served512(tb testing.TB) *Instance {
 }
 
 // BenchmarkAllocFill512 measures one full greedy fill at the shape of a
-// served 512-process request, for one order of its site groups, dropping
-// the recorded fill in every iteration as BenchmarkAllocFill does.
+// served 512-process request, for one order of its site groups.
 func BenchmarkAllocFill512(b *testing.B) {
 	f := NewFill(NewFillTable(served512(b)))
 	ordered := [][]int{{2}, {0}, {3}, {1}}
@@ -113,36 +109,36 @@ func BenchmarkAllocFill512(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.recorded = false
 		benchFill = f.Run(ordered)
 	}
 }
 
 // BenchmarkAllocFill512Shared measures what the other 23 orders of the
-// served 512-process search cost: a replay of the recorded fill onto a
-// relabelled order with the same capacity sequence.
+// served 512-process search cost: a replay of the logged fill onto an
+// order with the same capacity sequence.
 func BenchmarkAllocFill512Shared(b *testing.B) {
 	f := NewFill(NewFillTable(served512(b)))
 	orders := [2][][]int{{{2}, {0}, {3}, {1}}, {{1}, {3}, {0}, {2}}}
-	benchFill = f.Run(orders[0]) // the full fill the replays share
-	benchFill = f.Run(orders[1]) // warm every site's members to its high-water mark
+	benchFill = f.Run(orders[0])    // the full fill the replays share
+	benchFill = f.Replay(orders[1]) // warm every site's members to its high-water mark
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchFill = f.Run(orders[i%2])
+		benchFill = f.Replay(orders[i%2])
 	}
 	if f.fullRuns != 1 {
 		b.Fatalf("%d full fills, want 1", f.fullRuns)
 	}
 }
 
-// TestFillSharesSymmetricOrders checks when SearchOrders' fills replay:
-// every key class is filled once and replayed for its other orders, so
-// full fills equal the distinct capacity sequences at every worker count.
-// On the unpinned, equal-capacity served instance that is one fill; a
-// pinned vertex or an allowed-site set turns the replay off; two capacity
-// values give several keys. Every search must return the placement of a
-// search whose fills never replay.
+// TestFillSharesSymmetricOrders checks that SearchOrders' key classes
+// share fills: an evaluator that Runs each class's first order and
+// Replays the others makes as many full fills as there are distinct
+// capacity sequences, at every worker count. On the unpinned,
+// equal-capacity served instance that is one fill; a pinned vertex or an
+// allowed-site set makes every order its own class; two capacity values
+// give several keys. Every search must return the placement of a search
+// that Runs every order.
 func TestFillSharesSymmetricOrders(t *testing.T) {
 	search := func(in *Instance, workers int, share bool) ([]int, int) {
 		var mu sync.Mutex
@@ -156,9 +152,13 @@ func TestFillSharesSymmetricOrders(t *testing.T) {
 			return func(ranks []int) (int, []int, units.Cost, bool) {
 				var best []int
 				rank, cost := -1, units.Cost(math.Inf(1))
-				for _, r := range ranks {
-					f.recorded = f.recorded && share
-					pl := f.Run(f.Order(r))
+				for i, r := range ranks {
+					var pl []int
+					if share && i > 0 {
+						pl = f.Replay(f.Order(r))
+					} else {
+						pl = f.Run(f.Order(r))
+					}
 					if slices.Contains(pl, -1) {
 						continue // a site set stranded a vertex
 					}
@@ -182,14 +182,15 @@ func TestFillSharesSymmetricOrders(t *testing.T) {
 	// per group, so a key is the capacities in group order.
 	keys := func(in *Instance) int {
 		seen := map[string]bool{}
-		stats.PermutationRange(len(in.Groups), 0, stats.FactorialInt(len(in.Groups)), func(_ int, perm []int) bool {
+		ordered := make([][]int, len(in.Groups))
+		for rank := range stats.FactorialInt(len(in.Groups)) {
+			stats.Unrank(ordered, in.Groups, rank)
 			key := ""
-			for _, gi := range perm {
-				key += fmt.Sprint(in.Capacity[in.Groups[gi][0]], " ")
+			for _, g := range ordered {
+				key += fmt.Sprint(in.Capacity[g[0]], " ")
 			}
 			seen[key] = true
-			return true
-		})
+		}
 		return len(seen)
 	}
 	check := func(name string, in *Instance, wantFull int) {
@@ -276,10 +277,9 @@ func TestSearchOrdersMatchesSerialScan(t *testing.T) {
 	pinned.Pin[0] = 3
 	for _, in := range []*Instance{symmetric, pinned} {
 		table := NewFillTable(in)
-		order := func(rank int) (ordered [][]int) {
-			for _, gi := range stats.PermutationUnrank(k, rank) {
-				ordered = append(ordered, in.Groups[gi])
-			}
+		order := func(rank int) [][]int {
+			ordered := make([][]int, k)
+			stats.Unrank(ordered, in.Groups, rank)
 			return ordered
 		}
 		key := func(rank int) string {
@@ -367,8 +367,10 @@ func TestSearchOrdersMatchesSerialScan(t *testing.T) {
 	}
 }
 
-// TestFillOrderMatchesUnrank checks Fill.Order against
-// stats.PermutationUnrank for every rank of up to seven groups.
+// TestFillOrderMatchesUnrank checks that Fill.Order decodes lexicographic
+// ranks, for every rank of up to seven groups: each rank's order is a
+// permutation of the groups, lexicographically greater than the last
+// rank's, so the k! ranks give the k! permutations in order.
 func TestFillOrderMatchesUnrank(t *testing.T) {
 	for k := 0; k <= 7; k++ {
 		groups := make([][]int, k)
@@ -376,13 +378,19 @@ func TestFillOrderMatchesUnrank(t *testing.T) {
 			groups[i] = []int{i}
 		}
 		f := &Fill{FillTable: &FillTable{in: &Instance{Groups: groups}}, ordered: make([][]int, k)}
+		var prev []int
 		for rank := 0; rank < stats.FactorialInt(k); rank++ {
-			ordered := f.Order(rank)
-			for i, gi := range stats.PermutationUnrank(k, rank) {
-				if ordered[i][0] != gi {
-					t.Fatalf("k=%d rank %d: Order gives %v, PermutationUnrank %v", k, rank, ordered, stats.PermutationUnrank(k, rank))
+			cur, seen := make([]int, k), make([]bool, k)
+			for i, g := range f.Order(rank) {
+				if seen[g[0]] {
+					t.Fatalf("k=%d rank %d: Order gives %v, not a permutation", k, rank, f.Order(rank))
 				}
+				seen[g[0]], cur[i] = true, g[0]
 			}
+			if rank > 0 && slices.Compare(prev, cur) >= 0 {
+				t.Fatalf("k=%d rank %d: Order gives %v after %v", k, rank, cur, prev)
+			}
+			prev = cur
 		}
 	}
 }
@@ -475,8 +483,8 @@ func referenceRun(f *Fill, orderedGroups [][]int) []int {
 // latency, 2: infinite bandwidth), so touched vertices can sit at zero
 // affinity beside untouched ones. An instance carries pins and site sets
 // unless symmetric is set; a symmetric one draws its capacities from at
-// most two values instead, so Run replays on some consecutive orders and
-// fills again on others.
+// most two values instead, so its orders fall into a few key classes of
+// several orders each.
 func fillCase(seed int64, n, m, zero int, symmetric bool) *Instance {
 	rng := stats.NewRand(seed)
 	g := comm.NewGraph(n)
@@ -543,12 +551,13 @@ func fillCase(seed int64, n, m, zero int, symmetric bool) *Instance {
 	return &Instance{G: FromComm(g), LT: lt, BT: bt, Capacity: capacity, Pin: pin, Allowed: allowed, Groups: groups}
 }
 
-// checkFillMatchesReference runs Run and referenceRun on every order of
-// in's groups, on level 0 and on one coarsened level whose super-vertices
-// weigh up to three processes, and fails on the first order where the
-// placement, the remaining room or a site's members (in order) differ:
-// Run may have replayed an earlier order's fill, and the initial map's
-// leftover repair reads all three.
+// checkFillMatchesReference walks the key classes of in's orders, on
+// level 0 and on one coarsened level whose super-vertices weigh up to
+// three processes, as an order-search evaluator does: Run on each
+// class's first order and Replay on the others. It compares every step
+// with referenceRun and fails on the first order where the placement,
+// the remaining room or a site's members (in order) differ: the initial
+// map's leftover repair reads all three.
 func checkFillMatchesReference(t *testing.T, in *Instance) {
 	t.Helper()
 	l0 := &level{g: in.G, pin: in.Pin, allowed: normalizeAllowed(in.Allowed, in.G.n)}
@@ -557,25 +566,28 @@ func checkFillMatchesReference(t *testing.T, in *Instance) {
 	for _, lv := range []*level{l0, contract(l0, match)} {
 		table := newFillTable(in, lv)
 		f, ref := NewFill(table), NewFill(table)
-		ordered := make([][]int, len(in.Groups))
-		stats.PermutationRange(len(in.Groups), 0, stats.FactorialInt(len(in.Groups)), func(rank int, perm []int) bool {
-			for i, gi := range perm {
-				ordered[i] = in.Groups[gi]
-			}
-			got, want := f.Run(ordered), referenceRun(ref, ordered)
-			if !slices.Equal(got, want) {
-				t.Fatalf("level with %d vertices, order rank %d: Run = %v, reference scan = %v", lv.g.n, rank, got, want)
-			}
-			if !slices.Equal(f.avail, ref.avail) {
-				t.Fatalf("level with %d vertices, order rank %d: avail = %v, reference scan = %v", lv.g.n, rank, f.avail, ref.avail)
-			}
-			for s := range f.members {
-				if !slices.Equal(f.members[s], ref.members[s]) {
-					t.Fatalf("level with %d vertices, order rank %d: site %d members = %v, reference scan = %v", lv.g.n, rank, s, f.members[s], ref.members[s])
+		for _, class := range table.keyClasses(stats.FactorialInt(len(in.Groups))) {
+			for i, rank := range class {
+				ordered := f.Order(rank)
+				name, got := "Run", []int(nil)
+				if i == 0 {
+					got = f.Run(ordered)
+				} else {
+					name, got = "Replay", f.Replay(ordered)
+				}
+				if want := referenceRun(ref, ordered); !slices.Equal(got, want) {
+					t.Fatalf("level with %d vertices, order rank %d: %s = %v, reference scan = %v", lv.g.n, rank, name, got, want)
+				}
+				if !slices.Equal(f.avail, ref.avail) {
+					t.Fatalf("level with %d vertices, order rank %d: %s leaves avail = %v, reference scan %v", lv.g.n, rank, name, f.avail, ref.avail)
+				}
+				for s := range f.members {
+					if !slices.Equal(f.members[s], ref.members[s]) {
+						t.Fatalf("level with %d vertices, order rank %d: %s leaves site %d members = %v, reference scan %v", lv.g.n, rank, name, s, f.members[s], ref.members[s])
+					}
 				}
 			}
-			return true
-		})
+		}
 	}
 }
 
@@ -603,7 +615,7 @@ func TestFillMatchesReference(t *testing.T) {
 
 // FuzzFillMatchesReference is TestFillMatchesReference over fuzzed
 // instance seeds and shapes (make fuzz runs it). The top bit of zero
-// selects the symmetric mode, where Run replays.
+// selects the symmetric mode, where key classes of several orders replay.
 func FuzzFillMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(3), uint8(0))
 	f.Add(int64(2), uint8(30), uint8(5), uint8(1))

@@ -29,29 +29,35 @@ func newInitialMapper(t *FillTable) *initialMapper {
 	return im
 }
 
-// eval is the initial map's Eval: it runs every order of the class, keeps
-// the first strict minimum, and runs it again if a later order ran after.
+// eval is the initial map's Eval: it fills the class's first order,
+// replays the others, keeps the first strict minimum, and replays it
+// again if a later order ran after.
 func (im *initialMapper) eval(ranks []int) (int, []int, units.Cost, bool) {
 	best, bestCost := -1, units.Cost(0)
-	for _, r := range ranks {
-		if cost, ok := im.run(r); ok && (best < 0 || cost < bestCost) {
+	for i, r := range ranks {
+		if cost, ok := im.run(r, i > 0); ok && (best < 0 || cost < bestCost) {
 			best, bestCost = r, cost
 		}
 	}
 	if best >= 0 && best != ranks[len(ranks)-1] {
-		im.run(best)
+		im.run(best, true)
 	}
 	return best, im.pl, bestCost, best >= 0
 }
 
-// run runs the greedy Fill for the order of the given rank, repairs the
-// vertices no group could take onto the emptiest admissible site, and
-// prices the result on the level's graph. The order is infeasible when
-// some vertex fits nowhere (coarser-level weights can be too chunky —
-// Solve then retries one level finer).
-func (im *initialMapper) run(rank int) (units.Cost, bool) {
+// run runs the greedy Fill for the order of the given rank, or replays
+// the last Run onto it, repairs the vertices no group could take onto
+// the emptiest admissible site, and prices the result on the level's
+// graph. The order is infeasible when some vertex fits nowhere
+// (coarser-level weights can be too chunky — Solve then retries one
+// level finer).
+func (im *initialMapper) run(rank int, replay bool) (units.Cost, bool) {
 	g := im.lv.g
-	im.Run(im.Order(rank))
+	if ordered := im.Order(rank); replay {
+		im.Replay(ordered)
+	} else {
+		im.Run(ordered)
+	}
 	// Leftover repair: heaviest vertices first onto the admissible site
 	// with the most remaining room; when every admissible site is full,
 	// try a one-step displacement before giving up.

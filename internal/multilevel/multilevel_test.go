@@ -3,11 +3,13 @@ package multilevel
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"geoprocmap/internal/comm"
 	"geoprocmap/internal/mat"
 	"geoprocmap/internal/stats"
+	"geoprocmap/internal/units"
 )
 
 // testInstance builds a deterministic synthetic instance: a ring plus
@@ -240,6 +242,48 @@ func TestProjectionNeverViolatesConstraints(t *testing.T) {
 		pl = project(h[l-1], pl)
 	}
 	checkFeasible(t, in, pl)
+}
+
+// TestInitialMapperFillsOncePerClass pins the initial map's share of one
+// fill per key class: on the served 512-process shape, four equal
+// capacities in κ = 4 one-site groups, all 24 orders form one symmetric
+// class, and the evaluator fills its first order and replays the other 23
+// and the re-run of the best, on level 0 and on the coarsest level alike.
+// It must return the rank, cost and placement of a loop that fills every
+// order in full. Solve retries the initial map one level finer on an
+// infeasible level, so a lost replay multiplies across every level it
+// retries.
+func TestInitialMapperFillsOncePerClass(t *testing.T) {
+	in := served512(t)
+	h := coarsen(in)
+	for _, lv := range []*level{h[0], h[len(h)-1]} {
+		table := newFillTable(in, lv)
+		classes := table.keyClasses(stats.FactorialInt(len(in.Groups)))
+		if len(classes) != 1 || len(classes[0]) != 24 {
+			t.Fatalf("level with %d vertices: %d key classes, want one of 24 orders", lv.g.n, len(classes))
+		}
+		im := newInitialMapper(table)
+		rank, pl, cost, ok := im.eval(classes[0])
+		if im.fullRuns != 1 {
+			t.Errorf("level with %d vertices: %d full fills, want 1", lv.g.n, im.fullRuns)
+		}
+
+		ref := newInitialMapper(table)
+		want, wantCost := -1, units.Cost(0)
+		for _, r := range classes[0] {
+			if c, ok := ref.run(r, false); ok && (want < 0 || c < wantCost) {
+				want, wantCost = r, c
+			}
+		}
+		if !ok || want < 0 {
+			t.Fatalf("level with %d vertices: eval ok %v, fill-every-order ok %v", lv.g.n, ok, want >= 0)
+		}
+		ref.run(want, false)
+		if rank != want || math.Float64bits(cost.Float()) != math.Float64bits(wantCost.Float()) || !slices.Equal(pl, ref.pl) {
+			t.Errorf("level with %d vertices: eval gives rank %d cost %v, fill-every-order rank %d cost %v (placements equal: %v)",
+				lv.g.n, rank, cost, want, wantCost, slices.Equal(pl, ref.pl))
+		}
+	}
 }
 
 func TestSolveFeasible(t *testing.T) {

@@ -19,11 +19,15 @@
 //   - Simulator.ReplayTrace: a logical-clock replay of a recorded event
 //     stream, the experiments' default for application communication time.
 //   - Simulator.SimulatePhase: the exact event-driven engine with NIC
-//     coupling (used for paper-scale runs, 64–256 processes).
+//     coupling (geosim -engine fluid).
 //   - Simulator.SimulatePhasePS: an O(F log F) analytic per-link
-//     processor-sharing engine without NIC coupling (used for the largest
-//     Figure 7 scales, 1024–8192 processes, where the event engine's
-//     per-event rate recomputation would dominate).
+//     processor-sharing engine without NIC coupling (geosim -engine ps),
+//     for scales where the event engine's per-event rate recomputation
+//     would dominate.
+//
+// No paper table or figure runs either fluid engine: the figures that
+// time a run use the replay, and Figure 7's 64–8192-process sweep prices
+// placements with core's α–β cost model and simulates nothing.
 //
 // The replay and the event-driven engine each have one loop, the
 // fault-aware one (faultsim.go): with no fault schedule it reproduces the

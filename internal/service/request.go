@@ -183,11 +183,12 @@ func (r *MapRequest) iters() int {
 	return r.Iters
 }
 
-// Mapper instantiates the requested algorithm. solverWorkers is the
-// server's per-solve order-search parallelism (see Config.SolverWorkers);
-// it does not enter the request fingerprint because the parallel search's
-// deterministic reduction returns byte-identical placements at every
-// worker count.
+// Mapper instantiates the requested algorithm; it is the module's one
+// table of algorithm names, which geomap and geosim build their mappers
+// from too. solverWorkers is the server's per-solve order-search
+// parallelism (see Config.SolverWorkers); it does not enter the request
+// fingerprint because the parallel search's deterministic reduction
+// returns byte-identical placements at every worker count.
 func (r *MapRequest) Mapper(solverWorkers int) (core.Mapper, error) {
 	switch r.Algorithm {
 	case "", "geo":

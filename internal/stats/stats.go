@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the evaluation
 // harness needs: deterministic RNG construction, summary statistics
 // (mean, standard deviation, trimmed mean, percentiles), empirical CDFs
-// for the Monte Carlo figures, and permutation ranking for the group-order
+// for the Monte Carlo figures, and permutation unranking for the group-order
 // search in the mapping algorithm.
 package stats
 
@@ -211,87 +211,21 @@ func FactorialInt(n int) int {
 	return f
 }
 
-// PermutationUnrank returns the permutation of [0, n) with the given
-// lexicographic rank, decoded from the factorial number system: digit i of
-// the rank selects which of the remaining elements comes next. It panics
-// when rank is outside [0, n!).
-func PermutationUnrank(n, rank int) []int {
-	total := FactorialInt(n)
-	if rank < 0 || rank >= total {
-		panic("stats: PermutationUnrank rank outside [0, n!)") //geolint:ignore libpanic documented contract: out-of-range rank is a programmer error
-	}
-	remaining := make([]int, n)
-	for i := range remaining {
-		remaining[i] = i
-	}
-	perm := make([]int, 0, n)
-	base := total
-	for i := n; i > 0; i-- {
-		base /= i // (i-1)! on entry to the loop body
-		d := rank / base
+// Unrank writes into dst the permutation of src with the given
+// lexicographic rank, decoded from the factorial number system: digit i
+// of the rank picks among the elements not yet placed, kept in src order
+// in dst[i:]. dst and src have the same length and do not overlap, and
+// rank lies in [0, len(src)!). It allocates nothing, so the order search
+// decodes each of its κ! orders in place.
+func Unrank[T any](dst, src []T, rank int) {
+	k := copy(dst, src)
+	base := FactorialInt(k)
+	for i := range k {
+		base /= k - i // (k-1-i)!
+		d := i + rank/base
 		rank %= base
-		perm = append(perm, remaining[d])
-		remaining = append(remaining[:d], remaining[d+1:]...)
-	}
-	return perm
-}
-
-// PermutationRange calls fn with every permutation of [0, n) whose
-// lexicographic rank lies in [lo, hi), in ascending rank order, passing the
-// rank alongside the permutation. The slice passed to fn is reused between
-// calls; fn must copy it if it needs to retain it. If fn returns false the
-// enumeration stops early. Ranks are clamped to [0, n!], so a caller may
-// split [0, n!) into contiguous chunks without boundary arithmetic.
-// PermutationRange panics for n < 0 or n > 20.
-//
-// Together with PermutationUnrank this gives the order search a
-// deterministic total order on permutations that is independent of how the
-// rank space is partitioned — the property the parallel κ! search reduces
-// over. (Heap's algorithm, the tests' Permutations oracle, has no cheap
-// rank function for its visit order.)
-func PermutationRange(n, lo, hi int, fn func(rank int, perm []int) bool) {
-	total := FactorialInt(n)
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > total {
-		hi = total
-	}
-	if lo >= hi {
-		return
-	}
-	if n == 0 {
-		fn(0, []int{})
-		return
-	}
-	perm := PermutationUnrank(n, lo)
-	for rank := lo; rank < hi; rank++ {
-		if !fn(rank, perm) {
-			return
-		}
-		if rank+1 < hi {
-			nextPermutation(perm)
-		}
-	}
-}
-
-// nextPermutation advances perm to its lexicographic successor in place
-// (the classic pivot/successor/reverse algorithm). The last permutation has
-// no successor; PermutationRange never steps past it.
-func nextPermutation(perm []int) {
-	i := len(perm) - 2
-	for i >= 0 && perm[i] >= perm[i+1] {
-		i--
-	}
-	if i < 0 {
-		return
-	}
-	j := len(perm) - 1
-	for perm[j] <= perm[i] {
-		j--
-	}
-	perm[i], perm[j] = perm[j], perm[i]
-	for a, b := i+1, len(perm)-1; a < b; a, b = a+1, b-1 {
-		perm[a], perm[b] = perm[b], perm[a]
+		x := dst[d]
+		copy(dst[i+1:d+1], dst[i:d])
+		dst[i] = x
 	}
 }
