@@ -30,8 +30,10 @@ test:
 # cache/snapshot-store, the core mapper's parallel order search, the
 # re-gauging control loop, the multilevel refiner, and the daemon gates'
 # in-process geomapd fleet and re-gauging loop) or are read by them
-# concurrently (the comm graph's freeze-once adjacency), plus the analysis
-# loader's concurrent type-check waves. CI runs this target, so the
+# concurrently (the comm graph's freeze-once adjacency, and the scratch
+# pools of comm, multilevel and core, which TestSolvesIgnoreRecycledScratch
+# drives from two goroutines), plus the analysis loader's concurrent
+# type-check waves. CI runs this target, so the
 # package list lives here only.
 race:
 	$(GO) test -race ./internal/comm/... ./internal/mpi/... ./internal/netsim/... ./internal/service/... ./internal/core/... ./internal/regauge/... ./internal/multilevel/... ./cmd/geomapd/...
@@ -42,8 +44,9 @@ race:
 # own call (TestMakefileFuzzesEveryTarget fails when a Fuzz function of
 # the module is missing here, or a name here has no function): the
 # heap-driven fill, walked by key class as the order search walks it
-# (Fill.Run on each class's first order, Fill.Replay on the others),
-# against its O(N²) reference scan,
+# (Fill.Run on each class's first order, Fill.Replay on the others), on
+# one recycled Fill across instances of different shapes, against its
+# O(N²) reference scan,
 # GeoMapper's order search, which fills each key class of orders once
 # and costs only the orders its site-pair table price cannot rule out,
 # against a scan that fills and prices every order at one, two and three

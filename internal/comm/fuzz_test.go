@@ -26,7 +26,7 @@ func FuzzFoldMatchesUnfolded(f *testing.F) {
 		}
 		n := 2 + int(raw[0]%3)
 		folded, unfolded := NewGraph(n), NewGraph(n)
-		unfolded.log.foldAt = math.MaxInt
+		unfolded.foldAt = math.MaxInt
 		type pair struct{ src, dst int }
 		ref := map[pair]*Edge{}
 		var totalVolume, totalMsgs float64

@@ -19,6 +19,11 @@
 // processes. The frozen graph is immutable, so the core mapper, the
 // baselines and the multilevel solver all share one adjacency without
 // copies, caches or locks.
+//
+// The call log is scratch: a graph takes one from the package's pool at
+// its first AddTraffic, and the freeze hands it back, so profiling a
+// graph allocates only the CSR it keeps. A graph built by FromCSR never
+// holds a log.
 package comm
 
 import (
@@ -52,9 +57,10 @@ type CSR struct {
 type Graph struct {
 	n int
 
-	// log holds the AddTraffic calls not yet frozen; the freeze sums
-	// them and drops it.
-	log callLog
+	// log holds the AddTraffic calls not yet frozen, from the first call
+	// on; the freeze sums them and returns it to logPool.
+	log    *callLog
+	foldAt int // the log folds when it holds this many calls
 
 	once sync.Once
 	csr  CSR // valid once frozen; OutIdx != nil marks the freeze
@@ -69,7 +75,7 @@ func NewGraph(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("comm: negative process count %d", n)) //geolint:ignore libpanic negative count is a programmer error, like make() with negative len
 	}
-	return &Graph{n: n, log: callLog{foldAt: foldSlack * n}}
+	return &Graph{n: n, foldAt: foldSlack * n}
 }
 
 // call is one logged AddTraffic call, or the fold of a run of them.
@@ -86,23 +92,46 @@ type call struct {
 const foldSlack = 16
 
 // callLog is a graph's AddTraffic calls in call order, repeats included,
-// until the log reaches foldAt calls. It then folds: the calls become one
-// entry per (src, dst) pair, in (src, dst) order, each the running sum of
-// its pair's calls in call order, starting from zero as the freeze does.
-// The freeze's stable sort keeps a folded entry ahead of the later calls
-// on its pair, so it adds those to the folded partial in call order: the
-// additions, and so every sum's bits, are the ones it would make over the
-// unfolded log. (No folded partial is −0, since a running sum from +0 of
-// non-negative terms never is, so the freeze's 0 + partial is the partial
-// itself.)
+// until the log reaches the graph's foldAt calls. It then folds: the
+// calls become one entry per (src, dst) pair, in (src, dst) order, each
+// the running sum of its pair's calls in call order, starting from zero
+// as the freeze does. The freeze's stable sort keeps a folded entry ahead
+// of the later calls on its pair, so it adds those to the folded partial
+// in call order: the additions, and so every sum's bits, are the ones it
+// would make over the unfolded log. (No folded partial is −0, since a
+// running sum from +0 of non-negative terms never is, so the freeze's
+// 0 + partial is the partial itself.) The freeze then hands the log back
+// to logPool.
 type callLog struct {
-	calls  []call
-	foldAt int
+	calls []call
 	// spare, count, byDst and order are the fold's scratch, kept
 	// between folds: the folded log is written to spare, which then
 	// swaps with calls.
 	spare               []call
 	count, byDst, order []int
+}
+
+// logPool recycles call logs with their scratch. A graph takes one at
+// its first AddTraffic and its freeze returns it: every buffer is
+// resliced to length zero, and a log is read only up to what its graph
+// wrote, so nothing of one graph's calls reaches another. A log whose
+// buffers exceed maxPooledLog bytes is left to the collector rather
+// than held.
+var logPool = sync.Pool{New: func() any { return new(callLog) }}
+
+// maxPooledLog caps a pooled log's buffers: 1 MB, a log of ~20,000
+// calls with its scratch.
+const maxPooledLog = 1 << 20
+
+// release returns l to logPool unless its buffers exceed maxPooledLog.
+func (l *callLog) release() {
+	const callBytes, intBytes = 32, 8
+	if (cap(l.calls)+cap(l.spare))*callBytes+(cap(l.count)+cap(l.byDst)+cap(l.order))*intBytes > maxPooledLog {
+		return
+	}
+	l.calls, l.spare = l.calls[:0], l.spare[:0]
+	l.count, l.byDst, l.order = l.count[:0], l.byDst[:0], l.order[:0]
+	logPool.Put(l)
 }
 
 // FromCSR returns the frozen graph over len(outIdx)-1 processes whose
@@ -138,7 +167,10 @@ func (g *Graph) AddTraffic(src, dst int, volume, msgs float64) {
 	if src == dst || (volume == 0 && msgs == 0) {
 		return
 	}
-	if len(g.log.calls) >= g.log.foldAt {
+	if g.log == nil {
+		g.log = logPool.Get().(*callLog)
+	}
+	if len(g.log.calls) >= g.foldAt {
 		g.fold()
 	}
 	g.log.calls = append(g.log.calls, call{src, dst, volume, msgs})
@@ -169,7 +201,7 @@ func (g *Graph) CSR() *CSR {
 // their call order. It returns the order, held in the log's scratch, and
 // the number of distinct pairs.
 func (g *Graph) sortByPair() (order []int, pairs int) {
-	l := &g.log
+	l := g.log
 	calls := l.calls
 	l.count = resize(l.count, g.n+1)
 	l.byDst = resize(l.byDst, len(calls))
@@ -221,11 +253,11 @@ func resize(s []int, n int) []int {
 // hold every call until that fold.
 func (g *Graph) fold() {
 	order, pairs := g.sortByPair()
-	l := &g.log
-	l.foldAt = 2*pairs + foldSlack*g.n
+	l := g.log
+	g.foldAt = 2*pairs + foldSlack*g.n
 	folded := l.spare[:0]
-	if cap(folded) < l.foldAt {
-		folded = make([]call, 0, l.foldAt)
+	if cap(folded) < g.foldAt {
+		folded = make([]call, 0, g.foldAt)
 	}
 	for r, k := range order {
 		c := l.calls[k]
@@ -241,11 +273,14 @@ func (g *Graph) fold() {
 
 // freeze sums each (src, dst) run of the call log, in the order
 // sortByPair leaves it, into one edge of an exactly sized out array,
-// builds the incoming rows by transposition, and drops the log with its
-// scratch.
+// builds the incoming rows by transposition, and returns the log with
+// its scratch to logPool.
 //
 //geolint:allocsite cold path: runs once per graph, before any hot-loop read
 func (g *Graph) freeze() {
+	if g.log == nil { // no call carried traffic
+		g.log = logPool.Get().(*callLog)
+	}
 	order, pairs := g.sortByPair()
 	calls := g.log.calls
 	outIdx := make([]int, g.n+1)
@@ -263,7 +298,8 @@ func (g *Graph) freeze() {
 	for i := 0; i < g.n; i++ { // rows with no edges end where the last one did
 		outIdx[i+1] = max(outIdx[i+1], outIdx[i])
 	}
-	g.log = callLog{}
+	g.log.release()
+	g.log = nil
 	g.csr = transpose(outIdx, out)
 }
 
@@ -271,22 +307,25 @@ func (g *Graph) freeze() {
 func samePair(a, b call) bool { return a.src == b.src && a.dst == b.dst }
 
 // transpose completes an out-CSR with its incoming rows. Walking sources
-// in ascending order leaves every in row sorted by sender.
+// in ascending order leaves every in row sorted by sender. Row j's
+// entries are written at inIdx[j+1], which counts up from row j's start
+// to its end, so the index needs no cursor array of its own.
 func transpose(outIdx []int, out []Edge) CSR {
 	n := len(outIdx) - 1
 	inIdx := make([]int, n+1)
 	for _, e := range out {
-		inIdx[e.Peer+1]++
+		if e.Peer+2 <= n {
+			inIdx[e.Peer+2]++
+		}
 	}
-	for i := 0; i < n; i++ {
+	for i := 1; i < n; i++ {
 		inIdx[i+1] += inIdx[i]
 	}
 	in := make([]Edge, len(out))
-	cursor := append([]int(nil), inIdx[:n]...)
 	for i := 0; i < n; i++ {
 		for _, e := range out[outIdx[i]:outIdx[i+1]] {
-			in[cursor[e.Peer]] = Edge{Peer: i, Volume: e.Volume, Msgs: e.Msgs}
-			cursor[e.Peer]++
+			in[inIdx[e.Peer+1]] = Edge{Peer: i, Volume: e.Volume, Msgs: e.Msgs}
+			inIdx[e.Peer+1]++
 		}
 	}
 	return CSR{OutIdx: outIdx, Out: out, InIdx: inIdx, In: in}

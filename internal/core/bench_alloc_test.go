@@ -92,7 +92,7 @@ func BenchmarkAllocPricedOrder(b *testing.B) {
 	for r := range ranks {
 		ranks[r] = r
 	}
-	e := p.newOrderEval(multilevel.NewFillTable(p.instance(groups)))
+	e := p.newOrderEval(multilevel.NewFill(multilevel.NewFillTable(p.instance(groups))))
 	_, _, best, _ := e.eval(ranks) // the full fill, its table, the prices and the best
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -37,9 +37,11 @@ import (
 // equal-capacity sites the search costs one fill, one O(M²) price per
 // order and one exact pass plus one per near-tie at any worker count: 1
 // of 24 for a served 512-process request. The fill's seed order and
-// weighted neighbour rows are built once per Map and shared by every
-// worker. The grouping step keeps κ small (the paper recommends κ ≤ 5)
-// so the order search stays tractable for large M.
+// weighted neighbour rows are built once per Map, in a table every worker
+// shares; the table and each worker's fill are scratch from multilevel's
+// pools, handed back when the search returns, so a Map allocates little
+// beyond its placement. The grouping step keeps κ small (the paper
+// recommends κ ≤ 5) so the order search stays tractable for large M.
 type GeoMapper struct {
 	// Kappa is the number of K-means site groups κ. Zero selects the
 	// default of min(M, 4). Values above MaxKappa are rejected to keep the
@@ -107,9 +109,10 @@ func (g *GeoMapper) Map(p *Problem) (Placement, error) {
 		return nil, err
 	}
 	table := multilevel.NewFillTable(p.instance(groups))
-	best, _, ok := multilevel.SearchOrders(table, stats.FactorialInt(len(groups)), g.Workers, func() multilevel.Eval {
-		return p.newOrderEval(table).eval
+	best, _, ok := multilevel.SearchOrders(table, stats.FactorialInt(len(groups)), g.Workers, func(f *multilevel.Fill) multilevel.Eval {
+		return p.newOrderEval(f).eval
 	})
+	table.Release()
 	if !ok {
 		return nil, fmt.Errorf("core: no placement produced")
 	}

@@ -2,11 +2,20 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"sync"
 
 	"geoprocmap/internal/geo"
 	"geoprocmap/internal/kmeans"
 	"geoprocmap/internal/stats"
 )
+
+// randPool recycles GroupSites' K-means generators. Seed restarts a
+// recycled generator's stream exactly where stats.NewRand(seed) starts a
+// new one, so recycling moves no K-means start, and no state of one
+// grouping reaches the next. A generator has a fixed size (~4.9 KB), so
+// no pooled one outgrows what a new one would hold.
+var randPool = sync.Pool{New: func() any { return stats.NewRand(0) }}
 
 // GroupSites clusters the M sites into at most kappa groups by K-means over
 // their physical coordinates (latitude, longitude) with Euclidean distance
@@ -29,7 +38,10 @@ func GroupSites(pc []geo.LatLon, kappa int, seed int64) ([][]int, error) {
 	for i, c := range pc {
 		points[i] = kmeans.Point{c.Lat, c.Lon}
 	}
-	res, err := kmeans.Cluster(points, kappa, 100, stats.NewRand(seed))
+	rng := randPool.Get().(*rand.Rand)
+	defer randPool.Put(rng)
+	rng.Seed(seed)
+	res, err := kmeans.Cluster(points, kappa, 100, rng)
 	if err != nil {
 		return nil, fmt.Errorf("core: grouping sites: %w", err)
 	}

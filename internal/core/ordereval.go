@@ -62,14 +62,14 @@ type orderEval struct {
 	exact, pruned int // Problem.Cost passes run and orders skipped, for tests
 }
 
-// newOrderEval returns an evaluator of the orders of the table's groups,
-// with its own fill over the shared table of p's level-0 graph.
-func (p *Problem) newOrderEval(table *multilevel.FillTable) *orderEval {
+// newOrderEval returns an evaluator of the orders of fill's groups, which
+// fills them with fill, a Fill over the table of p's level-0 graph.
+func (p *Problem) newOrderEval(fill *multilevel.Fill) *orderEval {
 	m := p.M()
 	ints := make([]int, 3*m) // one block backs bestCur, occ and pos
 	return &orderEval{
 		p:       p,
-		fill:    multilevel.NewFill(table),
+		fill:    fill,
 		prune:   p.Comm.EdgeCount() <= priceMaxTerms-2*m*m-3,
 		bestCur: ints[:0:m],
 		occ:     ints[m : m : 2*m],

@@ -78,8 +78,8 @@ func TestOrderEvalCounts(t *testing.T) {
 			classes int
 		)
 		table := multilevel.NewFillTable(p.instance(groups))
-		got, _, ok := multilevel.SearchOrders(table, math.MaxInt, workers, func() multilevel.Eval {
-			e := p.newOrderEval(table)
+		got, _, ok := multilevel.SearchOrders(table, math.MaxInt, workers, func(f *multilevel.Fill) multilevel.Eval {
+			e := p.newOrderEval(f)
 			mu.Lock()
 			evals = append(evals, e)
 			mu.Unlock()

@@ -1,6 +1,7 @@
 package multilevel
 
 import (
+	"slices"
 	"sort"
 
 	"geoprocmap/internal/comm"
@@ -75,7 +76,12 @@ func coarsen(in *Instance) hierarchy {
 
 // normalizeAllowed returns sorted copies of the allowed sets (nil-padded to
 // n entries) so set intersection during contraction can merge linearly.
+// With no set at all, up to maxUnitView vertices, it returns the shared
+// read-only run of nil sets (see unitWeights).
 func normalizeAllowed(allowed [][]int, n int) [][]int {
+	if n <= maxUnitView && !slices.ContainsFunc(allowed, func(set []int) bool { return len(set) > 0 }) {
+		return noSets[:n:n]
+	}
 	out := make([][]int, n)
 	for i := range out {
 		if i < len(allowed) && len(allowed[i]) > 0 {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"geoprocmap/internal/stats"
 	"geoprocmap/internal/units"
@@ -21,7 +22,10 @@ import (
 // the coarsest level. What no pick changes, the seed order and the
 // weighted neighbour rows, lives in a FillTable that every Fill of the
 // level shares; a Fill owns only its scratch, so each goroutine needs its
-// own.
+// own. Both are scratch of one search: NewFillTable and NewFill take them
+// from the package's pools, SearchOrders returns each worker's Fill when
+// the worker is done, and whoever built the table releases it once
+// SearchOrders returns (see Release).
 //
 // Each pick is the best unselected vertex that fits the site's remaining
 // room and is admissible on it, under a total key: a seed by highest
@@ -89,7 +93,8 @@ type Fill struct {
 
 // FillTable is the read-only part of the Fills over one level: what no
 // pick changes, built once by NewFillTable and shared by every Fill of
-// the level, across goroutines, without locks.
+// the level, across goroutines, without locks. Its buffers come from the
+// package's pool, and Release hands them back.
 type FillTable struct {
 	in        *Instance
 	lv        *level
@@ -104,6 +109,38 @@ type FillTable struct {
 	// and placing v adds each entry's weight to its peer's affinity.
 	nbrIdx []int
 	nbrs   []weightedPeer
+
+	seed seedScratch // seedOrder's buffers; order is one of them
+}
+
+// The package's scratch pools. A FillTable or Fill taken from one is
+// resized and cleared, or fully overwritten, before it is read, and
+// drops its instance and level when it goes back, so no pooled buffer
+// carries one search's data into the next. Scratch above maxPooledBytes
+// is left to the collector rather than held: 1 MB, about the table of a
+// sparse level of 5,000 vertices or the fill of one of 20,000.
+var (
+	tablePool = sync.Pool{New: func() any { return new(FillTable) }}
+	fillPool  = sync.Pool{New: func() any { return new(Fill) }}
+)
+
+const maxPooledBytes = 1 << 20
+
+// resize returns s with length n and every element zero, reusing its
+// array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// byteSize is the size of s's array in bytes.
+func byteSize[T any](s []T) int {
+	var zero T
+	return cap(s) * int(unsafe.Sizeof(zero))
 }
 
 // weightedPeer is one entry of a FillTable row.
@@ -113,7 +150,8 @@ type weightedPeer struct {
 }
 
 // NewFillTable returns the table of in's level-0 graph, pins and allowed
-// sets.
+// sets, in scratch from the package's pool: the caller hands it back with
+// Release once its search is done.
 func NewFillTable(in *Instance) *FillTable {
 	return newFillTable(in, &level{g: in.G, pin: in.Pin, allowed: normalizeAllowed(in.Allowed, in.G.n)})
 }
@@ -121,13 +159,10 @@ func NewFillTable(in *Instance) *FillTable {
 func newFillTable(in *Instance, lv *level) *FillTable {
 	n := lv.g.n
 	adj := lv.g.adj
-	t := &FillTable{
-		in:        in,
-		lv:        lv,
-		symmetric: true,
-		quantity:  make([]units.Cost, n),
-		nbrIdx:    make([]int, n+1),
-	}
+	t := tablePool.Get().(*FillTable)
+	t.in, t.lv, t.symmetric = in, lv, true
+	t.quantity = resize(t.quantity, n)
+	t.nbrIdx = resize(t.nbrIdx, n+1)
 	// Size the rows first: v's neighbours are the peers of its out row
 	// and its in row, a peer in both counted once.
 	for v := 0; v < n; v++ {
@@ -143,7 +178,7 @@ func newFillTable(in *Instance, lv *level) *FillTable {
 		}
 		t.nbrIdx[v+1] = t.nbrIdx[v] + len(outRow) + len(inRow) - both
 	}
-	t.nbrs = make([]weightedPeer, t.nbrIdx[n])
+	t.nbrs = resize(t.nbrs, t.nbrIdx[n])
 	ref := in.refWeights()
 	for v := 0; v < n; v++ {
 		if lv.pin[v] >= 0 || len(lv.allowed[v]) > 0 {
@@ -158,24 +193,45 @@ func newFillTable(in *Instance, lv *level) *FillTable {
 		})
 		t.quantity[v] = q
 	}
-	t.order = seedOrder(t.quantity)
+	t.order = t.seed.seedOrder(t.quantity)
 	return t
 }
 
+// Release hands the table back to the package's pool. The caller must
+// not use the table, or any Fill over it, afterwards. A table above
+// maxPooledBytes goes to the collector instead.
+func (t *FillTable) Release() {
+	t.in, t.lv, t.order = nil, nil, nil
+	s := &t.seed
+	if byteSize(t.quantity)+byteSize(t.nbrIdx)+byteSize(t.nbrs)+byteSize(s.order)+byteSize(s.spare)+byteSize(s.keys)+byteSize(s.spareKeys) > maxPooledBytes {
+		return
+	}
+	tablePool.Put(t)
+}
+
+// seedScratch is seedOrder's working memory: two vertex buffers and two
+// key buffers, which each counting pass swaps.
+type seedScratch struct {
+	order, spare    []int
+	keys, spareKeys []uint64
+}
+
 // seedOrder returns the vertices by quantity descending, then index
-// ascending. Non-negative float64s order as their bit patterns do, so
-// when no quantity is NaN or carries a sign bit, stable counting passes
-// over the complemented bit patterns, one byte each from the lowest, give
-// that order without a comparison. One pass counts all eight bytes, and
-// a byte every vertex shares gets no pass. Otherwise a comparison sort
-// does.
-func seedOrder(quantity []units.Cost) []int {
+// ascending, in one of s's buffers. Non-negative float64s order as their
+// bit patterns do, so when no quantity is NaN or carries a sign bit,
+// stable counting passes over the complemented bit patterns, one byte
+// each from the lowest, give that order without a comparison. One pass
+// counts all eight bytes, and a byte every vertex shares gets no pass.
+// Otherwise a comparison sort does.
+func (s *seedScratch) seedOrder(quantity []units.Cost) []int {
 	n := len(quantity)
-	order := make([]int, n)
+	s.order = resize(s.order, n)
+	order := s.order
 	for v := range order {
 		order[v] = v
 	}
-	keys := make([]uint64, n)
+	s.keys = resize(s.keys, n)
+	keys := s.keys
 	for v, q := range quantity {
 		if math.IsNaN(q.Float()) || math.Signbit(q.Float()) {
 			slices.SortFunc(order, func(a, b int) int {
@@ -197,7 +253,8 @@ func seedOrder(quantity []units.Cost) []int {
 			count[b][k>>(8*b)&0xff]++
 		}
 	}
-	nextOrder, nextKeys := make([]int, n), make([]uint64, n)
+	s.spare, s.spareKeys = resize(s.spare, n), resize(s.spareKeys, n)
+	nextOrder, nextKeys := s.spare, s.spareKeys
 	for b := range count {
 		c := &count[b]
 		if c[keys[0]>>(8*b)&0xff] == n {
@@ -216,28 +273,61 @@ func seedOrder(quantity []units.Cost) []int {
 		order, nextOrder = nextOrder, order
 		keys, nextKeys = nextKeys, keys
 	}
+	s.order, s.spare = order, nextOrder
+	s.keys, s.spareKeys = keys, nextKeys
 	return order
 }
 
-// NewFill returns a fill over t's level with its own scratch.
+// NewFill returns a fill over t's level with its own scratch, taken from
+// the package's pool. SearchOrders hands each worker's fill back when
+// the worker is done; a fill a caller makes itself is simply dropped.
 func NewFill(t *FillTable) *Fill {
-	n, m := t.lv.g.n, t.in.M()
-	f := &Fill{
-		FillTable: t,
-		affinity:  make([]units.Cost, n),
-		selected:  make([]bool, n),
-		avail:     make([]int, m),
-		members:   make([][]int, m),
-		pl:        make([]int, n),
-		groupDone: make([]bool, m),
-		ordered:   make([][]int, len(t.in.Groups)),
-		visited:   make([]bool, m),
-	}
-	// One block backs the replay's int buffers: visits and ends of len M,
-	// then picks of len n.
-	replay := make([]int, 2*m+n)
-	f.visits, f.ends, f.picks = replay[:m:m], replay[m:2*m:2*m], replay[2*m:]
+	f := fillPool.Get().(*Fill)
+	f.attach(t)
 	return f
+}
+
+// attach points f at t's level and sizes its scratch for it, every
+// buffer empty and zero as a new Fill's would be, whatever level f
+// filled before.
+func (f *Fill) attach(t *FillTable) {
+	n, m := t.lv.g.n, t.in.M()
+	f.FillTable = t
+	f.affinity = resize(f.affinity, n)
+	f.frontier = f.frontier[:0]
+	f.selected = resize(f.selected, n)
+	f.avail = resize(f.avail, m)
+	if cap(f.members) < m {
+		f.members = make([][]int, m)
+	}
+	f.members = f.members[:m]
+	for s := range f.members {
+		f.members[s] = f.members[s][:0]
+	}
+	f.pl = resize(f.pl, n)
+	f.groupDone = resize(f.groupDone, m)
+	f.ordered = resize(f.ordered, len(t.in.Groups))
+	f.visits = resize(f.visits, m)
+	f.visited = resize(f.visited, m)
+	f.picks = resize(f.picks, n)
+	f.ends = resize(f.ends, m)
+	f.fullRuns = 0
+}
+
+// release hands f back to the package's pool, unless its scratch
+// exceeds maxPooledBytes. The caller must not use f afterwards.
+func (f *Fill) release() {
+	size := byteSize(f.affinity) + byteSize(f.frontier) + byteSize(f.selected) + byteSize(f.avail) +
+		byteSize(f.members) + byteSize(f.pl) + byteSize(f.groupDone) + byteSize(f.ordered) +
+		byteSize(f.visits) + byteSize(f.visited) + byteSize(f.picks) + byteSize(f.ends)
+	for _, mem := range f.members[:cap(f.members)] {
+		size += byteSize(mem)
+	}
+	f.FillTable = nil
+	clear(f.ordered) // the groups of the instance it last filled
+	if size <= maxPooledBytes {
+		fillPool.Put(f)
+	}
 }
 
 // frontierEntry is one frontier-heap entry: v with the affinity it had
@@ -628,19 +718,25 @@ type Eval func(ranks []int) (rank int, pl []int, cost units.Cost, ok bool)
 // an evaluator Runs the class's first order and Replays the others (see
 // Fill); on other levels, or for an order that visits a site twice, each
 // rank alone. The classes alone decide which orders share a fill. Worker w
-// of W takes the classes w, w+W, … with its own evaluator from newEval, so
-// each key is filled once at any worker count (workers ≤ 0 selects
-// GOMAXPROCS, never more than the classes; worker 0 runs on the calling
-// goroutine). The reduction keeps the minimum cost and, on a tie, the
-// lowest rank, so the result is byte-identical at any worker count.
-func SearchOrders(t *FillTable, limit, workers int, newEval func() Eval) (best []int, cost units.Cost, ok bool) {
+// of W takes the classes w, w+W, … with its own Fill over t, from the
+// package's pool, and the evaluator newEval makes of it, so each key is
+// filled once at any worker count (workers ≤ 0 selects GOMAXPROCS, never
+// more than the classes; worker 0 runs on the calling goroutine). A
+// worker copies out each placement it keeps and hands its Fill back when
+// its classes are done, so the evaluator must not outlive the search. The
+// reduction keeps the minimum cost and, on a tie, the lowest rank, so the
+// result is byte-identical at any worker count. The table stays the
+// caller's to release.
+func SearchOrders(t *FillTable, limit, workers int, newEval func(*Fill) Eval) (best []int, cost units.Cost, ok bool) {
 	limit = min(limit, stats.FactorialInt(len(t.in.Groups)))
 	classes := t.keyClasses(limit)
 	workers = max(1, min(workerCount(workers), len(classes)))
 	results := make([]orderResult, workers)
 	search := func(w int) {
 		r := &results[w]
-		eval := newEval()
+		f := NewFill(t)
+		defer f.release()
+		eval := newEval(f)
 		for c := w; c < len(classes); c += workers {
 			if rank, pl, cost, ok := eval(classes[c]); ok && r.worse(cost, rank) {
 				r.best = append(r.best[:0], pl...)

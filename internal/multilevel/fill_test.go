@@ -142,14 +142,17 @@ func BenchmarkAllocFill512Shared(b *testing.B) {
 func TestFillSharesSymmetricOrders(t *testing.T) {
 	search := func(in *Instance, workers int, share bool) ([]int, int) {
 		var mu sync.Mutex
-		var fills []*Fill
+		full := 0
 		table := NewFillTable(in)
-		best, _, ok := SearchOrders(table, math.MaxInt, workers, func() Eval {
-			f := NewFill(table)
-			mu.Lock()
-			fills = append(fills, f)
-			mu.Unlock()
+		defer table.Release()
+		best, _, ok := SearchOrders(table, math.MaxInt, workers, func(f *Fill) Eval {
 			return func(ranks []int) (int, []int, units.Cost, bool) {
+				before := f.fullRuns
+				defer func() {
+					mu.Lock()
+					full += f.fullRuns - before
+					mu.Unlock()
+				}()
 				var best []int
 				rank, cost := -1, units.Cost(math.Inf(1))
 				for i, r := range ranks {
@@ -171,10 +174,6 @@ func TestFillSharesSymmetricOrders(t *testing.T) {
 		})
 		if !ok {
 			t.Fatal("no feasible order")
-		}
-		full := 0
-		for _, f := range fills {
-			full += f.fullRuns
 		}
 		return best, full
 	}
@@ -292,9 +291,9 @@ func TestSearchOrdersMatchesSerialScan(t *testing.T) {
 			}
 			return fmt.Sprint(capacities)
 		}
-		newEval := func(feasible func(c int) bool, seen []int) func() Eval {
+		newEval := func(feasible func(c int) bool, seen []int) func(*Fill) Eval {
 			var mu sync.Mutex
-			return func() Eval {
+			return func(*Fill) Eval {
 				pl := make([]int, k)
 				return func(ranks []int) (int, []int, units.Cost, bool) {
 					if !slices.IsSorted(ranks) {
@@ -554,18 +553,22 @@ func fillCase(seed int64, n, m, zero int, symmetric bool) *Instance {
 // checkFillMatchesReference walks the key classes of in's orders, on
 // level 0 and on one coarsened level whose super-vertices weigh up to
 // three processes, as an order-search evaluator does: Run on each
-// class's first order and Replay on the others. It compares every step
-// with referenceRun and fails on the first order where the placement,
-// the remaining room or a site's members (in order) differ: the initial
-// map's leftover repair reads all three.
-func checkFillMatchesReference(t *testing.T, in *Instance) {
+// class's first order and Replay on the others. It runs them on f,
+// attached to each level as the pool attaches a recycled Fill, whatever
+// f filled before, and compares every step with referenceRun on a Fill
+// that never filled anything. It fails on the first order where the
+// placement, the remaining room or a site's members (in order) differ:
+// the initial map's leftover repair reads all three.
+func checkFillMatchesReference(t *testing.T, f *Fill, in *Instance) {
 	t.Helper()
 	l0 := &level{g: in.G, pin: in.Pin, allowed: normalizeAllowed(in.Allowed, in.G.n)}
 	mt := &matcher{in: in, ref: in.refWeights(), maxW: 3}
 	match, _ := mt.match(l0)
 	for _, lv := range []*level{l0, contract(l0, match)} {
 		table := newFillTable(in, lv)
-		f, ref := NewFill(table), NewFill(table)
+		ref := new(Fill)
+		f.attach(table)
+		ref.attach(table)
 		for _, class := range table.keyClasses(stats.FactorialInt(len(in.Groups))) {
 			for i, rank := range class {
 				ordered := f.Order(rank)
@@ -594,35 +597,48 @@ func checkFillMatchesReference(t *testing.T, in *Instance) {
 // TestFillMatchesReference checks the heap-driven fill against the O(N²)
 // reference scan on random small instances in every zero mode, with and
 // without pins and site sets, and on the fixtures the other fill tests
-// use.
+// use. One Fill serves every case, so each starts from the scratch of
+// another shape.
 func TestFillMatchesReference(t *testing.T) {
+	f := new(Fill)
 	for seed := int64(1); seed <= 60; seed++ {
 		n, m, zero := 1+int(seed*7%40), 1+int(seed%6), int(seed%3)
 		t.Run(fmt.Sprintf("seed=%d/n=%d/m=%d/zero=%d", seed, n, m, zero), func(t *testing.T) {
-			checkFillMatchesReference(t, fillCase(seed, n, m, zero, false))
+			checkFillMatchesReference(t, f, fillCase(seed, n, m, zero, false))
 		})
 		t.Run(fmt.Sprintf("symmetric/seed=%d/n=%d/m=%d/zero=%d", seed, n, m, zero), func(t *testing.T) {
-			checkFillMatchesReference(t, fillCase(seed, n, m, zero, true))
+			checkFillMatchesReference(t, f, fillCase(seed, n, m, zero, true))
 		})
 	}
-	t.Run("testInstance", func(t *testing.T) { checkFillMatchesReference(t, testInstance(t, 64, 8, true, true)) })
+	t.Run("testInstance", func(t *testing.T) { checkFillMatchesReference(t, f, testInstance(t, 64, 8, true, true)) })
 	t.Run("clustered", func(t *testing.T) {
 		in := clusteredInstance(64, 4, 11)
 		in.Groups = [][]int{{0}, {1}, {2}, {3}}
-		checkFillMatchesReference(t, in)
+		checkFillMatchesReference(t, f, in)
 	})
 }
 
 // FuzzFillMatchesReference is TestFillMatchesReference over fuzzed
 // instance seeds and shapes (make fuzz runs it). The top bit of zero
 // selects the symmetric mode, where key classes of several orders replay.
+// Each input checks its instance, then a second one of another process
+// count, site count and mode (pins and site sets where the first has
+// none, or none where it has them), then the first again, all on one
+// recycled Fill: a buffer that a Fill attached to a new level does not
+// resize or clear shows as a placement, room or member list that differs
+// from the reference.
 func FuzzFillMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(3), uint8(0))
 	f.Add(int64(2), uint8(30), uint8(5), uint8(1))
 	f.Add(int64(3), uint8(7), uint8(1), uint8(2))
 	f.Add(int64(4), uint8(20), uint8(4), uint8(0x80))
 	f.Fuzz(func(t *testing.T, seed int64, n, m, zero uint8) {
-		checkFillMatchesReference(t, fillCase(seed, 1+int(n%48), 1+int(m%6), int(zero%3), zero&0x80 != 0))
+		first := fillCase(seed, 1+int(n%48), 1+int(m%6), int(zero%3), zero&0x80 != 0)
+		second := fillCase(seed+1, 1+int((n/2+17)%48), 1+int((m+3)%6), int((zero+1)%3), zero&0x80 == 0)
+		recycled := new(Fill)
+		for _, in := range []*Instance{first, second, first} {
+			checkFillMatchesReference(t, recycled, in)
+		}
 	})
 }
 
@@ -640,6 +656,7 @@ func TestSeedOrderMatchesComparisonSort(t *testing.T) {
 		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(q[b], q[a]) })
 		return order
 	}
+	var scratch seedScratch // reused across trials of every length
 	for trial := 0; trial < 500; trial++ {
 		q := make([]units.Cost, rng.Intn(300))
 		for v := range q {
@@ -659,7 +676,7 @@ func TestSeedOrderMatchesComparisonSort(t *testing.T) {
 		if len(q) > 0 && trial%5 == 0 {
 			q[rng.Intn(len(q))] = units.Cost([]float64{math.NaN(), math.Copysign(0, -1)}[rng.Intn(2)])
 		}
-		if got, want := seedOrder(q), want(q); !slices.Equal(got, want) {
+		if got, want := scratch.seedOrder(q), want(q); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: seedOrder(%v) = %v, comparison sort %v", trial, q, got, want)
 		}
 	}

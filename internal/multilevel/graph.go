@@ -53,7 +53,7 @@ import (
 // TestCoarsenConservesVolume asserts.
 type Graph struct {
 	n      int
-	weight []int // processes merged into each vertex (level 0: all 1)
+	weight []int // processes merged into each vertex (level 0: all 1, shared; see unitWeights)
 	adj    *comm.CSR
 
 	// Intra-vertex traffic absorbed by contraction: the (volume, msgs)
@@ -71,20 +71,45 @@ func (g *Graph) in(v int) []comm.Edge { return g.adj.In[g.adj.InIdx[v]:g.adj.InI
 
 // FromComm returns the level-0 graph of cg: unit weights, no self traffic,
 // and cg's own frozen rows as the adjacency (cg is frozen if it was not).
+// Up to maxUnitView processes, the weights and self-traffic arrays are
+// slices of the shared read-only ones (see unitWeights), so the view
+// allocates only itself.
 func FromComm(cg *comm.Graph) *Graph {
 	n := cg.N()
-	g := &Graph{
-		n:        n,
-		weight:   make([]int, n),
-		adj:      cg.CSR(),
-		selfVol:  make([]float64, n),
-		selfMsgs: make([]float64, n),
+	g := &Graph{n: n, adj: cg.CSR()}
+	if n <= maxUnitView {
+		g.weight, g.selfVol, g.selfMsgs = unitWeights[:n:n], zeroTraffic[:n:n], zeroTraffic[:n:n]
+		return g
 	}
+	g.weight, g.selfVol, g.selfMsgs = make([]int, n), make([]float64, n), make([]float64, n)
 	for v := range g.weight {
 		g.weight[v] = 1
 	}
 	return g
 }
+
+// What every level-0 view of up to maxUnitView vertices shares: unit
+// weights, zero self traffic and, for a problem with no site set, no
+// allowed-site sets. None of it depends on a problem, and nothing writes
+// it: contraction builds each coarser level's arrays afresh. A level-0
+// view belongs to its Instance, which has no point where the solver could
+// take it back, so the view shares these read-only arrays rather than
+// pooling its own.
+var (
+	unitWeights = func() []int {
+		w := make([]int, maxUnitView)
+		for v := range w {
+			w[v] = 1
+		}
+		return w
+	}()
+	zeroTraffic = make([]float64, maxUnitView)
+	noSets      = make([][]int, maxUnitView)
+)
+
+// maxUnitView is the shared level-0 arrays' length: the paper's largest
+// scale, 8192 processes (320 KB, of which the zero arrays stay untouched).
+const maxUnitView = 1 << 13
 
 // Instance is a mapping problem phrased over a CSR graph: the network
 // matrices, per-site capacities, the pin vector (-1 = free), optional

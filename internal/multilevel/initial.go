@@ -14,10 +14,12 @@ type initialMapper struct {
 	byWeight []int // vertices in descending weight order (leftover repair)
 }
 
-func newInitialMapper(t *FillTable) *initialMapper {
-	g := t.lv.g
+// newInitialMapper returns the initial map's evaluator around f, a Fill
+// of the level it maps.
+func newInitialMapper(f *Fill) *initialMapper {
+	g := f.lv.g
 	im := &initialMapper{
-		Fill:     NewFill(t),
+		Fill:     f,
 		byWeight: make([]int, g.n),
 	}
 	for v := range im.byWeight {

@@ -209,7 +209,7 @@ func TestProjectionNeverViolatesConstraints(t *testing.T) {
 	for {
 		table := newFillTable(in, h[li])
 		var ok bool
-		pl, _, ok = SearchOrders(table, maxOrders, 1, func() Eval { return newInitialMapper(table).eval })
+		pl, _, ok = SearchOrders(table, maxOrders, 1, func(f *Fill) Eval { return newInitialMapper(f).eval })
 		if ok {
 			break
 		}
@@ -262,13 +262,13 @@ func TestInitialMapperFillsOncePerClass(t *testing.T) {
 		if len(classes) != 1 || len(classes[0]) != 24 {
 			t.Fatalf("level with %d vertices: %d key classes, want one of 24 orders", lv.g.n, len(classes))
 		}
-		im := newInitialMapper(table)
+		im := newInitialMapper(NewFill(table))
 		rank, pl, cost, ok := im.eval(classes[0])
 		if im.fullRuns != 1 {
 			t.Errorf("level with %d vertices: %d full fills, want 1", lv.g.n, im.fullRuns)
 		}
 
-		ref := newInitialMapper(table)
+		ref := newInitialMapper(NewFill(table))
 		want, wantCost := -1, units.Cost(0)
 		for _, r := range classes[0] {
 			if c, ok := ref.run(r, false); ok && (want < 0 || c < wantCost) {

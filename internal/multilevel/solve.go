@@ -82,9 +82,10 @@ func Solve(in *Instance, opt Options) ([]int, Stats, error) {
 	for {
 		t := newFillTable(in, h[li])
 		var ok bool
-		pl, _, ok = SearchOrders(t, maxOrders, workers, func() Eval {
-			return newInitialMapper(t).eval
+		pl, _, ok = SearchOrders(t, maxOrders, workers, func(f *Fill) Eval {
+			return newInitialMapper(f).eval
 		})
+		t.Release()
 		if ok {
 			break
 		}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
 	"slices"
 	"strconv"
@@ -33,24 +34,23 @@ func fingerprint(r *MapRequest, snapshotVersion uint64) string {
 //
 //geolint:deterministic
 func cacheKey(r *MapRequest, snapshotVersion uint64) (key string, order []int) {
-	// Room for every field when each allowed set holds one site.
-	b := make([]byte, 0, 64+len(r.Algorithm)+len(r.Workload)+32*len(r.Edges)+8*len(r.Constraint)+16*len(r.Allowed))
-	b = appendU64(b, snapshotVersion)
-	b = appendStr(b, r.Algorithm)
-	b = appendU64(b, uint64(r.Kappa))
-	b = appendU64(b, uint64(r.Seed))
-	b = appendU64(b, uint64(r.Procs))
-	b = appendU64(b, uint64(r.iters()))
-	b = appendStr(b, r.Workload)
+	h := newKeyHash()
+	h.u64(snapshotVersion)
+	h.str(r.Algorithm)
+	h.u64(uint64(r.Kappa))
+	h.u64(uint64(r.Seed))
+	h.u64(uint64(r.Procs))
+	h.u64(uint64(r.iters()))
+	h.str(r.Workload)
 	if len(r.Edges) > 0 {
-		b = appendU64(b, uint64(len(r.Edges)))
+		h.u64(uint64(len(r.Edges)))
 		order = keyOrder(r.Edges, r.Procs)
 		for _, k := range order {
 			e := r.Edges[k]
-			b = appendU64(b, uint64(e.Src))
-			b = appendU64(b, uint64(e.Dst))
-			b = appendU64(b, math.Float64bits(e.Volume))
-			b = appendU64(b, math.Float64bits(e.Msgs))
+			h.u64(uint64(e.Src))
+			h.u64(uint64(e.Dst))
+			h.u64(math.Float64bits(e.Volume))
+			h.u64(math.Float64bits(e.Msgs))
 		}
 	}
 	// An all-Unconstrained vector fingerprints identically to an absent
@@ -63,21 +63,21 @@ func cacheKey(r *MapRequest, snapshotVersion uint64) (key string, order []int) {
 		}
 	}
 	if pinned {
-		b = appendU64(b, uint64(len(r.Constraint)))
+		h.u64(uint64(len(r.Constraint)))
 		for _, c := range r.Constraint {
-			b = appendU64(b, uint64(int64(c)))
+			h.u64(uint64(int64(c)))
 		}
 	}
 	if len(r.Allowed) > 0 {
-		b = appendU64(b, uint64(len(r.Allowed)))
+		h.u64(uint64(len(r.Allowed)))
 		for _, set := range r.Allowed {
-			b = appendU64(b, uint64(len(set)))
+			h.u64(uint64(len(set)))
 			for _, s := range set {
-				b = appendU64(b, uint64(s))
+				h.u64(uint64(s))
 			}
 		}
 	}
-	return hashHex(b), order
+	return h.hex(), order
 }
 
 // keyOrder returns the order in which the key hashes edges, as indices
@@ -242,11 +242,11 @@ func CombinedDigest(digests []string) string {
 //
 //geolint:deterministic
 func placementDigest(pl core.Placement) string {
-	b := make([]byte, 0, 8*len(pl))
+	h := newKeyHash()
 	for _, s := range pl {
-		b = appendU64(b, uint64(int64(s)))
+		h.u64(uint64(int64(s)))
 	}
-	return hashHex(b)
+	return h.hex()
 }
 
 // hashHex is the hex SHA-256 of b, the form every digest and key takes.
@@ -255,6 +255,48 @@ func hashHex(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
+// keyHash streams the bytes of a key or digest into SHA-256 through a
+// fixed-size buffer, so that hashing a request costs no buffer in
+// proportion to its edges: the hash is that of the bytes written, in
+// order, as if they had been appended to one slice.
+type keyHash struct {
+	h   hash.Hash
+	buf [512]byte
+	n   int
+}
 
-func appendStr(b []byte, s string) []byte { return append(appendU64(b, uint64(len(s))), s...) }
+func newKeyHash() *keyHash { return &keyHash{h: sha256.New()} }
+
+// u64 writes v as 8 little-endian bytes.
+func (k *keyHash) u64(v uint64) {
+	if k.n+8 > len(k.buf) {
+		k.flush()
+	}
+	binary.LittleEndian.PutUint64(k.buf[k.n:], v)
+	k.n += 8
+}
+
+// str writes len(s) as a u64, then the bytes of s.
+func (k *keyHash) str(s string) {
+	k.u64(uint64(len(s)))
+	for len(s) > 0 {
+		if k.n == len(k.buf) {
+			k.flush()
+		}
+		c := copy(k.buf[k.n:], s)
+		k.n += c
+		s = s[c:]
+	}
+}
+
+func (k *keyHash) flush() {
+	_, _ = k.h.Write(k.buf[:k.n]) // a hash.Hash never returns an error
+	k.n = 0
+}
+
+// hex returns the hex SHA-256 of everything written, as hashHex does.
+func (k *keyHash) hex() string {
+	k.flush()
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(k.h.Sum(sum[:0]))
+}

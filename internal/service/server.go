@@ -475,7 +475,8 @@ const graphMemoEntries = 64
 // the same key profile once thanks to the singleflight layer above; the
 // plain mutex here only guards the LRU. A profiled graph is frozen
 // before it enters the memo, so the memo holds only CSR rows: never a
-// call log or its fold scratch, which the freeze drops.
+// call log or its fold scratch, which the freeze hands back to comm's
+// pool for the next profile.
 func (s *Server) graphFor(workload string, procs, iters int) (*comm.Graph, error) {
 	key := fmt.Sprintf("%s/%d/%d", workload, procs, iters)
 	s.graphMu.Lock()
