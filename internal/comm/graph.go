@@ -22,8 +22,9 @@
 //
 // The call log is scratch: a graph takes one from the package's pool at
 // its first AddTraffic, and the freeze hands it back, so profiling a
-// graph allocates only the CSR it keeps. A graph built by FromCSR never
-// holds a log.
+// graph allocates only the CSR it keeps. NewGraph and AddTraffic are the
+// only way to build a Graph; NewCSR builds an adjacency alone, for
+// callers that hold peer-sorted out rows already.
 package comm
 
 import (
@@ -132,20 +133,6 @@ func (l *callLog) release() {
 	l.calls, l.spare = l.calls[:0], l.spare[:0]
 	l.count, l.byDst, l.order = l.count[:0], l.byDst[:0], l.order[:0]
 	logPool.Put(l)
-}
-
-// FromCSR returns the frozen graph over len(outIdx)-1 processes whose
-// outgoing adjacency is (outIdx, out), building the incoming rows by
-// transposition. Every row must be strictly ascending by peer and free of
-// self-traffic; the graph takes ownership of both slices.
-func FromCSR(outIdx []int, out []Edge) *Graph {
-	g := &Graph{n: len(outIdx) - 1}
-	for _, e := range out {
-		g.totalVolume += e.Volume
-		g.totalMsgs += e.Msgs
-	}
-	g.once.Do(func() { g.csr = transpose(outIdx, out) })
-	return g
 }
 
 // N returns the number of processes.
@@ -273,7 +260,7 @@ func (g *Graph) fold() {
 
 // freeze sums each (src, dst) run of the call log, in the order
 // sortByPair leaves it, into one edge of an exactly sized out array,
-// builds the incoming rows by transposition, and returns the log with
+// builds the incoming rows with NewCSR, and returns the log with
 // its scratch to logPool.
 //
 //geolint:allocsite cold path: runs once per graph, before any hot-loop read
@@ -300,17 +287,22 @@ func (g *Graph) freeze() {
 	}
 	g.log.release()
 	g.log = nil
-	g.csr = transpose(outIdx, out)
+	g.csr = NewCSR(outIdx, out)
 }
 
 // samePair reports whether two calls share their (src, dst) pair.
 func samePair(a, b call) bool { return a.src == b.src && a.dst == b.dst }
 
-// transpose completes an out-CSR with its incoming rows. Walking sources
-// in ascending order leaves every in row sorted by sender. Row j's
-// entries are written at inIdx[j+1], which counts up from row j's start
-// to its end, so the index needs no cursor array of its own.
-func transpose(outIdx []int, out []Edge) CSR {
+// NewCSR returns the adjacency over len(outIdx)-1 processes whose
+// outgoing rows are (outIdx, out), completed with its incoming rows: what
+// a graph's freeze makes of the rows it sums, and what multilevel's
+// contraction makes of the rows it aggregates. Every row must be strictly
+// ascending by peer and free of self-traffic; the CSR takes ownership of
+// both slices. Walking sources in ascending order leaves every in row
+// sorted by sender. Row j's entries are written at inIdx[j+1], which
+// counts up from row j's start to its end, so the index needs no cursor
+// array of its own.
+func NewCSR(outIdx []int, out []Edge) CSR {
 	n := len(outIdx) - 1
 	inIdx := make([]int, n+1)
 	for _, e := range out {

@@ -72,9 +72,12 @@ type GeoMapper struct {
 // MaxKappa bounds the group count so κ! stays tractable.
 const MaxKappa = 8
 
-// groupCount resolves a mapper's Kappa: zero selects 4, and values
+// GroupCount resolves a mapper's Kappa: zero selects 4, and values
 // outside [1, MaxKappa] are rejected to keep the κ! order search bounded.
-func groupCount(kappa int) (int, error) {
+// It is the one statement of that bound: GeoMapper and
+// MultilevelGeoMapper apply it in Map, and the mapping service before it
+// profiles a request's workload.
+func GroupCount(kappa int) (int, error) {
 	switch {
 	case kappa == 0:
 		return 4, nil
@@ -99,7 +102,7 @@ func (g *GeoMapper) Map(p *Problem) (Placement, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	kappa, err := groupCount(g.Kappa)
+	kappa, err := GroupCount(g.Kappa)
 	if err != nil {
 		return nil, err
 	}

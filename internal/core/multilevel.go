@@ -46,7 +46,7 @@ func (m *MultilevelGeoMapper) Map(p *Problem) (Placement, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	kappa, err := groupCount(m.Kappa)
+	kappa, err := GroupCount(m.Kappa)
 	if err != nil {
 		return nil, err
 	}

@@ -303,7 +303,8 @@ func contract(lv *level, match []int) *level {
 		}
 		allowed[c] = set
 	}
-	cg.adj = comm.FromCSR(outIdx, out).CSR()
+	adj := comm.NewCSR(outIdx, out)
+	cg.adj = &adj
 	return &level{g: cg, pin: pin, allowed: allowed}
 }
 

@@ -30,9 +30,9 @@
 // way. All structures here speak plain slices plus the shared comm/mat/
 // units/stats vocabulary. Every level's adjacency is a frozen comm.CSR:
 // level 0 reads the application's comm.Graph rows in place, and each
-// coarser level is built by comm.FromCSR from the rows contraction emits,
-// so the package keeps only per-vertex weights and self-traffic of its
-// own.
+// coarser level's is built by comm.NewCSR from the rows contraction
+// emits, so the package keeps only per-vertex weights and self-traffic of
+// its own.
 package multilevel
 
 import (

@@ -2,6 +2,7 @@ package multilevel
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -136,6 +137,124 @@ func TestCoarsenConservesVolume(t *testing.T) {
 		}
 		if math.Abs(msgs-msgs0) > 1e-6*msgs0 {
 			t.Errorf("level %d total msgs %g, want %g", l, msgs, msgs0)
+		}
+	}
+}
+
+// randomInstance is a random small instance over n vertices and m sites:
+// one to four out-edges per vertex with random volumes and at least one
+// message each, random positive LT/BT, capacities with slack, and random
+// pins and two-site allowed sets.
+func randomInstance(rng *rand.Rand, n, m int) *Instance {
+	g := comm.NewGraph(n)
+	for i := 0; i < n; i++ {
+		for d := 1 + rng.Intn(4); d > 0; d-- {
+			g.AddTraffic(i, rng.Intn(n), 1e6*rng.Float64(), float64(1+rng.Intn(20)))
+		}
+	}
+	lt, bt := mat.NewSquare(m), mat.NewSquare(m)
+	for k := 0; k < m; k++ {
+		for l := 0; l < m; l++ {
+			lt.Set(k, l, 1e-4+0.1*rng.Float64())
+			bt.Set(k, l, 1e6+1e9*rng.Float64())
+		}
+	}
+	capacity := make([]int, m)
+	for j := range capacity {
+		capacity[j] = (n+m-1)/m + rng.Intn(4)
+	}
+	pin := make([]int, n)
+	pinned := make([]int, m)
+	allowed := make([][]int, n)
+	for v := range pin {
+		pin[v] = -1
+		switch s := rng.Intn(m); rng.Intn(8) {
+		case 0:
+			if pinned[s] < capacity[s] {
+				pin[v] = s
+				pinned[s]++
+			}
+		case 1:
+			allowed[v] = []int{s, rng.Intn(m)}
+		}
+	}
+	return &Instance{G: FromComm(g), LT: lt, BT: bt, Capacity: capacity, Pin: pin, Allowed: allowed}
+}
+
+// Property: at every level of the hierarchy, each CSR's in rows are
+// exactly the transpose of its out rows, and a random placement of the
+// level's vertices costs what its projection to level 0 costs. Checked on
+// testInstance with pins and site sets, and on random small instances.
+//
+// The two costs add the same non-negative terms: linkCost is linear in
+// (volume, msgs), so pricing a contracted edge or an absorbed self
+// traffic prices the fine edges summed into it. Only the grouping and
+// order of the additions differ. A sum of k non-negative terms in any
+// order lies within (k−1)·2⁻⁵³ of the exact sum, relative to it, and each
+// term adds a few roundings of its own; with at most a few thousand terms
+// per instance the costs agree to better than 1e-12. The bound 1e-9
+// leaves room above that, while an edge lost or counted twice still
+// fails it: every edge carries at least one message, so its term is
+// above 1e-8 of an instance's cost.
+func TestCoarseCostEqualsProjectedCost(t *testing.T) {
+	const relTol = 1e-9
+	rng := stats.NewRand(11)
+	instances := []*Instance{testInstance(t, 512, 8, true, true)}
+	for i := 0; i < 40; i++ {
+		instances = append(instances, randomInstance(rng, 33+rng.Intn(160), 2+rng.Intn(5)))
+	}
+	coarseLevels := 0
+	for i, in := range instances {
+		h := coarsen(in)
+		coarseLevels += len(h) - 1
+		for l, lv := range h {
+			checkTranspose(t, lv.g.adj)
+			pl := make([]int, lv.g.n)
+			for v := range pl {
+				pl[v] = rng.Intn(in.M())
+			}
+			coarse := in.cost(lv.g, pl)
+			for k := l; k > 0; k-- {
+				pl = project(h[k-1], pl)
+			}
+			if fine := in.cost(in.G, pl); math.Abs(float64(coarse-fine)) > relTol*float64(fine) {
+				t.Fatalf("instance %d level %d: cost %v, projected to level 0 %v", i, l, coarse, fine)
+			}
+		}
+	}
+	if coarseLevels < len(instances) {
+		t.Fatalf("%d instances coarsened to only %d levels beyond level 0", len(instances), coarseLevels)
+	}
+}
+
+// sameEdgeBits reports whether two edges have the same peer and the same
+// traffic bits.
+func sameEdgeBits(a, b comm.Edge) bool {
+	return a.Peer == b.Peer && math.Float64bits(a.Volume) == math.Float64bits(b.Volume) && math.Float64bits(a.Msgs) == math.Float64bits(b.Msgs)
+}
+
+// checkTranspose fails unless c's out rows are strictly ascending by peer
+// and free of self-traffic, and its in rows hold exactly their transpose:
+// row j lists every edge i→j, ascending by sender, with the same bits.
+func checkTranspose(t *testing.T, c *comm.CSR) {
+	t.Helper()
+	n := len(c.OutIdx) - 1
+	rows := make([][]comm.Edge, n)
+	for i := 0; i < n; i++ {
+		out := c.Out[c.OutIdx[i]:c.OutIdx[i+1]]
+		for k, e := range out {
+			if e.Peer == i || (k > 0 && out[k-1].Peer >= e.Peer) {
+				t.Fatalf("out row %d is not strictly ascending without self-traffic: %v", i, out)
+			}
+			rows[e.Peer] = append(rows[e.Peer], comm.Edge{Peer: i, Volume: e.Volume, Msgs: e.Msgs})
+		}
+	}
+	if len(c.InIdx) != n+1 || c.InIdx[n] != len(c.In) || len(c.In) != len(c.Out) {
+		t.Fatalf("in index %d entries ending at %d over %d in edges, want %d entries over %d", len(c.InIdx), c.InIdx[len(c.InIdx)-1], len(c.In), n+1, len(c.Out))
+	}
+	for j, want := range rows {
+		if got := c.In[c.InIdx[j]:c.InIdx[j+1]]; !slices.EqualFunc(got, want, sameEdgeBits) {
+			t.Fatalf("in row %d = %v, want the transpose %v", j, got, want)
 		}
 	}
 }

@@ -26,11 +26,16 @@ import (
 //     edge volumes are read exactly by integer arithmetic, the rest by
 //     ParseFloat, so values match bit for bit;
 //   - arrays for edges, constraint and allowed, where an empty array is
-//     an empty non-nil slice, as encoding/json makes it.
+//     an empty non-nil slice, as encoding/json makes it;
+//   - each edge in the literal form json.Marshal writes,
+//     {"src":I,"dst":I,"volume":F,"msgs":F}, with src and dst unsigned,
+//     without a leading zero and at most indexDigits digits long.
 //
 // Everything else falls back: null, keys in another case, duplicate or
 // unknown keys, escapes and non-ASCII bytes, integers with a fraction or
-// exponent or out of range, floats out of range, and trailing bytes.
+// exponent or out of range, floats out of range, trailing bytes, and
+// edges in any other form (keys in another order, whitespace, a negative
+// or long index).
 // The result shares no memory with body, so the caller may reuse it.
 func decodeRequest(body []byte) (MapRequest, error) {
 	p := parser{b: body}
@@ -109,31 +114,12 @@ func (p *parser) request(r *MapRequest) bool {
 	return ok && p.i == len(p.b)
 }
 
-// edge reads one edge object. It first tries the literal form
-// json.Marshal writes, {"src":I,"dst":I,"volume":F,"msgs":F} with src and
-// dst read by index; on any other byte it rewinds and reads the object
-// key by key.
+// edge reads one edge object in the literal form json.Marshal writes,
+// {"src":I,"dst":I,"volume":F,"msgs":F}, with src and dst read by index.
+// An edge in any other form sends the body to encoding/json.
 func (p *parser) edge(e *Edge) bool {
-	start := p.i
-	if p.lit(`{"src":`) && p.index(&e.Src) && p.lit(`,"dst":`) && p.index(&e.Dst) &&
-		p.lit(`,"volume":`) && p.float(&e.Volume) && p.lit(`,"msgs":`) && p.float(&e.Msgs) && p.lit(`}`) {
-		return true
-	}
-	p.i, *e = start, Edge{}
-	var seen uint16
-	return p.object(func(key []byte) bool {
-		switch string(key) {
-		case "src":
-			return once(&seen, 1<<0) && p.int(&e.Src)
-		case "dst":
-			return once(&seen, 1<<1) && p.int(&e.Dst)
-		case "volume":
-			return once(&seen, 1<<2) && p.float(&e.Volume)
-		case "msgs":
-			return once(&seen, 1<<3) && p.float(&e.Msgs)
-		}
-		return false
-	})
+	return p.lit(`{"src":`) && p.index(&e.Src) && p.lit(`,"dst":`) && p.index(&e.Dst) &&
+		p.lit(`,"volume":`) && p.float(&e.Volume) && p.lit(`,"msgs":`) && p.float(&e.Msgs) && p.lit(`}`)
 }
 
 // once marks bit in seen and reports whether it was clear: a key seen

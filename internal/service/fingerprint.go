@@ -24,16 +24,6 @@ import (
 //
 //geolint:deterministic
 func fingerprint(r *MapRequest, snapshotVersion uint64) string {
-	key, _ := cacheKey(r, snapshotVersion)
-	return key
-}
-
-// cacheKey is fingerprint that also returns the key order of the
-// request's edges (nil without edges), so that a cache miss builds its
-// graph in that order without sorting again.
-//
-//geolint:deterministic
-func cacheKey(r *MapRequest, snapshotVersion uint64) (key string, order []int) {
 	h := newKeyHash()
 	h.u64(snapshotVersion)
 	h.str(r.Algorithm)
@@ -44,8 +34,7 @@ func cacheKey(r *MapRequest, snapshotVersion uint64) (key string, order []int) {
 	h.str(r.Workload)
 	if len(r.Edges) > 0 {
 		h.u64(uint64(len(r.Edges)))
-		order = keyOrder(r.Edges, r.Procs)
-		for _, k := range order {
+		for _, k := range keyOrder(r.Edges, r.Procs) {
 			e := r.Edges[k]
 			h.u64(uint64(e.Src))
 			h.u64(uint64(e.Dst))
@@ -77,7 +66,7 @@ func cacheKey(r *MapRequest, snapshotVersion uint64) (key string, order []int) {
 			}
 		}
 	}
-	return h.hex(), order
+	return h.hex()
 }
 
 // keyOrder returns the order in which the key hashes edges, as indices

@@ -120,11 +120,11 @@ func keyRuns(edges []Edge) map[[2]int][]Edge {
 }
 
 // Property: two orders of one edge list key alike exactly when keyRuns
-// says they should; the graph a request's Problem builds, in key order,
-// is bit for bit the one AddTraffic builds from the request's own order;
-// and lists that key alike build bit-identical graphs.
+// says they should, and lists that key alike build bit-identical graphs
+// through Problem, which adds the edges in request order.
 func TestEqualKeysBuildEqualGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	snap := testSnapshot(t, 16, 1)
 	sameBits := func(x, y comm.Edge) bool {
 		return x.Peer == y.Peer && math.Float64bits(x.Volume) == math.Float64bits(y.Volume) && math.Float64bits(x.Msgs) == math.Float64bits(y.Msgs)
 	}
@@ -133,18 +133,11 @@ func TestEqualKeysBuildEqualGraphs(t *testing.T) {
 			slices.Equal(x.InIdx, y.InIdx) && slices.EqualFunc(x.In, y.In, sameBits)
 	}
 	csr := func(r *MapRequest) *comm.CSR {
-		g, err := edgeGraph(r.Edges, r.Procs, keyOrder(r.Edges, r.Procs))
+		p, err := r.Problem(snap, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := comm.NewGraph(r.Procs)
-		for _, e := range r.Edges {
-			ref.AddTraffic(e.Src, e.Dst, e.Volume, e.Msgs)
-		}
-		if !sameCSR(g.CSR(), ref.CSR()) {
-			t.Fatalf("edges %v: key-order graph %+v, AddTraffic graph %+v", r.Edges, *g.CSR(), *ref.CSR())
-		}
-		return g.CSR()
+		return p.Comm.CSR()
 	}
 	for trial := 0; trial < 3000; trial++ {
 		procs := 2 + rng.Intn(3)
@@ -160,14 +153,15 @@ func TestEqualKeysBuildEqualGraphs(t *testing.T) {
 			t.Fatalf("trial %d: edges %v and %v key alike: %v, want %v", trial, a.Edges, b.Edges, alike, same)
 		}
 		if ga, gb := csr(&a), csr(&b); same && !sameCSR(ga, gb) {
-			t.Fatalf("trial %d: edges %v and %v key alike but build different graphs", trial, a.Edges, b.Edges)
+			t.Fatalf("trial %d: edges %v and %v key alike but build different graphs %+v and %+v", trial, a.Edges, b.Edges, *ga, *gb)
 		}
 	}
 }
 
 // An edge list the graph cannot hold is an error of Problem, not a
 // panic: an endpoint out of range, negative traffic or NaN traffic.
-func TestEdgeGraphRejectsBadEdges(t *testing.T) {
+func TestProblemRejectsBadEdges(t *testing.T) {
+	snap := testSnapshot(t, 16, 1)
 	for _, bad := range []Edge{
 		{Src: -1, Dst: 0, Volume: 1},
 		{Src: 0, Dst: 3, Volume: 1},
@@ -175,9 +169,9 @@ func TestEdgeGraphRejectsBadEdges(t *testing.T) {
 		{Src: 0, Dst: 1, Volume: math.NaN()},
 		{Src: 1, Dst: 1, Volume: 1, Msgs: math.NaN()},
 	} {
-		edges := []Edge{{Src: 0, Dst: 1, Volume: 1, Msgs: 1}, bad}
-		if _, err := edgeGraph(edges, 3, keyOrder(edges, 3)); err == nil {
-			t.Errorf("edgeGraph(%v) accepted the edge %+v", edges, bad)
+		r := MapRequest{Procs: 3, Edges: []Edge{{Src: 0, Dst: 1, Volume: 1, Msgs: 1}, bad}}
+		if _, err := r.Problem(snap, nil); err == nil {
+			t.Errorf("Problem accepted the edge %+v", bad)
 		}
 	}
 }

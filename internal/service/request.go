@@ -156,15 +156,10 @@ func (r *MapRequest) validate(maxProcs int, snap *Snapshot) error {
 			}
 		}
 	}
-	for i, e := range r.Edges {
-		if e.Src < 0 || e.Src >= r.Procs || e.Dst < 0 || e.Dst >= r.Procs {
-			return fmt.Errorf("edge %d endpoint out of range [0,%d)", i, r.Procs)
-		}
-		if e.Volume < 0 || e.Msgs < 0 {
-			return fmt.Errorf("edge %d has negative traffic", i)
-		}
+	if err := checkEdges(r.Edges, r.Procs); err != nil {
+		return err
 	}
-	if _, err := r.Mapper(1); err != nil { // workers=1: only the algorithm name is validated here
+	if _, err := r.Mapper(1); err != nil { // workers=1: only the algorithm and its kappa are validated here
 		return err
 	}
 	if r.Workload != "" {
@@ -188,8 +183,16 @@ func (r *MapRequest) iters() int {
 // from too. solverWorkers is the server's per-solve order-search
 // parallelism (see Config.SolverWorkers); it does not enter the request
 // fingerprint because the parallel search's deterministic reduction
-// returns byte-identical placements at every worker count.
+// returns byte-identical placements at every worker count. A kappa the
+// geo or multilevel mapper would refuse is an error here, before any
+// workload is profiled; the other algorithms ignore kappa.
 func (r *MapRequest) Mapper(solverWorkers int) (core.Mapper, error) {
+	switch r.Algorithm {
+	case "", "geo", "multilevel":
+		if _, err := core.GroupCount(r.Kappa); err != nil {
+			return nil, err
+		}
+	}
 	switch r.Algorithm {
 	case "", "geo":
 		return &core.GeoMapper{Kappa: r.Kappa, Seed: r.Seed, Workers: solverWorkers}, nil
@@ -215,14 +218,11 @@ func (r *MapRequest) Mapper(solverWorkers int) (core.Mapper, error) {
 type GraphFunc func(workload string, procs, iters int) (*comm.Graph, error)
 
 // Problem assembles the core.Problem for the request against a snapshot,
-// profiling the workload through graphFor (nil profiles directly).
+// profiling the workload through graphFor (nil profiles directly). An
+// explicit edge list is added to a new graph in request order, as every
+// graph is built; the graph sums each (src, dst) run in that order when
+// it freezes.
 func (r *MapRequest) Problem(snap *Snapshot, graphFor GraphFunc) (*core.Problem, error) {
-	return r.problem(snap, graphFor, nil)
-}
-
-// problem is Problem with the key order of the request's edges, as
-// cacheKey returns it, or nil to sort them here.
-func (r *MapRequest) problem(snap *Snapshot, graphFor GraphFunc, order []int) (*core.Problem, error) {
 	var g *comm.Graph
 	if r.Workload != "" {
 		if graphFor == nil {
@@ -234,12 +234,12 @@ func (r *MapRequest) problem(snap *Snapshot, graphFor GraphFunc, order []int) (*
 			return nil, err
 		}
 	} else {
-		var err error
-		if order == nil {
-			order = keyOrder(r.Edges, r.Procs)
-		}
-		if g, err = edgeGraph(r.Edges, r.Procs, order); err != nil {
+		if err := checkEdges(r.Edges, r.Procs); err != nil {
 			return nil, err
+		}
+		g = comm.NewGraph(r.Procs)
+		for _, e := range r.Edges {
+			g.AddTraffic(e.Src, e.Dst, e.Volume, e.Msgs)
 		}
 	}
 	constraint := r.Constraint
@@ -264,51 +264,19 @@ func (r *MapRequest) problem(snap *Snapshot, graphFor GraphFunc, order []int) (*
 	return p, nil
 }
 
-// edgeGraph returns the frozen graph of an explicit edge list over procs
-// processes, built in order, which must be keyOrder(edges, procs): the
-// order the cache key hashes the edges in. It drops self-loops and edges with no traffic and sums each
-// (src, dst) run from zero, as comm.Graph's AddTraffic and freeze do. The
-// freeze sums a run in request order, and keyOrder keeps that order
-// except to swap a run of two, whose sum is the same either way, so the
-// graph is bit-identical to the one AddTraffic would build, and two
-// requests with one key build one graph.
-func edgeGraph(edges []Edge, procs int, order []int) (*comm.Graph, error) {
-	kept := func(e Edge) bool { return e.Src != e.Dst && (e.Volume != 0 || e.Msgs != 0) }
-	pairs := 0
-	last := Edge{Src: -1}
-	for _, k := range order {
-		e := edges[k]
-		switch {
-		case uint(e.Src) >= uint(procs) || uint(e.Dst) >= uint(procs):
-			return nil, fmt.Errorf("edge %d endpoint out of range [0,%d)", k, procs)
-		case !(e.Volume >= 0) || !(e.Msgs >= 0):
-			return nil, fmt.Errorf("edge %d has negative or NaN traffic", k)
-		case kept(e) && compareEndpoints(e, last) != 0:
-			pairs++
-			last = e
+// checkEdges reports the first edge a graph over procs processes cannot
+// hold, for which AddTraffic would panic: an endpoint out of range, or
+// negative or NaN traffic.
+func checkEdges(edges []Edge, procs int) error {
+	for i, e := range edges {
+		if uint(e.Src) >= uint(procs) || uint(e.Dst) >= uint(procs) {
+			return fmt.Errorf("edge %d endpoint out of range [0,%d)", i, procs)
+		}
+		if !(e.Volume >= 0) || !(e.Msgs >= 0) {
+			return fmt.Errorf("edge %d has negative or NaN traffic", i)
 		}
 	}
-	outIdx := make([]int, procs+1)
-	out := make([]comm.Edge, 0, pairs)
-	last = Edge{Src: -1}
-	for _, k := range order {
-		e := edges[k]
-		if !kept(e) {
-			continue
-		}
-		if compareEndpoints(e, last) != 0 {
-			out = append(out, comm.Edge{Peer: e.Dst})
-			outIdx[e.Src+1] = len(out)
-			last = e
-		}
-		sum := &out[len(out)-1]
-		sum.Volume += e.Volume
-		sum.Msgs += e.Msgs
-	}
-	for i := 0; i < procs; i++ { // rows with no edges end where the last one did
-		outIdx[i+1] = max(outIdx[i+1], outIdx[i])
-	}
-	return comm.FromCSR(outIdx, out), nil
+	return nil
 }
 
 // profileGraph is the memoization-free GraphFunc.

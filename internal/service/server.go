@@ -342,7 +342,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		s.metrics.RecordForwarded()
 	}
 
-	key, order := cacheKey(&req, snap.Version)
+	key := fingerprint(&req, snap.Version)
 	if res, ok := s.cache.get(key); ok {
 		outcome = OutcomeCached
 		writeJSON(w, http.StatusOK, MapResponse{MapResult: *res, Cached: true})
@@ -354,7 +354,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	// leader's result without executing it).
 	fromPeer := false
 	res, shared, err := s.cache.do(ctx, key, &req, func() (*MapResult, error) {
-		r, peer, err := s.resolve(ctx, &req, order, snap, forwarded)
+		r, peer, err := s.resolve(ctx, &req, snap, forwarded)
 		fromPeer = peer
 		return r, err
 	})
@@ -390,9 +390,8 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 // still collapse onto one solve — and only falls back to a local solve
 // when the peer is unreachable or answers against a different snapshot
 // version than the one this request pinned. peer reports whether the
-// returned result came from the owning peer. order is the key order of
-// req's edges, as cacheKey returned it.
-func (s *Server) resolve(ctx context.Context, req *MapRequest, order []int, snap *Snapshot, forwarded bool) (res *MapResult, peer bool, err error) {
+// returned result came from the owning peer.
+func (s *Server) resolve(ctx context.Context, req *MapRequest, snap *Snapshot, forwarded bool) (res *MapResult, peer bool, err error) {
 	if s.cluster != nil && !forwarded {
 		rk := RoutingKey(req)
 		owner := s.cluster.Owner(rk)
@@ -415,15 +414,14 @@ func (s *Server) resolve(ctx context.Context, req *MapRequest, order []int, snap
 			}
 		}
 	}
-	res, err = s.solve(ctx, req, order, snap)
+	res, err = s.solve(ctx, req, snap)
 	return res, false, err
 }
 
 // solve runs one mapping end to end on the worker pool: profile (or
 // decode) the pattern, assemble the problem against the pinned snapshot,
-// and map. It is only ever executed by a singleflight leader. order is
-// the key order of req's edges, which the problem's graph is built in.
-func (s *Server) solve(ctx context.Context, req *MapRequest, order []int, snap *Snapshot) (*MapResult, error) {
+// and map. It is only ever executed by a singleflight leader.
+func (s *Server) solve(ctx context.Context, req *MapRequest, snap *Snapshot) (*MapResult, error) {
 	var (
 		res      *MapResult
 		solveErr error
@@ -433,7 +431,7 @@ func (s *Server) solve(ctx context.Context, req *MapRequest, order []int, snap *
 		if s.solveHook != nil {
 			s.solveHook()
 		}
-		prob, err := req.problem(snap, s.graphFor, order)
+		prob, err := req.Problem(snap, s.graphFor)
 		if err != nil {
 			solveErr = err
 			return

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"geoprocmap/internal/core"
 	"geoprocmap/internal/faults"
 )
 
@@ -230,6 +231,10 @@ func TestMapRejectsBadRequests(t *testing.T) {
 		{Workload: "LU", Procs: 8, DeadlineMillis: -5},          // negative deadline
 		{Procs: 4, Edges: []Edge{{Src: 0, Dst: 9}}},             // edge out of range
 		{Procs: 4, Edges: []Edge{{Src: 0, Dst: 1, Volume: -1}}}, // negative traffic
+		{Workload: "LU", Procs: 8, Kappa: core.MaxKappa + 1},    // kappa over the bound
+		{Workload: "LU", Procs: 8, Kappa: -1},                   // negative kappa
+		{Workload: "LU", Procs: 8, Algorithm: "multilevel", Kappa: core.MaxKappa + 1},
+		{Procs: 2, Edges: []Edge{{Src: 0, Dst: 1}}, Algorithm: "multilevel", Kappa: -1},
 	}
 	for i, req := range cases {
 		var e errorResponse
@@ -268,6 +273,36 @@ func TestMapRejectsOverCapacityBeforeProfiling(t *testing.T) {
 	if profiled != 0 {
 		t.Errorf("rejected request profiled %d workloads, want 0", profiled)
 	}
+}
+
+// TestMapRejectsBadKappaBeforeProfiling is the regression test for
+// admitting a kappa the geo and multilevel mappers refuse: the request
+// used to be profiled and memoized, then answered 422 by Map. It is now
+// answered 400 with nothing profiled, solved or memoized.
+func TestMapRejectsBadKappaBeforeProfiling(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	for _, req := range []MapRequest{
+		{Workload: "LU", Procs: 16, Kappa: 9},
+		{Workload: "LU", Procs: 16, Kappa: -1, Algorithm: "multilevel"},
+	} {
+		var e errorResponse
+		postMap(t, srv.Handler(), req, http.StatusBadRequest, &e)
+		if !strings.Contains(e.Error, "kappa") {
+			t.Errorf("%+v: error %q does not name kappa", req, e.Error)
+		}
+	}
+	if view := srv.metrics.Snapshot(0, 0); view.Solves != 0 {
+		t.Errorf("rejected requests ran %d solves, want 0", view.Solves)
+	}
+	srv.graphMu.Lock()
+	profiled := srv.graphs.len()
+	srv.graphMu.Unlock()
+	if profiled != 0 {
+		t.Errorf("rejected requests profiled %d workloads, want 0", profiled)
+	}
+	// An algorithm that ignores kappa still maps with any value.
+	var res MapResponse
+	postMap(t, srv.Handler(), MapRequest{Workload: "LU", Procs: 16, Kappa: 9, Algorithm: "greedy"}, http.StatusOK, &res)
 }
 
 // TestGraphMemoHoldsFrozenGraphs requires a graph to be frozen when it

@@ -7,6 +7,7 @@ import (
 	"geoprocmap/internal/calib"
 	"geoprocmap/internal/faults"
 	"geoprocmap/internal/netmodel"
+	"geoprocmap/internal/stats"
 )
 
 // testSnapshot builds a ground-truth snapshot of the paper's 4-region
@@ -306,5 +307,112 @@ func TestStorePublishAtOrdering(t *testing.T) {
 	}
 	if _, err := st.PublishAt(SnapshotFromCloud(smallCloud), 99); err == nil {
 		t.Error("PublishAt accepted a snapshot with a different site count")
+	}
+}
+
+// storeModel is the reference for what a Store holds: the last version
+// assigned or adopted, the current snapshot and the last measured one.
+type storeModel struct {
+	version   uint64
+	cur, base *Snapshot
+}
+
+// publish applies what Publish does to an acceptable snapshot and
+// returns the version it assigns.
+func (m *storeModel) publish(snap *Snapshot, measured bool) uint64 {
+	m.version++
+	m.cur = snap
+	if measured {
+		m.base = snap
+	}
+	return m.version
+}
+
+// Property: random sequences of Publish and PublishAt — duplicate, stale,
+// gapped and zero versions, derived and measured snapshots, and nil,
+// invalid and wrong-site-count ones — leave the Store where a reference
+// model of (version, current, base) says, with the same returned
+// version, applied flag and error outcome after every step. A snapshot
+// the store does not install keeps its version unset.
+func TestStoreMatchesModel(t *testing.T) {
+	rng := stats.NewRand(5)
+	measured := testSnapshot(t, 16, 1)
+	smallCloud, err := netmodel.EvenCloud(netmodel.AmazonEC2, "m4.xlarge", netmodel.PaperEC2Regions[:2], 4, netmodel.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoSites := SnapshotFromCloud(smallCloud)
+	// next returns a fresh snapshot of a random kind, whether the store
+	// must accept it, and whether it is measured rather than derived.
+	next := func() (snap *Snapshot, ok, isMeasured bool) {
+		s := *measured
+		switch rng.Intn(8) {
+		case 0:
+			return nil, false, false
+		case 1:
+			s.BT = nil
+			return &s, false, true
+		case 2:
+			s = *twoSites
+			return &s, false, true
+		case 3, 4:
+			s.derived = true
+			return &s, true, false
+		}
+		return &s, true, true
+	}
+	for seq := 0; seq < 50; seq++ {
+		first := *measured
+		first.derived = seq%2 == 1
+		st, err := NewStore(&first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m storeModel
+		m.publish(&first, !first.derived)
+		for step := 0; step < 40; step++ {
+			snap, ok, isMeasured := next()
+			var installed bool
+			if rng.Intn(2) == 0 {
+				v, err := st.Publish(snap)
+				if (err == nil) != ok {
+					t.Fatalf("seq %d step %d: Publish error %v, model accepts %v", seq, step, err, ok)
+				}
+				if ok {
+					if want := m.publish(snap, isMeasured); v != want {
+						t.Fatalf("seq %d step %d: Publish assigned v%d, model v%d", seq, step, v, want)
+					}
+					installed = true
+				}
+			} else {
+				version := []uint64{0, m.version - 1, m.version, m.version + 1, m.version + 2 + uint64(rng.Intn(5))}[rng.Intn(5)]
+				applied, err := st.PublishAt(snap, version)
+				wantErr := !ok || version == 0
+				if (err != nil) != wantErr {
+					t.Fatalf("seq %d step %d: PublishAt(v%d) error %v, model error %v", seq, step, version, err, wantErr)
+				}
+				if want := !wantErr && version > m.version; applied != want {
+					t.Fatalf("seq %d step %d: PublishAt(v%d) applied %v, model %v", seq, step, version, applied, want)
+				}
+				if applied {
+					m.publish(snap, isMeasured)
+					m.version = version
+					installed = true
+				}
+			}
+			if snap != nil && !installed && snap.Version != 0 {
+				t.Fatalf("seq %d step %d: a snapshot the store did not install got version %d", seq, step, snap.Version)
+			}
+			wantBase := m.base
+			if wantBase == nil {
+				wantBase = m.cur
+			}
+			switch cur := st.Current(); {
+			case cur != m.cur || cur.Version != m.version:
+				t.Fatalf("seq %d step %d: current is v%d %p, model v%d %p", seq, step, cur.Version, cur, m.version, m.cur)
+			case st.Base() != wantBase:
+				t.Fatalf("seq %d step %d: base is %p, model %p", seq, step, st.Base(), wantBase)
+			}
+		}
 	}
 }
