@@ -22,7 +22,9 @@
 //
 // The call log is scratch: a graph takes one from the package's pool at
 // its first AddTraffic, and the freeze hands it back, so profiling a
-// graph allocates only the CSR it keeps. NewGraph and AddTraffic are the
+// graph allocates only the CSR it keeps. The freeze takes the CSR's rows
+// from a second pool, and a caller that owns a graph outright and is done
+// with it hands them back with Release. NewGraph and AddTraffic are the
 // only way to build a Graph; NewCSR builds an adjacency alone, for
 // callers that hold peer-sorted out rows already.
 package comm
@@ -64,7 +66,7 @@ type Graph struct {
 	foldAt int // the log folds when it holds this many calls
 
 	once sync.Once
-	csr  CSR // valid once frozen; OutIdx != nil marks the freeze
+	csr  *CSR // set by the freeze, from rowPool; nil again after Release
 
 	totalVolume float64
 	totalMsgs   float64
@@ -135,6 +137,40 @@ func (l *callLog) release() {
 	logPool.Put(l)
 }
 
+// rowPool recycles the rows of frozen graphs that their owner released.
+// A freeze takes one CSR and resizes each of its four arrays, reusing
+// the array when it is large enough, and then writes every entry it
+// reads: it clears OutIdx and InIdx before counting into them, appends
+// each out edge from its first call, and writes each in edge once. So
+// nothing of a released graph reaches the next. Rows whose arrays exceed
+// maxPooledRows bytes are left to the collector rather than held.
+var rowPool = sync.Pool{New: func() any { return new(CSR) }}
+
+// maxPooledRows caps a pooled CSR's arrays: 1 MB, the rows of a graph
+// of ~15,000 pairs over 1,000 processes.
+const maxPooledRows = 1 << 20
+
+// Release hands the graph's frozen rows to rowPool for a later freeze.
+// Only the graph's sole owner may call it, once no reader holds the
+// graph, its CSR or a row it returned: a memoized or shared graph must
+// never be released. The graph must not be used again: a read of its
+// adjacency after Release panics rather than see another graph's rows.
+// An unfrozen graph has no rows to hand back, and its call log is left
+// to the collector.
+func (g *Graph) Release() {
+	g.once.Do(func() {}) // an unfrozen graph never freezes now
+	c := g.csr
+	g.csr = nil
+	if c == nil {
+		return
+	}
+	const intBytes, edgeBytes = 8, 32
+	if (cap(c.OutIdx)+cap(c.InIdx))*intBytes+(cap(c.Out)+cap(c.In))*edgeBytes > maxPooledRows {
+		return
+	}
+	rowPool.Put(c)
+}
+
 // N returns the number of processes.
 func (g *Graph) N() int { return g.n }
 
@@ -148,7 +184,7 @@ func (g *Graph) AddTraffic(src, dst int, volume, msgs float64) {
 	if !(volume >= 0) || !(msgs >= 0) {
 		panic(fmt.Sprintf("comm: negative or NaN traffic (%g bytes, %g msgs)", volume, msgs)) //geolint:ignore libpanic trace.Recorder validates sizes; negative traffic is a profiler bug
 	}
-	if g.csr.OutIdx != nil {
+	if g.csr != nil {
 		panic("comm: AddTraffic on a frozen graph") //geolint:ignore libpanic writing after the first read is a programmer error; readers may share the frozen rows
 	}
 	if src == dst || (volume == 0 && msgs == 0) {
@@ -180,7 +216,7 @@ func (g *Graph) Prewarm() { g.CSR() }
 // that walk the rows in a hot loop without per-row calls.
 func (g *Graph) CSR() *CSR {
 	g.once.Do(g.freeze)
-	return &g.csr
+	return g.csr
 }
 
 // sortByPair orders the call log's indices by (src, dst) with two stable
@@ -226,10 +262,10 @@ func (g *Graph) sortByPair() (order []int, pairs int) {
 }
 
 // resize returns s with length n, reusing its array when it is large
-// enough.
-func resize(s []int, n int) []int {
+// enough. The contents are stale: the caller writes or clears them.
+func resize[E any](s []E, n int) []E {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]E, n)
 	}
 	return s[:n]
 }
@@ -259,9 +295,9 @@ func (g *Graph) fold() {
 }
 
 // freeze sums each (src, dst) run of the call log, in the order
-// sortByPair leaves it, into one edge of an exactly sized out array,
-// builds the incoming rows with NewCSR, and returns the log with
-// its scratch to logPool.
+// sortByPair leaves it, into one edge of an out array of one entry per
+// pair, builds the incoming rows as NewCSR does, all in rows from
+// rowPool, and returns the log with its scratch to logPool.
 //
 //geolint:allocsite cold path: runs once per graph, before any hot-loop read
 func (g *Graph) freeze() {
@@ -270,8 +306,10 @@ func (g *Graph) freeze() {
 	}
 	order, pairs := g.sortByPair()
 	calls := g.log.calls
-	outIdx := make([]int, g.n+1)
-	out := make([]Edge, 0, pairs)
+	rows := rowPool.Get().(*CSR)
+	outIdx := resize(rows.OutIdx, g.n+1)
+	clear(outIdx)
+	out := resize(rows.Out, pairs)[:0]
 	for r, k := range order {
 		c := calls[k]
 		if r == 0 || !samePair(c, calls[order[r-1]]) {
@@ -287,7 +325,9 @@ func (g *Graph) freeze() {
 	}
 	g.log.release()
 	g.log = nil
-	g.csr = NewCSR(outIdx, out)
+	rows.OutIdx, rows.Out = outIdx, out
+	rows.transpose()
+	g.csr = rows
 }
 
 // samePair reports whether two calls share their (src, dst) pair.
@@ -298,13 +338,24 @@ func samePair(a, b call) bool { return a.src == b.src && a.dst == b.dst }
 // a graph's freeze makes of the rows it sums, and what multilevel's
 // contraction makes of the rows it aggregates. Every row must be strictly
 // ascending by peer and free of self-traffic; the CSR takes ownership of
-// both slices. Walking sources in ascending order leaves every in row
-// sorted by sender. Row j's entries are written at inIdx[j+1], which
-// counts up from row j's start to its end, so the index needs no cursor
-// array of its own.
+// both slices.
 func NewCSR(outIdx []int, out []Edge) CSR {
+	c := CSR{OutIdx: outIdx, Out: out}
+	c.transpose()
+	return c
+}
+
+// transpose builds c's incoming rows from its outgoing ones, in the
+// arrays InIdx and In hold when they are large enough: InIdx is cleared
+// before it counts, and every entry of In is written once. Walking
+// sources in ascending order leaves every in row sorted by sender. Row
+// j's entries are written at inIdx[j+1], which counts up from row j's
+// start to its end, so the index needs no cursor array of its own.
+func (c *CSR) transpose() {
+	outIdx, out := c.OutIdx, c.Out
 	n := len(outIdx) - 1
-	inIdx := make([]int, n+1)
+	inIdx := resize(c.InIdx, n+1)
+	clear(inIdx)
 	for _, e := range out {
 		if e.Peer+2 <= n {
 			inIdx[e.Peer+2]++
@@ -313,14 +364,14 @@ func NewCSR(outIdx []int, out []Edge) CSR {
 	for i := 1; i < n; i++ {
 		inIdx[i+1] += inIdx[i]
 	}
-	in := make([]Edge, len(out))
+	in := resize(c.In, len(out))
 	for i := 0; i < n; i++ {
 		for _, e := range out[outIdx[i]:outIdx[i+1]] {
 			in[inIdx[e.Peer+1]] = Edge{Peer: i, Volume: e.Volume, Msgs: e.Msgs}
 			inIdx[e.Peer+1]++
 		}
 	}
-	return CSR{OutIdx: outIdx, Out: out, InIdx: inIdx, In: in}
+	c.InIdx, c.In = inIdx, in
 }
 
 // Outgoing returns the outgoing edges of process i sorted by peer. The

@@ -48,6 +48,8 @@ func TestPanics(t *testing.T) {
 		func() { g.AddTraffic(0, 1, 1, -1) },
 		func() { g.Outgoing(5) },
 		func() { NewGraph(-1) },
+		func() { released(true).Outgoing(0) },
+		func() { released(false).Neighbors(0, func(int, float64, float64) {}) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -59,6 +61,18 @@ func TestPanics(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// released returns a graph with one edge, frozen first or not, after
+// Release: any read of it must panic.
+func released(frozen bool) *Graph {
+	g := NewGraph(2)
+	g.AddTraffic(0, 1, 1, 1)
+	if frozen {
+		g.Prewarm()
+	}
+	g.Release()
+	return g
 }
 
 // NaN traffic passed the old `volume < 0 || msgs < 0` test and reached
@@ -324,7 +338,8 @@ func equalEdges(a, b []Edge) bool {
 // Every fourth trial runs on up to 300 processes and draws half its calls
 // from a small pool of pairs, so runs of three or more calls on one pair
 // interleave with other sources' calls and the freeze's counting passes
-// must keep each run in call order.
+// must keep each run in call order. Each trial releases its graph, so
+// the next one freezes into recycled rows of another size.
 func TestViewsBitExactAgainstCallOrder(t *testing.T) {
 	for trial := int64(0); trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(trial))
@@ -409,6 +424,7 @@ func TestViewsBitExactAgainstCallOrder(t *testing.T) {
 				t.Fatalf("trial %d: process %d neighbors/quantity differ from the call-order reference", trial, i)
 			}
 		}
+		g.Release()
 	}
 }
 

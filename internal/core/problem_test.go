@@ -7,6 +7,7 @@ import (
 	"geoprocmap/internal/comm"
 	"geoprocmap/internal/geo"
 	"geoprocmap/internal/mat"
+	"geoprocmap/internal/stats"
 )
 
 // twoSiteProblem builds a tiny hand-checkable instance: 4 processes, 2
@@ -137,6 +138,73 @@ func TestCostParts(t *testing.T) {
 	}
 	if math.Abs((lat + bw - p.Cost(pl)).Float()) > 1e-12 {
 		t.Error("CostParts does not sum to Cost")
+	}
+}
+
+// Property: cost is invariant under relabelling processes. On jsonCase
+// problems with pins and site sets, a random permutation renames process
+// i to perm[i] in the graph, the constraint, the allowed sets and a
+// feasible placement together. The relabelled problem must validate and
+// accept the relabelled placement, and each of CostParts' two sums must
+// agree with the original's within the bound ordereval.go states. Each
+// edge's term is the same bits under both labellings, only the order of
+// the sum changes: a recursive sum of k ≤ E+3 non-negative terms lies
+// within γ_k = k·u/(1−k·u), u = 2⁻⁵³, of the exact sum S, so the two
+// sums lie within 2·γ_k·S ≤ 2·γ_k/(1−γ_k)·max of each other, plus
+// 2⁻¹⁰⁷⁴ per term for gradual underflow. Values are small multiples of
+// powers of ten over sixteen decades, so sums are finite and their
+// rounding depends on their order.
+func TestCostInvariantUnderRelabelling(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		n, m := 1+int(seed%37), 1+int(seed%5)
+		p := jsonCase(seed, n, m, 6) // pins and site sets
+		pl, err := (&GeoMapper{Seed: seed}).Map(p)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		perm := stats.NewRand(seed).Perm(n)
+		g := comm.NewGraph(n)
+		for i := 0; i < n; i++ {
+			for _, e := range p.Comm.Outgoing(i) {
+				g.AddTraffic(perm[i], perm[e.Peer], e.Volume, e.Msgs)
+			}
+		}
+		q := *p
+		q.Comm = g
+		q.Constraint = mat.NewIntVec(n, Unconstrained)
+		if p.Allowed != nil {
+			q.Allowed = make([][]int, n)
+		}
+		relabelled := make(Placement, n)
+		for i := 0; i < n; i++ {
+			q.Constraint[perm[i]] = p.Constraint[i]
+			if p.Allowed != nil {
+				q.Allowed[perm[i]] = p.Allowed[i]
+			}
+			relabelled[perm[i]] = pl[i]
+		}
+		if err := q.Validate(); err != nil {
+			t.Fatalf("seed %d: relabelled problem: %v", seed, err)
+		}
+		if err := q.CheckPlacement(relabelled); err != nil {
+			t.Fatalf("seed %d: relabelled placement: %v", seed, err)
+		}
+		k := float64(p.Comm.EdgeCount() + 3)
+		gamma := k * 0x1p-53 / (1 - k*0x1p-53)
+		lat, bw := p.CostParts(pl)
+		qlat, qbw := q.CostParts(relabelled)
+		for _, c := range []struct {
+			name string
+			a, b float64
+		}{{"latency", lat.Float(), qlat.Float()}, {"bandwidth", bw.Float(), qbw.Float()}} {
+			if c.a == c.b {
+				continue
+			}
+			bound := 2*gamma/(1-gamma)*math.Max(c.a, c.b) + k*0x1p-1074
+			if math.Abs(c.a-c.b) > bound {
+				t.Errorf("seed %d: %s cost %v, relabelled %v: differ by more than %v", seed, c.name, c.a, c.b, bound)
+			}
+		}
 	}
 }
 

@@ -63,7 +63,8 @@ func (c *lru[V]) len() int { return c.order.Len() }
 // Each entry retains the request that produced it: the re-gauging loop
 // walks the cache after a snapshot publication and rebuilds each entry's
 // problem against the new model to decide whether the placement is worth
-// migrating.
+// migrating. do caches an exact-size copy of the request
+// (MapRequest.cacheCopy), never the handler's pooled edge list.
 type resultCache struct {
 	mu       sync.Mutex
 	results  lru[cacheEntry]    // fingerprint → solved result
@@ -144,9 +145,9 @@ func (c *resultCache) walk() []CachedPlacement {
 // reports whether this caller shared another caller's solve
 // (deduplicated) rather than executing its own.
 //
-// Successful results are added to the LRU before the flight resolves, so
-// a request arriving after completion hits the cache directly. Errors
-// are not cached: the next request retries.
+// Successful results are added to the LRU, with a copy of req, before
+// the flight resolves, so a request arriving after completion hits the
+// cache directly. Errors are not cached: the next request retries.
 func (c *resultCache) do(ctx context.Context, key string, req *MapRequest, solve func() (*MapResult, error)) (res *MapResult, shared bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.results.get(key); ok {
@@ -172,7 +173,7 @@ func (c *resultCache) do(ctx context.Context, key string, req *MapRequest, solve
 
 	f.res, f.err = solve()
 	if f.err == nil {
-		c.add(key, req, f.res)
+		c.add(key, req.cacheCopy(), f.res)
 	}
 	c.mu.Lock()
 	delete(c.inflight, key)

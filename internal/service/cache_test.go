@@ -42,7 +42,7 @@ func TestSingleflightCollapsesConcurrentSolves(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, shared, err := c.do(context.Background(), "key", nil, func() (*MapResult, error) {
+			res, shared, err := c.do(context.Background(), "key", &MapRequest{}, func() (*MapResult, error) {
 				solves.Add(1)
 				<-release
 				return &MapResult{Digest: "solved"}, nil
@@ -80,7 +80,7 @@ func TestSingleflightWaiterHonorsContext(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		_, _, err := c.do(context.Background(), "slow", nil, func() (*MapResult, error) {
+		_, _, err := c.do(context.Background(), "slow", &MapRequest{}, func() (*MapResult, error) {
 			close(started)
 			<-release
 			return &MapResult{}, nil
@@ -92,7 +92,7 @@ func TestSingleflightWaiterHonorsContext(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, shared, err := c.do(ctx, "slow", nil, func() (*MapResult, error) {
+	_, shared, err := c.do(ctx, "slow", &MapRequest{}, func() (*MapResult, error) {
 		t.Error("waiter must not start its own solve")
 		return nil, nil
 	})
@@ -107,7 +107,7 @@ func TestSingleflightWaiterHonorsContext(t *testing.T) {
 func TestSingleflightErrorsAreNotCached(t *testing.T) {
 	c := newResultCache(8)
 	attempts := 0
-	_, _, err := c.do(context.Background(), "k", nil, func() (*MapResult, error) {
+	_, _, err := c.do(context.Background(), "k", &MapRequest{}, func() (*MapResult, error) {
 		attempts++
 		return nil, fmt.Errorf("boom")
 	})
@@ -117,7 +117,7 @@ func TestSingleflightErrorsAreNotCached(t *testing.T) {
 	if _, ok := c.get("k"); ok {
 		t.Fatal("error cached")
 	}
-	res, _, err := c.do(context.Background(), "k", nil, func() (*MapResult, error) {
+	res, _, err := c.do(context.Background(), "k", &MapRequest{}, func() (*MapResult, error) {
 		attempts++
 		return &MapResult{Digest: "ok"}, nil
 	})
@@ -144,7 +144,7 @@ func TestCacheRace(t *testing.T) {
 					c.add(key, nil, &MapResult{Digest: key})
 					continue
 				}
-				res, _, err := c.do(context.Background(), key, nil, func() (*MapResult, error) {
+				res, _, err := c.do(context.Background(), key, &MapRequest{}, func() (*MapResult, error) {
 					return &MapResult{Digest: key}, nil
 				})
 				if err != nil || res.Digest != key {

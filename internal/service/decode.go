@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"strconv"
+	"sync"
 )
 
 // decodeRequest decodes a POST /v1/map body. encoding/json with
@@ -37,13 +38,20 @@ import (
 // edges in any other form (keys in another order, whitespace, a negative
 // or long index).
 // The result shares no memory with body, so the caller may reuse it.
-func decodeRequest(body []byte) (MapRequest, error) {
+//
+// The canonical pass decodes an edge list into an array drawn from
+// edgePool and returns the buffer that holds it; the caller hands it
+// back with releaseEdges once nothing can read the request's Edges. The
+// buffer is nil when the request has no canonical edge list.
+func decodeRequest(body []byte) (MapRequest, *[]Edge, error) {
 	p := parser{b: body}
 	var req MapRequest
 	if p.request(&req) {
-		return req, nil
+		return req, p.edges, nil
 	}
-	return decodeStdlib(body)
+	releaseEdges(p.edges) // encoding/json decodes a list of its own
+	req, err := decodeStdlib(body)
+	return req, nil, err
 }
 
 // decodeStdlib is the encoding/json decode that defines the semantics of
@@ -60,11 +68,42 @@ func decodeStdlib(body []byte) (MapRequest, error) {
 // comma: {"src":0,"dst":0,"volume":0,"msgs":0},
 const minEdgeBytes = 38
 
+// edgePool recycles the arrays decoded edge lists are written to, so a
+// steady stream of explicit-edge requests decodes without allocating. A
+// buffer is taken when the parser meets an edge list and is resliced to
+// length zero, and a request reads its list only up to what its own
+// decode wrote. The handler hands it back (releaseEdges) only where no
+// solve can still read the list: after a cache hit's response, or once
+// cache.do returned without error. A leader whose deadline fired may
+// leave its solve running on a worker, still reading the list, so the
+// timeout, shed and error paths leave the buffer to the collector. A
+// cached request keeps an exact-size copy (MapRequest.cacheCopy).
+var edgePool = sync.Pool{New: func() any { return new([]Edge) }}
+
+// maxPooledEdges caps a pooled edge list at 1 MB: 32,768 edges of 32
+// bytes, room for a body of ~1.2 MB. A longer list is left to the
+// collector rather than held.
+const maxPooledEdges = 1 << 20 / 32
+
+// releaseEdges hands buf back to edgePool, unless it is nil or its array
+// exceeds maxPooledEdges. The caller must not read the list it held
+// again.
+func releaseEdges(buf *[]Edge) {
+	if buf == nil || cap(*buf) > maxPooledEdges {
+		return
+	}
+	*buf = (*buf)[:0]
+	edgePool.Put(buf)
+}
+
 // parser reads the canonical subset of JSON. Every method reports false
 // on the first byte outside the subset; the caller then falls back.
 type parser struct {
 	b []byte
 	i int
+	// edges is the edgePool buffer the edge list was decoded into, or
+	// nil before the parser meets one.
+	edges *[]Edge
 }
 
 func (p *parser) request(r *MapRequest) bool {
@@ -81,13 +120,21 @@ func (p *parser) request(r *MapRequest) bool {
 			if !once(&seen, 1<<3) {
 				return false
 			}
-			// Sized for every edge a marshalled body has room for, so
-			// the list is allocated once; append grows it past that.
-			r.Edges = make([]Edge, 0, (len(p.b)-p.i)/minEdgeBytes)
-			return p.array(func() bool {
+			// A pooled array too short for every edge a marshalled
+			// body has room for is replaced by one that long, so the
+			// list grows at most once; append grows it past that. An
+			// empty list is non-nil, as encoding/json makes it.
+			p.edges = edgePool.Get().(*[]Edge)
+			r.Edges = (*p.edges)[:0]
+			if n := (len(p.b) - p.i) / minEdgeBytes; r.Edges == nil || cap(r.Edges) < n {
+				r.Edges = make([]Edge, 0, n)
+			}
+			ok := p.array(func() bool {
 				r.Edges = append(r.Edges, Edge{})
 				return p.edge(&r.Edges[len(r.Edges)-1])
 			})
+			*p.edges = r.Edges
+			return ok
 		case "constraint":
 			return once(&seen, 1<<4) && p.ints(&r.Constraint)
 		case "allowed":

@@ -9,6 +9,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync"
 
 	"geoprocmap/internal/core"
 )
@@ -34,13 +35,15 @@ func fingerprint(r *MapRequest, snapshotVersion uint64) string {
 	h.str(r.Workload)
 	if len(r.Edges) > 0 {
 		h.u64(uint64(len(r.Edges)))
-		for _, k := range keyOrder(r.Edges, r.Procs) {
+		ks := keyScratchPool.Get().(*keyScratch)
+		for _, k := range ks.keyOrder(r.Edges, r.Procs) {
 			e := r.Edges[k]
 			h.u64(uint64(e.Src))
 			h.u64(uint64(e.Dst))
 			h.u64(math.Float64bits(e.Volume))
 			h.u64(math.Float64bits(e.Msgs))
 		}
+		ks.release()
 	}
 	// An all-Unconstrained vector fingerprints identically to an absent
 	// one, matching how the problem is built.
@@ -69,14 +72,52 @@ func fingerprint(r *MapRequest, snapshotVersion uint64) string {
 	return h.hex()
 }
 
+// keyScratch holds keyOrder's index arrays: the counting passes' count
+// and byDst, and the order either sort returns. fingerprint takes one
+// from keyScratchPool and hands it back once the edges are hashed. Each
+// array is resized to what the request needs and then fully written
+// (count is cleared before each pass), so nothing of one request's order
+// reaches another's.
+type keyScratch struct {
+	count, byDst, order []int
+}
+
+// keyScratchPool recycles keyScratch, so keying an edge list allocates no
+// index array.
+var keyScratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
+
+// maxPooledKeyScratch caps a pooled keyScratch's arrays at 1 MB, the
+// scratch of ~55,000 edges at three per process. A larger one is left
+// to the collector.
+const maxPooledKeyScratch = 1 << 20
+
+// release returns s to keyScratchPool unless its arrays exceed
+// maxPooledKeyScratch bytes.
+func (s *keyScratch) release() {
+	const intBytes = 8
+	if (cap(s.count)+cap(s.byDst)+cap(s.order))*intBytes > maxPooledKeyScratch {
+		return
+	}
+	keyScratchPool.Put(s)
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough. The contents are stale: the caller writes or clears them.
+func resize(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
+}
+
 // keyOrder returns the order in which the key hashes edges, as indices
-// into edges: sorted by (Src, Dst), and within one (Src, Dst) run by the
-// order comm.Graph sums it in, so that equal keys mean bit-identical
-// graphs. The graph sums a pair's edges in request order. Two addends
-// sum to the same value in either order, so a run of at most two edges
-// is put in compareEdges order and keys the same however the request
-// lists it. A longer run keeps request order: (1e16 + 1) + 1 and
-// (1 + 1) + 1e16 are different sums.
+// into edges, held in s until s is reused: sorted by (Src, Dst), and
+// within one (Src, Dst) run by the order comm.Graph sums it in, so that
+// equal keys mean bit-identical graphs. The graph sums a pair's edges in
+// request order. Two addends sum to the same value in either order, so
+// a run of at most two edges is put in compareEdges order and keys the
+// same however the request lists it. A longer run keeps request order:
+// (1e16 + 1) + 1 and (1 + 1) + 1e16 are different sums.
 //
 // When every endpoint lies in [0, procs), as validate ensures, and procs
 // is at most countingSlack times the edge count, the order comes from
@@ -84,12 +125,12 @@ func fingerprint(r *MapRequest, snapshotVersion uint64) string {
 // O(len(edges) + procs). Otherwise a stable comparison sort gives the
 // same order: RoutingKey also keys unvalidated requests, and a short
 // list over many processes should not pay O(procs).
-func keyOrder(edges []Edge, procs int) []int {
+func (s *keyScratch) keyOrder(edges []Edge, procs int) []int {
 	var order []int
 	if countable(edges, procs) {
-		order = countingOrder(edges, procs)
+		order = s.countingOrder(edges, procs)
 	} else {
-		order = comparisonOrder(edges)
+		order = s.comparisonOrder(edges)
 	}
 	for lo, hi := 0, 0; lo < len(order); lo = hi {
 		for hi = lo + 1; hi < len(order) && compareEndpoints(edges[order[lo]], edges[order[hi]]) == 0; hi++ {
@@ -104,9 +145,12 @@ func keyOrder(edges []Edge, procs int) []int {
 // countingOrder returns the indices of edges stably sorted by (Src, Dst):
 // a stable counting pass by Dst, then one by Src. Every endpoint lies in
 // [0, procs).
-func countingOrder(edges []Edge, procs int) []int {
-	count := make([]int, procs+1)
-	byDst := make([]int, len(edges))
+func (s *keyScratch) countingOrder(edges []Edge, procs int) []int {
+	s.count = resize(s.count, procs+1)
+	s.byDst = resize(s.byDst, len(edges))
+	s.order = resize(s.order, len(edges))
+	count, byDst, order := s.count, s.byDst, s.order
+	clear(count)
 	for _, e := range edges {
 		count[e.Dst+1]++
 	}
@@ -124,7 +168,6 @@ func countingOrder(edges []Edge, procs int) []int {
 	for i := 1; i < procs; i++ {
 		count[i+1] += count[i]
 	}
-	order := make([]int, len(edges))
 	for _, k := range byDst {
 		src := edges[k].Src
 		order[count[src]] = k
@@ -135,8 +178,9 @@ func countingOrder(edges []Edge, procs int) []int {
 
 // comparisonOrder returns the indices of edges stably sorted by
 // (Src, Dst) with a comparison sort, for any endpoints.
-func comparisonOrder(edges []Edge) []int {
-	order := make([]int, len(edges))
+func (s *keyScratch) comparisonOrder(edges []Edge) []int {
+	s.order = resize(s.order, len(edges))
+	order := s.order
 	for k := range order {
 		order[k] = k
 	}

@@ -97,7 +97,7 @@ func TestKeyOrderCountingMatchesComparison(t *testing.T) {
 			_ = RoutingKey(&r)
 			continue
 		}
-		if got, want := countingOrder(r.Edges, r.Procs), comparisonOrder(r.Edges); !slices.Equal(got, want) {
+		if got, want := new(keyScratch).countingOrder(r.Edges, r.Procs), new(keyScratch).comparisonOrder(r.Edges); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: counting order %v, comparison order %v", trial, got, want)
 		}
 	}

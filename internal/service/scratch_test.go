@@ -20,9 +20,11 @@ type scratchCase struct {
 }
 
 // scratchCases returns requests of every shape a solve's recycled
-// scratch must not carry between: a 512-process explicit-edge request,
-// the seven presets at 256 processes, a pinned request and a site-set
-// request on the paper's four regions, and a multilevel solve on six.
+// scratch must not carry between: explicit-edge requests at 512, 96, 300
+// and 640 processes and a sparse one at 400, whose graphs' rows go back
+// to comm's pool, the seven
+// presets at 256 processes, a pinned request and a site-set request on
+// the paper's four regions, and a multilevel solve on six.
 func scratchCases(t *testing.T) []scratchCase {
 	four := testSnapshot(t, 640, 1)
 	cloud, err := netmodel.EvenCloud(netmodel.AmazonEC2, "m4.xlarge",
@@ -32,18 +34,29 @@ func scratchCases(t *testing.T) []scratchCase {
 	}
 	six := SnapshotFromCloud(cloud)
 
-	const n = 512
-	rng := stats.NewRand(1)
-	var edges []Edge
-	for i := 0; i < n; i++ {
-		edges = append(edges,
-			Edge{Src: i, Dst: (i + 1) % n, Volume: 2e6 * (1 + rng.Float64()), Msgs: 20},
-			Edge{Src: i, Dst: (i + n/4) % n, Volume: 5e5 * (1 + rng.Float64()), Msgs: 8})
-		if j := i ^ 1<<uint(i%9); j < n && j != i {
-			edges = append(edges, Edge{Src: i, Dst: j, Volume: 2e5 * (1 + rng.Float64()), Msgs: 4})
+	var cases []scratchCase
+	for k, n := range []int{512, 96, 300, 640} {
+		rng := stats.NewRand(int64(k) + 1)
+		var edges []Edge
+		for i := 0; i < n; i++ {
+			edges = append(edges,
+				Edge{Src: i, Dst: (i + 1) % n, Volume: 2e6 * (1 + rng.Float64()), Msgs: 20},
+				Edge{Src: i, Dst: (i + n/4) % n, Volume: 5e5 * (1 + rng.Float64()), Msgs: 8})
+			if j := i ^ 1<<uint(i%9); j < n && j != i {
+				edges = append(edges, Edge{Src: i, Dst: j, Volume: 2e5 * (1 + rng.Float64()), Msgs: 4})
+			}
 		}
+		cases = append(cases, scratchCase{fmt.Sprintf("edges/%d", n), MapRequest{Procs: n, Edges: edges, Seed: int64(k) + 3}, four})
 	}
-	cases := []scratchCase{{"edges/512", MapRequest{Procs: n, Edges: edges, Seed: 3}, four}}
+	// Two processes in three send nothing, so most out rows are empty and
+	// take their bounds from the row before.
+	sparse := MapRequest{Procs: 400, Seed: 7}
+	for i := 0; i < sparse.Procs; i += 3 {
+		sparse.Edges = append(sparse.Edges,
+			Edge{Src: i, Dst: (i + 1) % 400, Volume: 1e6 + float64(i), Msgs: 10},
+			Edge{Src: i, Dst: (i + 7) % 400, Volume: 3e5, Msgs: 2})
+	}
+	cases = append(cases, scratchCase{"edges/sparse-400", sparse, four})
 	for k, w := range setUpPresets {
 		cases = append(cases, scratchCase{w + "/256", MapRequest{Workload: w, Procs: 256, Seed: int64(k)}, four})
 	}
@@ -62,30 +75,23 @@ func scratchCases(t *testing.T) []scratchCase {
 		scratchCase{"multilevel/6-sites", MapRequest{Workload: "MG", Procs: 300, Seed: 8, Algorithm: "multilevel"}, six})
 }
 
-// solveCase solves c at the given order-search workers, profiling a
-// preset afresh (no memo), and returns its placement digest and the bits
-// of its cost.
+// solveCase solves c at the given order-search workers as the server
+// does, profiling a preset afresh (no memo) and releasing an explicit
+// graph's rows, and returns its placement digest and the bits of its
+// cost.
 func solveCase(c scratchCase, workers int) (string, uint64, error) {
-	prob, err := c.req.Problem(c.snap, nil)
+	res, err := solveRequest(&c.req, c.snap, nil, workers)
 	if err != nil {
 		return "", 0, err
 	}
-	mapper, err := c.req.Mapper(workers)
-	if err != nil {
-		return "", 0, err
-	}
-	pl, err := mapper.Map(prob)
-	if err != nil {
-		return "", 0, err
-	}
-	res := NewMapResult(prob, pl, c.snap.Version, mapper.Name())
 	return res.Digest, math.Float64bits(res.Cost), nil
 }
 
 // TestSolvesIgnoreRecycledScratch is the regression test for the scratch
-// pools of comm, multilevel and core: each solve takes call logs, fill
-// tables, fills and generators that a solve of another shape (process
-// count, site count, pins, site sets, mapper) left behind. The requests
+// pools of comm, multilevel and core: each solve takes call logs, graph
+// rows, fill tables, fills and generators that a solve of another shape
+// (process count, edge count, site count, pins, site sets, mapper) left
+// behind. The requests
 // are solved in order on one goroutine, then in reverse order, then on
 // two goroutines at once, one at one order-search worker and one at two;
 // every digest and cost bit must equal the first run's. make race runs

@@ -103,9 +103,10 @@ type Server struct {
 	graphMu sync.Mutex
 	graphs  lru[*comm.Graph]
 
-	// solveHook, when non-nil, runs inside every executed solve; tests
-	// use it to inject latency and synchronization.
-	solveHook func()
+	// solveHook, when non-nil, runs inside every executed solve, before
+	// the request's graph is built; tests use it to inject latency and
+	// synchronization, and to see the request the solve reads.
+	solveHook func(req *MapRequest)
 }
 
 // NewServer wires the service together.
@@ -291,8 +292,8 @@ const maxPooledBody = 1 << 20
 
 // readRequest reads the whole body, at most maxBodyBytes of it, and
 // decodes it. A longer body is an error even when its first JSON value
-// ends before the limit.
-func readRequest(w http.ResponseWriter, r *http.Request) (MapRequest, error) {
+// ends before the limit. The edge-list buffer is decodeRequest's.
+func readRequest(w http.ResponseWriter, r *http.Request) (MapRequest, *[]Edge, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= maxPooledBody {
@@ -301,7 +302,7 @@ func readRequest(w http.ResponseWriter, r *http.Request) (MapRequest, error) {
 		}
 	}()
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-		return MapRequest{}, err
+		return MapRequest{}, nil, err
 	}
 	return decodeRequest(buf.Bytes())
 }
@@ -312,7 +313,9 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	outcome := OutcomeError
 	defer func() { s.metrics.RequestFinished(time.Since(start).Seconds(), outcome) }()
 
-	req, err := readRequest(w, r)
+	// edges holds req.Edges when they came from edgePool; it goes back
+	// only where no solve can still read them (see edgePool).
+	req, edges, err := readRequest(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
@@ -346,6 +349,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	if res, ok := s.cache.get(key); ok {
 		outcome = OutcomeCached
 		writeJSON(w, http.StatusOK, MapResponse{MapResult: *res, Cached: true})
+		releaseEdges(edges)
 		return
 	}
 
@@ -369,6 +373,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 			outcome = OutcomeSolved
 		}
 		writeJSON(w, http.StatusOK, MapResponse{MapResult: *res, Deduped: shared, Peer: fromPeer})
+		releaseEdges(edges)
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		outcome = OutcomeTimeout
 		writeError(w, http.StatusGatewayTimeout, fmt.Errorf("deadline of %v exceeded", deadline))
@@ -429,24 +434,11 @@ func (s *Server) solve(ctx context.Context, req *MapRequest, snap *Snapshot) (*M
 	err := s.pool.Submit(ctx, func() {
 		t0 := time.Now()
 		if s.solveHook != nil {
-			s.solveHook()
+			s.solveHook(req)
 		}
-		prob, err := req.Problem(snap, s.graphFor)
-		if err != nil {
-			solveErr = err
+		if res, solveErr = solveRequest(req, snap, s.graphFor, s.solverWorkers); solveErr != nil {
 			return
 		}
-		mapper, err := req.Mapper(s.solverWorkers)
-		if err != nil {
-			solveErr = err
-			return
-		}
-		pl, err := mapper.Map(prob)
-		if err != nil {
-			solveErr = err
-			return
-		}
-		res = NewMapResult(prob, pl, snap.Version, mapper.Name())
 		elapsed := time.Since(t0)
 		s.metrics.SolveFinished(elapsed.Seconds())
 		res.SolveMillis = float64(elapsed.Microseconds()) / 1e3
@@ -460,6 +452,32 @@ func (s *Server) solve(ctx context.Context, req *MapRequest, snap *Snapshot) (*M
 		return nil, fmt.Errorf("service: solve produced no result")
 	}
 	return res, solveErr
+}
+
+// solveRequest maps req against snap: it profiles the workload through
+// graphFor or builds the explicit edge list's graph, assembles the
+// problem, maps it with solverWorkers order-search workers and prices
+// the placement. An explicit edge list's graph belongs to this solve
+// alone, so its rows go back to comm's pool (Graph.Release) once the
+// result is priced; a preset's graph belongs to graphFor's memo and is
+// kept.
+func solveRequest(req *MapRequest, snap *Snapshot, graphFor GraphFunc, solverWorkers int) (*MapResult, error) {
+	prob, err := req.Problem(snap, graphFor)
+	if err != nil {
+		return nil, err
+	}
+	if req.Workload == "" {
+		defer prob.Comm.Release()
+	}
+	mapper, err := req.Mapper(solverWorkers)
+	if err != nil {
+		return nil, err
+	}
+	pl, err := mapper.Map(prob)
+	if err != nil {
+		return nil, err
+	}
+	return NewMapResult(prob, pl, snap.Version, mapper.Name()), nil
 }
 
 // graphMemoEntries bounds Server.graphs, the workload-profile memo.

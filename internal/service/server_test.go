@@ -6,11 +6,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -432,7 +437,7 @@ func TestMapDeadlineExceeded(t *testing.T) {
 	srv := newTestServer(t, Config{Workers: 1})
 	block := make(chan struct{})
 	var once sync.Once
-	srv.solveHook = func() { <-block }
+	srv.solveHook = func(*MapRequest) { <-block }
 	defer once.Do(func() { close(block) })
 	h := srv.Handler()
 
@@ -448,6 +453,144 @@ func TestMapDeadlineExceeded(t *testing.T) {
 	}
 }
 
+// TestTimedOutSolveKeepsItsEdgeList is the regression test for the
+// pooled edge list (edgePool): a leader whose deadline fired leaves its
+// solve running on a worker, still reading the request's edges, so its
+// handler must not hand the list back on the timeout path. One
+// explicit-edge solve is held in solveHook past its request's deadline
+// while other edge requests decode into pooled buffers and are solved on
+// the second worker. Once released, the held solve must still read the
+// list it was sent: solving the request as the hook sees it must give
+// the digest and cost bits of a fresh solve of the request posted. The
+// process runs at one P with the collector off, so a buffer handed back
+// is the next one drawn; make race runs it too.
+func TestTimedOutSolveKeepsItsEdgeList(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	srv := newTestServer(t, Config{Workers: 2})
+	snap := srv.store.Current()
+	type answer struct {
+		digest string
+		cost   uint64
+	}
+	solved := func(req *MapRequest) (answer, error) {
+		res, err := solveRequest(req, snap, nil, 1)
+		if err != nil {
+			return answer{}, err
+		}
+		return answer{res.Digest, math.Float64bits(res.Cost)}, nil
+	}
+
+	var held atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	seen := make(chan answer, 1)
+	seenErr := make(chan error, 1)
+	srv.solveHook = func(req *MapRequest) {
+		if !held.CompareAndSwap(false, true) {
+			return
+		}
+		close(entered)
+		<-release
+		a, err := solved(req)
+		seen <- a
+		seenErr <- err
+	}
+	var once sync.Once
+	defer once.Do(func() { close(release) })
+	h := srv.Handler()
+
+	req := benchRequest(64)
+	req.DeadlineMillis = 30
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/map", bytes.NewReader(body)))
+		code <- rec.Code
+	}()
+	<-entered
+	if c := <-code; c != http.StatusGatewayTimeout {
+		t.Fatalf("held request: status %d, want %d", c, http.StatusGatewayTimeout)
+	}
+	// Each of these decodes into a pooled buffer, as long as the held
+	// list or longer, and overwrites it if the held request gave its
+	// list back.
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 4; k++ {
+		other := MapRequest{Procs: 64, Edges: randomEdges(rng, 64, 2*len(req.Edges)), Seed: int64(k)}
+		postMap(t, h, other, http.StatusOK, nil)
+	}
+	once.Do(func() { close(release) })
+	got := <-seen
+	if err := <-seenErr; err != nil {
+		t.Fatalf("held solve: %v", err)
+	}
+	fresh := benchRequest(64)
+	want, err := solved(&fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("held solve read a recycled edge list: digest %.12s cost bits %#x, fresh solve %.12s %#x",
+			got.digest, got.cost, want.digest, want.cost)
+	}
+}
+
+// TestCachedRequestsOwnTheirEdges requires every cached request, as
+// CachedPlacements hands it to the re-gauging loop, to hold an exact-size
+// edge list of its own equal to the one posted: a handler decodes into a
+// pooled buffer and hands it back once answered, so a cached list that
+// shared it would be overwritten by a later request's decode. Four
+// goroutines post two requests each, each twice (a miss, then a hit),
+// the longer first, so that buffers are handed between them.
+func TestCachedRequestsOwnTheirEdges(t *testing.T) {
+	srv := newTestServer(t, Config{Workers: 2})
+	h := srv.Handler()
+	rng := rand.New(rand.NewSource(4))
+	bodies := make([][]byte, 8)
+	sent := map[int64][]Edge{}
+	for k := range bodies {
+		r := MapRequest{Procs: 64, Edges: randomEdges(rng, 64, 240-25*k), Seed: int64(k)}
+		sent[r.Seed] = r.Edges
+		body, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[k] = body
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, k := range []int{g, g + 4, g, g + 4} {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/map", bytes.NewReader(bodies[k])))
+				if rec.Code != http.StatusOK {
+					t.Errorf("request %d: status %d (body %s)", k, rec.Code, rec.Body.String())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	cached := srv.CachedPlacements()
+	if len(cached) != len(sent) {
+		t.Fatalf("%d cached placements, want %d", len(cached), len(sent))
+	}
+	for _, c := range cached {
+		got, want := c.Request.Edges, sent[c.Request.Seed]
+		if !slices.Equal(got, want) {
+			t.Errorf("seed %d: cached edges differ from the %d posted", c.Request.Seed, len(want))
+		}
+		if cap(got) != len(got) {
+			t.Errorf("seed %d: cached edge list has cap %d for %d edges", c.Request.Seed, cap(got), len(got))
+		}
+	}
+}
+
 // TestMapTimedOutWaiterCountsAsTimeout is the regression test for the
 // singleflight outcome misclassification: a waiter whose deadline fired
 // while the leader was still solving used to come back shared=true, so
@@ -457,7 +600,7 @@ func TestMapTimedOutWaiterCountsAsTimeout(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var once sync.Once
-	srv.solveHook = func() {
+	srv.solveHook = func(*MapRequest) {
 		entered <- struct{}{}
 		<-release
 	}
@@ -501,7 +644,7 @@ func TestMapQueueFullSheds(t *testing.T) {
 	srv := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
-	srv.solveHook = func() {
+	srv.solveHook = func(*MapRequest) {
 		entered <- struct{}{}
 		<-release
 	}
@@ -715,7 +858,7 @@ func TestDrainOnShutdown(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	srv.solveHook = func() {
+	srv.solveHook = func(*MapRequest) {
 		once.Do(func() { close(entered) })
 		<-release
 	}
