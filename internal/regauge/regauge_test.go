@@ -1,7 +1,11 @@
 package regauge
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -359,5 +363,59 @@ func TestPushWindow(t *testing.T) {
 	}
 	if len(w) != 3 || w[0] != 3 || w[2] != 5 {
 		t.Fatalf("window = %v, want [3 4 5]", w)
+	}
+}
+
+// TestWalkLeavesUnpinnedProblemsUnconstrained runs the walk over a live
+// server's cache — CachedPlacements, MapRequest.Problem, core.Remap with
+// a degraded pair and with a dead site, and the re-solve — on unpinned
+// requests, and then requires an unpinned request's problem to be all
+// Unconstrained: MapRequest.Problem backs the constraint vector of every
+// such problem with one shared array, which nothing may write.
+func TestWalkLeavesUnpinnedProblemsUnconstrained(t *testing.T) {
+	rig := newRig(t, 4)
+	srv, err := service.NewServer(service.Config{Store: rig.store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	reqs := []service.MapRequest{
+		{Workload: "LU", Procs: 12, Seed: 1},
+		{Workload: "K-means", Procs: 12, Seed: 2, Algorithm: "multilevel"},
+		{Procs: 12, Seed: 3, Edges: []service.Edge{{Src: 0, Dst: 5, Volume: 1 << 28, Msgs: 100}, {Src: 7, Dst: 11, Volume: 1 << 20, Msgs: 4}}},
+	}
+	for _, req := range reqs {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/map", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d (body %s)", rec.Code, rec.Body.String())
+		}
+	}
+	g := rig.gauger(t, func(c *Config) { c.Source = ServerSource{Server: srv} })
+	version := rig.store.Current().Version
+	for _, dead := range [][]int{nil, {0}} {
+		decs := g.walkTargets(units.Seconds(30), version, dead, [][2]int{{1, 2}, {2, 1}})
+		if len(decs) != len(reqs) {
+			t.Fatalf("dead %v: %d decisions, want %d", dead, len(decs), len(reqs))
+		}
+		for _, d := range decs {
+			if d.Action == ActionError {
+				t.Fatalf("dead %v: %+v", dead, d)
+			}
+		}
+	}
+	p, err := (&service.MapRequest{Workload: "LU", Procs: 16}).Problem(rig.store.Current(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range p.Constraint {
+		if c != core.Unconstrained {
+			t.Fatalf("an unpinned problem's constraint[%d] = %d after the walk", i, c)
+		}
 	}
 }

@@ -3,6 +3,8 @@ package service
 import (
 	"container/list"
 	"context"
+	"encoding/json"
+	"fmt"
 	"sync"
 )
 
@@ -60,11 +62,11 @@ func (c *lru[V]) len() int { return c.order.Len() }
 // ordinary LRU pressure evicts them — no flush path, no invalidation
 // races.
 //
-// Each entry retains the request that produced it: the re-gauging loop
-// walks the cache after a snapshot publication and rebuilds each entry's
-// problem against the new model to decide whether the placement is worth
-// migrating. do caches an exact-size copy of the request
-// (MapRequest.cacheCopy), never the handler's pooled edge list.
+// An entry keeps its result as the bytes every answer is served from
+// (see newCacheEntry), and the request that produced it in the cut-down
+// form of cachedRequest: the re-gauging loop walks the cache after a
+// snapshot publication and rebuilds each entry's problem against the new
+// model to decide whether the placement is worth migrating.
 type resultCache struct {
 	mu       sync.Mutex
 	results  lru[cacheEntry]    // fingerprint → solved result
@@ -72,14 +74,27 @@ type resultCache struct {
 }
 
 type cacheEntry struct {
-	req *MapRequest
-	res *MapResult
+	req  cachedRequest
+	body []byte
+}
+
+// newCacheEntry encodes res once, for every answer that will serve it:
+// its body is json.Marshal(res) without the closing brace, which each
+// answer writes after its own flags (see writeResult). A result that
+// json.Marshal cannot encode, such as one with a non-finite cost, is an
+// error, so it is neither cached nor answered as a 200.
+func newCacheEntry(req *MapRequest, res *MapResult) (cacheEntry, error) {
+	b, err := json.Marshal(res)
+	if err != nil {
+		return cacheEntry{}, fmt.Errorf("encoding result: %w", err)
+	}
+	return cacheEntry{req: req.cacheForm(), body: b[:len(b)-1]}, nil
 }
 
 // flight is one in-progress solve other requests can wait on.
 type flight struct {
 	done chan struct{}
-	res  *MapResult
+	body []byte
 	err  error
 }
 
@@ -90,20 +105,25 @@ func newResultCache(capacity int) *resultCache {
 	return &resultCache{results: newLRU[cacheEntry](capacity), inflight: make(map[string]*flight)}
 }
 
-// get returns the cached result for key, refreshing its recency.
-func (c *resultCache) get(key string) (*MapResult, bool) {
+// get returns the cached result bytes for key, refreshing its recency.
+func (c *resultCache) get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.results.get(key)
-	return e.res, ok
+	return e.body, ok
 }
 
 // add inserts a result, evicting the least-recently-used entry past
-// capacity.
-func (c *resultCache) add(key string, req *MapRequest, res *MapResult) {
+// capacity. A result newCacheEntry cannot encode is not inserted.
+func (c *resultCache) add(key string, req *MapRequest, res *MapResult) error {
+	e, err := newCacheEntry(req, res)
+	if err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.results.add(key, cacheEntry{req: req, res: res})
+	c.results.add(key, e)
+	return nil
 }
 
 // len returns the number of cached results.
@@ -123,42 +143,57 @@ type CachedPlacement struct {
 }
 
 // walk returns a point-in-time copy of the cache contents in recency
-// order (most recent first). The list order — not the entries map — is
-// walked, so the result is deterministic for a deterministic request
-// history.
+// order (most recent first), each request and result decoded afresh from
+// its entry. The list order — not the entries map — is walked, so the
+// result is deterministic for a deterministic request history.
 func (c *resultCache) walk() []CachedPlacement {
+	type keyed struct {
+		key string
+		cacheEntry
+	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]CachedPlacement, 0, c.results.len())
+	entries := make([]keyed, 0, c.results.len())
 	for el := c.results.order.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*lruEntry[cacheEntry])
-		out = append(out, CachedPlacement{Key: e.key, Request: e.val.req, Result: e.val.res})
+		entries = append(entries, keyed{e.key, e.val})
+	}
+	c.mu.Unlock()
+	out := make([]CachedPlacement, 0, len(entries))
+	for _, e := range entries {
+		res, err := decodeResult(e.body, e.req.req.Procs)
+		if err != nil {
+			// Unreachable: json.Marshal wrote these bytes. The
+			// re-gauging loop would skip a nil Result all the same.
+			continue
+		}
+		out = append(out, CachedPlacement{Key: e.key, Request: e.req.request(), Result: res})
 	}
 	return out
 }
 
 // do runs solve for key exactly once across concurrent callers: the
-// first caller executes it, later callers receive the same result once
-// it completes — or their own ctx error if their deadline fires first
-// (the leader's solve keeps running for the callers still waiting). A
-// cached result short-circuits before any flight is created. The boolean
-// reports whether this caller shared another caller's solve
+// first caller executes it, later callers receive the same result bytes
+// once it completes — or their own ctx error if their deadline fires
+// first (the leader's solve keeps running for the callers still
+// waiting). A cached result short-circuits before any flight is created.
+// The boolean reports whether this caller shared another caller's solve
 // (deduplicated) rather than executing its own.
 //
-// Successful results are added to the LRU, with a copy of req, before
-// the flight resolves, so a request arriving after completion hits the
-// cache directly. Errors are not cached: the next request retries.
-func (c *resultCache) do(ctx context.Context, key string, req *MapRequest, solve func() (*MapResult, error)) (res *MapResult, shared bool, err error) {
+// The leader encodes a successful result (newCacheEntry) and adds it to
+// the LRU before the flight resolves, so a request arriving after
+// completion hits the cache directly. Errors, an encoding error
+// included, are not cached: the next request retries.
+func (c *resultCache) do(ctx context.Context, key string, req *MapRequest, solve func() (*MapResult, error)) (body []byte, shared bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.results.get(key); ok {
 		c.mu.Unlock()
-		return e.res, true, nil
+		return e.body, true, nil
 	}
 	if f, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.res, true, f.err
+			return f.body, true, f.err
 		case <-ctx.Done():
 			// The waiter's own deadline fired before the leader finished:
 			// nothing was shared. Reporting shared=true here would
@@ -171,13 +206,18 @@ func (c *resultCache) do(ctx context.Context, key string, req *MapRequest, solve
 	c.inflight[key] = f
 	c.mu.Unlock()
 
-	f.res, f.err = solve()
-	if f.err == nil {
-		c.add(key, req.cacheCopy(), f.res)
+	var e cacheEntry
+	res, err := solve()
+	if err == nil {
+		e, err = newCacheEntry(req, res)
 	}
+	f.body, f.err = e.body, err
 	c.mu.Lock()
+	if err == nil {
+		c.results.add(key, e)
+	}
 	delete(c.inflight, key)
 	c.mu.Unlock()
 	close(f.done)
-	return f.res, false, f.err
+	return f.body, false, f.err
 }

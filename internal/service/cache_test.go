@@ -9,20 +9,40 @@ import (
 	"time"
 )
 
+// addDigest caches a result whose digest is key under key.
+func addDigest(c *resultCache, key string) error {
+	return c.add(key, &MapRequest{}, &MapResult{Digest: key})
+}
+
+// digestOf returns the digest of a cached result's bytes, or "" if they
+// do not decode.
+func digestOf(body []byte) string {
+	res, err := decodeResult(body, 0)
+	if err != nil {
+		return ""
+	}
+	return res.Digest
+}
+
 func TestLRUEviction(t *testing.T) {
 	c := newResultCache(2)
-	c.add("a", nil, &MapResult{Digest: "a"})
-	c.add("b", nil, &MapResult{Digest: "b"})
+	for _, k := range []string{"a", "b"} {
+		if err := addDigest(c, k); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, ok := c.get("a"); !ok {
 		t.Fatal("a missing before eviction")
 	}
 	// "a" is now most recent; adding "c" evicts "b".
-	c.add("c", nil, &MapResult{Digest: "c"})
+	if err := addDigest(c, "c"); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := c.get("b"); ok {
 		t.Error("b survived past capacity")
 	}
 	for _, k := range []string{"a", "c"} {
-		if res, ok := c.get(k); !ok || res.Digest != k {
+		if body, ok := c.get(k); !ok || digestOf(body) != k {
 			t.Errorf("entry %q lost or corrupted", k)
 		}
 	}
@@ -42,7 +62,7 @@ func TestSingleflightCollapsesConcurrentSolves(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, shared, err := c.do(context.Background(), "key", &MapRequest{}, func() (*MapResult, error) {
+			body, shared, err := c.do(context.Background(), "key", &MapRequest{}, func() (*MapResult, error) {
 				solves.Add(1)
 				<-release
 				return &MapResult{Digest: "solved"}, nil
@@ -51,8 +71,8 @@ func TestSingleflightCollapsesConcurrentSolves(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if res.Digest != "solved" {
-				t.Errorf("digest = %q", res.Digest)
+			if d := digestOf(body); d != "solved" {
+				t.Errorf("digest = %q", d)
 			}
 			if shared {
 				sharedCount.Add(1)
@@ -117,11 +137,11 @@ func TestSingleflightErrorsAreNotCached(t *testing.T) {
 	if _, ok := c.get("k"); ok {
 		t.Fatal("error cached")
 	}
-	res, _, err := c.do(context.Background(), "k", &MapRequest{}, func() (*MapResult, error) {
+	body, _, err := c.do(context.Background(), "k", &MapRequest{}, func() (*MapResult, error) {
 		attempts++
 		return &MapResult{Digest: "ok"}, nil
 	})
-	if err != nil || res.Digest != "ok" {
+	if err != nil || digestOf(body) != "ok" {
 		t.Fatalf("retry failed: %v", err)
 	}
 	if attempts != 2 {
@@ -141,14 +161,16 @@ func TestCacheRace(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", (g+i)%24)
 				if i%3 == 0 {
-					c.add(key, nil, &MapResult{Digest: key})
+					if err := addDigest(c, key); err != nil {
+						t.Error(err)
+					}
 					continue
 				}
-				res, _, err := c.do(context.Background(), key, &MapRequest{}, func() (*MapResult, error) {
+				body, _, err := c.do(context.Background(), key, &MapRequest{}, func() (*MapResult, error) {
 					return &MapResult{Digest: key}, nil
 				})
-				if err != nil || res.Digest != key {
-					t.Errorf("do(%s): res=%v err=%v", key, res, err)
+				if err != nil || digestOf(body) != key {
+					t.Errorf("do(%s): body=%s err=%v", key, body, err)
 					return
 				}
 			}

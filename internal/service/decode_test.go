@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -215,6 +216,31 @@ func BenchmarkDecodeRequest(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkServeHit512 answers the 512-process, ~1,480-edge request
+// from the cache through Handler, as every serve-hit request is answered
+// once warm: read, decode, validate, key, look up and write.
+func BenchmarkServeHit512(b *testing.B) {
+	srv := newAllocServer(b, 512)
+	defer srv.Close()
+	h := srv.Handler()
+	body := marshal(b, benchRequest(512))
+	w := &hitWriter{header: http.Header{}}
+	post := func() {
+		clear(w.header)
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/map", bytes.NewReader(body)))
+		if w.code != http.StatusOK {
+			b.Fatalf("status %d", w.code)
+		}
+	}
+	post() // the miss that caches it
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
 	}
 }
 

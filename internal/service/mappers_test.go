@@ -7,6 +7,7 @@ import (
 
 	"geoprocmap/internal/comm"
 	"geoprocmap/internal/core"
+	"geoprocmap/internal/faults"
 	"geoprocmap/internal/geo"
 	"geoprocmap/internal/mat"
 )
@@ -121,4 +122,50 @@ func randomProblem(rng *rand.Rand, n, m int) *core.Problem {
 		}
 	}
 	return &core.Problem{Comm: g, LT: lt, BT: bt, PC: pc, Capacity: capacity, Constraint: constraint, Allowed: allowed}
+}
+
+// TestNoPinsStaysUnconstrained requires the array that backs the
+// constraint vector of every unpinned request's problem (noPins) to stay
+// all Unconstrained after every mapper a request can name,
+// HierarchicalGeoMapper and core.Remap have run on such problems: a
+// preset and an explicit edge list, the remap evacuating a dead site
+// and moving off a degraded pair. The re-gauging loop's walk is held to
+// the same in internal/regauge.
+func TestNoPinsStaysUnconstrained(t *testing.T) {
+	snap := testSnapshot(t, 64, 1)
+	for _, req := range []MapRequest{
+		{Workload: "LU", Procs: 48, Seed: 3},
+		{Procs: 40, Edges: randomEdges(rand.New(rand.NewSource(5)), 40, 120), Seed: 5},
+	} {
+		p, err := req.Problem(snap, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &p.Constraint[0] != &noPins[0] {
+			t.Fatalf("%d procs: the problem's constraint vector is not a slice of noPins", req.Procs)
+		}
+		var pl core.Placement
+		for _, algo := range mapperAlgorithms {
+			req.Algorithm = algo
+			mapper, err := req.Mapper(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pl, err = mapper.Map(p); err != nil {
+				t.Fatalf("%d procs, %q: %v", req.Procs, algo, err)
+			}
+		}
+		if _, err := (&core.HierarchicalGeoMapper{Seed: req.Seed, LeafSites: 2, Workers: 1}).Map(p); err != nil {
+			t.Fatal(err)
+		}
+		rep := &faults.Report{DeadSites: []int{pl[0]}, DegradedPairs: [][2]int{{0, 1}, {1, 0}}}
+		if _, err := core.Remap(p, pl, rep, core.RemapOptions{MoveDegraded: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range noPins {
+		if c != core.Unconstrained {
+			t.Fatalf("noPins[%d] = %d, want Unconstrained", i, c)
+		}
+	}
 }

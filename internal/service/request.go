@@ -170,17 +170,61 @@ func (r *MapRequest) validate(maxProcs int, snap *Snapshot) error {
 	return nil
 }
 
-// cacheCopy returns a copy of r whose edge list is an exact-size array of
-// its own, for the result cache to keep: r's list may be a pooled buffer
-// (see edgePool) sized for the body's upper bound, which goes back to
-// the pool when its request is answered.
-func (r *MapRequest) cacheCopy() *MapRequest {
-	c := *r
+// cachedRequest is the form in which the result cache keeps a request:
+// the request with an exact-size array of its own for its edge list, and
+// its constraint vector cut down to its pins. A decoded edge list may be
+// a pooled buffer (see edgePool) sized for the body's upper bound, which
+// goes back to the pool when its request is answered; a constraint
+// vector is Procs ints, of which a served request pins a handful.
+type cachedRequest struct {
+	req MapRequest // Constraint is nil
+	// pins lists the pinned (process, site) pairs in process order, and
+	// constrained whether the request had a constraint vector at all, so
+	// that an all-Unconstrained vector comes back as a vector.
+	pins        []pin
+	constrained bool
+}
+
+// pin is one pinned process and its site. Processes index a request body
+// and sites a snapshot, so both fit 32 bits.
+type pin struct{ proc, site int32 }
+
+// cacheForm returns r as the result cache keeps it.
+func (r *MapRequest) cacheForm() cachedRequest {
+	c := cachedRequest{req: *r, constrained: len(r.Constraint) > 0}
+	c.req.Constraint = nil
 	if r.Edges != nil {
-		c.Edges = make([]Edge, len(r.Edges))
-		copy(c.Edges, r.Edges)
+		c.req.Edges = make([]Edge, len(r.Edges))
+		copy(c.req.Edges, r.Edges)
 	}
-	return &c
+	n := 0
+	for _, s := range r.Constraint {
+		if s != core.Unconstrained {
+			n++
+		}
+	}
+	if n > 0 {
+		c.pins = make([]pin, 0, n)
+		for i, s := range r.Constraint {
+			if s != core.Unconstrained {
+				c.pins = append(c.pins, pin{int32(i), int32(s)})
+			}
+		}
+	}
+	return c
+}
+
+// request rebuilds the request c was made from. Its edge list is c's own,
+// shared with every other rebuild; its constraint vector is new.
+func (c *cachedRequest) request() *MapRequest {
+	r := c.req
+	if c.constrained {
+		r.Constraint = mat.NewIntVec(r.Procs, core.Unconstrained)
+		for _, p := range c.pins {
+			r.Constraint[p.proc] = int(p.site)
+		}
+	}
+	return &r
 }
 
 // iters returns the effective profiled iteration count.
@@ -255,12 +299,9 @@ func (r *MapRequest) Problem(snap *Snapshot, graphFor GraphFunc) (*core.Problem,
 			g.AddTraffic(e.Src, e.Dst, e.Volume, e.Msgs)
 		}
 	}
-	constraint := r.Constraint
+	constraint := mat.IntVec(r.Constraint)
 	if len(constraint) == 0 {
-		constraint = make([]int, r.Procs)
-		for i := range constraint {
-			constraint[i] = core.Unconstrained
-		}
+		constraint = unconstrained(r.Procs)
 	}
 	p := &core.Problem{
 		Comm:       g,
@@ -268,13 +309,32 @@ func (r *MapRequest) Problem(snap *Snapshot, graphFor GraphFunc) (*core.Problem,
 		BT:         snap.BT,
 		PC:         snap.PC,
 		Capacity:   snap.Capacity,
-		Constraint: mat.IntVec(constraint),
+		Constraint: constraint,
 		Allowed:    r.Allowed,
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// noPins backs the constraint vector of every problem built from a
+// request without one, up to 4,096 processes (the default
+// Config.MaxProcs), so that Problem allocates no Procs ints per solve.
+// Nothing writes a problem's constraint vector (core.Remap and the
+// hierarchy's sub-problems write copies of their own), so the array
+// stays all Unconstrained; TestNoPinsStaysUnconstrained holds every
+// mapper to that.
+var noPins = mat.NewIntVec(4096, core.Unconstrained)
+
+// unconstrained returns an all-Unconstrained vector of n entries that
+// the caller must not write: a slice of noPins, or a new array past its
+// length.
+func unconstrained(n int) mat.IntVec {
+	if n <= len(noPins) {
+		return noPins[:n:n]
+	}
+	return mat.NewIntVec(n, core.Unconstrained)
 }
 
 // checkEdges reports the first edge a graph over procs processes cannot

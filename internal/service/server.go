@@ -202,17 +202,23 @@ func (s *Server) RegisterStatus(name string, fn StatusFunc) {
 
 // CachedPlacements returns a point-in-time copy of the result cache in
 // recency order — the re-gauging loop's view of the placements clients
-// are currently acting on.
+// are currently acting on. Each Result and each Request's constraint
+// vector are decoded afresh from the entry, so the caller may change
+// them; a Request's edge list is the entry's own and is read-only.
 func (s *Server) CachedPlacements() []CachedPlacement { return s.cache.walk() }
 
 // InsertResult stores a (request, result) pair in the result cache under
-// the fingerprint of the request against res.SnapshotVersion. Entries for
-// older snapshot versions need no eviction — their keys simply stop
-// matching. The re-gauging loop uses this to install remapped placements
-// so subsequent identical requests hit the refreshed result.
+// the fingerprint of the request against res.SnapshotVersion, as a solve
+// stores its own; a result that cannot be encoded is logged and not
+// stored. Entries for older snapshot versions need no eviction — their
+// keys simply stop matching. The re-gauging loop uses this to install
+// remapped placements so subsequent identical requests hit the
+// refreshed result.
 func (s *Server) InsertResult(req *MapRequest, res *MapResult) string {
 	key := fingerprint(req, res.SnapshotVersion)
-	s.cache.add(key, req, res)
+	if err := s.cache.add(key, req, res); err != nil {
+		s.logf("cache: result for %.12s not cached: %v", key, err)
+	}
 	return key
 }
 
@@ -346,9 +352,9 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := fingerprint(&req, snap.Version)
-	if res, ok := s.cache.get(key); ok {
+	if body, ok := s.cache.get(key); ok {
 		outcome = OutcomeCached
-		writeJSON(w, http.StatusOK, MapResponse{MapResult: *res, Cached: true})
+		writeResult(w, body, outcome)
 		releaseEdges(edges)
 		return
 	}
@@ -357,7 +363,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	// which runs in this goroutine or not at all (waiters share the
 	// leader's result without executing it).
 	fromPeer := false
-	res, shared, err := s.cache.do(ctx, key, &req, func() (*MapResult, error) {
+	body, shared, err := s.cache.do(ctx, key, &req, func() (*MapResult, error) {
 		r, peer, err := s.resolve(ctx, &req, snap, forwarded)
 		fromPeer = peer
 		return r, err
@@ -372,7 +378,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		default:
 			outcome = OutcomeSolved
 		}
-		writeJSON(w, http.StatusOK, MapResponse{MapResult: *res, Deduped: shared, Peer: fromPeer})
+		writeResult(w, body, outcome)
 		releaseEdges(edges)
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		outcome = OutcomeTimeout
@@ -723,6 +729,28 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	blocks, _ := s.statusBlocks()
 	v.Components = blocks
 	writeJSON(w, http.StatusOK, v)
+}
+
+// responseTails close a cached result's bytes (see newCacheEntry) into
+// the MapResponse each outcome answers with. A request's result is
+// shared (deduped) only when another request led its solve, and comes
+// from a peer only when it led the solve itself, so no answer is both.
+var responseTails = [...][]byte{
+	OutcomeSolved:  []byte(`,"cached":false}` + "\n"),
+	OutcomeCached:  []byte(`,"cached":true}` + "\n"),
+	OutcomeDeduped: []byte(`,"cached":false,"deduped":true}` + "\n"),
+	OutcomePeer:    []byte(`,"cached":false,"peer":true}` + "\n"),
+}
+
+// writeResult answers 200 with a cached result's bytes and the flags of
+// outcome: byte for byte what writeJSON writes for the MapResponse, with
+// no encoder run.
+func writeResult(w http.ResponseWriter, body []byte, outcome Outcome) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// The response is already committed; a write error means a gone client.
+	_, _ = w.Write(body)
+	_, _ = w.Write(responseTails[outcome])
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -433,6 +433,56 @@ func TestMapInfeasibleSiteSets(t *testing.T) {
 	}
 }
 
+// TestMapNonFiniteCostIsAnError is the regression test for a result
+// json.Marshal cannot encode: with every inter-site latency at 1e308,
+// an all-to-all request's cost overflows to +Inf. The answer used to be
+// a 200 with an empty body, written after the header and cached, so
+// that every identical request got it again; it is now a 422 like any
+// other failed solve, nothing is cached, and the next identical request
+// solves again.
+func TestMapNonFiniteCostIsAnError(t *testing.T) {
+	snap := testSnapshot(t, 16, 1)
+	snap.LT = snap.LT.Clone()
+	for i := 0; i < snap.M(); i++ {
+		for j := 0; j < snap.M(); j++ {
+			if i != j {
+				snap.LT.Set(i, j, 1e308)
+			}
+		}
+	}
+	st, err := NewStore(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(Config{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	req := MapRequest{Procs: 8}
+	for i := 0; i < 8; i++ {
+		for j := 0; j < 8; j++ {
+			if i != j {
+				req.Edges = append(req.Edges, Edge{Src: i, Dst: j, Volume: 1, Msgs: 10})
+			}
+		}
+	}
+	for try := 0; try < 2; try++ {
+		var e errorResponse
+		postMap(t, h, req, http.StatusUnprocessableEntity, &e)
+		if !strings.Contains(e.Error, "encoding result") {
+			t.Errorf("try %d: error %q, want the encoding failure", try, e.Error)
+		}
+	}
+	if n := srv.cache.len(); n != 0 {
+		t.Errorf("%d results cached, want 0", n)
+	}
+	if view := srv.metrics.Snapshot(0, 0); view.Solves != 2 || view.CacheHits != 0 || view.Errors != 2 {
+		t.Errorf("metrics = %+v, want 2 solves, 0 hits, 2 errors", view)
+	}
+}
+
 func TestMapDeadlineExceeded(t *testing.T) {
 	srv := newTestServer(t, Config{Workers: 1})
 	block := make(chan struct{})

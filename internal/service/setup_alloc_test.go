@@ -116,7 +116,7 @@ func setUp(t *testing.T, bodies [][]byte) {
 
 // newAllocServer returns a server over the paper's four EC2 regions with
 // nodes nodes in all.
-func newAllocServer(t *testing.T, nodes int) *Server {
+func newAllocServer(t testing.TB, nodes int) *Server {
 	t.Helper()
 	st, err := NewStore(testSnapshot(t, nodes, 1))
 	if err != nil {
@@ -129,7 +129,7 @@ func newAllocServer(t *testing.T, nodes int) *Server {
 	return srv
 }
 
-func marshal(t *testing.T, v any) []byte {
+func marshal(t testing.TB, v any) []byte {
 	t.Helper()
 	body, err := json.Marshal(v)
 	if err != nil {
@@ -150,17 +150,24 @@ func (w *hitWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *hitWriter) WriteHeader(code int)        { w.code = code }
 
 // hitSlack is how far apart the bytes of a 512- and a 2048-process hit
-// may lie: both allocate the same fixed set (the request, the key, the
-// response struct), and the encoder's and the body's buffers are pooled.
+// may lie: both allocate the same fixed set (the request, the key), and
+// the body's buffer is pooled.
 const hitSlack = 512
 
+// hitAllocBudget bounds the bytes one warm hit allocates, most of them
+// the test's own httptest request. Measured at 6,568 bytes on
+// linux/amd64 with go1.24 once a hit wrote its cached bytes instead of
+// encoding a response (6,680 before); the budget leaves ~6% slack.
+const hitAllocBudget = 7000
+
 // TestCacheHitAllocationFlat gates the hit path: once a request is
-// cached and the pools are warm, answering it again allocates the same
-// bytes whether it carries ~1,480 edges (benchRequest(512)) or ~5,900
-// (benchRequest(2048)), within hitSlack. The edge list is decoded into a
-// pooled buffer and keyed with pooled scratch, so nothing a hit
-// allocates grows with the edges. Not parallel: measureAlloc sets
-// GOMAXPROCS.
+// cached and the pools are warm, answering it again allocates at most
+// hitAllocBudget bytes, and the same bytes whether it carries ~1,480
+// edges (benchRequest(512)) or ~5,900 (benchRequest(2048)), within
+// hitSlack. The edge list is decoded into a pooled buffer and keyed with
+// pooled scratch, and the answer is written from the cached bytes, so
+// nothing a hit allocates grows with the edges or the placement. Not
+// parallel: measureAlloc sets GOMAXPROCS.
 func TestCacheHitAllocationFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a random share of what it is given")
@@ -186,7 +193,10 @@ func TestCacheHitAllocationFlat(t *testing.T) {
 				post()
 			}
 		}) / hits
-		t.Logf("procs %d: a warm hit allocates %d bytes", n, perHit[n])
+		t.Logf("procs %d: a warm hit allocates %d bytes (budget %d)", n, perHit[n], hitAllocBudget)
+		if perHit[n] > hitAllocBudget {
+			t.Errorf("procs %d: a warm hit allocates %d bytes, budget %d", n, perHit[n], hitAllocBudget)
+		}
 	}
 	if d := int64(perHit[2048]) - int64(perHit[512]); d > hitSlack || d < -hitSlack {
 		t.Errorf("a 2048-process hit allocates %d bytes, a 512-process one %d: %+d, slack %d",
