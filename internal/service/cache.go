@@ -63,10 +63,11 @@ func (c *lru[V]) len() int { return c.order.Len() }
 // races.
 //
 // An entry keeps its result as the bytes every answer is served from
-// (see newCacheEntry), and the request that produced it in the cut-down
-// form of cachedRequest: the re-gauging loop walks the cache after a
-// snapshot publication and rebuilds each entry's problem against the new
-// model to decide whether the placement is worth migrating.
+// (see newCacheEntry), and an exact-size copy of the request that
+// produced it (MapRequest.cacheCopy), never the handler's pooled edge
+// list: the re-gauging loop walks the cache after a snapshot publication
+// and rebuilds each entry's problem against the new model to decide
+// whether the placement is worth migrating.
 type resultCache struct {
 	mu       sync.Mutex
 	results  lru[cacheEntry]    // fingerprint → solved result
@@ -74,7 +75,7 @@ type resultCache struct {
 }
 
 type cacheEntry struct {
-	req  cachedRequest
+	req  *MapRequest
 	body []byte
 }
 
@@ -88,14 +89,15 @@ func newCacheEntry(req *MapRequest, res *MapResult) (cacheEntry, error) {
 	if err != nil {
 		return cacheEntry{}, fmt.Errorf("encoding result: %w", err)
 	}
-	return cacheEntry{req: req.cacheForm(), body: b[:len(b)-1]}, nil
+	return cacheEntry{req: req.cacheCopy(), body: b[:len(b)-1]}, nil
 }
 
 // flight is one in-progress solve other requests can wait on.
 type flight struct {
-	done chan struct{}
-	body []byte
-	err  error
+	done    chan struct{}
+	body    []byte
+	err     error
+	waiters int // callers that joined the leader's solve; guarded by resultCache.mu
 }
 
 func newResultCache(capacity int) *resultCache {
@@ -143,8 +145,8 @@ type CachedPlacement struct {
 }
 
 // walk returns a point-in-time copy of the cache contents in recency
-// order (most recent first), each request and result decoded afresh from
-// its entry. The list order — not the entries map — is walked, so the
+// order (most recent first), each result decoded afresh from its entry's
+// bytes. The list order — not the entries map — is walked, so the
 // result is deterministic for a deterministic request history.
 func (c *resultCache) walk() []CachedPlacement {
 	type keyed struct {
@@ -160,13 +162,13 @@ func (c *resultCache) walk() []CachedPlacement {
 	c.mu.Unlock()
 	out := make([]CachedPlacement, 0, len(entries))
 	for _, e := range entries {
-		res, err := decodeResult(e.body, e.req.req.Procs)
+		res, err := decodeResult(e.body)
 		if err != nil {
 			// Unreachable: json.Marshal wrote these bytes. The
 			// re-gauging loop would skip a nil Result all the same.
 			continue
 		}
-		out = append(out, CachedPlacement{Key: e.key, Request: e.req.request(), Result: res})
+		out = append(out, CachedPlacement{Key: e.key, Request: e.req, Result: res})
 	}
 	return out
 }
@@ -190,6 +192,7 @@ func (c *resultCache) do(ctx context.Context, key string, req *MapRequest, solve
 		return e.body, true, nil
 	}
 	if f, ok := c.inflight[key]; ok {
+		f.waiters++
 		c.mu.Unlock()
 		select {
 		case <-f.done:

@@ -17,7 +17,7 @@ func addDigest(c *resultCache, key string) error {
 // digestOf returns the digest of a cached result's bytes, or "" if they
 // do not decode.
 func digestOf(body []byte) string {
-	res, err := decodeResult(body, 0)
+	res, err := decodeResult(body)
 	if err != nil {
 		return ""
 	}

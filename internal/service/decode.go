@@ -65,22 +65,9 @@ func decodeStdlib(body []byte) (MapRequest, error) {
 }
 
 // decodeResult decodes a cache entry's result bytes (see newCacheEntry):
-// a MapResult's JSON without its closing brace, whose placement has
-// procs entries. A hand-written pass reads the fields in the order and
-// form json.Marshal writes them, with the placement read by index into
-// an array of procs entries and every float read as strconv.ParseFloat
-// reads it, which is what encoding/json calls, so the values match bit
-// for bit; a body outside that form (an escaped string, a version past
-// 2^63) goes to encoding/json. The re-gauging loop's walk decodes every
-// entry: on 1,024 256-process entries ~9 ms, where encoding/json alone
-// takes ~80 ms (2-core Xeon).
-func decodeResult(body []byte, procs int) (*MapResult, error) {
+// a MapResult's JSON without its closing brace.
+func decodeResult(body []byte) (*MapResult, error) {
 	res := new(MapResult)
-	p := parser{b: body}
-	if p.result(res, procs) {
-		return res, nil
-	}
-	*res = MapResult{}
 	if err := json.Unmarshal(append(body[:len(body):len(body)], '}'), res); err != nil {
 		return nil, err
 	}
@@ -100,7 +87,7 @@ const minEdgeBytes = 38
 // cache.do returned without error. A leader whose deadline fired may
 // leave its solve running on a worker, still reading the list, so the
 // timeout, shed and error paths leave the buffer to the collector. A
-// cached request keeps an exact-size copy (MapRequest.cacheForm).
+// cached request keeps an exact-size copy (MapRequest.cacheCopy).
 var edgePool = sync.Pool{New: func() any { return new([]Edge) }}
 
 // maxPooledEdges caps a pooled edge list at 1 MB: 32,768 edges of 32
@@ -182,31 +169,6 @@ func (p *parser) request(r *MapRequest) bool {
 	})
 	p.space()
 	return ok && p.i == len(p.b)
-}
-
-// result reads the fields of a MapResult in the order and form
-// json.Marshal writes them, up to the end of the body; see decodeResult.
-func (p *parser) result(r *MapResult, procs int) bool {
-	var version int64
-	ok := p.lit(`{"snapshot_version":`) && p.int64(&version) && version >= 0 &&
-		p.lit(`,"algorithm":`) && p.text(&r.Algorithm) &&
-		p.lit(`,"cost":`) && p.float(&r.Cost) &&
-		p.lit(`,"latency_cost":`) && p.float(&r.LatencyCost) &&
-		p.lit(`,"bandwidth_cost":`) && p.float(&r.BandwidthCost) &&
-		p.lit(`,"placement":`) && p.sites(&r.Placement, procs) &&
-		p.lit(`,"digest":`) && p.text(&r.Digest) &&
-		p.lit(`,"solve_ms":`) && p.float(&r.SolveMillis) && p.i == len(p.b)
-	r.SnapshotVersion = uint64(version)
-	return ok
-}
-
-// sites reads an array of site indices into a new slice with room for n.
-func (p *parser) sites(v *[]int, n int) bool {
-	*v = make([]int, 0, n)
-	return p.array(func() bool {
-		*v = append(*v, 0)
-		return p.index(&(*v)[len(*v)-1])
-	})
 }
 
 // edge reads one edge object in the literal form json.Marshal writes,

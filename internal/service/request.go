@@ -170,61 +170,17 @@ func (r *MapRequest) validate(maxProcs int, snap *Snapshot) error {
 	return nil
 }
 
-// cachedRequest is the form in which the result cache keeps a request:
-// the request with an exact-size array of its own for its edge list, and
-// its constraint vector cut down to its pins. A decoded edge list may be
-// a pooled buffer (see edgePool) sized for the body's upper bound, which
-// goes back to the pool when its request is answered; a constraint
-// vector is Procs ints, of which a served request pins a handful.
-type cachedRequest struct {
-	req MapRequest // Constraint is nil
-	// pins lists the pinned (process, site) pairs in process order, and
-	// constrained whether the request had a constraint vector at all, so
-	// that an all-Unconstrained vector comes back as a vector.
-	pins        []pin
-	constrained bool
-}
-
-// pin is one pinned process and its site. Processes index a request body
-// and sites a snapshot, so both fit 32 bits.
-type pin struct{ proc, site int32 }
-
-// cacheForm returns r as the result cache keeps it.
-func (r *MapRequest) cacheForm() cachedRequest {
-	c := cachedRequest{req: *r, constrained: len(r.Constraint) > 0}
-	c.req.Constraint = nil
+// cacheCopy returns a copy of r whose edge list is an exact-size array of
+// its own, for the result cache to keep: r's list may be a pooled buffer
+// (see edgePool) sized for the body's upper bound, which goes back to
+// the pool when its request is answered.
+func (r *MapRequest) cacheCopy() *MapRequest {
+	c := *r
 	if r.Edges != nil {
-		c.req.Edges = make([]Edge, len(r.Edges))
-		copy(c.req.Edges, r.Edges)
+		c.Edges = make([]Edge, len(r.Edges))
+		copy(c.Edges, r.Edges)
 	}
-	n := 0
-	for _, s := range r.Constraint {
-		if s != core.Unconstrained {
-			n++
-		}
-	}
-	if n > 0 {
-		c.pins = make([]pin, 0, n)
-		for i, s := range r.Constraint {
-			if s != core.Unconstrained {
-				c.pins = append(c.pins, pin{int32(i), int32(s)})
-			}
-		}
-	}
-	return c
-}
-
-// request rebuilds the request c was made from. Its edge list is c's own,
-// shared with every other rebuild; its constraint vector is new.
-func (c *cachedRequest) request() *MapRequest {
-	r := c.req
-	if c.constrained {
-		r.Constraint = mat.NewIntVec(r.Procs, core.Unconstrained)
-		for _, p := range c.pins {
-			r.Constraint[p.proc] = int(p.site)
-		}
-	}
-	return &r
+	return &c
 }
 
 // iters returns the effective profiled iteration count.
@@ -279,6 +235,13 @@ type GraphFunc func(workload string, procs, iters int) (*comm.Graph, error)
 // explicit edge list is added to a new graph in request order, as every
 // graph is built; the graph sums each (src, dst) run in that order when
 // it freezes.
+//
+// The problem shares memory and must not be written: for a request
+// without pins its Constraint is a slice of one read-only vector that
+// every such problem shares (noPins), else the request's own vector; its
+// Allowed is the request's own, and a profiled Comm graph may be the
+// memoized one other solves read. A caller that must change one copies
+// it first, as core.Remap does.
 func (r *MapRequest) Problem(snap *Snapshot, graphFor GraphFunc) (*core.Problem, error) {
 	var g *comm.Graph
 	if r.Workload != "" {

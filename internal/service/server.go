@@ -202,9 +202,9 @@ func (s *Server) RegisterStatus(name string, fn StatusFunc) {
 
 // CachedPlacements returns a point-in-time copy of the result cache in
 // recency order — the re-gauging loop's view of the placements clients
-// are currently acting on. Each Result and each Request's constraint
-// vector are decoded afresh from the entry, so the caller may change
-// them; a Request's edge list is the entry's own and is read-only.
+// are currently acting on. Each Result is decoded afresh from the
+// entry, so the caller may change it; each Request is the entry's own
+// and is read-only.
 func (s *Server) CachedPlacements() []CachedPlacement { return s.cache.walk() }
 
 // InsertResult stores a (request, result) pair in the result cache under
