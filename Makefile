@@ -58,8 +58,9 @@ race:
 # folded call log against an unfolded one and a per-pair left fold, the
 # network simulator's fault-aware replay and fluid engines at a nil
 # schedule against the healthy-network references, the trace compression round trip, the
-# /v1/map body decoder against encoding/json, and its float read against
-# strconv.ParseFloat.
+# /v1/map body decoder against encoding/json, its float read against
+# strconv.ParseFloat, and the packed form of a cached request's edge
+# list, read back bit for bit.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFillMatchesReference$$' -fuzztime 10s ./internal/multilevel
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltasMatchRecomputation$$' -fuzztime 10s ./internal/multilevel
@@ -71,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompressRoundTrip$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequestMatchesStdlib$$' -fuzztime 10s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzFloatMatchesParseFloat$$' -fuzztime 10s ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzPackEdgesRoundTrip$$' -fuzztime 10s ./internal/service
 
 # Fault-injection smoke: replay LU through the FlakyWAN preset and run the
 # failure-aware remap path end to end (internal/faults + netsim faulty

@@ -62,49 +62,57 @@ func (c *lru[V]) len() int { return c.order.Len() }
 // ordinary LRU pressure evicts them — no flush path, no invalidation
 // races.
 //
-// An entry keeps its result as the bytes every answer is served from
-// (see newCacheEntry), and an exact-size copy of the request that
-// produced it (MapRequest.cacheCopy), never the handler's pooled edge
-// list: the re-gauging loop walks the cache after a snapshot publication
-// and rebuilds each entry's problem against the new model to decide
-// whether the placement is worth migrating.
+// An entry keeps its result as the bytes every answer is served from,
+// and the request that produced it with its edge list packed (see
+// newCacheEntry), never the handler's pooled edge list: the re-gauging
+// loop walks the cache after a snapshot publication and rebuilds each
+// entry's problem against the new model to decide whether the placement
+// is worth migrating. Only that walk unpacks the edges.
 type resultCache struct {
 	mu       sync.Mutex
-	results  lru[cacheEntry]    // fingerprint → solved result
-	inflight map[string]*flight // fingerprint → in-progress solve
+	results  lru[cacheEntry]            // fingerprint → solved result
+	inflight map[string]*flight[[]byte] // fingerprint → in-progress solve
 }
 
 type cacheEntry struct {
-	req  *MapRequest
-	body []byte
+	req   *MapRequest // a copy of the request without its Edges
+	edges []byte      // packEdges of the request's Edges
+	body  []byte
 }
 
 // newCacheEntry encodes res once, for every answer that will serve it:
 // its body is json.Marshal(res) without the closing brace, which each
 // answer writes after its own flags (see writeResult). A result that
 // json.Marshal cannot encode, such as one with a non-finite cost, is an
-// error, so it is neither cached nor answered as a 200.
+// error, so it is neither cached nor answered as a 200. The entry keeps
+// a copy of req whose edge list is packed into one exact-size byte
+// string (packEdges), 39% of the list's size on the served shape; its
+// constraint and allowed sets are the request's own.
 func newCacheEntry(req *MapRequest, res *MapResult) (cacheEntry, error) {
 	b, err := json.Marshal(res)
 	if err != nil {
 		return cacheEntry{}, fmt.Errorf("encoding result: %w", err)
 	}
-	return cacheEntry{req: req.cacheCopy(), body: b[:len(b)-1]}, nil
+	r := *req
+	r.Edges = nil
+	return cacheEntry{req: &r, edges: packEdges(req.Edges), body: b[:len(b)-1]}, nil
 }
 
-// flight is one in-progress solve other requests can wait on.
-type flight struct {
+// flight is one in-progress computation other callers can wait on: a
+// result cache's solve (its value the result bytes), or a profile in the
+// server's graph memo.
+type flight[V any] struct {
 	done    chan struct{}
-	body    []byte
+	val     V
 	err     error
-	waiters int // callers that joined the leader's solve; guarded by resultCache.mu
+	waiters int // callers that joined the leader; guarded by the owner's mutex
 }
 
 func newResultCache(capacity int) *resultCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &resultCache{results: newLRU[cacheEntry](capacity), inflight: make(map[string]*flight)}
+	return &resultCache{results: newLRU[cacheEntry](capacity), inflight: make(map[string]*flight[[]byte])}
 }
 
 // get returns the cached result bytes for key, refreshing its recency.
@@ -146,8 +154,10 @@ type CachedPlacement struct {
 
 // walk returns a point-in-time copy of the cache contents in recency
 // order (most recent first), each result decoded afresh from its entry's
-// bytes. The list order — not the entries map — is walked, so the
-// result is deterministic for a deterministic request history.
+// bytes and each explicit edge list unpacked into a request of its own;
+// a preset request is the entry's own. The list order — not the entries
+// map — is walked, so the result is deterministic for a deterministic
+// request history.
 func (c *resultCache) walk() []CachedPlacement {
 	type keyed struct {
 		key string
@@ -168,7 +178,13 @@ func (c *resultCache) walk() []CachedPlacement {
 			// re-gauging loop would skip a nil Result all the same.
 			continue
 		}
-		out = append(out, CachedPlacement{Key: e.key, Request: e.req, Result: res})
+		req := e.req
+		if e.edges != nil {
+			r := *req
+			r.Edges = unpackEdges(e.edges)
+			req = &r
+		}
+		out = append(out, CachedPlacement{Key: e.key, Request: req, Result: res})
 	}
 	return out
 }
@@ -196,7 +212,7 @@ func (c *resultCache) do(ctx context.Context, key string, req *MapRequest, solve
 		c.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.body, true, f.err
+			return f.val, true, f.err
 		case <-ctx.Done():
 			// The waiter's own deadline fired before the leader finished:
 			// nothing was shared. Reporting shared=true here would
@@ -205,7 +221,7 @@ func (c *resultCache) do(ctx context.Context, key string, req *MapRequest, solve
 			return nil, false, ctx.Err()
 		}
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight[[]byte]{done: make(chan struct{})}
 	c.inflight[key] = f
 	c.mu.Unlock()
 
@@ -214,7 +230,7 @@ func (c *resultCache) do(ctx context.Context, key string, req *MapRequest, solve
 	if err == nil {
 		e, err = newCacheEntry(req, res)
 	}
-	f.body, f.err = e.body, err
+	f.val, f.err = e.body, err
 	c.mu.Lock()
 	if err == nil {
 		c.results.add(key, e)
@@ -222,5 +238,5 @@ func (c *resultCache) do(ctx context.Context, key string, req *MapRequest, solve
 	delete(c.inflight, key)
 	c.mu.Unlock()
 	close(f.done)
-	return f.body, false, f.err
+	return f.val, false, f.err
 }

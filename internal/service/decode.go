@@ -87,7 +87,7 @@ const minEdgeBytes = 38
 // cache.do returned without error. A leader whose deadline fired may
 // leave its solve running on a worker, still reading the list, so the
 // timeout, shed and error paths leave the buffer to the collector. A
-// cached request keeps an exact-size copy (MapRequest.cacheCopy).
+// cached request keeps its list packed into bytes of its own (packEdges).
 var edgePool = sync.Pool{New: func() any { return new([]Edge) }}
 
 // maxPooledEdges caps a pooled edge list at 1 MB: 32,768 edges of 32

@@ -305,6 +305,12 @@ func TestCachedPlacementsRoundTrip(t *testing.T) {
 // ints and the digest among them.
 const cacheEntryBudget = 2000
 
+// edgeEntryBudget bounds the heap one cached benchRequest(512) result
+// keeps alive: 20,695 bytes on linux/amd64 with go1.24, of which 18,463
+// are its packed edge list; the budget leaves ~16% slack. While the request kept its 1,485 edges as an exact-size []Edge
+// (47,520 bytes), an entry kept 50,761 bytes.
+const edgeEntryBudget = 24_000
+
 // novelPreset returns the i-th of a stream of novel 256-process preset
 // requests over four sites, one in three with 1–3 pins drawn from rng,
 // as the benchmark's novel requests are.
@@ -319,15 +325,53 @@ func novelPreset(i int, rng *rand.Rand) MapRequest {
 	return req
 }
 
-// TestCacheEntryBytes measures the heap retained per cache entry: 480
-// novel 256-process preset solves on the paper's four regions at 160
-// nodes each, one in three with 1–3 pins, as the benchmark's novel
-// requests are. Each preset is profiled first, so its memoized graph is
-// not counted, and the live heap is read after forced collections.
+// TestCacheEntryBytes measures the heap retained per cache entry on the
+// paper's four regions at 160 nodes each, read after forced collections:
+//   - presets: 480 novel 256-process preset solves, one in three with
+//     1–3 pins, as the benchmark's novel requests are. Each preset is
+//     profiled first, so its memoized graph is not counted.
+//   - edges: 64 explicit-edge solves of benchRequest(512), seeds 1–64,
+//     as the benchmark's cache-hit requests are. Four solves first warm
+//     the scratch pools.
 func TestCacheEntryBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds shadow memory to every allocation")
 	}
+	var presets, warm, edges []MapRequest
+	for k, w := range setUpPresets {
+		warm = append(warm, MapRequest{Workload: w, Procs: 256, Seed: -int64(k) - 1})
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 480; i++ {
+		presets = append(presets, novelPreset(i, rng))
+	}
+	for seed := int64(-4); seed <= 64; seed++ {
+		if seed != 0 {
+			r := benchRequest(512)
+			r.Seed = seed
+			edges = append(edges, r)
+		}
+	}
+	for _, c := range []struct {
+		name       string
+		warm, reqs []MapRequest
+		budget     int64
+	}{
+		{"presets", warm, presets, cacheEntryBudget},
+		{"edges", edges[:4], edges[4:], edgeEntryBudget},
+	} {
+		per := entryBytes(t, c.warm, c.reqs)
+		t.Logf("%s: a cached result keeps %d bytes (budget %d)", c.name, per, c.budget)
+		if per > c.budget {
+			t.Errorf("%s: a cached result keeps %d bytes, budget %d", c.name, per, c.budget)
+		}
+	}
+}
+
+// entryBytes posts warm and then reqs to a fresh server and returns the
+// live heap the reqs' cache entries keep, per entry.
+func entryBytes(t *testing.T, warm, reqs []MapRequest) int64 {
+	t.Helper()
 	srv := newAllocServer(t, 640)
 	defer srv.Close()
 	h := srv.Handler()
@@ -338,9 +382,6 @@ func TestCacheEntryBytes(t *testing.T) {
 			t.Fatalf("status %d (body %s)", rec.Code, rec.Body.String())
 		}
 	}
-	for k, w := range setUpPresets {
-		post(MapRequest{Workload: w, Procs: 256, Seed: -int64(k) - 1})
-	}
 	live := func() uint64 {
 		var ms runtime.MemStats
 		runtime.GC()
@@ -348,42 +389,60 @@ func TestCacheEntryBytes(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	rng := rand.New(rand.NewSource(1))
-	const entries = 480
+	for _, req := range warm {
+		post(req)
+	}
 	before := live()
-	for i := 0; i < entries; i++ {
-		post(novelPreset(i, rng))
+	for _, req := range reqs {
+		post(req)
 	}
-	per := (int64(live()) - int64(before)) / entries
-	t.Logf("a cached 256-process result keeps %d bytes (budget %d)", per, cacheEntryBudget)
-	if n := srv.cache.len(); n != entries+len(setUpPresets) {
-		t.Fatalf("%d entries cached, want %d", n, entries+len(setUpPresets))
+	per := (int64(live()) - int64(before)) / int64(len(reqs))
+	if n := srv.cache.len(); n != len(warm)+len(reqs) {
+		t.Fatalf("%d entries cached, want %d", n, len(warm)+len(reqs))
 	}
-	if per > cacheEntryBudget {
-		t.Errorf("a cached 256-process result keeps %d bytes, budget %d", per, cacheEntryBudget)
-	}
+	return per
 }
 
-// BenchmarkCachedPlacements walks a cache of 1,024 256-process preset
-// results, one in three with 1–3 pins, as the re-gauging loop does after
-// each publication.
+// BenchmarkCachedPlacements walks a cache as the re-gauging loop does
+// after each publication: presets holds 1,024 256-process preset
+// results, one in three with 1–3 pins; edges holds 256 results of
+// benchRequest(512), seeds 1–256, whose edge lists the walk unpacks.
 func BenchmarkCachedPlacements(b *testing.B) {
-	srv := newAllocServer(b, 640)
-	defer srv.Close()
-	h := srv.Handler()
 	rng := rand.New(rand.NewSource(1))
+	var presets, edges []MapRequest
 	for i := 0; i < 1024; i++ {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/map", bytes.NewReader(marshal(b, novelPreset(i, rng)))))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d", rec.Code)
-		}
+		presets = append(presets, novelPreset(i, rng))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if n := len(srv.CachedPlacements()); n != 1024 {
-			b.Fatalf("%d entries", n)
-		}
+	for seed := int64(1); seed <= 256; seed++ {
+		r := benchRequest(512)
+		r.Seed = seed
+		edges = append(edges, r)
+	}
+	for _, bc := range []struct {
+		name string
+		reqs []MapRequest
+	}{
+		{"presets", presets},
+		{"edges", edges},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			srv := newAllocServer(b, 640)
+			defer srv.Close()
+			h := srv.Handler()
+			for _, req := range bc.reqs {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/map", bytes.NewReader(marshal(b, req))))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d", rec.Code)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if n := len(srv.CachedPlacements()); n != len(bc.reqs) {
+					b.Fatalf("%d entries", n)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -54,6 +55,64 @@ func TestMappersPlaceRandomProblems(t *testing.T) {
 				first = pl
 			} else if !pl.Equal(first) {
 				t.Fatalf("%s: GeoMapper at %d workers placed %v, at 1 worker %v", name, w, pl, first)
+			}
+		}
+	}
+}
+
+// relabelTolerance bounds the relative difference between the costs of
+// one placement before and after relabelling processes: the terms are
+// the same, but CostParts sums them in another order.
+const relabelTolerance = 1e-12
+
+// Property: on 100 random small problems with pins and allowed-site
+// sets, renaming the processes by a random permutation — in the graph,
+// the constraint vector, the allowed sets and the placement together —
+// changes neither cost term beyond relabelTolerance nor CheckPlacement's
+// verdict, for a placement GeoMapper returns and for a random one.
+func TestCostInvariantUnderRelabelling(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	near := func(a, b float64) bool {
+		return math.Abs(a-b) <= relabelTolerance*math.Max(math.Abs(a), math.Abs(b))
+	}
+	for trial := 0; trial < 100; trial++ {
+		p := randomProblem(rng, 1+rng.Intn(32), 1+rng.Intn(8))
+		n := p.N()
+		perm := rng.Perm(n) // process i is renamed perm[i]
+		g := comm.NewGraph(n)
+		for i := 0; i < n; i++ {
+			for _, e := range p.Comm.Outgoing(i) {
+				g.AddTraffic(perm[i], perm[e.Peer], e.Volume, e.Msgs)
+			}
+		}
+		q := *p
+		q.Comm = g
+		q.Constraint = mat.NewIntVec(n, core.Unconstrained)
+		q.Allowed = make([][]int, n)
+		for i := 0; i < n; i++ {
+			q.Constraint[perm[i]] = p.Constraint[i]
+			q.Allowed[perm[i]] = p.Allowed[i]
+		}
+		mapped, err := (&core.GeoMapper{Seed: int64(trial), Workers: 1}).Map(p)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		random := make(core.Placement, n)
+		for i := range random {
+			random[i] = rng.Intn(p.M())
+		}
+		for _, pl := range []core.Placement{mapped, random} {
+			relabelled := make(core.Placement, n)
+			for i, s := range pl {
+				relabelled[perm[i]] = s
+			}
+			lat, bw := p.CostParts(pl)
+			rlat, rbw := q.CostParts(relabelled)
+			if !near(lat.Float(), rlat.Float()) || !near(bw.Float(), rbw.Float()) {
+				t.Errorf("trial %d (N=%d, M=%d): cost terms %v + %v, relabelled %v + %v", trial, n, p.M(), lat, bw, rlat, rbw)
+			}
+			if err, rerr := p.CheckPlacement(pl), q.CheckPlacement(relabelled); (err == nil) != (rerr == nil) {
+				t.Errorf("trial %d (N=%d, M=%d): CheckPlacement %v, relabelled %v", trial, n, p.M(), err, rerr)
 			}
 		}
 	}

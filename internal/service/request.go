@@ -170,19 +170,6 @@ func (r *MapRequest) validate(maxProcs int, snap *Snapshot) error {
 	return nil
 }
 
-// cacheCopy returns a copy of r whose edge list is an exact-size array of
-// its own, for the result cache to keep: r's list may be a pooled buffer
-// (see edgePool) sized for the body's upper bound, which goes back to
-// the pool when its request is answered.
-func (r *MapRequest) cacheCopy() *MapRequest {
-	c := *r
-	if r.Edges != nil {
-		c.Edges = make([]Edge, len(r.Edges))
-		copy(c.Edges, r.Edges)
-	}
-	return &c
-}
-
 // iters returns the effective profiled iteration count.
 func (r *MapRequest) iters() int {
 	if r.Iters == 0 {

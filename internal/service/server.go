@@ -99,14 +99,19 @@ type Server struct {
 	// "workload/procs/iters"; profiling LU at n=64 costs milliseconds
 	// but doing it per request would dominate cached-path latency. An
 	// evicted key is profiled again: the profile is a pure function of
-	// its key.
-	graphMu sync.Mutex
-	graphs  lru[*comm.Graph]
+	// its key. graphFlights holds the profiles in progress, which
+	// concurrent misses on their key wait for (see graphFor).
+	graphMu      sync.Mutex
+	graphs       lru[*comm.Graph]
+	graphFlights map[string]*flight[*comm.Graph]
 
 	// solveHook, when non-nil, runs inside every executed solve, before
 	// the request's graph is built; tests use it to inject latency and
 	// synchronization, and to see the request the solve reads.
 	solveHook func(req *MapRequest)
+	// profileHook, when non-nil, runs in every profile graphFor starts,
+	// before it profiles; tests use it to hold a profile and count them.
+	profileHook func(key string)
 }
 
 // NewServer wires the service together.
@@ -164,6 +169,7 @@ func NewServer(cfg Config) (*Server, error) {
 		obsVersion:      cfg.Store.Current().Version,
 		obsAt:           started,
 		graphs:          newLRU[*comm.Graph](graphMemoEntries),
+		graphFlights:    map[string]*flight[*comm.Graph]{},
 		statusProbes:    map[string]StatusFunc{},
 	}
 	if s.cluster != nil {
@@ -203,8 +209,10 @@ func (s *Server) RegisterStatus(name string, fn StatusFunc) {
 // CachedPlacements returns a point-in-time copy of the result cache in
 // recency order — the re-gauging loop's view of the placements clients
 // are currently acting on. Each Result is decoded afresh from the
-// entry, so the caller may change it; each Request is the entry's own
-// and is read-only.
+// entry, so the caller may change it. An explicit-edge Request is a copy
+// with its edge list unpacked afresh; a preset Request is the entry's
+// own. Either is read-only, as its constraint and allowed sets are the
+// entry's.
 func (s *Server) CachedPlacements() []CachedPlacement { return s.cache.walk() }
 
 // InsertResult stores a (request, result) pair in the result cache under
@@ -493,29 +501,48 @@ func solveRequest(req *MapRequest, snap *Snapshot, graphFor GraphFunc, solverWor
 // of preset keys a steady workload mix cycles through.
 const graphMemoEntries = 64
 
-// graphFor memoizes workload profiling. Concurrent first requests for
-// the same key profile once thanks to the singleflight layer above; the
-// plain mutex here only guards the LRU. A profiled graph is frozen
-// before it enters the memo, so the memo holds only CSR rows: never a
-// call log or its fold scratch, which the freeze hands back to comm's
-// pool for the next profile.
+// graphFor memoizes workload profiling. Concurrent misses on one key
+// profile it once: the first starts a flight and the others wait for
+// it, since the result cache's singleflight collapses only identical
+// requests, and requests that differ in seed or pins share a profile.
+// An error is handed to the waiters and not memoized, so the next miss
+// profiles again. A profiled graph is frozen before it enters the memo,
+// so the memo holds only CSR rows: never a call log or its fold scratch,
+// which the freeze hands back to comm's pool for the next profile.
 func (s *Server) graphFor(workload string, procs, iters int) (*comm.Graph, error) {
 	key := fmt.Sprintf("%s/%d/%d", workload, procs, iters)
 	s.graphMu.Lock()
-	g, ok := s.graphs.get(key)
-	s.graphMu.Unlock()
-	if ok {
+	if g, ok := s.graphs.get(key); ok {
+		s.graphMu.Unlock()
 		return g, nil
 	}
-	g, err := profileGraph(workload, procs, iters)
-	if err != nil {
-		return nil, err
+	if f, ok := s.graphFlights[key]; ok {
+		f.waiters++
+		s.graphMu.Unlock()
+		<-f.done
+		return f.val, f.err
 	}
-	g.Prewarm()
-	s.graphMu.Lock()
-	s.graphs.add(key, g)
+	f := &flight[*comm.Graph]{done: make(chan struct{})}
+	s.graphFlights[key] = f
 	s.graphMu.Unlock()
-	return g, nil
+
+	if s.profileHook != nil {
+		s.profileHook(key)
+	}
+	g, err := profileGraph(workload, procs, iters)
+	if err == nil {
+		g.Prewarm()
+		f.val = g
+	}
+	f.err = err
+	s.graphMu.Lock()
+	if err == nil {
+		s.graphs.add(key, g)
+	}
+	delete(s.graphFlights, key)
+	s.graphMu.Unlock()
+	close(f.done)
+	return f.val, f.err
 }
 
 // snapshotView is the JSON shape of GET /v1/snapshot and /healthz's

@@ -410,6 +410,99 @@ func TestGraphMemoBounded(t *testing.T) {
 	}
 }
 
+// holdProfiles makes srv's profiles wait on the returned release
+// function, and returns it with a wait function that blocks until
+// either n profiles of key have started or n−1 callers wait on the one
+// in flight, and then returns the number of profiles started.
+func holdProfiles(t *testing.T, srv *Server, key string, n int) (wait func() int, release func()) {
+	t.Helper()
+	var started atomic.Int32
+	gate := make(chan struct{})
+	srv.profileHook = func(string) {
+		started.Add(1)
+		<-gate
+	}
+	wait = func() int {
+		for {
+			srv.graphMu.Lock()
+			waiting := 0
+			if f := srv.graphFlights[key]; f != nil {
+				waiting = f.waiters
+			}
+			srv.graphMu.Unlock()
+			if k := int(started.Load()); k == n || (k == 1 && waiting == n-1) {
+				return k
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return wait, func() { close(gate) }
+}
+
+// TestGraphForProfilesOnce is the regression test for concurrent cold
+// misses profiling one preset once each: four requests that differ only
+// in seed miss the result cache together, and their preset is profiled
+// once while the other three wait for it. A profile that fails hands its
+// error to the callers waiting on it and is not memoized, so the next
+// call profiles again.
+func TestGraphForProfilesOnce(t *testing.T) {
+	srv := newTestServer(t, Config{Workers: 4})
+	h := srv.Handler()
+	wait, release := holdProfiles(t, srv, "K-means/64/1", 4)
+	var wg sync.WaitGroup
+	for seed := int64(0); seed < 4; seed++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			postMap(t, h, MapRequest{Workload: "K-means", Procs: 64, Seed: seed}, http.StatusOK, nil)
+		}()
+	}
+	profiles := wait()
+	release()
+	wg.Wait()
+	if profiles != 1 {
+		t.Errorf("four concurrent misses on one preset profiled it %d times, want 1", profiles)
+	}
+
+	wait, release = holdProfiles(t, srv, "no-such/8/1", 3)
+	errs := make(chan error, 3)
+	for k := 0; k < 3; k++ {
+		go func() {
+			_, err := srv.graphFor("no-such", 8, 1)
+			errs <- err
+		}()
+	}
+	profiles = wait()
+	release()
+	var first error
+	for k := 0; k < 3; k++ {
+		err := <-errs
+		if err == nil {
+			t.Fatal("profiling an unknown workload returned no error")
+		}
+		if first == nil {
+			first = err
+		} else if err != first {
+			t.Errorf("callers of one failed profile got %v and %v, want one shared error", first, err)
+		}
+	}
+	if profiles != 1 {
+		t.Errorf("three concurrent calls of a failing profile ran it %d times, want 1", profiles)
+	}
+	srv.graphMu.Lock()
+	_, memoized := srv.graphs.entries["no-such/8/1"]
+	inFlight := len(srv.graphFlights)
+	srv.graphMu.Unlock()
+	if memoized || inFlight != 0 {
+		t.Errorf("after a failed profile: memoized %t, %d profiles in flight; want false, 0", memoized, inFlight)
+	}
+	again := false
+	srv.profileHook = func(string) { again = true }
+	if _, err := srv.graphFor("no-such", 8, 1); err == nil || !again {
+		t.Errorf("the call after a failed profile: error %v, profiled again %t; want an error from a new profile", err, again)
+	}
+}
+
 // A request whose allowed sets violate Hall's condition is structurally
 // valid but infeasible: 33 processes share sites {0, 1}, which hold 32.
 // It answers 422 with Validate's verdict, and the error is not cached, so

@@ -23,11 +23,13 @@ const setUpAllocBudget = 900_000
 // edgeSetUpAllocBudget bounds the bytes the same server set-up allocates
 // for 32 explicit-edge geo solves of benchRequest(512), seeds 1–32,
 // each a ~1,480-edge, 86 KB body. What outlives a solve is each cached
-// request's exact-size edge list (47 KB) and its result. Measured at
-// 2,390,432 bytes on linux/amd64 with go1.24; the budget leaves ~20%
-// slack. Before the decoded list, the key order's scratch and the
-// graph's rows were pooled, the same set-up allocated 7,050,224 bytes.
-const edgeSetUpAllocBudget = 2_900_000
+// request's packed edge list (18 KB) and its result. Measured at
+// 1,418,656 bytes on linux/amd64 with go1.24; the budget leaves ~20%
+// slack. While a cached request kept its edges as an exact-size []Edge
+// (47 KB), the set-up allocated 2,380,272 bytes; before the decoded
+// list, the key order's scratch and the graph's rows were pooled, it
+// allocated 7,050,224 bytes.
+const edgeSetUpAllocBudget = 1_700_000
 
 // raceEnabled reports a -race build (see race_test.go).
 var raceEnabled bool
