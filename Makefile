@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz faults serve-smoke serve-cluster regauge-smoke multilevel-smoke bench-orders bench-alloc bench-refine check
+.PHONY: all build vet lint test perfbench-test race fuzz faults serve-smoke serve-cluster regauge-smoke multilevel-smoke bench-orders bench-alloc bench-refine check
 
 all: check
 
@@ -24,6 +24,13 @@ lint: vet
 
 test:
 	$(GO) test ./...
+
+# The benchmark module's own tests (_perfbench is a module of its own, so
+# `go test ./...` skips it). TestSmokeEveryWorkload runs every workload
+# briefly and checks its answers, so a change that breaks the benchmark
+# at run time fails here.
+perfbench-test:
+	$(GO) -C _perfbench test ./...
 
 # Race-detector pass over the packages that spawn goroutines (the virtual
 # MPI scheduler, the network simulator, the mapping service's pool/
@@ -138,4 +145,4 @@ bench-refine:
 	./scripts/bench_zero_alloc.sh bench-refine '^BenchmarkRefineMove' results/BENCH_refine.json \
 		./internal/multilevel
 
-check: build vet lint test race fuzz faults serve-smoke serve-cluster regauge-smoke multilevel-smoke bench-alloc bench-refine
+check: build vet lint test perfbench-test race fuzz faults serve-smoke serve-cluster regauge-smoke multilevel-smoke bench-alloc bench-refine

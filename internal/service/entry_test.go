@@ -152,9 +152,9 @@ func TestAnswerBytesMatchEncoder(t *testing.T) {
 		go post()
 	}
 	for waiting := 0; waiting < 3; {
-		srv.cache.mu.Lock()
-		waiting = srv.cache.inflight[key].waiters
-		srv.cache.mu.Unlock()
+		srv.cache.entries.mu.Lock()
+		waiting = srv.cache.entries.inflight[key].waiters
+		srv.cache.entries.mu.Unlock()
 		time.Sleep(time.Millisecond)
 	}
 	release <- struct{}{}
@@ -194,12 +194,13 @@ func sameResult(a, b *MapResult) bool {
 }
 
 // TestCachedPlacementsRoundTrip requires CachedPlacements to give back
-// each request as it was posted — pinned, with an all-Unconstrained
-// vector, without one, with site sets, with explicit edges — and each
-// result as it was answered, floats bit for bit, while four goroutines
-// post every request twice (misses, dedups and hits) and a fifth walks
-// the cache. A walk's results are the caller's: changing one changes no
-// later walk.
+// each request as it was posted, once its edges are unpacked as the
+// re-gauging loop reads them (withEdges) — pinned, with an
+// all-Unconstrained vector, without one, with site sets, with explicit
+// edges — and each result as it was answered, floats bit for bit, while
+// four goroutines post every request twice (misses, dedups and hits)
+// and a fifth walks the cache. A walk's results are the caller's:
+// changing one changes no later walk.
 func TestCachedPlacementsRoundTrip(t *testing.T) {
 	srv := newTestServer(t, Config{Workers: 2})
 	h := srv.Handler()
@@ -227,8 +228,8 @@ func TestCachedPlacementsRoundTrip(t *testing.T) {
 	}
 	checkRequests := func(entries []CachedPlacement) {
 		for _, e := range entries {
-			if want := posted[e.Request.Seed]; !reflect.DeepEqual(*e.Request, want) {
-				t.Errorf("seed %d: cached request %+v, posted %+v", e.Request.Seed, *e.Request, want)
+			if want := posted[e.Request.Seed]; !reflect.DeepEqual(*e.Request.withEdges(), want) {
+				t.Errorf("seed %d: cached request %+v, posted %+v", e.Request.Seed, *e.Request.withEdges(), want)
 			}
 		}
 	}
@@ -406,7 +407,7 @@ func entryBytes(t *testing.T, warm, reqs []MapRequest) int64 {
 // BenchmarkCachedPlacements walks a cache as the re-gauging loop does
 // after each publication: presets holds 1,024 256-process preset
 // results, one in three with 1–3 pins; edges holds 256 results of
-// benchRequest(512), seeds 1–256, whose edge lists the walk unpacks.
+// benchRequest(512), seeds 1–256, whose edge lists stay packed.
 func BenchmarkCachedPlacements(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var presets, edges []MapRequest

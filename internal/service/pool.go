@@ -3,45 +3,28 @@ package service
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 )
 
-// Pool is a bounded worker pool for solve jobs. Admission is
-// non-blocking up to the queue bound — a full queue rejects immediately
-// (load shedding) rather than letting latency grow without bound — and a
-// caller whose context expires before its job starts gets the context
-// error without occupying a worker.
-//
-// The queue is a mutex-guarded slice rather than a channel so that a
-// job whose context has already expired can be compacted out at
-// admission time. With a channel queue, a burst of requests that time
-// out while queued would keep their slots pinned until a worker drained
-// them, shedding live traffic with spurious ErrQueueFull even though
-// every queued job was already dead.
+// Pool bounds the solve jobs that run at once. It holds workers slots:
+// a job takes one to start and gives it back when it returns. A caller
+// that finds every slot taken waits for one, and waiting callers are
+// served in arrival order (a channel serves its blocked senders so).
+// Once queueDepth callers wait, the next is rejected at once with
+// ErrQueueFull — load shedding keeps latency bounded instead of letting
+// the queue grow. A caller whose context ends while it waits leaves the
+// queue at once, so a dead request never holds a place in it, and its
+// job never runs.
 type Pool struct {
-	mu      sync.Mutex
-	pending []*job // FIFO; guarded by mu
-	closed  bool
-
-	// tokens is the workers' wakeup semaphore: one token per enqueued
-	// job, consumed by a worker before it pops. Sends are non-blocking —
-	// compaction can leave more tokens than jobs, and a worker waking to
-	// an empty queue just sleeps again — but never fewer: tokens are
-	// dropped only when the channel is full, i.e. holds depth tokens,
-	// which is at least len(pending).
-	tokens chan struct{}
-	wg     sync.WaitGroup
+	// admitted holds one element per admitted caller, running or
+	// waiting: workers + queueDepth places.
+	admitted chan struct{}
+	slots    chan struct{} // one element per running job
+	closed   atomic.Bool
 }
 
-type job struct {
-	ctx  context.Context
-	run  func()
-	err  error // set before done closes when the pool skipped run
-	done chan struct{}
-}
-
-// ErrQueueFull is returned by Submit when the pool's queue is at
-// capacity with no dead jobs to reclaim; callers translate it to 503
+// ErrQueueFull is returned by Submit when every slot is taken and the
+// queue of waiting callers is at capacity; callers translate it to 503
 // Service Unavailable.
 var ErrQueueFull = fmt.Errorf("service: solve queue full")
 
@@ -49,8 +32,8 @@ var ErrQueueFull = fmt.Errorf("service: solve queue full")
 // draining.
 var ErrPoolClosed = fmt.Errorf("service: pool closed")
 
-// NewPool starts workers goroutines consuming a queue of at most
-// queueDepth pending jobs.
+// NewPool returns a pool that runs at most workers jobs at once and
+// lets at most queueDepth callers wait for a slot.
 func NewPool(workers, queueDepth int) *Pool {
 	if workers < 1 {
 		workers = 1
@@ -58,130 +41,73 @@ func NewPool(workers, queueDepth int) *Pool {
 	if queueDepth < 1 {
 		queueDepth = 1
 	}
-	p := &Pool{
-		pending: make([]*job, 0, queueDepth),
-		tokens:  make(chan struct{}, queueDepth),
-	}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
+	return &Pool{admitted: make(chan struct{}, workers+queueDepth), slots: make(chan struct{}, workers)}
 }
 
-func (p *Pool) worker() {
-	defer p.wg.Done()
-	for range p.tokens {
-		p.runNext()
-	}
-	// Close closed the token channel; drain whatever jobs remain so the
-	// shutdown barrier sees every admitted job completed.
-	for p.runNext() {
-	}
-}
-
-// runNext pops and executes the oldest pending job. It reports whether
-// a job was present; a compacted-ahead token finds the queue empty and
-// returns false. A job whose deadline already passed is not worth
-// starting — its submitter stopped waiting at ctx.Done. The error is
-// recorded on the job because Submit's select may observe done and
-// ctx.Done simultaneously ready; done alone must not read as
-// "executed".
-func (p *Pool) runNext() bool {
-	p.mu.Lock()
-	if len(p.pending) == 0 {
-		p.mu.Unlock()
-		return false
-	}
-	j := p.pending[0]
-	copy(p.pending, p.pending[1:])
-	p.pending[len(p.pending)-1] = nil
-	p.pending = p.pending[:len(p.pending)-1]
-	p.mu.Unlock()
-	if err := j.ctx.Err(); err != nil {
-		j.err = err
-	} else {
-		j.run()
-	}
-	close(j.done)
-	return true
-}
-
-// compactLocked removes every pending job whose context has expired,
-// completing each with its context error. Called with p.mu held, at
-// admission time when the queue looks full — dead jobs must not crowd
-// out live traffic.
-func (p *Pool) compactLocked() {
-	live := p.pending[:0]
-	for _, j := range p.pending {
-		if err := j.ctx.Err(); err != nil {
-			j.err = err
-			close(j.done)
-			continue
-		}
-		live = append(live, j)
-	}
-	for i := len(live); i < len(p.pending); i++ {
-		p.pending[i] = nil
-	}
-	p.pending = live
-}
-
-// Submit enqueues run and waits until it has been executed or ctx
-// expires. When ctx expires first, Submit returns the context error; if
-// the job has not started yet it is skipped entirely when a worker (or
-// admission-time compaction) reaches it — the closure never runs. A nil
-// return guarantees run was executed. The job function must capture its
-// own result delivery.
+// Submit runs run on a goroutine of its own once a slot is free, and
+// waits until it has returned or ctx ends. When ctx ends first, Submit
+// returns the context error; a job that had not started by then never
+// runs, and one that had keeps its slot until it returns. A nil return
+// guarantees run was executed. The job function must capture its own
+// result delivery.
 func (p *Pool) Submit(ctx context.Context, run func()) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	if p.closed.Load() {
 		return ErrPoolClosed
 	}
-	if len(p.pending) == cap(p.tokens) {
-		p.compactLocked()
-	}
-	if len(p.pending) == cap(p.tokens) {
-		p.mu.Unlock()
+	select {
+	case p.admitted <- struct{}{}:
+	default:
 		return ErrQueueFull
 	}
-	j := &job{ctx: ctx, run: run, done: make(chan struct{})}
-	p.pending = append(p.pending, j)
 	select {
-	case p.tokens <- struct{}{}:
-	default:
-		// Channel full means depth tokens are already outstanding — at
-		// least one per pending job — so a worker is guaranteed to reach
-		// this job without another token.
+	case p.slots <- struct{}{}:
+	case <-ctx.Done():
+		<-p.admitted
+		return ctx.Err()
 	}
-	p.mu.Unlock()
+	if err := ctx.Err(); err != nil {
+		// The slot came free as ctx ended: the job is not worth starting.
+		p.release()
+		return err
+	}
+	done := make(chan struct{})
+	go func() {
+		defer p.release()
+		run()
+		close(done)
+	}()
 	select {
-	case <-j.done:
-		return j.err
+	case <-done:
+		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// QueueDepth reports the number of jobs waiting for a worker.
-func (p *Pool) QueueDepth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.pending)
+// release gives back a job's slot and its caller's place.
+func (p *Pool) release() {
+	<-p.slots
+	<-p.admitted
 }
 
-// Close stops admission and waits for the workers to finish every job
-// already queued — the drain barrier geomapd leans on after the HTTP
-// listener shuts down. Close is idempotent.
+// QueueDepth reports the number of callers waiting for a slot. During
+// Close it counts the places Close has taken too.
+func (p *Pool) QueueDepth() int {
+	return max(0, len(p.admitted)-len(p.slots))
+}
+
+// Close stops admission and waits until every admitted job has returned,
+// those still waiting for a slot included — the drain barrier geomapd
+// leans on after the HTTP listener shuts down. It does so by taking
+// every place itself: a place comes free only when a job returns or its
+// caller leaves the queue, so once Close holds them all, nothing
+// admitted remains. A Submit that races Close may get ErrQueueFull
+// rather than ErrPoolClosed. Close is idempotent.
 func (p *Pool) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	if p.closed.Swap(true) {
 		return
 	}
-	p.closed = true
-	close(p.tokens)
-	p.mu.Unlock()
-	p.wg.Wait()
+	for i := 0; i < cap(p.admitted); i++ {
+		p.admitted <- struct{}{}
+	}
 }

@@ -148,12 +148,12 @@ func TestPoolSkippedJobNeverReturnsNil(t *testing.T) {
 	}
 }
 
-// TestPoolCompactsExpiredJobsUnderPressure is the regression test for
-// the queue-slot leak: jobs whose contexts expired while queued used to
-// pin their slots until a worker drained them, so a burst of timed-out
-// requests shed live traffic with spurious ErrQueueFull. Admission-time
-// compaction must reclaim dead slots instead.
-func TestPoolCompactsExpiredJobsUnderPressure(t *testing.T) {
+// TestPoolExpiredWaitersLeaveTheQueue is the regression test for the
+// queue-slot leak: jobs whose contexts expired while queued used to pin
+// their places in the queue until a worker drained them, so a burst of
+// timed-out requests shed live traffic with spurious ErrQueueFull. A
+// caller whose context ends while it waits must leave the queue at once.
+func TestPoolExpiredWaitersLeaveTheQueue(t *testing.T) {
 	const depth = 4
 	p := NewPool(1, depth)
 	block := make(chan struct{})
@@ -163,9 +163,8 @@ func TestPoolCompactsExpiredJobsUnderPressure(t *testing.T) {
 	}()
 	<-started
 
-	// Fill every queue slot with jobs that are then cancelled: each
-	// submitter returns with its context error, but its job still sits in
-	// the queue because the only worker is parked.
+	// Fill every queue place with callers that are then cancelled: each
+	// returns with its context error while the only slot is held.
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	var deadRan atomic.Int64
@@ -189,20 +188,20 @@ func TestPoolCompactsExpiredJobsUnderPressure(t *testing.T) {
 	cancel()
 	wg.Wait()
 
-	// The queue is nominally full, but every occupant is dead. A live
-	// request must still be admitted — this returned ErrQueueFull before
-	// the fix.
+	// Every caller that filled the queue has gone. A live request must
+	// be admitted — this returned ErrQueueFull when dead jobs kept their
+	// places.
 	var liveRan atomic.Bool
 	liveErr := make(chan error, 1)
 	go func() {
 		liveErr <- p.Submit(context.Background(), func() { liveRan.Store(true) })
 	}()
-	// The live submitter blocks waiting for the parked worker; give its
-	// admission a moment, then verify compaction left only the live job.
+	// The live submitter blocks waiting for the held slot; give its
+	// admission a moment, then verify it is the only one waiting.
 	deadline = time.Now().Add(2 * time.Second)
 	for p.QueueDepth() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue depth %d after compacting admission, want 1", p.QueueDepth())
+			t.Fatalf("queue depth %d after the live admission, want 1", p.QueueDepth())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -215,7 +214,119 @@ func TestPoolCompactsExpiredJobsUnderPressure(t *testing.T) {
 	}
 	p.Close()
 	if n := deadRan.Load(); n != 0 {
-		t.Errorf("%d compacted jobs executed, want 0", n)
+		t.Errorf("%d expired jobs executed, want 0", n)
+	}
+}
+
+// TestPoolServesWaitersInArrivalOrder queues five callers behind a held
+// slot, each admitted once the one before it waits, and requires their
+// jobs to start in that order.
+func TestPoolServesWaitersInArrivalOrder(t *testing.T) {
+	p := NewPool(1, 8)
+	defer p.Close()
+	block := make(chan struct{})
+	started := make(chan struct{})
+	go func() {
+		_ = p.Submit(context.Background(), func() { close(started); <-block })
+	}()
+	<-started
+	const waiters = 5
+	var (
+		mu    sync.Mutex
+		order []int
+		wg    sync.WaitGroup
+	)
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := p.Submit(context.Background(), func() {
+				mu.Lock()
+				order = append(order, i)
+				mu.Unlock()
+			})
+			if err != nil {
+				t.Errorf("waiter %d: %v", i, err)
+			}
+		}()
+		deadline := time.Now().Add(2 * time.Second)
+		for p.QueueDepth() < i+1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("waiter %d never queued", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		// QueueDepth counts a caller just before it blocks on the slot;
+		// let it block before the next one arrives.
+		time.Sleep(20 * time.Millisecond)
+	}
+	close(block)
+	wg.Wait()
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("waiters started in order %v, want arrival order", order)
+		}
+	}
+}
+
+// TestPoolCloseWaitsForAbandonedJob requires a job whose caller returned
+// at its deadline to keep its slot until it returns: a caller queued
+// behind it starts only then, and Close returns only then.
+func TestPoolCloseWaitsForAbandonedJob(t *testing.T) {
+	p := NewPool(1, 1)
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var finished atomic.Bool
+	ctx, cancel := context.WithCancel(context.Background())
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- p.Submit(ctx, func() {
+			close(started)
+			<-release
+			finished.Store(true)
+		})
+	}()
+	<-started
+	cancel()
+	if err := <-errCh; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoning caller got %v, want context.Canceled", err)
+	}
+	var nextRan atomic.Bool
+	nextDone := make(chan struct{})
+	go func() {
+		defer close(nextDone)
+		err := p.Submit(context.Background(), func() {
+			if !finished.Load() {
+				t.Error("a queued job started while the abandoned job held the only slot")
+			}
+			nextRan.Store(true)
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for p.QueueDepth() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the next caller never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an abandoned job still ran")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+	<-nextDone
+	if !finished.Load() || !nextRan.Load() {
+		t.Errorf("after Close: abandoned job finished %t, queued job ran %t; want both", finished.Load(), nextRan.Load())
 	}
 }
 

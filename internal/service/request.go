@@ -50,6 +50,10 @@ type MapRequest struct {
 	// DeadlineMillis bounds the request end to end — queueing included.
 	// 0 uses the server default.
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
+
+	// packedEdges holds packEdges(Edges) in place of Edges on a request
+	// the result cache keeps (see newCacheEntry); withEdges unpacks it.
+	packedEdges []byte
 }
 
 // MapResult is the cacheable part of a mapping answer: everything
@@ -230,6 +234,7 @@ type GraphFunc func(workload string, procs, iters int) (*comm.Graph, error)
 // memoized one other solves read. A caller that must change one copies
 // it first, as core.Remap does.
 func (r *MapRequest) Problem(snap *Snapshot, graphFor GraphFunc) (*core.Problem, error) {
+	r = r.withEdges()
 	var g *comm.Graph
 	if r.Workload != "" {
 		if graphFor == nil {
@@ -266,6 +271,20 @@ func (r *MapRequest) Problem(snap *Snapshot, graphFor GraphFunc) (*core.Problem,
 		return nil, err
 	}
 	return p, nil
+}
+
+// withEdges returns r with its edge list readable: r itself, or, for a
+// request the result cache keeps, a copy whose Edges are its packed
+// edges unpacked into a fresh exact-size list. A cached request's edges
+// are unpacked only here, where something reads them: in Problem and in
+// Server.InsertResult.
+func (r *MapRequest) withEdges() *MapRequest {
+	if r.packedEdges == nil {
+		return r
+	}
+	u := *r
+	u.Edges, u.packedEdges = unpackEdges(r.packedEdges), nil
+	return &u
 }
 
 // noPins backs the constraint vector of every problem built from a

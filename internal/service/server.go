@@ -21,7 +21,7 @@ import (
 type Config struct {
 	// Store supplies network snapshots; required.
 	Store *Store
-	// Workers is the solver pool size (default 4).
+	// Workers is the number of solves the pool runs at once (default 4).
 	Workers int
 	// SolverWorkers is the per-solve order-search parallelism handed to
 	// the geo mapper's Workers knob. Zero derives max(1, GOMAXPROCS /
@@ -30,8 +30,8 @@ type Config struct {
 	// cannot oversubscribe the machine; placements are byte-identical at
 	// every setting, so the clamp never changes answers.
 	SolverWorkers int
-	// QueueDepth bounds pending solves before requests are shed with
-	// 503 (default 4 × Workers).
+	// QueueDepth bounds the solves waiting for a pool slot before
+	// requests are shed with 503 (default 4 × Workers).
 	QueueDepth int
 	// CacheSize bounds the result LRU (default 1024 entries).
 	CacheSize int
@@ -99,11 +99,8 @@ type Server struct {
 	// "workload/procs/iters"; profiling LU at n=64 costs milliseconds
 	// but doing it per request would dominate cached-path latency. An
 	// evicted key is profiled again: the profile is a pure function of
-	// its key. graphFlights holds the profiles in progress, which
-	// concurrent misses on their key wait for (see graphFor).
-	graphMu      sync.Mutex
-	graphs       lru[*comm.Graph]
-	graphFlights map[string]*flight[*comm.Graph]
+	// its key (see graphFor).
+	graphs *memo[*comm.Graph]
 
 	// solveHook, when non-nil, runs inside every executed solve, before
 	// the request's graph is built; tests use it to inject latency and
@@ -168,8 +165,7 @@ func NewServer(cfg Config) (*Server, error) {
 		started:         started,
 		obsVersion:      cfg.Store.Current().Version,
 		obsAt:           started,
-		graphs:          newLRU[*comm.Graph](graphMemoEntries),
-		graphFlights:    map[string]*flight[*comm.Graph]{},
+		graphs:          newMemo[*comm.Graph](graphMemoEntries),
 		statusProbes:    map[string]StatusFunc{},
 	}
 	if s.cluster != nil {
@@ -223,6 +219,7 @@ func (s *Server) CachedPlacements() []CachedPlacement { return s.cache.walk() }
 // remapped placements so subsequent identical requests hit the
 // refreshed result.
 func (s *Server) InsertResult(req *MapRequest, res *MapResult) string {
+	req = req.withEdges()
 	key := fingerprint(req, res.SnapshotVersion)
 	if err := s.cache.add(key, req, res); err != nil {
 		s.logf("cache: result for %.12s not cached: %v", key, err)
@@ -278,7 +275,7 @@ func (s *Server) statusBlocks() (map[string]any, bool) {
 	return out, allOK
 }
 
-// Close drains the solver pool: admission stops, queued jobs finish.
+// Close drains the solver pool: admission stops, admitted solves finish.
 // Call after the HTTP listener has stopped accepting connections.
 func (s *Server) Close() { s.pool.Close() }
 
@@ -437,7 +434,7 @@ func (s *Server) resolve(ctx context.Context, req *MapRequest, snap *Snapshot, f
 	return res, false, err
 }
 
-// solve runs one mapping end to end on the worker pool: profile (or
+// solve runs one mapping end to end in a pool slot: profile (or
 // decode) the pattern, assemble the problem against the pinned snapshot,
 // and map. It is only ever executed by a singleflight leader.
 func (s *Server) solve(ctx context.Context, req *MapRequest, snap *Snapshot) (*MapResult, error) {
@@ -501,48 +498,30 @@ func solveRequest(req *MapRequest, snap *Snapshot, graphFor GraphFunc, solverWor
 // of preset keys a steady workload mix cycles through.
 const graphMemoEntries = 64
 
-// graphFor memoizes workload profiling. Concurrent misses on one key
-// profile it once: the first starts a flight and the others wait for
-// it, since the result cache's singleflight collapses only identical
-// requests, and requests that differ in seed or pins share a profile.
-// An error is handed to the waiters and not memoized, so the next miss
-// profiles again. A profiled graph is frozen before it enters the memo,
-// so the memo holds only CSR rows: never a call log or its fold scratch,
-// which the freeze hands back to comm's pool for the next profile.
+// graphFor memoizes workload profiling in s.graphs. Concurrent misses
+// on one key profile it once, since the result cache collapses only
+// identical requests, and requests that differ in seed or pins share a
+// profile. An error is handed to the waiters and not memoized, so the
+// next miss profiles again. A profiled graph is frozen before it enters
+// the memo, so the memo holds only CSR rows: never a call log or its
+// fold scratch, which the freeze hands back to comm's pool for the next
+// profile.
 func (s *Server) graphFor(workload string, procs, iters int) (*comm.Graph, error) {
 	key := fmt.Sprintf("%s/%d/%d", workload, procs, iters)
-	s.graphMu.Lock()
-	if g, ok := s.graphs.get(key); ok {
-		s.graphMu.Unlock()
-		return g, nil
-	}
-	if f, ok := s.graphFlights[key]; ok {
-		f.waiters++
-		s.graphMu.Unlock()
-		<-f.done
-		return f.val, f.err
-	}
-	f := &flight[*comm.Graph]{done: make(chan struct{})}
-	s.graphFlights[key] = f
-	s.graphMu.Unlock()
-
-	if s.profileHook != nil {
-		s.profileHook(key)
-	}
-	g, err := profileGraph(workload, procs, iters)
-	if err == nil {
+	// GraphFunc carries no context, so a waiter waits for the profile
+	// in flight however long it takes.
+	g, _, err := s.graphs.do(context.Background(), key, func() (*comm.Graph, error) {
+		if s.profileHook != nil {
+			s.profileHook(key)
+		}
+		g, err := profileGraph(workload, procs, iters)
+		if err != nil {
+			return nil, err
+		}
 		g.Prewarm()
-		f.val = g
-	}
-	f.err = err
-	s.graphMu.Lock()
-	if err == nil {
-		s.graphs.add(key, g)
-	}
-	delete(s.graphFlights, key)
-	s.graphMu.Unlock()
-	close(f.done)
-	return f.val, f.err
+		return g, nil
+	})
+	return g, err
 }
 
 // snapshotView is the JSON shape of GET /v1/snapshot and /healthz's
@@ -748,9 +727,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// against the machine (the oversubscription rule in Config).
 	v.PoolWorkers = s.poolWorkers
 	v.SolverWorkers = s.solverWorkers
-	s.graphMu.Lock()
 	v.GraphMemoEntries = s.graphs.len()
-	s.graphMu.Unlock()
 	_, age := s.snapshotAge(s.now())
 	v.SnapshotAgeSeconds = age.Seconds()
 	blocks, _ := s.statusBlocks()

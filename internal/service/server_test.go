@@ -272,9 +272,9 @@ func TestMapRejectsOverCapacityBeforeProfiling(t *testing.T) {
 	if view := srv.metrics.Snapshot(0, 0); view.Solves != 0 {
 		t.Errorf("rejected request ran %d solves, want 0", view.Solves)
 	}
-	srv.graphMu.Lock()
-	profiled := srv.graphs.len()
-	srv.graphMu.Unlock()
+	srv.graphs.mu.Lock()
+	profiled := srv.graphs.values.len()
+	srv.graphs.mu.Unlock()
 	if profiled != 0 {
 		t.Errorf("rejected request profiled %d workloads, want 0", profiled)
 	}
@@ -299,9 +299,9 @@ func TestMapRejectsBadKappaBeforeProfiling(t *testing.T) {
 	if view := srv.metrics.Snapshot(0, 0); view.Solves != 0 {
 		t.Errorf("rejected requests ran %d solves, want 0", view.Solves)
 	}
-	srv.graphMu.Lock()
-	profiled := srv.graphs.len()
-	srv.graphMu.Unlock()
+	srv.graphs.mu.Lock()
+	profiled := srv.graphs.values.len()
+	srv.graphs.mu.Unlock()
 	if profiled != 0 {
 		t.Errorf("rejected requests profiled %d workloads, want 0", profiled)
 	}
@@ -322,9 +322,9 @@ func TestGraphMemoHoldsFrozenGraphs(t *testing.T) {
 		req.Allowed[i] = []int{0, 1}
 	}
 	postMap(t, srv.Handler(), req, http.StatusUnprocessableEntity, nil)
-	srv.graphMu.Lock()
-	g, ok := srv.graphs.get("MG/40/3")
-	srv.graphMu.Unlock()
+	srv.graphs.mu.Lock()
+	g, ok := srv.graphs.values.get("MG/40/3")
+	srv.graphs.mu.Unlock()
 	if !ok {
 		t.Fatal("the profiled graph is not memoized")
 	}
@@ -350,9 +350,9 @@ func TestMapBoundsIters(t *testing.T) {
 	if view := srv.metrics.Snapshot(0, 0); view.Solves != 0 {
 		t.Errorf("rejected request ran %d solves, want 0", view.Solves)
 	}
-	srv.graphMu.Lock()
-	profiled := srv.graphs.len()
-	srv.graphMu.Unlock()
+	srv.graphs.mu.Lock()
+	profiled := srv.graphs.values.len()
+	srv.graphs.mu.Unlock()
 	if profiled != 0 {
 		t.Errorf("rejected request profiled %d workloads, want 0", profiled)
 	}
@@ -379,10 +379,10 @@ func TestGraphMemoBounded(t *testing.T) {
 	t.Cleanup(srv.Close)
 	h := srv.Handler()
 	memo := func(key string) (held bool, size int) {
-		srv.graphMu.Lock()
-		defer srv.graphMu.Unlock()
-		_, held = srv.graphs.entries[key]
-		return held, srv.graphs.len()
+		srv.graphs.mu.Lock()
+		defer srv.graphs.mu.Unlock()
+		_, held = srv.graphs.values.entries[key]
+		return held, srv.graphs.values.len()
 	}
 	firstReq := MapRequest{Workload: "LU", Procs: 2, Seed: 1}
 	firstKey := fmt.Sprintf("LU/%d/%d", firstReq.Procs, firstReq.iters())
@@ -424,12 +424,12 @@ func holdProfiles(t *testing.T, srv *Server, key string, n int) (wait func() int
 	}
 	wait = func() int {
 		for {
-			srv.graphMu.Lock()
+			srv.graphs.mu.Lock()
 			waiting := 0
-			if f := srv.graphFlights[key]; f != nil {
+			if f := srv.graphs.inflight[key]; f != nil {
 				waiting = f.waiters
 			}
-			srv.graphMu.Unlock()
+			srv.graphs.mu.Unlock()
 			if k := int(started.Load()); k == n || (k == 1 && waiting == n-1) {
 				return k
 			}
@@ -489,10 +489,10 @@ func TestGraphForProfilesOnce(t *testing.T) {
 	if profiles != 1 {
 		t.Errorf("three concurrent calls of a failing profile ran it %d times, want 1", profiles)
 	}
-	srv.graphMu.Lock()
-	_, memoized := srv.graphs.entries["no-such/8/1"]
-	inFlight := len(srv.graphFlights)
-	srv.graphMu.Unlock()
+	srv.graphs.mu.Lock()
+	_, memoized := srv.graphs.values.entries["no-such/8/1"]
+	inFlight := len(srv.graphs.inflight)
+	srv.graphs.mu.Unlock()
 	if memoized || inFlight != 0 {
 		t.Errorf("after a failed profile: memoized %t, %d profiles in flight; want false, 0", memoized, inFlight)
 	}
@@ -682,13 +682,14 @@ func TestTimedOutSolveKeepsItsEdgeList(t *testing.T) {
 	}
 }
 
-// TestCachedRequestsOwnTheirEdges requires every cached request, as
-// CachedPlacements hands it to the re-gauging loop, to hold an exact-size
-// edge list of its own equal to the one posted: a handler decodes into a
-// pooled buffer and hands it back once answered, so a cached list that
-// shared it would be overwritten by a later request's decode. Four
-// goroutines post two requests each, each twice (a miss, then a hit),
-// the longer first, so that buffers are handed between them.
+// TestCachedRequestsOwnTheirEdges requires every cached request, as the
+// re-gauging loop reads it (CachedPlacements, then withEdges), to hold
+// an exact-size edge list of its own equal to the one posted: a handler
+// decodes into a pooled buffer and hands it back once answered, so a
+// cached list that shared it would be overwritten by a later request's
+// decode. Four goroutines post two requests each, each twice (a miss,
+// then a hit), the longer first, so that buffers are handed between
+// them.
 func TestCachedRequestsOwnTheirEdges(t *testing.T) {
 	srv := newTestServer(t, Config{Workers: 2})
 	h := srv.Handler()
@@ -724,7 +725,7 @@ func TestCachedRequestsOwnTheirEdges(t *testing.T) {
 		t.Fatalf("%d cached placements, want %d", len(cached), len(sent))
 	}
 	for _, c := range cached {
-		got, want := c.Request.Edges, sent[c.Request.Seed]
+		got, want := c.Request.withEdges().Edges, sent[c.Request.Seed]
 		if !slices.Equal(got, want) {
 			t.Errorf("seed %d: cached edges differ from the %d posted", c.Request.Seed, len(want))
 		}
