@@ -81,11 +81,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFloatMatchesParseFloat$$' -fuzztime 10s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzPackEdgesRoundTrip$$' -fuzztime 10s ./internal/service
 
-# Fault-injection smoke: replay LU through the FlakyWAN preset and run the
+# Fault-injection smoke: cmd/geosim's tests run the geosim binary as a
+# child process, replaying LU through the FlakyWAN preset and the
 # failure-aware remap path end to end (internal/faults + netsim faulty
-# engines + core.Remap). Must terminate without hangs or leaks.
+# engines + core.Remap), besides the default replay run and a rejected
+# -engine. Must terminate without hangs or leaks.
 faults:
-	$(GO) run ./cmd/geosim -app LU -n 64 -faults FlakyWAN
+	$(GO) test -count=1 -timeout 120s ./cmd/geosim
 
 # The daemon gates are Go tests in cmd/geomapd. Each builds geomapd from
 # its command line with the constructor main uses, serves it in-process

@@ -5,9 +5,9 @@
 // requests are deduplicated in flight and answered from an LRU result
 // cache, and operators feed fresh calibration matrices or fault reports
 // through POST /admin/snapshot without restarting the daemon. Each solve
-// may itself parallelize the geo mapper's group-order search
-// (-solver-workers); the pool size × per-solve product is clamped to
-// GOMAXPROCS so the daemon never oversubscribes the machine.
+// parallelizes the geo mapper's group-order search on
+// max(1, GOMAXPROCS / -workers) goroutines, so a full pool never
+// oversubscribes the machine.
 //
 // With -regauge the daemon also runs the closed calibration loop
 // (internal/regauge): periodic reduced-budget probes of the modeled
@@ -119,8 +119,7 @@ func newDaemon(fs *flag.FlagSet, args []string, logw io.Writer) (*daemon, error)
 		useCalib    = fs.Bool("calib", false, "bootstrap the snapshot from a calibration run instead of ground truth")
 		days        = fs.Int("days", 1, "calibration days (with -calib)")
 		samples     = fs.Int("samples", 5, "calibration samples per day per pair (with -calib)")
-		workers     = fs.Int("workers", 4, "solver pool size")
-		solverWkrs  = fs.Int("solver-workers", 0, "order-search goroutines per solve (0 = derive from GOMAXPROCS/workers; pool×per-solve is clamped to GOMAXPROCS)")
+		workers     = fs.Int("workers", 4, "solver pool size; each solve searches group orders on max(1, GOMAXPROCS/workers) goroutines")
 		queueDepth  = fs.Int("queue", 0, "pending-solve bound before shedding (default 4×workers)")
 		cacheSize   = fs.Int("cache", 1024, "result cache entries")
 		maxProcs    = fs.Int("max-procs", 4096, "largest accepted process count")
@@ -214,7 +213,6 @@ func newDaemon(fs *flag.FlagSet, args []string, logw io.Writer) (*daemon, error)
 		Store:           store,
 		Cluster:         cluster,
 		Workers:         *workers,
-		SolverWorkers:   *solverWkrs,
 		QueueDepth:      *queueDepth,
 		CacheSize:       *cacheSize,
 		MaxProcs:        *maxProcs,
@@ -240,7 +238,6 @@ func newDaemon(fs *flag.FlagSet, args []string, logw io.Writer) (*daemon, error)
 			Window:         *rgWindow,
 			SafetyFactor:   *rgSafety,
 			Cooldown:       units.Seconds(rgCooldown.Seconds()),
-			SolverWorkers:  *solverWkrs,
 			MaxFailures:    *rgMaxFail,
 			Timescale:      *rgTimescale,
 			Logf:           logger.Printf,

@@ -3,16 +3,18 @@
 // ns-2 cluster simulations and, combined with the workload compute models,
 // for its Amazon EC2 measurements.
 //
-// The network model follows the paper's site-pair formulation: every
-// ordered site pair (k, l) with k ≠ l is one shared WAN pipe of capacity
-// BT(k, l) and propagation delay LT(k, l); all concurrent messages between
-// those two sites contend for that pipe. Within a site the fabric is
-// non-blocking, so intra-site flows are bounded only by each endpoint's
-// NIC (whose rate is the measured intra-site pair bandwidth BT(k, k)).
-// Endpoint NICs also bound WAN flows. Rates are allocated max-min fairly
-// across all constraints by progressive filling, recomputed at every flow
-// arrival or completion — the classic fluid approximation of TCP sharing
-// that flow-level simulators use.
+// The network model follows the paper's site-pair formulation: a message
+// between sites k ≠ l pays propagation delay LT(k, l) and moves at no more
+// than BT(k, l); within a site the fabric is non-blocking, so intra-site
+// messages are bounded only by each endpoint's NIC (whose rate is the
+// measured intra-site pair bandwidth BT(k, k)). Every committed artifact
+// that times a run (Figure 5 and the contention, robustness, collectives
+// and regauge experiments) uses the logical-clock replay: each message
+// occupies the sender's NIC egress and the receiver's NIC ingress FIFO and,
+// without Options.DedicatedWAN, the site pair's one shared WAN pipe too.
+// The two fluid engines instead allocate rates max-min fairly (or by
+// processor sharing) across concurrent flows, the classic approximation of
+// TCP sharing; only geosim's -engine flag reaches them.
 //
 // Three engines are provided:
 //

@@ -124,11 +124,6 @@ type Config struct {
 	// Cooldown is the per-target schedule time after a triggered remap
 	// during which further remaps are suppressed (default 3 × Interval).
 	Cooldown units.Seconds
-	// SolverWorkers is the order-search parallelism of re-solve
-	// candidates (default 1). It never changes results — the parallel
-	// search's deterministic reduction is byte-identical at any count.
-	SolverWorkers int
-
 	// MaxFailures is how many consecutive failed passes escalate the
 	// gauger to degraded mode (default 3).
 	MaxFailures int
@@ -171,9 +166,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = c.Interval.Scale(3)
-	}
-	if c.SolverWorkers <= 0 {
-		c.SolverWorkers = 1
 	}
 	if c.MaxFailures == 0 {
 		c.MaxFailures = 3
@@ -620,7 +612,9 @@ func (g *Gauger) bestRemap(t Target, prob *core.Problem, pl core.Placement, dead
 // new site. Returns nil when the request's solver is unavailable or
 // solving fails — the other candidates still stand.
 func (g *Gauger) resolveCandidate(t Target, prob *core.Problem, pl core.Placement) *core.RemapResult {
-	mapper, err := t.Request.Mapper(g.cfg.SolverWorkers)
+	// One order-search worker: re-solves share the machine with the
+	// server's pool, and the count never changes a placement.
+	mapper, err := t.Request.Mapper(1)
 	if err != nil {
 		return nil
 	}

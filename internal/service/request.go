@@ -185,7 +185,7 @@ func (r *MapRequest) iters() int {
 // Mapper instantiates the requested algorithm; it is the module's one
 // table of algorithm names, which geomap and geosim build their mappers
 // from too. solverWorkers is the server's per-solve order-search
-// parallelism (see Config.SolverWorkers); it does not enter the request
+// parallelism (see Config.Workers); it does not enter the request
 // fingerprint because the parallel search's deterministic reduction
 // returns byte-identical placements at every worker count. A kappa the
 // geo or multilevel mapper would refuse is an error here, before any

@@ -22,14 +22,10 @@ type Config struct {
 	// Store supplies network snapshots; required.
 	Store *Store
 	// Workers is the number of solves the pool runs at once (default 4).
+	// Each solve searches group orders on max(1, GOMAXPROCS / Workers)
+	// goroutines, so a saturated pool fills the machine without
+	// oversubscribing it; placements are byte-identical at every count.
 	Workers int
-	// SolverWorkers is the per-solve order-search parallelism handed to
-	// the geo mapper's Workers knob. Zero derives max(1, GOMAXPROCS /
-	// Workers). Because pool workers run solves concurrently, the product
-	// Workers × SolverWorkers is clamped to GOMAXPROCS so a saturated pool
-	// cannot oversubscribe the machine; placements are byte-identical at
-	// every setting, so the clamp never changes answers.
-	SolverWorkers int
 	// QueueDepth bounds the solves waiting for a pool slot before
 	// requests are shed with 503 (default 4 × Workers).
 	QueueDepth int
@@ -140,14 +136,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.MaxStaleness < 0 {
 		return nil, fmt.Errorf("service: MaxStaleness = %v, want >= 0", cfg.MaxStaleness)
 	}
-	if cfg.SolverWorkers < 0 {
-		return nil, fmt.Errorf("service: SolverWorkers = %d, want >= 0", cfg.SolverWorkers)
-	}
-	solverWorkers := clampSolverWorkers(cfg.Workers, cfg.SolverWorkers, runtime.GOMAXPROCS(0))
-	if cfg.SolverWorkers > 0 && solverWorkers != cfg.SolverWorkers {
-		cfg.Logf("solver workers clamped %d → %d: %d pool workers × %d per solve would oversubscribe GOMAXPROCS=%d",
-			cfg.SolverWorkers, solverWorkers, cfg.Workers, cfg.SolverWorkers, runtime.GOMAXPROCS(0))
-	}
 	started := cfg.Now()
 	s := &Server{
 		store:           cfg.Store,
@@ -159,7 +147,7 @@ func NewServer(cfg Config) (*Server, error) {
 		defaultDeadline: cfg.DefaultDeadline,
 		maxStaleness:    cfg.MaxStaleness,
 		poolWorkers:     cfg.Workers,
-		solverWorkers:   solverWorkers,
+		solverWorkers:   clampSolverWorkers(cfg.Workers, runtime.GOMAXPROCS(0)),
 		logf:            cfg.Logf,
 		now:             cfg.Now,
 		started:         started,
@@ -174,19 +162,10 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// clampSolverWorkers resolves the per-solve parallelism: requested = 0
-// derives a value that exactly fills the machine when every pool worker is
-// busy, and an explicit request is capped by the same oversubscription
-// rule (poolWorkers × solverWorkers ≤ GOMAXPROCS, floor 1).
-func clampSolverWorkers(poolWorkers, requested, maxProcs int) int {
-	limit := maxProcs / poolWorkers
-	if limit < 1 {
-		limit = 1
-	}
-	if requested == 0 || requested > limit {
-		return limit
-	}
-	return requested
+// clampSolverWorkers returns the per-solve order-search parallelism that
+// exactly fills maxProcs when every pool worker is busy, floored at 1.
+func clampSolverWorkers(poolWorkers, maxProcs int) int {
+	return max(1, maxProcs/poolWorkers)
 }
 
 // Metrics exposes the server's counter set (geomapd logs a summary on

@@ -111,13 +111,14 @@ func TestMapDeterministicAcrossServers(t *testing.T) {
 // TestMapMultilevelAlgorithm exercises the multilevel mapper through the
 // full service path: the request validates, the solver pool hands it the
 // per-solve worker budget, and — because the refiner's deterministic
-// reduction is worker-count independent — servers with different
-// SolverWorkers settings return identical digests.
+// reduction is worker-count independent — servers solving with 1 and 2
+// order-search workers return identical digests.
 func TestMapMultilevelAlgorithm(t *testing.T) {
 	req := MapRequest{Workload: "LU", Procs: 64, Seed: 5, Algorithm: "multilevel"}
 	digests := make([]string, 2)
 	for i, sw := range []int{1, 2} {
-		srv := newTestServer(t, Config{Workers: 1, SolverWorkers: sw})
+		srv := newTestServer(t, Config{Workers: 1})
+		srv.solverWorkers = sw
 		var resp MapResponse
 		postMap(t, srv.Handler(), req, http.StatusOK, &resp)
 		if resp.Algorithm != "Multilevel" {
